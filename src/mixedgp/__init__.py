@@ -16,7 +16,6 @@ bench
 """
 
 from .corrparam import (
-    CatParamVector,
     CorrMatrix,
     FamilySpec,
     LoadingMatrix,

@@ -27,8 +27,7 @@ from .corrparam import CorrMatrix, FamilySpec, build_correlation
 from .errors import (
     ConfigError,
     CriterionUndefinedError,
-    FitFailureError,
-    IllConditionedError,
+    MixedGPError,
     ParamArityError,
     ParamDomainError,
 )
@@ -254,7 +253,8 @@ def _run_cell(cfg: ExperimentConfig, cache_dir: str, fid: str, n: int, rep: int)
                 [predict_batch(gp_fit, test.X, lv) for lv in range(1, s + 1)]
             )
             q2 = q_squared(y_true, preds)
-        except (FitFailureError, IllConditionedError):
+        except (MixedGPError, np.linalg.LinAlgError):
+            # one failed fit, score or prediction costs this record only
             status = "failed"
             rmse = q2 = None
         seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0

@@ -23,7 +23,8 @@ and within row i the angles theta_{i,1}, ..., theta_{i,min(i,r)-1}
 (min(i, s) for UC).
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,39 +123,6 @@ def cat_param_bounds(spec: FamilySpec) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CatParamVector:
-    """Validated parameter vector of one family."""
-
-    values: np.ndarray
-    spec: FamilySpec
-    bounds: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bounds", cat_param_bounds(self.spec))
-        k = param_count(self.spec)
-        if values.shape != (k,):
-            raise ParamArityError(
-                f"{self.spec.label} with s={self.spec.s} needs {k} parameters, "
-                f"got shape {values.shape}"
-            )
-        _check_domain(values, self.spec)
-
-
-def _check_domain(values: np.ndarray, spec: FamilySpec) -> None:
-    if spec.family == "EC":
-        if not (0.0 < values[0] < 1.0):
-            raise ParamDomainError(f"EC parameter must lie in (0, 1), got {values[0]}")
-    elif spec.family == "MC":
-        if not np.all(values > 0.0):
-            raise ParamDomainError("MC parameters must all be positive")
-    else:
-        if not np.all((values > 0.0) & (values < np.pi)):
-            raise ParamDomainError(f"{spec.family} angles must lie in (0, pi)")
-
-
-@dataclass(frozen=True)
 class CorrMatrix:
     """An s x s symmetric cross-correlation matrix with unit diagonal."""
 
@@ -210,32 +178,15 @@ class LoadingMatrix:
         return self.values.shape[1]
 
 
-def _finish(P: np.ndarray, s: int) -> CorrMatrix:
+def _symmetrize(P: np.ndarray) -> np.ndarray:
     # force exact symmetry / unit diagonal / range against fp noise
     P = (P + P.T) / 2.0
     np.fill_diagonal(P, 1.0)
-    np.clip(P, -1.0, 1.0, out=P)
-    return CorrMatrix(P, s)
+    return np.clip(P, -1.0, 1.0, out=P)
 
 
-def _sphere_row(angles: np.ndarray) -> np.ndarray:
-    """Point on the unit (k+1)-sphere from k spherical angles.
-
-    Entry j is cos(theta_j) times the product of the preceding sines;
-    the last entry is the product of all sines.
-    """
-    k = angles.size
-    row = np.empty(k + 1)
-    if k == 0:
-        row[0] = 1.0
-        return row
-    c = np.cos(angles)
-    sp = np.cumprod(np.sin(angles))
-    row[0] = c[0]
-    if k > 1:
-        row[1:k] = c[1:] * sp[: k - 1]
-    row[k] = sp[k - 1]
-    return row
+def _finish(P: np.ndarray, s: int) -> CorrMatrix:
+    return CorrMatrix(_symmetrize(P), s)
 
 
 def ec_values(c: float, s: int) -> np.ndarray:
@@ -268,21 +219,51 @@ def build_mc(phi: np.ndarray, s: int) -> CorrMatrix:
     return _finish(mc_values(phi, s), s)
 
 
-def uc_loading(theta: np.ndarray, s: int) -> np.ndarray:
-    """Lower-triangular Cholesky factor from the hypersphere angles."""
+@functools.lru_cache(maxsize=None)
+def _angle_slots(s: int, rank: int) -> np.ndarray:
+    """Flat positions of the angle vector in the (s-1) x (rank-1) grid.
+
+    Grid row i-2 holds the min(i, rank) - 1 angles of loading row i;
+    the slots after them stay zero.
+    """
+    counts = np.minimum(np.arange(2, s + 1), rank) - 1
+    slots = np.concatenate([row * (rank - 1) + np.arange(k) for row, k in enumerate(counts)])
+    slots.setflags(write=False)
+    return slots
+
+
+def sphere_loading(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
+    """The s x rank loading matrix Q with unit rows, first row (1, 0, ...).
+
+    Row i is the point on the unit sphere in min(i, rank) dimensions
+    given by its angles, zero-padded beyond: entry j is cos(theta_j)
+    times the product of the preceding sines, the last entry the product
+    of all sines. At rank s this is the lower-triangular Cholesky factor
+    of the unrestrictive family; at rank < s only differences from the
+    first row matter, which is what saves one angle per column.
+
+    The rows are built at once on a zero-padded angle grid: cos(0) = 1
+    and sin(0) = 0 put the product of all sines at each row's last
+    entry and zeros after it.
+    """
     theta = np.asarray(theta, dtype=float)
-    k = s * (s - 1) // 2
+    k = lrc_param_count(s, rank)
+    label = "UC" if rank == s else f"LRC{rank}"
     if theta.shape != (k,):
-        raise ParamArityError(f"UC with s={s} needs {k} angles, got shape {theta.shape}")
-    if not np.all((theta > 0.0) & (theta < np.pi)):
-        raise ParamDomainError("UC angles must lie in (0, pi)")
-    L = np.zeros((s, s))
-    L[0, 0] = 1.0
-    off = 0
-    for i in range(1, s):
-        L[i, : i + 1] = _sphere_row(theta[off : off + i])
-        off += i
-    return L
+        raise ParamArityError(f"{label} with s={s} needs {k} angles, got shape {theta.shape}")
+    if not ((theta > 0.0) & (theta < np.pi)).all():
+        raise ParamDomainError(f"{label} angles must lie in (0, pi)")
+    grid = np.zeros((s - 1) * (rank - 1))
+    grid[_angle_slots(s, rank)] = theta
+    grid.shape = (s - 1, rank - 1)
+    c = np.cos(grid)
+    sp = np.sin(grid).cumprod(axis=1)
+    Q = np.zeros((s, rank))
+    Q[0, 0] = 1.0
+    Q[1:, 0] = c[:, 0]
+    Q[1:, 1:-1] = c[:, 1:] * sp[:, :-1]
+    Q[1:, -1] = sp[:, -1]
+    return Q
 
 
 def build_uc(theta: np.ndarray, s: int) -> CorrMatrix:
@@ -291,33 +272,8 @@ def build_uc(theta: np.ndarray, s: int) -> CorrMatrix:
     Rows of L are points on unit hyperspheres, so the product has unit
     diagonal; the result is positive definite for any valid angles.
     """
-    L = uc_loading(theta, s)
+    L = sphere_loading(theta, s, s)
     return _finish(L @ L.T, s)
-
-
-def lrc_loading(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
-    """The s x rank loading matrix Q with the first row fixed to (1, 0, ...).
-
-    Row i holds spherical coordinates in min(i, rank) dimensions,
-    zero-padded beyond. Only differences from the first row matter,
-    which is what saves one angle per column.
-    """
-    theta = np.asarray(theta, dtype=float)
-    k = lrc_param_count(s, rank)
-    if theta.shape != (k,):
-        raise ParamArityError(
-            f"LRC{rank} with s={s} needs {k} angles, got shape {theta.shape}"
-        )
-    if not np.all((theta > 0.0) & (theta < np.pi)):
-        raise ParamDomainError("LRC angles must lie in (0, pi)")
-    Q = np.zeros((s, rank))
-    Q[0, 0] = 1.0
-    off = 0
-    for i in range(2, s + 1):
-        m = min(i, rank) - 1
-        Q[i - 1, : m + 1] = _sphere_row(theta[off : off + m])
-        off += m
-    return Q
 
 
 def build_lrc(
@@ -329,7 +285,7 @@ def build_lrc(
     regularized correlation matrix. Before regularization the product
     has rank at most ``rank``.
     """
-    Q = lrc_loading(theta, s, rank)
+    Q = sphere_loading(theta, s, rank)
     return LoadingMatrix(Q), regularize(Q @ Q.T, nugget)
 
 
@@ -367,7 +323,7 @@ def embed_lrc_in_uc(
     far below 1e-6 at the default. Angles after position r are
     unidentified and fixed at pi/2.
     """
-    lrc_loading(theta_lrc, s, rank)  # validates arity and domain
+    sphere_loading(theta_lrc, s, rank)  # validates arity and domain
     theta_lrc = np.asarray(theta_lrc, dtype=float)
     out = []
     off = 0
@@ -388,7 +344,8 @@ def corr_values(
     """Raw matrix for the family, dispatching on ``spec``.
 
     Fast path used inside likelihood loops; skips the CorrMatrix
-    wrapper for EC/MC/UC, which are exact by construction.
+    wrapper, and for LRC the positive-definiteness check of
+    :func:`regularize`.
     """
     values = np.asarray(values, dtype=float)
     if spec.family == "EC":
@@ -397,17 +354,11 @@ def corr_values(
         return ec_values(float(values[0]), spec.s)
     if spec.family == "MC":
         return mc_values(values, spec.s)
-    if spec.family == "UC":
-        L = uc_loading(values, spec.s)
-        P = L @ L.T
-        P = (P + P.T) / 2.0
-        np.fill_diagonal(P, 1.0)
-        return np.clip(P, -1.0, 1.0)
-    Q = lrc_loading(values, spec.s, spec.rank)
-    P = (Q @ Q.T + nugget * np.eye(spec.s)) / (1.0 + nugget)
-    P = (P + P.T) / 2.0
-    np.fill_diagonal(P, 1.0)
-    return np.clip(P, -1.0, 1.0)
+    Q = sphere_loading(values, spec.s, spec.s if spec.family == "UC" else spec.rank)
+    P = Q @ Q.T
+    if spec.family == "LRC":
+        P = (P + nugget * np.eye(spec.s)) / (1.0 + nugget)
+    return _symmetrize(P)
 
 
 def build_correlation(

@@ -240,6 +240,28 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     ]
 
 
+def test_failed_fit_costs_one_record(tmp_path, monkeypatch):
+    import mixedgp.bench as bench
+
+    real_fit = bench.fit
+
+    def fit_failing_mc(train, spec, options):
+        if spec.family == "MC":
+            raise ParamDomainError("injected failure")
+        return real_fit(train, spec, options)
+
+    monkeypatch.setattr(bench, "fit", fit_failing_mc)
+    records = run_experiment(tiny_config(families=("EC", "MC")), str(tmp_path / "out"))
+    assert len(records) == 4
+    for r in records:
+        if r.family == "MC":
+            assert r.status == "failed" and r.rmse_corr is None and r.q2 is None
+        else:
+            assert r.status == "ok" and r.q2 is not None
+    failures = {(row.family, row.metric): row.failures for row in summarize(records)}
+    assert failures[("MC", "q2")] == 2 and failures[("EC", "q2")] == 0
+
+
 def test_record_completeness_counts(tmp_path):
     cfg = tiny_config(families=("EC", "LRC2", "UC"), replications=2, n_values=(4,))
     records = run_experiment(cfg, str(tmp_path / "out"))

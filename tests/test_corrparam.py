@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixedgp.corrparam import (
-    CatParamVector,
     CorrMatrix,
     FamilySpec,
     build_correlation,
@@ -19,6 +18,7 @@ from mixedgp.corrparam import (
     lrc_param_count,
     param_count,
     regularize,
+    sphere_loading,
 )
 from mixedgp.errors import (
     NumericalRankError,
@@ -235,6 +235,52 @@ def test_lrc_loading_structure():
     assert np.allclose((Q**2).sum(axis=1), 1.0, atol=1e-12)
 
 
+def _sphere_row(angles):
+    """Reference: one loading row from its angles, entry by entry."""
+    k = angles.size
+    row = np.empty(k + 1)
+    c = np.cos(angles)
+    sp = np.cumprod(np.sin(angles))
+    row[0] = c[0]
+    if k > 1:
+        row[1:k] = c[1:] * sp[: k - 1]
+    row[k] = sp[k - 1]
+    return row
+
+
+def row_recursion_loading(theta, s, rank):
+    """Reference: the loading matrix built one row at a time."""
+    Q = np.zeros((s, rank))
+    Q[0, 0] = 1.0
+    off = 0
+    for i in range(2, s + 1):
+        m = min(i, rank) - 1
+        Q[i - 1, : m + 1] = _sphere_row(theta[off : off + m])
+        off += m
+    return Q
+
+
+@pytest.mark.parametrize(
+    "s,rank", [(s, rank) for s in range(2, 9) for rank in range(2, s + 1)]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sphere_loading_matches_row_recursion_bitwise(s, rank, data):
+    k = lrc_param_count(s, rank)
+    angle = st.floats(min_value=1e-6, max_value=np.pi - 1e-6)
+    theta = np.array(data.draw(st.lists(angle, min_size=k, max_size=k)))
+    assert np.array_equal(sphere_loading(theta, s, rank), row_recursion_loading(theta, s, rank))
+
+
+def test_sphere_loading_errors_name_the_family():
+    with pytest.raises(ParamArityError, match="UC with s=3"):
+        sphere_loading(np.ones(2), 3, 3)
+    with pytest.raises(ParamArityError, match="LRC2 with s=4"):
+        sphere_loading(np.ones(2), 4, 2)
+    with pytest.raises(ParamDomainError):
+        sphere_loading(np.array([1.0, 1.0, 3.5]), 4, 2)
+
+
 def test_lrc_rank_before_regularization():
     rng = np.random.default_rng(9)
     for s, r in [(4, 2), (5, 3), (6, 4), (8, 2)]:
@@ -363,16 +409,6 @@ def test_param_count_matches_builder_arity():
         build_correlation(spec, values)  # accepts exactly this length
         with pytest.raises(ParamArityError):
             build_correlation(spec, np.r_[values, 0.5])
-
-
-def test_cat_param_vector_validation():
-    spec = FamilySpec("UC", 3)
-    good = CatParamVector(np.array([1.0, 1.0, 1.0]), spec)
-    assert good.bounds.shape == (3, 2)
-    with pytest.raises(ParamArityError):
-        CatParamVector(np.array([1.0, 1.0]), spec)
-    with pytest.raises(ParamDomainError):
-        CatParamVector(np.array([1.0, 1.0, -0.5]), spec)
 
 
 def test_corr_matrix_rejects_bad_input():

@@ -1,5 +1,6 @@
 """Tests for the mixed-input Gaussian process core."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedgp.corrparam import FamilySpec, build_ec, corr_values
-from mixedgp.errors import ParamDomainError
+from mixedgp.errors import IllConditionedError, ParamDomainError
 from mixedgp.gpcore import (
     FitOptions,
     KernelConfig,
@@ -24,6 +25,7 @@ from mixedgp.gpcore import (
     matern52,
     predict,
     predict_batch,
+    psi_box,
     refit_config,
     save_fit,
 )
@@ -154,6 +156,22 @@ def test_training_set_same_x_different_level_ok():
     assert ts.n == 3 and ts.n_levels == 2
 
 
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_training_set_rejects_non_finite_data(where, bad):
+    X = np.array([[0.1], [0.5], [0.9]])
+    y = np.array([0.0, 1.0, 2.0])
+    (X if where == "X" else y)[1] = bad
+    with pytest.raises(ParamDomainError, match="must be finite"):
+        TrainingSet(X, [1, 1, 2], y)
+
+
+@pytest.mark.parametrize("bounds", [[[0.0, np.inf]], [[-np.inf, 1.0]], [[np.nan, 1.0]]])
+def test_training_set_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ParamDomainError, match="bounds must be finite"):
+        TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], bounds=bounds)
+
+
 def test_training_set_normalizes_with_bounds():
     bounds = np.array([[-10.0, 10.0], [0.0, 4.0]])
     ts = TrainingSet(np.array([[0.0, 2.0], [10.0, 0.0]]), [1, 1], [0.0, 1.0], bounds)
@@ -233,6 +251,50 @@ def test_nll_matches_naive_inverse():
         assert ours == pytest.approx(theirs, abs=1e-8)
 
 
+def solve_nll(X01, levels, y, ls, P, nugget):
+    """Reference likelihood from explicit solves with R and slogdet."""
+    z = (y - y.mean()) / y.std()
+    n = len(y)
+    R = naive_R(X01, levels, ls, P, nugget)
+    ones = np.ones(n)
+    mu = float(ones @ np.linalg.solve(R, z)) / float(ones @ np.linalg.solve(R, ones))
+    resid = z - mu
+    sigma2 = max(float(resid @ np.linalg.solve(R, resid)) / n, 1e-12)
+    sign, logdet = np.linalg.slogdet(R)
+    assert sign > 0
+    return n * math.log(sigma2) + logdet
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["EC", "MC", "LRC", "UC"]),
+    s=st.integers(min_value=3, max_value=5),
+    n=st.integers(min_value=6, max_value=14),
+    log_nugget=st.floats(min_value=-4.0, max_value=-2.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_profiled_nll_matches_explicit_solves(family, s, n, log_nugget, seed):
+    # psi anywhere in the fit box; the nugget keeps cond(R) below ~1e5,
+    # so both computations are accurate far beyond the 1e-10 compared
+    rng = np.random.default_rng(seed)
+    X, levels, y = random_instance(rng, n, q=2, s=s)
+    ts = TrainingSet(X, levels, y, n_levels=s)
+    spec = FamilySpec(family, s, 2 if family == "LRC" else None)
+    lo, hi = psi_box(ts.q, spec, FitOptions())
+    psi = rng.uniform(lo, hi)
+    nugget = 10.0**log_nugget
+    ours = concentrated_nll(psi, ts, spec, nugget=nugget)
+    P = corr_values(spec, psi[2:])
+    theirs = solve_nll(ts.X01, levels, y, psi[:2], P, nugget)
+    assert abs(ours - theirs) <= 1e-10 * max(1.0, abs(theirs))
+
+
+def test_concentrated_nll_singular_R_raises():
+    ts = TrainingSet(np.array([[0.0], [5e-324]]), [1, 1], [0.0, 1.0])
+    with pytest.raises(IllConditionedError):
+        concentrated_nll(np.array([0.5]), ts, None, nugget=0.0)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 
@@ -305,6 +367,19 @@ def test_predict_rejects_unknown_level():
     )
     with pytest.raises(ParamDomainError):
         predict(gp, MixedPoint(np.array([0.5, 0.5]), 3))
+
+
+def test_chol_R_is_lower_cholesky_factor_of_R():
+    rng = np.random.default_rng(13)
+    X, levels, y = random_instance(rng, 12, s=3)
+    ts = TrainingSet(X, levels, y)
+    spec = FamilySpec("UC", 3)
+    config = KernelConfig(np.array([0.4, 0.7]), spec, np.array([1.0, 2.0, 0.5]))
+    L = refit_config(ts, config).chol_R
+    R, _ = build_R(ts, config)
+    assert np.array_equal(L, np.tril(L))
+    assert np.all(np.diag(L) > 0)
+    assert np.allclose(L @ L.T, R, rtol=0.0, atol=1e-12)
 
 
 def test_neg_log_lik_matches_recomputation():
@@ -464,3 +539,39 @@ def test_save_load_round_trip(tmp_path):
     after = predict_batch(loaded, grid, levels0)
     assert np.array_equal(before, after)
     assert loaded.neg_log_lik == gp.neg_log_lik
+
+
+def _saved_fit(tmp_path):
+    rng = np.random.default_rng(14)
+    X, levels, y = random_instance(rng, 6, s=2)
+    gp = refit_config(
+        TrainingSet(X, levels, y),
+        KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.5])),
+    )
+    path = tmp_path / "model.json"
+    save_fit(gp, path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.pop("lengthscales"), "missing fields lengthscales"),
+        (lambda doc: doc.pop("version"), "version-1"),
+        (lambda doc: doc.update(version=2), "version-1"),
+    ],
+)
+def test_load_fit_rejects_incomplete_document(tmp_path, edit, message):
+    path, doc = _saved_fit(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamDomainError, match=message):
+        load_fit(path)
+
+
+def test_load_fit_rejects_truncated_file(tmp_path):
+    path, _ = _saved_fit(tmp_path)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ParamDomainError, match="not valid JSON"):
+        load_fit(path)
