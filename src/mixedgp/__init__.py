@@ -18,7 +18,6 @@ bench
 from .corrparam import (
     CorrMatrix,
     FamilySpec,
-    LoadingMatrix,
     build_correlation,
     build_ec,
     build_lrc,
@@ -33,14 +32,11 @@ from .gpcore import (
     FitOptions,
     GPFit,
     KernelConfig,
-    MixedPoint,
     TrainingSet,
     concentrated_nll,
     fit,
     fit_individual,
     load_fit,
-    matern52,
-    predict,
     predict_batch,
     save_fit,
 )

@@ -13,10 +13,12 @@ function and cached on disk.
 import concurrent.futures
 import configparser
 import csv
+import operator
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,6 +32,7 @@ from .errors import (
     MixedGPError,
     ParamArityError,
     ParamDomainError,
+    RankRangeError,
 )
 from .gpcore import FitOptions, GPFit, TrainingSet, fit, predict_batch
 from .testbed import CrossCorrEstimate, SlicedFunction
@@ -40,6 +43,7 @@ RECORD_COLUMNS = ("function", "s", "n", "family", "rank", "rep",
                   "rmse_corr", "q2", "fit_seconds", "status")
 SUMMARY_COLUMNS = ("function", "s", "n", "family", "rank", "metric",
                    "median", "q25", "q75", "failures")
+TIMINGS = ("wall", "none")  # "none" writes zeros, so records.csv is byte-reproducible
 
 
 def rmse_corr(tau_hat, tau_tilde) -> float:
@@ -138,7 +142,7 @@ class ExperimentConfig:
     test_size: int = 1000
     test_seed: int = 987654
     fit_options: FitOptions = field(default_factory=FitOptions)
-    timing: str = "wall"  # "wall" | "none" (write zeros, byte-reproducible)
+    timing: str = "wall"  # one of TIMINGS
 
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(self.functions))
@@ -146,8 +150,8 @@ class ExperimentConfig:
         object.__setattr__(self, "families", tuple(self.families))
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.timing not in ("wall", "none"):
-            raise ConfigError(f"timing must be 'wall' or 'none', got {self.timing!r}")
+        if self.timing not in TIMINGS:
+            raise ConfigError(f"timing must be one of {TIMINGS}, got {self.timing!r}")
 
 
 @dataclass(frozen=True)
@@ -167,17 +171,20 @@ class BenchRecord:
 
 
 def applicable_families(labels, s: int) -> list[FamilySpec]:
-    """Expand config labels into specs valid for s levels, study order."""
+    """Expand config labels into specs valid for s levels, study order.
+
+    An LRC rank outside 2..s-1 does not apply at s and is left out; a
+    bare "LRC" without a rank raises ``RankRangeError``.
+    """
     if tuple(labels) == ("auto",):
-        expanded = ["EC", "MC", "UC"] + [f"LRC{r}" for r in range(2, s)]
-    else:
-        expanded = list(labels)
+        labels = ["EC", "MC", "UC"] + [f"LRC{r}" for r in range(2, s)]
     specs = []
-    for label in expanded:
-        up = label.strip().upper()
-        if up.startswith("LRC") and len(up) > 3 and not 2 <= int(up[3:]) <= s - 1:
-            continue  # rank not applicable at this s
-        specs.append(FamilySpec.parse(label, s))
+    for label in labels:
+        try:
+            specs.append(FamilySpec.parse(label, s))
+        except RankRangeError:
+            if label.strip().upper() == "LRC":
+                raise
     specs.sort(key=lambda sp: FAMILY_ORDER.index(sp.label))
     return specs
 
@@ -302,22 +309,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[B
         for cell in cells:
             records.extend(_run_cell(*cell))
 
-    fam_key = {label: i for i, label in enumerate(FAMILY_ORDER)}
     records.sort(
         key=lambda r: (
             cfg.functions.index(r.function),
             cfg.n_values.index(r.n),
-            fam_key[_family_label(r)],
+            FAMILY_ORDER.index(FamilySpec(r.family, r.s, r.rank).label),
             r.rep,
         )
     )
     write_records_csv(records, os.path.join(out_dir, "records.csv"))
     write_summary_csv(summarize(records), os.path.join(out_dir, "summary.csv"))
     return records
-
-
-def _family_label(record: BenchRecord) -> str:
-    return f"LRC{record.rank}" if record.family == "LRC" else record.family
 
 
 def _fmt(value) -> str:
@@ -385,11 +387,9 @@ def summarize(records) -> list[SummaryRow]:
     """
     cells: dict = {}
     for r in records:
-        cells.setdefault((r.function, r.s, r.n, _family_label(r)), []).append(r)
+        cells.setdefault((r.function, r.s, r.n, r.family, r.rank), []).append(r)
     rows = []
-    for (fid, s, n, label), group in cells.items():
-        rank = group[0].rank
-        family = group[0].family
+    for (fid, s, n, family, rank), group in cells.items():
         failures = sum(1 for r in group if r.status == "failed")
         for metric in ("rmse_corr", "q2"):
             vals = [getattr(r, metric) for r in group
@@ -419,133 +419,171 @@ def write_summary_csv(rows, path) -> None:
 # ---------------------------------------------------------------------------
 # configuration files (ini-style: sections of key = value pairs)
 
-_EXPERIMENT_KEYS = {
-    "functions", "n_values", "families", "replications", "base_seed",
-    "resolution", "test_size", "test_seed",
-}
-_FIT_KEYS = {
-    "n_starts", "nugget", "corr_nugget", "lengthscale_min", "lengthscale_max",
-    "max_evals_per_start", "xatol", "fatol",
-}
-_OUTPUT_KEYS = {"timing"}
-
-
 def _split_list(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
+
+
+def _typed(cast, what: str):
+    """Parser applying ``cast``; its ValueError names the expected type."""
+    def parse(raw: str):
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ValueError(f"must be {what}, got {raw!r}") from None
+    return parse
+
+
+def _function_ids(raw: str) -> tuple[str, ...]:
+    ids = _split_list(raw)
+    if ids == ["all"]:
+        return tuple(testbed_mod.testbed_ids())
+    for fid in ids:
+        testbed_mod.parse_fid(fid)  # ParamDomainError names the bad id
+    return tuple(ids)
+
+
+def _family_labels(raw: str) -> tuple[str, ...]:
+    labels = tuple(_split_list(raw))
+    if labels == ("auto",):
+        return labels
+    for label in labels:
+        try:
+            FamilySpec.parse(label, 8)  # s = 8 admits LRC ranks up to 7
+        except ValueError:
+            raise ValueError(f"unknown family label {label!r}") from None
+    return labels
+
+
+def _timing(raw: str) -> str:
+    if raw not in TIMINGS:
+        raise ValueError(f"must be one of {TIMINGS}, got {raw!r}")
+    return raw
+
+
+def _eval_budget(raw: str) -> int | None:
+    value = int(raw)
+    return value if value > 0 else None  # automatic: 150 per parameter
+
+
+_INT = _typed(int, "an integer")
+_FLOAT = _typed(float, "a number")
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One accepted config key.
+
+    ``type`` parses the raw text, raising ValueError with the issue;
+    ``minimum`` (">= 1", "> 0", ...) bounds every parsed number;
+    ``target`` is the ExperimentConfig field ([experiment], [output]) or
+    FitOptions field ([fit]) receiving the value, by default the key
+    itself, or (field, index) for one end of a pair. Keys left out keep
+    the dataclass defaults.
+    """
+
+    section: str
+    key: str
+    type: Callable[[str], object]
+    minimum: str | None = None
+    target: str | tuple[str, int] | None = None
+
+
+_SCHEMA = (
+    _Key("experiment", "functions", _function_ids),
+    _Key("experiment", "n_values",
+         _typed(lambda raw: tuple(int(v) for v in _split_list(raw)), "integers"), ">= 1"),
+    _Key("experiment", "families", _family_labels),
+    _Key("experiment", "replications", _INT, ">= 1"),
+    _Key("experiment", "base_seed", _INT, ">= 0"),
+    _Key("experiment", "resolution", _INT, ">= 2"),
+    _Key("experiment", "test_size", _INT, ">= 2"),
+    _Key("experiment", "test_seed", _INT, ">= 0"),
+    _Key("fit", "n_starts", _INT, ">= 1"),
+    _Key("fit", "nugget", _FLOAT, ">= 0"),
+    _Key("fit", "corr_nugget", _FLOAT, "> 0"),
+    _Key("fit", "lengthscale_min", _FLOAT, "> 0", ("lengthscale_bounds", 0)),
+    _Key("fit", "lengthscale_max", _FLOAT, "> 0", ("lengthscale_bounds", 1)),
+    _Key("fit", "max_evals_per_start", _typed(_eval_budget, "an integer")),
+    _Key("fit", "xatol", _FLOAT, ">= 0"),
+    _Key("fit", "fatol", _FLOAT, ">= 0"),
+    _Key("output", "timing", _timing),
+)
+
+_COMPARE = {">=": operator.ge, ">": operator.gt}
+
+
+def _meets(value, minimum: str) -> bool:
+    op, bound = minimum.split()
+    values = value if isinstance(value, tuple) else (value,)
+    return all(_COMPARE[op](v, float(bound)) for v in values)
+
+
+def _read_config(path) -> tuple[ExperimentConfig | None, list[str]]:
+    """One walk over the schema: the config, or None and the issues found."""
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path):
+            return None, ["file not found or unreadable"]
+    except configparser.Error as exc:
+        return None, [f"parse error: {exc}"]
+    known = {(k.section, k.key) for k in _SCHEMA}
+    sections = {section for section, _ in known}
+    issues = []
+    for section in parser.sections():
+        if section not in sections:
+            issues.append(f"unknown section [{section}]")
+            continue
+        issues += [f"unknown key {key!r} in [{section}]"
+                   for key in parser[section] if (section, key) not in known]
+
+    exp_kwargs: dict = {}
+    fit_kwargs: dict = {}
+    for k in _SCHEMA:
+        if not parser.has_option(k.section, k.key):
+            continue
+        raw = parser.get(k.section, k.key)
+        try:
+            value = k.type(raw)
+        except ValueError as exc:
+            issues.append(f"{k.key}: {exc}")
+            continue
+        if k.minimum is not None and not _meets(value, k.minimum):
+            issues.append(f"{k.key}: must be {k.minimum}, got {raw!r}")
+            continue
+        kwargs = fit_kwargs if k.section == "fit" else exp_kwargs
+        if isinstance(k.target, tuple):
+            name, end = k.target
+            pair = list(kwargs.get(name, getattr(FitOptions, name)))
+            pair[end] = value
+            kwargs[name] = tuple(pair)
+        else:
+            kwargs[k.target or k.key] = value
+
+    issues += [f"missing {f.name!r} in [experiment]" for f in fields(ExperimentConfig)
+               if f.default is MISSING and f.default_factory is MISSING
+               and not parser.has_option("experiment", f.name)]
+    low, high = fit_kwargs.get("lengthscale_bounds", FitOptions.lengthscale_bounds)
+    if low >= high:
+        issues.append(f"lengthscale bounds must satisfy min < max, got {low} and {high}")
+    if issues:
+        return None, issues
+    return ExperimentConfig(**exp_kwargs, fit_options=FitOptions(**fit_kwargs)), []
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment configuration file.
 
-    Sections: [experiment] (functions, n_values, families, replications,
-    base_seed, resolution, test_size, test_seed), [fit] (n_starts,
-    nugget, corr_nugget, lengthscale_min/max, max_evals_per_start,
-    xatol, fatol), [output] (timing = wall | none). Unknown keys or
-    sections are errors so typos cannot silently change a study.
+    Sections [experiment], [fit] and [output]; the accepted keys, their
+    types and minimums are the rows of ``_SCHEMA``. Unknown keys or
+    sections, values of the wrong type and values below their minimum
+    raise ``ConfigError``, so typos cannot silently change a study.
     """
-    issues = validate_config(path)
+    cfg, issues = _read_config(path)
     if issues:
         raise ConfigError(f"{path}: " + "; ".join(issues))
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    exp = parser["experiment"]
-    functions = _split_list(exp["functions"])
-    if functions == ["all"]:
-        functions = testbed_mod.testbed_ids()
-    fit_kwargs = {}
-    if parser.has_section("fit"):
-        sec = parser["fit"]
-        if "n_starts" in sec:
-            fit_kwargs["n_starts"] = sec.getint("n_starts")
-        if "nugget" in sec:
-            fit_kwargs["nugget"] = sec.getfloat("nugget")
-        if "corr_nugget" in sec:
-            fit_kwargs["corr_nugget"] = sec.getfloat("corr_nugget")
-        if "lengthscale_min" in sec or "lengthscale_max" in sec:
-            fit_kwargs["lengthscale_bounds"] = (
-                sec.getfloat("lengthscale_min", 1e-2),
-                sec.getfloat("lengthscale_max", 10.0),
-            )
-        if "max_evals_per_start" in sec:
-            value = sec.getint("max_evals_per_start")
-            fit_kwargs["max_evals_per_start"] = value if value > 0 else None
-        if "xatol" in sec:
-            fit_kwargs["xatol"] = sec.getfloat("xatol")
-        if "fatol" in sec:
-            fit_kwargs["fatol"] = sec.getfloat("fatol")
-    timing = "wall"
-    if parser.has_section("output"):
-        timing = parser["output"].get("timing", "wall")
-    return ExperimentConfig(
-        functions=tuple(functions),
-        n_values=tuple(int(v) for v in _split_list(exp["n_values"])) if "n_values" in exp else (4, 8),
-        families=tuple(_split_list(exp["families"])) if "families" in exp else ("auto",),
-        replications=exp.getint("replications", 100),
-        base_seed=exp.getint("base_seed", 1),
-        resolution=exp.getint("resolution", 100),
-        test_size=exp.getint("test_size", 1000),
-        test_seed=exp.getint("test_seed", 987654),
-        fit_options=FitOptions(**fit_kwargs),
-        timing=timing,
-    )
+    return cfg
 
 
 def validate_config(path) -> list[str]:
     """Return a list of problems with a config file (empty when valid)."""
-    issues: list[str] = []
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        return [f"parse error: {exc}"]
-    if not read:
-        return ["file not found or unreadable"]
-    if not parser.has_section("experiment"):
-        return ["missing [experiment] section"]
-    known = {"experiment": _EXPERIMENT_KEYS, "fit": _FIT_KEYS, "output": _OUTPUT_KEYS}
-    for section in parser.sections():
-        if section not in known:
-            issues.append(f"unknown section [{section}]")
-            continue
-        for key in parser[section]:
-            if key not in known[section]:
-                issues.append(f"unknown key {key!r} in [{section}]")
-    exp = parser["experiment"]
-    if "functions" not in exp:
-        issues.append("missing 'functions' in [experiment]")
-    else:
-        functions = _split_list(exp["functions"])
-        if functions != ["all"]:
-            for fid in functions:
-                try:
-                    testbed_mod.parse_fid(fid)
-                except ParamDomainError as exc:
-                    issues.append(str(exc))
-    for key, caster in (("replications", int), ("base_seed", int), ("resolution", int),
-                        ("test_size", int), ("test_seed", int)):
-        if key in exp:
-            try:
-                value = caster(exp[key])
-                if key in ("replications", "resolution", "test_size") and value < 1:
-                    issues.append(f"{key} must be >= 1")
-            except ValueError:
-                issues.append(f"{key} must be an integer, got {exp[key]!r}")
-    if "n_values" in exp:
-        try:
-            if any(int(v) < 1 for v in _split_list(exp["n_values"])):
-                issues.append("n_values must be positive")
-        except ValueError:
-            issues.append(f"n_values must be integers, got {exp['n_values']!r}")
-    if "families" in exp:
-        labels = _split_list(exp["families"])
-        if labels != ["auto"]:
-            for label in labels:
-                try:
-                    FamilySpec.parse(label, 8)
-                except Exception:
-                    issues.append(f"unknown family label {label!r}")
-    if parser.has_section("output"):
-        timing = parser["output"].get("timing", "wall")
-        if timing not in ("wall", "none"):
-            issues.append(f"timing must be 'wall' or 'none', got {timing!r}")
-    return issues
+    return _read_config(path)[1]

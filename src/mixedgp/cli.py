@@ -91,7 +91,7 @@ def _cmd_bench_run(args) -> int:
     records = bench_mod.run_experiment(cfg, args.out, jobs=args.jobs)
     failed = sum(1 for r in records if r.status == "failed")
     print(f"wrote {len(records)} records to {args.out}/records.csv ({failed} failed fits)")
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_bench_summarize(args) -> int:

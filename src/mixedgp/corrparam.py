@@ -158,26 +158,6 @@ class CorrMatrix:
             ) from None
 
 
-@dataclass(frozen=True)
-class LoadingMatrix:
-    """The s x r loading matrix Q whose rows are unit vectors."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def s(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.values.shape[1]
-
-
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     # force exact symmetry / unit diagonal / range against fp noise
     P = (P + P.T) / 2.0
@@ -278,15 +258,15 @@ def build_uc(theta: np.ndarray, s: int) -> CorrMatrix:
 
 def build_lrc(
     theta: np.ndarray, s: int, rank: int, nugget: float = DEFAULT_NUGGET
-) -> tuple[LoadingMatrix, CorrMatrix]:
+) -> tuple[np.ndarray, CorrMatrix]:
     """Low-rank correlation Q Q^T, nugget-regularized to full rank.
 
-    Returns both the loading matrix (for rank inspection) and the
-    regularized correlation matrix. Before regularization the product
+    Returns both the s x rank loading array Q (for rank inspection) and
+    the regularized correlation matrix. Before regularization the product
     has rank at most ``rank``.
     """
     Q = sphere_loading(theta, s, rank)
-    return LoadingMatrix(Q), regularize(Q @ Q.T, nugget)
+    return Q, regularize(Q @ Q.T, nugget)
 
 
 def regularize(P: np.ndarray, nugget: float = DEFAULT_NUGGET) -> CorrMatrix:

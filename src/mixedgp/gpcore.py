@@ -7,6 +7,10 @@ concentrated negative log-likelihood (trend and variance profiled out
 in closed form) with a multi-start bounded Nelder-Mead search.
 Prediction is the plug-in best linear unbiased predictor.
 
+One function, ``_kernel``, evaluates that compound correlation: on the
+training set's memoized pairwise differences for the likelihood, and on
+query-to-training differences, one dimension at a time, for prediction.
+
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model: LAPACK
 ``dpotrf`` factors R, and one BLAS ``dtrsm`` solve on [z, 1] yields the
@@ -21,6 +25,7 @@ are standardized for fitting and de-standardized for prediction.
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,19 +43,6 @@ SQRT5 = math.sqrt(5.0)
 SIGMA2_FLOOR = 1e-12
 _YSTD_FLOOR = 1e-300
 _FAILED_OBJ = 1e30
-
-
-@dataclass(frozen=True)
-class MixedPoint:
-    """One input location: continuous coordinates plus a level in 1..s."""
-
-    x: np.ndarray
-    level: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).ravel())
-        if self.level < 1:
-            raise ParamDomainError(f"level must be a positive integer, got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -166,63 +158,24 @@ class TrainingSet:
         return self._absdiff
 
 
-def matern52(h, lengthscales) -> float | np.ndarray:
-    """Matern(5/2) correlation of a displacement ``h``.
+def _kernel(absdiff, lengthscales, P=None, pairs=None):
+    """The compound correlation, Matern(5/2) over x times P over levels.
 
-    Separable product over dimensions of
-    exp(-sqrt(5)|h_i|/theta_i) (5 h_i^2 / (3 theta_i^2) + sqrt(5)|h_i|/theta_i + 1).
-    Accepts a single displacement vector or a stack of rows.
+    ``absdiff`` yields one array of |x_d - x'_d| per continuous
+    dimension, in dimension order (normalized units). Each is scaled to
+    t_d = (sqrt(5) / lengthscale_d) |x_d - x'_d| and its Matern factor
+    multiplied in; then P, if given, at the level index ``pairs``.
+    Returns a new array of the shape of the differences.
     """
-    h = np.asarray(h, dtype=float)
-    lengthscales = np.asarray(lengthscales, dtype=float)
-    if not np.all(lengthscales > 0):
-        raise ParamDomainError("lengthscales must be positive")
-    t = SQRT5 * np.abs(h) / lengthscales
-    vals = np.exp(-t) * (t * t / 3.0 + t + 1.0)
-    out = vals.prod(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def _matern_from_scaled(t: np.ndarray) -> np.ndarray:
-    return np.exp(-t) * (t * t / 3.0 + t + 1.0)
-
-
-def compound_corr(w1: MixedPoint, w2: MixedPoint, config: KernelConfig, P) -> float:
-    """Product correlation: Matern over x-difference times P[level pair]."""
-    cont = matern52(w1.x - w2.x, config.lengthscales)
-    if P is None:
-        return float(cont)
-    Pv = P.values if isinstance(P, CorrMatrix) else np.asarray(P)
-    return float(cont * Pv[w1.level - 1, w2.level - 1])
-
-
-def cross_corr_matrix(X1, lv1, X2, lv2, lengthscales, P=None) -> np.ndarray:
-    """Correlation matrix between two sets of normalized mixed points."""
-    X1 = np.atleast_2d(X1)
-    X2 = np.atleast_2d(X2)
-    lengthscales = np.asarray(lengthscales, dtype=float)
-    out = np.ones((X1.shape[0], X2.shape[0]))
-    for d in range(X1.shape[1]):
-        t = SQRT5 * np.abs(X1[:, d, None] - X2[None, :, d]) / lengthscales[d]
-        out *= _matern_from_scaled(t)
+    # map drops each |x_d - x'_d| as soon as it is scaled (a zip would
+    # hold it through the next step), so prediction keeps one query-grid
+    # sized array fewer alive
+    K = 1.0
+    for t in map(operator.mul, SQRT5 / np.asarray(lengthscales), absdiff):
+        K *= np.exp(-t) * (t * t / 3.0 + t + 1.0)
     if P is not None:
-        Pv = P.values if isinstance(P, CorrMatrix) else np.asarray(P)
-        lv1 = np.asarray(lv1, dtype=int)
-        lv2 = np.asarray(lv2, dtype=int)
-        out *= Pv[np.ix_(lv1 - 1, lv2 - 1)]
-    return out
-
-
-def _training_R(train: TrainingSet, lengthscales, Pv, nugget: float) -> np.ndarray:
-    """Training correlations Matern(x_i - x_j) * P[level pair], plus nugget * I."""
-    absdiff = train.pairwise_absdiff()
-    R = _matern_from_scaled(SQRT5 / lengthscales[0] * absdiff[0])
-    for d in range(1, train.q):
-        R *= _matern_from_scaled(SQRT5 / lengthscales[d] * absdiff[d])
-    if Pv is not None:
-        R = R * Pv[train.level_pairs]
-    R.flat[:: train.n + 1] += nugget
-    return R
+        K *= P[pairs]
+    return K
 
 
 def _cholesky(R: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -249,7 +202,8 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     if P is None:
         P = config.corr_matrix()
     Pv = P.values if isinstance(P, CorrMatrix) else P
-    R = _training_R(train, config.lengthscales, Pv, config.nugget)
+    R = _kernel(train.pairwise_absdiff(), config.lengthscales, Pv, train.level_pairs)
+    R.flat[:: train.n + 1] += config.nugget
     return R, _cholesky(R)
 
 
@@ -273,7 +227,9 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
     ``IllConditionedError`` when R cannot be factored.
     """
     Pv = None if spec is None else corr_values(spec, cat_params, corr_nugget)
-    L = _cholesky(_training_R(train, lengthscales, Pv, nugget), overwrite=True)
+    R = _kernel(train.pairwise_absdiff(), lengthscales, Pv, train.level_pairs)
+    R.flat[:: train.n + 1] += nugget
+    L = _cholesky(R, overwrite=True)
     n = z.size
     zb = np.empty((n, 2), order="F")
     zb[:, 0] = z
@@ -380,12 +336,6 @@ class GPFit:
     @property
     def mu_z(self) -> float:
         return (self.mu_hat - self.y_mean) / self.y_std
-
-    def predict(self, w0: MixedPoint) -> float:
-        return predict(self, w0)
-
-    def predict_batch(self, X, levels) -> np.ndarray:
-        return predict_batch(self, X, levels)
 
 
 def _finalize_fit(train: TrainingSet, config: KernelConfig, start_objectives=()):
@@ -498,13 +448,8 @@ def _check_in_bounds(X, bounds):
         raise ParamDomainError("query point outside the model's declared bounds")
 
 
-def predict(fit: GPFit, w0: MixedPoint) -> float:
-    """Plug-in best linear unbiased prediction at a single point."""
-    return float(predict_batch(fit, w0.x[None, :], np.array([w0.level]))[0])
-
-
 def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
-    """Vectorized prediction: mu + r0 @ alpha per query row.
+    """Plug-in best linear unbiased prediction: mu + r0 @ alpha per query row.
 
     ``X`` is in problem units; ``levels`` may be a scalar or per-row.
     """
@@ -516,9 +461,11 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     P = fit.config.corr_matrix()
     if P is not None and (np.any(levels < 1) or np.any(levels > P.shape[0])):
         raise ParamDomainError(f"query level outside 1..{P.shape[0]}")
-    r0 = cross_corr_matrix(
-        X01, levels, train.X01, train.levels, fit.config.lengthscales, P
-    )
+    # one dimension at a time: a (q, rows, n) stack would multiply the
+    # rows x n temporaries by q on large query grids
+    absdiff = (np.abs(X01[:, d, None] - train.X01[None, :, d]) for d in range(train.q))
+    pairs = np.ix_(levels - 1, train.levels - 1)
+    r0 = _kernel(absdiff, fit.config.lengthscales, P, pairs)
     return fit.y_mean + fit.y_std * (fit.mu_z + r0 @ fit.alpha)
 
 
@@ -535,9 +482,6 @@ class IndividualKriging:
         self.global_mean = global_mean
         self.bounds = bounds
         self.n_levels = n_levels
-
-    def predict(self, w0: MixedPoint) -> float:
-        return float(self.predict_batch(w0.x[None, :], np.array([w0.level]))[0])
 
     def predict_batch(self, X, levels) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

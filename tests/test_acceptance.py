@@ -26,10 +26,8 @@ from mixedgp.corrparam import (
 )
 from mixedgp.gpcore import (
     KernelConfig,
-    MixedPoint,
     TrainingSet,
     concentrated_nll,
-    predict,
     predict_batch,
     refit_config,
 )
@@ -223,7 +221,7 @@ def test_criterion_07_gp_oracle_equivalence():
         gp = refit_config(train, KernelConfig(ls, spec, cat, nugget=1e-8))
         x0 = rng.random(q)
         lv0 = int(rng.integers(1, s + 1))
-        p_ours = predict(gp, MixedPoint(x0, lv0))
+        p_ours = float(predict_batch(gp, x0[None, :], lv0)[0])
         p_naive = naive_predict(train.X01, levels, y, ls, P, 1e-8, x0, lv0)
         worst_pred = max(worst_pred, abs(p_ours - p_naive))
 

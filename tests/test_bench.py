@@ -25,6 +25,7 @@ from mixedgp.errors import (
     CriterionUndefinedError,
     ParamArityError,
     ParamDomainError,
+    RankRangeError,
 )
 from mixedgp.gpcore import FitOptions, KernelConfig, TrainingSet, refit_config
 from mixedgp.testbed import get_testbed_function
@@ -191,6 +192,11 @@ def test_applicable_families_s6():
 def test_applicable_families_drops_oversized_ranks():
     labels = [spec.label for spec in applicable_families(("EC", "LRC5", "UC"), 4)]
     assert labels == ["EC", "UC"]
+
+
+def test_applicable_families_bare_lrc_needs_a_rank():
+    with pytest.raises(RankRangeError):
+        applicable_families(("EC", "LRC"), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +366,13 @@ def test_config_all_functions(tmp_path):
         ("functions = ackley_s4\nbad_key = 1", "unknown key"),
         ("functions = ackley_s4\nreplications = zero", "must be an integer"),
         ("functions = ackley_s4\nfamilies = XX", "unknown family"),
+        ("functions = ackley_s4\n[fit]\nn_starts = abc", "n_starts: must be an integer"),
+        ("functions = ackley_s4\n[fit]\nn_starts = 0", "n_starts: must be >= 1"),
+        ("functions = ackley_s4\n[fit]\nnugget = -1", "nugget: must be >= 0"),
+        ("functions = ackley_s4\n[fit]\ncorr_nugget = 0", "corr_nugget: must be > 0"),
+        ("functions = ackley_s4\n[fit]\nlengthscale_min = 2\nlengthscale_max = 1",
+         "lengthscale bounds must satisfy min < max"),
+        ("functions = ackley_s4\nbase_seed = -1", "base_seed: must be >= 0"),
     ],
 )
 def test_validate_config_reports_issues(tmp_path, mutation, needle):

@@ -147,3 +147,33 @@ def test_bench_run_and_summarize(capsys, tmp_path):
     assert code == 0
     text = (tmp_path / "resummary.csv").read_text()
     assert text == (out_dir / "summary.csv").read_text()
+
+
+@pytest.mark.parametrize("fit_line", ["n_starts = abc", "n_starts = 0", "nugget = -1"])
+def test_bench_run_rejects_invalid_fit_values(capsys, tmp_path, fit_line):
+    config = tmp_path / "study.ini"
+    config.write_text(f"[experiment]\nfunctions = ackley_s4\n\n[fit]\n{fit_line}\n")
+    code, out, err = run_cli(capsys, "bench", "run", "--config", str(config),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:") and fit_line.split()[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_run_exit_code_reports_failed_fits(capsys, tmp_path, monkeypatch):
+    import mixedgp.bench as bench
+    from mixedgp.errors import FitFailureError
+
+    def failing_fit(train, spec, options):
+        raise FitFailureError("injected failure")
+
+    monkeypatch.setattr(bench, "fit", failing_fit)
+    config = tmp_path / "study.ini"
+    config.write_text(
+        "[experiment]\nfunctions = ackley_s4\nn_values = 4\nfamilies = EC\n"
+        "replications = 2\nresolution = 30\ntest_size = 40\n"
+    )
+    code, out, _ = run_cli(capsys, "bench", "run", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "wrote 2 records" in out and "(2 failed fits)" in out

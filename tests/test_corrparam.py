@@ -205,7 +205,7 @@ def test_lrc_rank2_angle_difference_identity():
         s = int(rng.integers(2, 9))
         theta = rng.uniform(1e-3, np.pi - 1e-3, size=lrc_param_count(s, 2))
         loading, _ = build_lrc(theta, s, 2)
-        P = loading.values @ loading.values.T
+        P = loading @ loading.T
         full = np.r_[0.0, theta]  # first level pinned at angle zero
         for i in range(s):
             for j in range(s):
@@ -225,8 +225,7 @@ def test_lrc_rank2_reaches_negative_pattern():
 def test_lrc_loading_structure():
     rng = np.random.default_rng(5)
     spec = FamilySpec("LRC", 6, 3)
-    loading, _ = build_lrc(random_params(spec, rng), 6, 3)
-    Q = loading.values
+    Q, _ = build_lrc(random_params(spec, rng), 6, 3)
     assert Q.shape == (6, 3)
     assert Q[0, 0] == 1.0 and np.all(Q[0, 1:] == 0.0)
     # zero padding beyond min(i, r)
@@ -285,7 +284,7 @@ def test_lrc_rank_before_regularization():
     rng = np.random.default_rng(9)
     for s, r in [(4, 2), (5, 3), (6, 4), (8, 2)]:
         loading, _ = build_lrc(random_params(FamilySpec("LRC", s, r), rng), s, r)
-        sv = np.linalg.svd(loading.values @ loading.values.T, compute_uv=False)
+        sv = np.linalg.svd(loading @ loading.T, compute_uv=False)
         assert sv[r:].max() < 1e-10 if r < s else True
 
 
@@ -307,7 +306,7 @@ def test_regularize_identity_unchanged():
 def test_regularize_lifts_smallest_eigenvalue():
     rng = np.random.default_rng(13)
     loading, _ = build_lrc(random_params(FamilySpec("LRC", 5, 2), rng), 5, 2)
-    m = regularize(loading.values @ loading.values.T, nugget=1e-8)
+    m = regularize(loading @ loading.T, nugget=1e-8)
     assert m.min_eigenvalue() >= 1e-8 / (1 + 1e-8) - 1e-15
 
 

@@ -13,17 +13,13 @@ from mixedgp.errors import IllConditionedError, ParamDomainError
 from mixedgp.gpcore import (
     FitOptions,
     KernelConfig,
-    MixedPoint,
     TrainingSet,
+    _kernel,
     build_R,
-    compound_corr,
     concentrated_nll,
-    cross_corr_matrix,
     fit,
     fit_individual,
     load_fit,
-    matern52,
-    predict,
     predict_batch,
     psi_box,
     refit_config,
@@ -95,13 +91,20 @@ def random_instance(rng, n, q=2, s=3):
 # ---------------------------------------------------------------------------
 # kernel
 
+def kernel_at(h, lengthscales, P=None, level_pair=(1, 1)):
+    """The one compound kernel at a single displacement h and level pair."""
+    absdiff = np.abs(np.asarray(h, dtype=float))[:, None]
+    pairs = tuple(np.array([lv - 1]) for lv in level_pair)
+    return float(_kernel(absdiff, lengthscales, P, pairs)[0])
+
+
 def test_matern_zero_distance_is_one():
-    assert matern52(np.zeros(3), np.ones(3)) == 1.0
+    assert kernel_at(np.zeros(3), np.ones(3)) == 1.0
 
 
 def test_matern_unit_distance_frozen_value():
     # direct evaluation of exp(-sqrt5) (5/3 + sqrt5 + 1)
-    assert matern52(np.array([1.0]), np.array([1.0])) == pytest.approx(
+    assert kernel_at(np.array([1.0]), np.array([1.0])) == pytest.approx(
         0.5239941088318203, abs=1e-15
     )
 
@@ -112,28 +115,28 @@ def test_matern_unit_distance_frozen_value():
     t1=st.floats(0.05, 5), t2=st.floats(0.05, 5),
 )
 def test_matern_separability(a, b, t1, t2):
-    joint = matern52(np.array([a, b]), np.array([t1, t2]))
-    split = matern52(np.array([a]), np.array([t1])) * matern52(np.array([b]), np.array([t2]))
+    joint = kernel_at(np.array([a, b]), np.array([t1, t2]))
+    split = kernel_at(np.array([a]), np.array([t1])) * kernel_at(np.array([b]), np.array([t2]))
     assert joint == pytest.approx(split, rel=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(h=st.floats(-10, 10), t=st.floats(0.05, 8))
 def test_matern_in_unit_interval(h, t):
-    v = matern52(np.array([h]), np.array([t]))
+    v = kernel_at(np.array([h]), np.array([t]))
     assert 0.0 < v <= 1.0
 
 
 def test_compound_corr_cases():
     config = KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.4]))
-    P = build_ec(0.4, 2)
-    w = MixedPoint(np.array([0.2, 0.7]), 1)
-    assert compound_corr(w, w, config, P) == 1.0
-    other = MixedPoint(np.array([0.2, 0.7]), 2)
-    assert compound_corr(w, other, config, P) == pytest.approx(0.4, abs=1e-15)
-    far = MixedPoint(np.array([0.9, 0.1]), 2)
-    expected = matern52(w.x - far.x, config.lengthscales) * 0.4
-    assert compound_corr(w, far, config, P) == pytest.approx(expected, rel=1e-14)
+    P = build_ec(0.4, 2).values
+    ls = config.lengthscales
+    w = np.array([0.2, 0.7])
+    assert kernel_at(w - w, ls, P, (1, 1)) == 1.0
+    assert kernel_at(w - w, ls, P, (1, 2)) == pytest.approx(0.4, abs=1e-15)
+    far = np.array([0.9, 0.1])
+    expected = kernel_at(w - far, ls) * 0.4
+    assert kernel_at(w - far, ls, P, (1, 2)) == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +325,8 @@ def test_fit_recovers_ec_parameter():
         rng = np.random.default_rng(5000 + rep)
         d, _ = cslhd(20, 2, 1, 5000 + rep)
         P = build_ec(0.8, 2).values
-        R = cross_corr_matrix(d.X, d.levels, d.X, d.levels, np.array([0.3]), P)
+        points = TrainingSet(d.X, d.levels, np.zeros(40), n_levels=2)
+        R = _kernel(points.pairwise_absdiff(), np.array([0.3]), P, points.level_pairs)
         R[np.diag_indices_from(R)] += 1e-10
         y = np.linalg.cholesky(R) @ rng.standard_normal(40)
         ts = TrainingSet(d.X, d.levels, y, n_levels=2)
@@ -340,8 +344,8 @@ def test_fit_single_level_falls_back_to_continuous(recwarn):
         gp = fit(ts, FamilySpec("EC", 2), QUICK_FIT)
     assert gp.config.family_spec is None
     # prediction works for any level and ignores the categorical part
-    p1 = predict(gp, MixedPoint(np.array([0.4]), 1))
-    p2 = predict(gp, MixedPoint(np.array([0.4]), 2))
+    p1 = predict_batch(gp, np.array([[0.4]]), 1)[0]
+    p2 = predict_batch(gp, np.array([[0.4]]), 2)[0]
     assert p1 == p2
 
 
@@ -366,7 +370,7 @@ def test_predict_rejects_unknown_level():
         ts, KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.5]))
     )
     with pytest.raises(ParamDomainError):
-        predict(gp, MixedPoint(np.array([0.5, 0.5]), 3))
+        predict_batch(gp, np.array([[0.5, 0.5]]), 3)
 
 
 def test_chol_R_is_lower_cholesky_factor_of_R():
@@ -420,7 +424,7 @@ def test_far_query_returns_trend():
     ts = TrainingSet(X, [1, 1, 1], np.array([1.0, 2.0, 3.0]))
     config = KernelConfig(np.array([1e-2, 1e-2]), nugget=1e-8)
     gp = refit_config(ts, config)
-    far = predict(gp, MixedPoint(np.array([0.99, 0.99]), 1))
+    far = float(predict_batch(gp, np.array([[0.99, 0.99]]), 1)[0])
     assert far == pytest.approx(gp.mu_hat, abs=1e-9)
 
 
@@ -436,7 +440,7 @@ def test_predict_matches_naive_inverse():
     for _ in range(5):
         x0 = rng.random(2)
         lv0 = int(rng.integers(1, s + 1))
-        ours = predict(gp, MixedPoint(x0, lv0))
+        ours = float(predict_batch(gp, x0[None, :], lv0)[0])
         theirs = naive_predict(ts.X01, levels, y, config.lengthscales, P, 1e-8, x0, lv0)
         assert ours == pytest.approx(theirs, abs=1e-10)
 
@@ -460,7 +464,7 @@ def test_predict_outside_bounds_rejected():
     ts = TrainingSet(np.array([[0.1], [0.9]]), [1, 1], [0.0, 1.0])
     gp = refit_config(ts, KernelConfig(np.array([0.5])))
     with pytest.raises(ParamDomainError):
-        predict(gp, MixedPoint(np.array([1.5]), 1))
+        predict_batch(gp, np.array([[1.5]]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +500,8 @@ def test_individual_sparse_level_falls_back_to_mean():
     ts = TrainingSet(X, levels, y, n_levels=3)
     with pytest.warns(UserWarning):
         model = fit_individual(ts, QUICK_FIT)
-    assert model.predict(MixedPoint(np.array([0.7]), 2)) == 9.0
-    assert model.predict(MixedPoint(np.array([0.7]), 3)) == pytest.approx(y.mean())
+    assert model.predict_batch(np.array([[0.7]]), 2)[0] == 9.0
+    assert model.predict_batch(np.array([[0.7]]), 3)[0] == pytest.approx(y.mean())
 
 
 def test_compound_model_beats_individual_on_correlated_slices():
