@@ -7,7 +7,8 @@ every family is fitted, and two criteria are recorded: the root of the
 summed squared gaps between fitted and empirical cross-correlations
 over the lower triangle, and Q^2 on a fixed test design repeated over
 all levels. Empirical matrices and test sets are computed once per
-function and cached on disk.
+function and cached on disk; each cache file stores the parameters it
+was generated from and is rebuilt when they do not match.
 """
 
 import concurrent.futures
@@ -56,13 +57,8 @@ def rmse_corr(tau_hat, tau_tilde) -> float:
     B = tau_tilde.matrix if isinstance(tau_tilde, CrossCorrEstimate) else np.asarray(tau_tilde, float)
     if A.shape != B.shape:
         raise ParamArityError(f"matrix shapes differ: {A.shape} vs {B.shape}")
-    s = A.shape[0]
-    total = 0.0
-    for i in range(1, s):
-        for j in range(i):
-            if not np.isnan(B[i, j]):
-                total += (A[i, j] - B[i, j]) ** 2
-    return float(np.sqrt(total))
+    pairs = np.tri(*A.shape, k=-1, dtype=bool) & ~np.isnan(B)
+    return float(np.sqrt(np.square(A[pairs] - B[pairs]).sum()))
 
 
 def q_squared(y_true, y_pred) -> float:
@@ -205,23 +201,49 @@ def _atomic_savez(path: str, **arrays) -> None:
         raise
 
 
+# Bump when a change to the testbed or to these files alters what a
+# cache file holds for the same parameters, so older files are rebuilt.
+CACHE_VERSION = 1
+
+
+def _fingerprint(fn: SlicedFunction, **params) -> dict:
+    """What a cache file was generated from: format, function, parameters."""
+    return dict(cache_version=CACHE_VERSION, fid=fn.fid,
+                upend_rate=testbed_mod.UPEND_RATE, **params)
+
+
+def _read_cache(path: str, fingerprint: dict, names: tuple[str, ...]):
+    """The arrays ``names`` of a cache file whose stored fingerprint
+    equals ``fingerprint``; None for a missing, stale or incomplete file."""
+    if not os.path.exists(path):
+        return None
+    with np.load(path) as data:
+        if not set(fingerprint).union(names) <= set(data.files):
+            return None
+        if any(data[key].item() != value for key, value in fingerprint.items()):
+            return None
+        return [data[name] for name in names]
+
+
 def cached_empirical_corr(fn: SlicedFunction, resolution: int, cache_dir: str) -> CrossCorrEstimate:
     path = os.path.join(cache_dir, f"emp_{fn.fid}_res{resolution}.npz")
-    if os.path.exists(path):
-        with np.load(path) as data:
-            return CrossCorrEstimate(data["matrix"], resolution)
+    fingerprint = _fingerprint(fn, resolution=resolution)
+    arrays = _read_cache(path, fingerprint, ("matrix",))
+    if arrays is not None:
+        return CrossCorrEstimate(arrays[0], resolution)
     est = testbed_mod.empirical_cross_corr(fn, resolution)
-    _atomic_savez(path, matrix=np.asarray(est.matrix))
+    _atomic_savez(path, matrix=np.asarray(est.matrix), **fingerprint)
     return est
 
 
 def cached_test_set(fn: SlicedFunction, size: int, seed: int, cache_dir: str) -> TestSet:
     path = os.path.join(cache_dir, f"test_{fn.fid}_size{size}_seed{seed}.npz")
-    if os.path.exists(path):
-        with np.load(path) as data:
-            return TestSet(data["X"], data["Y"], seed)
+    fingerprint = _fingerprint(fn, size=size, seed=seed)
+    arrays = _read_cache(path, fingerprint, ("X", "Y"))
+    if arrays is not None:
+        return TestSet(*arrays, seed)
     ts = make_test_set(fn, size, seed)
-    _atomic_savez(path, X=ts.X, Y=ts.Y)
+    _atomic_savez(path, X=ts.X, Y=ts.Y, **fingerprint)
     return ts
 
 
@@ -504,8 +526,6 @@ _SCHEMA = (
     _Key("fit", "lengthscale_min", _FLOAT, "> 0", ("lengthscale_bounds", 0)),
     _Key("fit", "lengthscale_max", _FLOAT, "> 0", ("lengthscale_bounds", 1)),
     _Key("fit", "max_evals_per_start", _typed(_eval_budget, "an integer")),
-    _Key("fit", "xatol", _FLOAT, ">= 0"),
-    _Key("fit", "fatol", _FLOAT, ">= 0"),
     _Key("output", "timing", _timing),
 )
 

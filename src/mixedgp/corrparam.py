@@ -212,6 +212,50 @@ def _angle_slots(s: int, rank: int) -> np.ndarray:
     return slots
 
 
+@functools.lru_cache(maxsize=None)
+def _angle_cells(s: int, rank: int):
+    """Where each angle sits in Q, for :func:`sphere_loading_grad`.
+
+    Returns (rows, later, own, own_sp): the row of Q each angle moves;
+    a (k, rank) 0/1 mask of the entries after the angle's own column;
+    and the flat positions of (angle, own column) in a (k, rank) array
+    and of the angle's preceding-sines product in ``sp``.
+    """
+    grid_row, col = divmod(_angle_slots(s, rank), rank - 1)
+    later = (np.arange(rank) > col[:, None]).astype(float)
+    own = np.arange(col.size) * rank + col
+    own_sp = grid_row * rank + col
+    for a in (grid_row, later, own, own_sp):
+        a.setflags(write=False)
+    return grid_row + 1, later, own, own_sp
+
+
+def _sphere_parts(theta: np.ndarray, s: int, rank: int):
+    """Q of :func:`sphere_loading` with the sine products that built it.
+
+    Returns (Q, sp): sp[i - 1, j] is the product of the first j sines
+    of row i's zero-padded angles (sp[:, 0] = 1), so that
+    Q[1:] = [cos(angles), 1] * sp.
+    """
+    theta = np.asarray(theta, dtype=float)
+    k = lrc_param_count(s, rank)
+    label = "UC" if rank == s else f"LRC{rank}"
+    if theta.shape != (k,):
+        raise ParamArityError(f"{label} with s={s} needs {k} angles, got shape {theta.shape}")
+    if not ((theta > 0.0) & (theta < np.pi)).all():
+        raise ParamDomainError(f"{label} angles must lie in (0, pi)")
+    grid = np.zeros((s - 1) * (rank - 1))
+    grid[_angle_slots(s, rank)] = theta
+    grid.shape = (s - 1, rank - 1)
+    sp = np.ones((s - 1, rank))
+    np.cumprod(np.sin(grid), axis=1, out=sp[:, 1:])
+    Q = np.zeros((s, rank))
+    Q[0, 0] = 1.0
+    Q[1:, :-1] = np.cos(grid) * sp[:, :-1]
+    Q[1:, -1] = sp[:, -1]
+    return Q, sp
+
+
 def sphere_loading(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
     """The s x rank loading matrix Q with unit rows, first row (1, 0, ...).
 
@@ -226,24 +270,26 @@ def sphere_loading(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
     and sin(0) = 0 put the product of all sines at each row's last
     entry and zeros after it.
     """
+    return _sphere_parts(theta, s, rank)[0]
+
+
+def sphere_loading_grad(theta: np.ndarray, s: int, rank: int):
+    """Q of :func:`sphere_loading` and its closed-form angle derivatives.
+
+    Returns (Q, rows, dQ): angle k moves only row ``rows[k]`` of Q, and
+    dQ[k] is that row's derivative in theta_k. For the angle in column
+    j of its row, entry j's derivative is -sin(theta_k) times the
+    preceding sines; every later entry carries sin(theta_k) as a
+    factor, so its derivative is the entry times cot(theta_k); earlier
+    entries do not depend on it.
+    """
+    Q, sp = _sphere_parts(theta, s, rank)
     theta = np.asarray(theta, dtype=float)
-    k = lrc_param_count(s, rank)
-    label = "UC" if rank == s else f"LRC{rank}"
-    if theta.shape != (k,):
-        raise ParamArityError(f"{label} with s={s} needs {k} angles, got shape {theta.shape}")
-    if not ((theta > 0.0) & (theta < np.pi)).all():
-        raise ParamDomainError(f"{label} angles must lie in (0, pi)")
-    grid = np.zeros((s - 1) * (rank - 1))
-    grid[_angle_slots(s, rank)] = theta
-    grid.shape = (s - 1, rank - 1)
-    c = np.cos(grid)
-    sp = np.sin(grid).cumprod(axis=1)
-    Q = np.zeros((s, rank))
-    Q[0, 0] = 1.0
-    Q[1:, 0] = c[:, 0]
-    Q[1:, 1:-1] = c[:, 1:] * sp[:, :-1]
-    Q[1:, -1] = sp[:, -1]
-    return Q
+    rows, later, own, own_sp = _angle_cells(s, rank)
+    sn = np.sin(theta)
+    dQ = Q[rows] * (later * (np.cos(theta) / sn)[:, None])
+    dQ.ravel()[own] = -sn * sp.ravel()[own_sp]
+    return Q, rows, dQ
 
 
 def build_uc(theta: np.ndarray, s: int) -> CorrMatrix:
@@ -339,6 +385,32 @@ def corr_values(
     if spec.family == "LRC":
         P = (P + nugget * np.eye(spec.s)) / (1.0 + nugget)
     return _symmetrize(P)
+
+
+def corr_grad(
+    spec: FamilySpec, values: np.ndarray, G: np.ndarray, nugget: float = DEFAULT_NUGGET
+) -> np.ndarray:
+    """The directional sums <G, dP/dvalues_k> of :func:`corr_values`.
+
+    ``G`` is a symmetric s x s weight matrix; its diagonal is ignored,
+    since every family pins P's diagonal at 1. Closed forms: EC sums
+    the off-diagonal weights; MC has dP_ab/dphi_k = -P_ab (1[a=k] +
+    1[b=k]) off the diagonal; UC and LRC have dP = dQ Q^T + Q dQ^T,
+    scaled by 1 / (1 + nugget) for LRC, and each angle moves one row
+    of Q (:func:`sphere_loading_grad`).
+    """
+    G = np.array(G, dtype=float)
+    np.fill_diagonal(G, 0.0)
+    values = np.asarray(values, dtype=float)
+    if spec.family == "EC":
+        return np.array([G.sum()])
+    if spec.family == "MC":
+        a = np.exp(-values)
+        return -2.0 * a * (G @ a)
+    rank = spec.s if spec.family == "UC" else spec.rank
+    Q, rows, dQ = sphere_loading_grad(values, spec.s, rank)
+    scale = 2.0 if spec.family == "UC" else 2.0 / (1.0 + nugget)
+    return scale * ((G @ Q)[rows] * dQ).sum(axis=1)
 
 
 def build_correlation(

@@ -405,7 +405,12 @@ def testbed_ids() -> list[str]:
 
 
 def parse_fid(fid: str) -> tuple[str, int, tuple[int, ...]]:
-    """Split an identifier like ``ackley_s4_up13`` into its parts."""
+    """Split an identifier like ``ackley_s4_up13`` into its parts.
+
+    Raises ``ParamDomainError`` for an id the testbed cannot build: a
+    bad form, an unknown function, fewer than 2 slices, or an upended
+    slice outside 1..s.
+    """
     parts = fid.split("_")
     upend: tuple[int, ...] = ()
     if parts and parts[-1].startswith("up"):
@@ -420,6 +425,11 @@ def parse_fid(fid: str) -> tuple[str, int, tuple[int, ...]]:
     name = "_".join(parts[:-1])
     if name not in standard_functions():
         raise ParamDomainError(f"unknown test function {name!r} in id {fid!r}")
+    if s < 2:
+        raise ParamDomainError(f"function id {fid!r} needs at least 2 slices, got s={s}")
+    bad = [i for i in upend if not 1 <= i <= s]
+    if bad:
+        raise ParamDomainError(f"function id {fid!r} upends slice {bad[0]} outside 1..{s}")
     return name, s, upend
 
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from mixedgp.bench import (
     ExperimentConfig,
+    CACHE_VERSION,
     applicable_families,
     cached_empirical_corr,
+    cached_test_set,
     extract_tau_hat,
     load_config,
     make_test_set,
@@ -81,6 +83,19 @@ def test_rmse_skips_missing_entries():
     b[0, 1] = b[1, 0] = np.nan
     b[0, 2] = b[2, 0] = 0.2
     assert rmse_corr(a, b) == pytest.approx(0.3, abs=1e-14)
+
+
+@pytest.mark.parametrize("s", [2, 5, 8])
+def test_rmse_matches_loop_reference_with_missing_entries(s):
+    # the pair-by-pair loop rmse_corr was first written as; summation
+    # order may differ, so equality is to rounding
+    rng = np.random.default_rng(s)
+    a = rng.uniform(-1, 1, (s, s))
+    b = rng.uniform(-1, 1, (s, s))
+    b[rng.random((s, s)) < 0.3] = np.nan
+    total = sum((a[i, j] - b[i, j]) ** 2
+                for i in range(1, s) for j in range(i) if not np.isnan(b[i, j]))
+    assert rmse_corr(a, b) == pytest.approx(np.sqrt(total), rel=1e-14, abs=0)
 
 
 def test_rmse_shape_mismatch():
@@ -303,6 +318,44 @@ def test_ec_error_bounded_below_on_upended_function(tmp_path):
         assert r.rmse_corr >= floor - 1e-12
 
 
+@pytest.mark.parametrize(
+    "stale",
+    [
+        {},  # a file from before fingerprints: no generating parameters
+        {"cache_version": CACHE_VERSION - 1},
+        {"upend_rate": 0.25},
+        {"fid": "ackley_s6"},
+    ],
+)
+def test_stale_cache_files_are_rebuilt(tmp_path, stale):
+    fn = get_testbed_function("ackley_s4_up13")
+    cache = str(tmp_path / "cache")
+    emp = cached_empirical_corr(fn, 12, cache)
+    test = cached_test_set(fn, 5, 3, cache)
+    for path, arrays in (
+        (tmp_path / "cache" / f"emp_{fn.fid}_res12.npz", {"matrix": np.zeros((4, 4))}),
+        (tmp_path / "cache" / f"test_{fn.fid}_size5_seed3.npz",
+         {"X": np.zeros((5, 2)), "Y": np.zeros((4, 5))}),
+    ):
+        with np.load(path) as data:
+            planted = {key: data[key] for key in data.files}
+        planted.update(arrays)
+        if stale:
+            planted.update(stale)
+        else:
+            planted = arrays
+        np.savez(path, **planted)
+    again = cached_empirical_corr(fn, 12, cache)
+    assert np.array_equal(again.matrix, emp.matrix, equal_nan=True)
+    test_again = cached_test_set(fn, 5, 3, cache)
+    assert np.array_equal(test_again.X, test.X) and np.array_equal(test_again.Y, test.Y)
+    # the rebuilt files are current and served as they are
+    with np.load(tmp_path / "cache" / f"emp_{fn.fid}_res12.npz") as data:
+        assert data["cache_version"].item() == CACHE_VERSION
+    assert np.array_equal(cached_empirical_corr(fn, 12, cache).matrix, emp.matrix,
+                          equal_nan=True)
+
+
 def test_summarize_medians_and_failures():
     from mixedgp.bench import BenchRecord
 
@@ -363,6 +416,8 @@ def test_config_all_functions(tmp_path):
     "mutation,needle",
     [
         ("functions = nosuch_s4", "unknown test function"),
+        ("functions = ackley_s1", "'ackley_s1' needs at least 2 slices"),
+        ("functions = ackley_s4_up9", "'ackley_s4_up9' upends slice 9 outside 1..4"),
         ("functions = ackley_s4\nbad_key = 1", "unknown key"),
         ("functions = ackley_s4\nreplications = zero", "must be an integer"),
         ("functions = ackley_s4\nfamilies = XX", "unknown family"),

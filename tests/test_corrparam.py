@@ -14,11 +14,14 @@ from mixedgp.corrparam import (
     build_mc,
     build_uc,
     cat_param_bounds,
+    corr_grad,
+    corr_values,
     embed_lrc_in_uc,
     lrc_param_count,
     param_count,
     regularize,
     sphere_loading,
+    sphere_loading_grad,
 )
 from mixedgp.errors import (
     NumericalRankError,
@@ -278,6 +281,54 @@ def test_sphere_loading_errors_name_the_family():
         sphere_loading(np.ones(2), 4, 2)
     with pytest.raises(ParamDomainError):
         sphere_loading(np.array([1.0, 1.0, 3.5]), 4, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.integers(min_value=2, max_value=7),
+    rank_offset=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_sphere_loading_grad_moves_one_row(s, rank_offset, seed):
+    rank = max(2, s - rank_offset)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(1e-3, np.pi - 1e-3, size=lrc_param_count(s, rank))
+    Q, rows, dQ = sphere_loading_grad(theta, s, rank)
+    assert np.array_equal(Q, sphere_loading(theta, s, rank))
+    h = 1e-6
+    for k in range(theta.size):
+        e = np.zeros(theta.size)
+        e[k] = h
+        numeric = (sphere_loading(theta + e, s, rank)
+                   - sphere_loading(theta - e, s, rank)) / (2 * h)
+        assert not np.delete(numeric, rows[k], axis=0).any()
+        assert np.abs(numeric[rows[k]] - dQ[k]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("label", ["EC", "MC", "LRC2", "LRC3", "UC"])
+@settings(max_examples=25, deadline=None)
+@given(
+    s=st.integers(min_value=2, max_value=7),
+    log_nugget=st.floats(min_value=-8.0, max_value=-2.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_corr_grad_matches_differenced_corr_values(label, s, log_nugget, seed):
+    assume(not label.startswith("LRC") or int(label[3:]) <= s - 1)
+    spec = FamilySpec.parse(label, s)
+    rng = np.random.default_rng(seed)
+    theta = random_params(spec, rng)
+    G = rng.standard_normal((s, s))
+    G += G.T
+    nugget = 10.0**log_nugget
+    h = 1e-6
+    numeric = np.empty(theta.size)
+    for k in range(theta.size):
+        e = np.zeros(theta.size)
+        e[k] = h
+        dP = (corr_values(spec, theta + e, nugget) - corr_values(spec, theta - e, nugget)) / (2 * h)
+        numeric[k] = (G * dP).sum()
+    assert np.abs(corr_grad(spec, theta, G, nugget) - numeric).max() <= 1e-7 * max(
+        1.0, np.abs(numeric).max())
 
 
 def test_lrc_rank_before_regularization():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedgp.gpcore as gpcore
 from mixedgp.corrparam import FamilySpec, build_ec, corr_values
 from mixedgp.errors import IllConditionedError, ParamDomainError
 from mixedgp.gpcore import (
@@ -15,6 +16,8 @@ from mixedgp.gpcore import (
     KernelConfig,
     TrainingSet,
     _kernel,
+    _profile,
+    _standardize,
     build_R,
     concentrated_nll,
     fit,
@@ -292,6 +295,74 @@ def test_profiled_nll_matches_explicit_solves(family, s, n, log_nugget, seed):
     assert abs(ours - theirs) <= 1e-10 * max(1.0, abs(theirs))
 
 
+def central_gradient(f, psi, step):
+    """Five-point central differences of f at psi, step[k] along psi_k."""
+    out = np.empty(psi.size)
+    for k in range(psi.size):
+        e = np.zeros(psi.size)
+        e[k] = step[k]
+        out[k] = (f(psi - 2 * e) - 8 * f(psi - e) + 8 * f(psi + e) - f(psi + 2 * e)) / (12 * e[k])
+    return out
+
+
+def gradient_gap(f, psi, grad, scale):
+    """Largest gap between grad and central differences of f, relative
+    to max(1, max|grad|), each component at its best of the steps 1e-3,
+    1e-4 and 1e-5 times scale.
+
+    No one step suits every psi: rounding in the objective (cond(R) up
+    to ~1e5) spoils small steps, and where two levels' loadings nearly
+    coincide the objective bends sharply and truncation spoils large
+    ones. A wrong gradient misses at all three.
+    """
+    gaps = [np.abs(grad - central_gradient(f, psi, frac * scale)) for frac in (1e-3, 1e-4, 1e-5)]
+    return np.min(gaps, axis=0).max() / max(1.0, np.abs(grad).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["EC", "MC", "LRC", "UC", None]),
+    s=st.integers(min_value=3, max_value=5),
+    n=st.integers(min_value=6, max_value=14),
+    log_nugget=st.floats(min_value=-4.0, max_value=-2.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_profile_gradient_matches_central_differences(family, s, n, log_nugget, seed):
+    # psi anywhere in the fit box but 1% of its width from the faces;
+    # the nugget as in the explicit-solve test above; steps scaled by
+    # each lengthscale and by each category parameter's distance to its
+    # domain's edge
+    rng = np.random.default_rng(seed)
+    X, levels, y = random_instance(rng, n, q=2, s=s)
+    ts = TrainingSet(X, levels, y, n_levels=s)
+    spec = None if family is None else FamilySpec(family, s, 2 if family == "LRC" else None)
+    lo, hi = psi_box(ts.q, spec, FitOptions())
+    margin = 1e-2 * (hi - lo)
+    psi = rng.uniform(lo + margin, hi - margin)
+    nugget = 10.0**log_nugget
+    z, _, _ = _standardize(y)
+
+    def nll(p):
+        return _profile(ts, z, p[:2], spec, p[2:], nugget, 1e-8)[0]
+
+    grad = _profile(ts, z, psi[:2], spec, psi[2:], nugget, 1e-8, grad=True)[5]
+    scale = np.minimum(psi - lo, hi - psi)
+    scale[:2] = psi[:2]
+    assert gradient_gap(nll, psi, grad, scale) <= 1e-6
+
+
+def test_profile_value_same_with_and_without_gradient():
+    rng = np.random.default_rng(3)
+    X, levels, y = random_instance(rng, 8)
+    ts = TrainingSet(X, levels, y)
+    spec = FamilySpec("EC", int(levels.max()))
+    z, _, _ = _standardize(y)
+    plain = _profile(ts, z, np.array([0.4, 0.6]), spec, np.array([0.5]), 1e-6, 1e-8)
+    both = _profile(ts, z, np.array([0.4, 0.6]), spec, np.array([0.5]), 1e-6, 1e-8, grad=True)
+    assert plain[5] is None and both[5].shape == (3,)
+    assert plain[0] == both[0]
+
+
 def test_concentrated_nll_singular_R_raises():
     ts = TrainingSet(np.array([[0.0], [5e-324]]), [1, 1], [0.0, 1.0])
     with pytest.raises(IllConditionedError):
@@ -347,6 +418,44 @@ def test_fit_single_level_falls_back_to_continuous(recwarn):
     p1 = predict_batch(gp, np.array([[0.4]]), 1)[0]
     p2 = predict_batch(gp, np.array([[0.4]]), 2)[0]
     assert p1 == p2
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+def test_fit_caps_evaluations_per_start(monkeypatch, cap):
+    # max_evals_per_start is L-BFGS-B's maxfun; None means 150 per parameter
+    seen = []
+    real = gpcore.minimize
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["method"], kwargs["jac"], kwargs["options"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gpcore, "minimize", spy)
+    rng = np.random.default_rng(9)
+    X, levels, y = random_instance(rng, 9, s=3)
+    fit(TrainingSet(X, levels, y), FamilySpec("UC", 3),
+        FitOptions(n_starts=2, max_evals_per_start=cap))
+    dim = 2 + 3
+    assert seen == [("L-BFGS-B", True, {"maxfun": cap or 150 * dim})] * 2
+
+
+def test_fit_objective_gradient_matches_its_values(monkeypatch):
+    # the search runs on (log lengthscales, cat_params): the gradient
+    # L-BFGS-B receives must be the one of the values it receives
+    searches = []
+    real = gpcore.minimize
+
+    def spy(fun, x0, **kwargs):
+        searches.append((fun, x0.copy()))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gpcore, "minimize", spy)
+    rng = np.random.default_rng(5)
+    X, levels, y = random_instance(rng, 10, s=3)
+    fit(TrainingSet(X, levels, y), FamilySpec("UC", 3), FitOptions(n_starts=3))
+    assert len(searches) == 3
+    for fun, u in searches:
+        assert gradient_gap(lambda v: fun(v)[0], u, fun(u)[1], np.maximum(1.0, np.abs(u))) <= 1e-6
 
 
 def test_fit_failure_carries_diagnostics():
@@ -456,8 +565,10 @@ def test_prediction_equivariance_under_response_affine_maps():
     p0 = predict_batch(base, grid, 1)
     assert np.allclose(predict_batch(shifted, grid, 1), p0 + 11.0, atol=1e-8)
     assert np.allclose(predict_batch(scaled, grid, 1), 2.5 * p0, atol=1e-8)
-    # the optimizer saw identical standardized data
-    assert np.array_equal(base.config.lengthscales, scaled.config.lengthscales)
+    # the optimizer saw standardized data equal up to rounding (2.2e-16),
+    # which a gradient-based search may carry into the last bits of psi
+    assert np.allclose(base.config.lengthscales, scaled.config.lengthscales,
+                       rtol=1e-10, atol=0)
 
 
 def test_predict_outside_bounds_rejected():
