@@ -230,6 +230,10 @@ def _angle_cells(s: int, rank: int):
     return grid_row + 1, later, own, own_sp
 
 
+def _sphere_label(s: int, rank: int) -> str:
+    return "UC" if rank == s else f"LRC{rank}"
+
+
 def _sphere_parts(theta: np.ndarray, s: int, rank: int):
     """Q of :func:`sphere_loading` with the sine products that built it.
 
@@ -239,11 +243,11 @@ def _sphere_parts(theta: np.ndarray, s: int, rank: int):
     """
     theta = np.asarray(theta, dtype=float)
     k = lrc_param_count(s, rank)
-    label = "UC" if rank == s else f"LRC{rank}"
     if theta.shape != (k,):
-        raise ParamArityError(f"{label} with s={s} needs {k} angles, got shape {theta.shape}")
+        raise ParamArityError(
+            f"{_sphere_label(s, rank)} with s={s} needs {k} angles, got shape {theta.shape}")
     if not ((theta > 0.0) & (theta < np.pi)).all():
-        raise ParamDomainError(f"{label} angles must lie in (0, pi)")
+        raise ParamDomainError(f"{_sphere_label(s, rank)} angles must lie in (0, pi)")
     grid = np.zeros((s - 1) * (rank - 1))
     grid[_angle_slots(s, rank)] = theta
     grid.shape = (s - 1, rank - 1)
@@ -273,7 +277,7 @@ def sphere_loading(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
     return _sphere_parts(theta, s, rank)[0]
 
 
-def sphere_loading_grad(theta: np.ndarray, s: int, rank: int):
+def sphere_loading_grad(theta: np.ndarray, s: int, rank: int, parts=None):
     """Q of :func:`sphere_loading` and its closed-form angle derivatives.
 
     Returns (Q, rows, dQ): angle k moves only row ``rows[k]`` of Q, and
@@ -282,8 +286,11 @@ def sphere_loading_grad(theta: np.ndarray, s: int, rank: int):
     preceding sines; every later entry carries sin(theta_k) as a
     factor, so its derivative is the entry times cot(theta_k); earlier
     entries do not depend on it.
+
+    ``parts`` is the (Q, sp) that :func:`corr_values` built at the same
+    angles; without it they are built (and the angles checked) here.
     """
-    Q, sp = _sphere_parts(theta, s, rank)
+    Q, sp = _sphere_parts(theta, s, rank) if parts is None else parts
     theta = np.asarray(theta, dtype=float)
     rows, later, own, own_sp = _angle_cells(s, rank)
     sn = np.sin(theta)
@@ -365,13 +372,15 @@ def embed_lrc_in_uc(
 
 
 def corr_values(
-    spec: FamilySpec, values: np.ndarray, nugget: float = DEFAULT_NUGGET
+    spec: FamilySpec, values: np.ndarray, nugget: float = DEFAULT_NUGGET, parts=None
 ) -> np.ndarray:
     """Raw matrix for the family, dispatching on ``spec``.
 
     Fast path used inside likelihood loops; skips the CorrMatrix
     wrapper, and for LRC the positive-definiteness check of
-    :func:`regularize`.
+    :func:`regularize`. For UC and LRC, a list ``parts`` receives the
+    loading Q and its sine products, which :func:`corr_grad` needs at
+    the same parameters.
     """
     values = np.asarray(values, dtype=float)
     if spec.family == "EC":
@@ -380,7 +389,9 @@ def corr_values(
         return ec_values(float(values[0]), spec.s)
     if spec.family == "MC":
         return mc_values(values, spec.s)
-    Q = sphere_loading(values, spec.s, spec.s if spec.family == "UC" else spec.rank)
+    Q, sp = _sphere_parts(values, spec.s, spec.s if spec.family == "UC" else spec.rank)
+    if parts is not None:
+        parts.extend((Q, sp))
     P = Q @ Q.T
     if spec.family == "LRC":
         P = (P + nugget * np.eye(spec.s)) / (1.0 + nugget)
@@ -388,16 +399,18 @@ def corr_values(
 
 
 def corr_grad(
-    spec: FamilySpec, values: np.ndarray, G: np.ndarray, nugget: float = DEFAULT_NUGGET
+    spec: FamilySpec, values: np.ndarray, G: np.ndarray, parts, nugget: float = DEFAULT_NUGGET
 ) -> np.ndarray:
     """The directional sums <G, dP/dvalues_k> of :func:`corr_values`.
 
     ``G`` is a symmetric s x s weight matrix; its diagonal is ignored,
-    since every family pins P's diagonal at 1. Closed forms: EC sums
-    the off-diagonal weights; MC has dP_ab/dphi_k = -P_ab (1[a=k] +
-    1[b=k]) off the diagonal; UC and LRC have dP = dQ Q^T + Q dQ^T,
-    scaled by 1 / (1 + nugget) for LRC, and each angle moves one row
-    of Q (:func:`sphere_loading_grad`).
+    since every family pins P's diagonal at 1. ``parts`` is the list
+    that :func:`corr_values` filled at the same ``values`` and nugget
+    (empty for EC and MC). Closed forms: EC sums the off-diagonal
+    weights; MC has dP_ab/dphi_k = -P_ab (1[a=k] + 1[b=k]) off the
+    diagonal; UC and LRC have dP = dQ Q^T + Q dQ^T, scaled by
+    1 / (1 + nugget) for LRC, and each angle moves one row of Q
+    (:func:`sphere_loading_grad`, on the Q that ``parts`` holds).
     """
     G = np.array(G, dtype=float)
     np.fill_diagonal(G, 0.0)
@@ -408,7 +421,7 @@ def corr_grad(
         a = np.exp(-values)
         return -2.0 * a * (G @ a)
     rank = spec.s if spec.family == "UC" else spec.rank
-    Q, rows, dQ = sphere_loading_grad(values, spec.s, rank)
+    Q, rows, dQ = sphere_loading_grad(values, spec.s, rank, parts)
     scale = 2.0 if spec.family == "UC" else 2.0 / (1.0 + nugget)
     return scale * ((G @ Q)[rows] * dQ).sum(axis=1)
 

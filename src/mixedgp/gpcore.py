@@ -26,7 +26,12 @@ contracted with the family's closed-form dP/dtheta
 (:func:`corrparam.corr_grad`). (LAPACK ``dpotri`` would give R^-1 in
 one call, but OpenBLAS runs it on a second thread at every size the
 study fits, N = 16 to 48: 74 us CPU for 44 us wall at N = 32, against
-17 us for ``dtrtri`` and the product.)
+17 us for ``dtrtri`` and the product.) An evaluation builds the UC/LRC
+loading once, in ``corr_values``, and hands it to ``corr_grad``; P is
+gathered at the level pairs through a flat index memoized on the
+training set. Neither changes a floating-point operation or its order,
+so the searches, and every fitted number, are those of the
+straightforward evaluation.
 
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
@@ -165,8 +170,7 @@ class TrainingSet:
         self.X01 = (X - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
         self._absdiff = None
         self._indicators = {}
-        # index of P[level_i, level_j] for every training pair
-        self.level_pairs = np.ix_(levels - 1, levels - 1)
+        self._pair_index = {}
 
     def pairwise_absdiff(self) -> np.ndarray:
         """Memoized (q, n, n) array of |x_i - x_j| per dimension (normalized)."""
@@ -186,6 +190,20 @@ class TrainingSet:
             E.setflags(write=False)
             self._indicators[s] = E
         return E
+
+    def pair_index(self, s: int) -> np.ndarray:
+        """Memoized (n, n) flat index of P[level_i, level_j] in an s x s P.
+
+        ``np.take(P, index)`` gathers P at every training pair with one
+        index array, where ``np.ix_`` indexing would broadcast two.
+        """
+        index = self._pair_index.get(s)
+        if index is None:
+            lv = self.levels - 1
+            index = lv[:, None] * s + lv
+            index.setflags(write=False)
+            self._pair_index[s] = index
+        return index
 
 
 def _kernel(absdiff, lengthscales, P=None, pairs=None, dlog=None):
@@ -236,7 +254,9 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     if P is None:
         P = config.corr_matrix()
     Pv = P.values if isinstance(P, CorrMatrix) else P
-    R = _kernel(train.pairwise_absdiff(), config.lengthscales, Pv, train.level_pairs)
+    R = _kernel(train.pairwise_absdiff(), config.lengthscales)
+    if Pv is not None:
+        R *= np.take(Pv, train.pair_index(Pv.shape[0]))
     R.flat[:: train.n + 1] += config.nugget
     return R, _cholesky(R)
 
@@ -262,15 +282,16 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
     r = a - mu b. Raises ``IllConditionedError`` when R cannot be
     factored.
     """
-    Pv = None if spec is None else corr_values(spec, cat_params, corr_nugget)
-    absdiff = train.pairwise_absdiff()
+    parts = [] if grad else None
+    Pv = None if spec is None else corr_values(spec, cat_params, corr_nugget, parts=parts)
+    dlog = [] if grad else None
+    K = _kernel(train.pairwise_absdiff(), lengthscales, dlog=dlog)
+    Ppairs = 1.0 if spec is None else np.take(Pv, train.pair_index(spec.s))
     if grad:
-        dlog = []
-        K = _kernel(absdiff, lengthscales, dlog=dlog)
-        Ppairs = 1.0 if spec is None else Pv[train.level_pairs]
-        R = K * Ppairs
+        R = K * Ppairs  # the gradient needs K itself
     else:
-        R = _kernel(absdiff, lengthscales, Pv, train.level_pairs)
+        K *= Ppairs
+        R = K
     R.flat[:: train.n + 1] += nugget
     L = _cholesky(R, overwrite=True)
     n = z.size
@@ -300,7 +321,8 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
             g[d] = np.vdot(WR, dl) / ell
         if spec is not None:
             E = train.level_indicator(spec.s)
-            g[lengthscales.size:] = corr_grad(spec, cat_params, E.T @ WK @ E, corr_nugget)
+            g[lengthscales.size:] = corr_grad(spec, cat_params, E.T @ WK @ E, parts,
+                                              corr_nugget)
     return n * math.log(sigma2) + logdet, mu, sigma2, L, r, g
 
 

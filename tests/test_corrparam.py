@@ -327,7 +327,9 @@ def test_corr_grad_matches_differenced_corr_values(label, s, log_nugget, seed):
         e[k] = h
         dP = (corr_values(spec, theta + e, nugget) - corr_values(spec, theta - e, nugget)) / (2 * h)
         numeric[k] = (G * dP).sum()
-    assert np.abs(corr_grad(spec, theta, G, nugget) - numeric).max() <= 1e-7 * max(
+    parts = []
+    corr_values(spec, theta, nugget, parts=parts)
+    assert np.abs(corr_grad(spec, theta, G, parts, nugget) - numeric).max() <= 1e-7 * max(
         1.0, np.abs(numeric).max())
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
 from mixedgp.corrparam import FamilySpec, build_ec, corr_values
 from mixedgp.errors import IllConditionedError, ParamDomainError
@@ -363,6 +364,57 @@ def test_profile_value_same_with_and_without_gradient():
     assert plain[0] == both[0]
 
 
+def test_categorical_only_model():
+    # no continuous inputs: R is P at the level pairs plus the nugget
+    ts = TrainingSet(np.empty((4, 0)), [1, 2, 3, 4], [0.3, -1.2, 0.8, 2.0])
+    spec = FamilySpec("MC", 4)
+    psi = np.array([0.2, 0.5, 0.9, 1.3])
+    ours = concentrated_nll(psi, ts, spec, nugget=1e-3)
+    theirs = solve_nll(ts.X01, ts.levels, ts.y, [], corr_values(spec, psi), 1e-3)
+    assert abs(ours - theirs) <= 1e-10 * max(1.0, abs(theirs))
+    gp = fit(ts, spec, FitOptions(n_starts=2))
+    assert gp.neg_log_lik == concentrated_nll(gp.config.cat_params, ts, spec)
+    assert np.array_equal(build_R(ts, gp.config)[1], gp.chol_R)
+
+
+@pytest.mark.parametrize("label", ["EC", "MC", "LRC2", "LRC3", "UC"])
+def test_profile_category_gradient_builds_the_loading_once(monkeypatch, label):
+    # the gradient reuses the loading corr_values built for P; it must
+    # give the same numbers as a fresh build, to the last bit
+    builds = []
+    real_parts = corrparam._sphere_parts
+
+    def count_parts(*args):
+        builds.append(args)
+        return real_parts(*args)
+
+    weights = []
+    real_grad = gpcore.corr_grad
+
+    def keep_weights(spec, values, G, *args):
+        weights.append(G)
+        return real_grad(spec, values, G, *args)
+
+    monkeypatch.setattr(corrparam, "_sphere_parts", count_parts)
+    monkeypatch.setattr(gpcore, "corr_grad", keep_weights)
+    rng = np.random.default_rng(sum(map(ord, label)))
+    s = 5
+    spec = FamilySpec.parse(label, s)
+    X, levels, y = random_instance(rng, 14, s=s)
+    ts = TrainingSet(X, levels, y, n_levels=s)
+    z, _, _ = _standardize(y)
+    lo, hi = psi_box(ts.q, spec, FitOptions())
+    for _ in range(5):
+        psi = rng.uniform(lo, hi)
+        builds.clear()
+        weights.clear()
+        g = _profile(ts, z, psi[:2], spec, psi[2:], 1e-6, 1e-4, grad=True)[5]
+        assert len(builds) == (0 if spec.family in ("EC", "MC") else 1)
+        assert len(weights) == 1
+        fresh = [] if spec.family in ("EC", "MC") else real_parts(psi[2:], s, spec.rank or s)
+        assert np.array_equal(g[2:], corrparam.corr_grad(spec, psi[2:], weights[0], fresh, 1e-4))
+
+
 def test_concentrated_nll_singular_R_raises():
     ts = TrainingSet(np.array([[0.0], [5e-324]]), [1, 1], [0.0, 1.0])
     with pytest.raises(IllConditionedError):
@@ -397,7 +449,7 @@ def test_fit_recovers_ec_parameter():
         d, _ = cslhd(20, 2, 1, 5000 + rep)
         P = build_ec(0.8, 2).values
         points = TrainingSet(d.X, d.levels, np.zeros(40), n_levels=2)
-        R = _kernel(points.pairwise_absdiff(), np.array([0.3]), P, points.level_pairs)
+        R = _kernel(points.pairwise_absdiff(), np.array([0.3]), P.ravel(), points.pair_index(2))
         R[np.diag_indices_from(R)] += 1e-10
         y = np.linalg.cholesky(R) @ rng.standard_normal(40)
         ts = TrainingSet(d.X, d.levels, y, n_levels=2)
