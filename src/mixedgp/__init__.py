@@ -19,10 +19,6 @@ from .corrparam import (
     CorrMatrix,
     FamilySpec,
     build_correlation,
-    build_ec,
-    build_lrc,
-    build_mc,
-    build_uc,
     embed_lrc_in_uc,
     param_count,
     regularize,
@@ -35,7 +31,6 @@ from .gpcore import (
     TrainingSet,
     concentrated_nll,
     fit,
-    fit_individual,
     load_fit,
     predict_batch,
     save_fit,
@@ -46,10 +41,8 @@ from .testbed import (
     SlicedFunction,
     empirical_cross_corr,
     estimate_slice_max,
-    eval_sliced,
     make_benchmark_suite,
     make_sliced,
-    quantile_positions,
     slice_positions,
     standard_functions,
     swap_optimum,

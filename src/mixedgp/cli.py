@@ -35,7 +35,7 @@ def _parse_ints(raw: str) -> list[int]:
 
 
 def _cmd_corr_build(args) -> int:
-    spec = FamilySpec.parse(args.family if args.rank is None else f"LRC{args.rank}", args.s)
+    spec = FamilySpec(args.family.strip().upper(), args.s, args.rank)
     matrix = build_correlation(spec, _parse_floats(args.params), nugget=args.nugget)
     _print_matrix_csv(matrix.values)
     return 0

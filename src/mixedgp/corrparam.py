@@ -165,40 +165,6 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return np.clip(P, -1.0, 1.0, out=P)
 
 
-def _finish(P: np.ndarray, s: int) -> CorrMatrix:
-    return CorrMatrix(_symmetrize(P), s)
-
-
-def ec_values(c: float, s: int) -> np.ndarray:
-    if not (0.0 < c < 1.0):
-        raise ParamDomainError(f"EC parameter must lie in (0, 1), got {c}")
-    P = np.full((s, s), float(c))
-    np.fill_diagonal(P, 1.0)
-    return P
-
-
-def build_ec(c: float, s: int) -> CorrMatrix:
-    """Exchangeable correlation: every off-diagonal entry equals ``c``."""
-    return _finish(ec_values(c, s), s)
-
-
-def mc_values(phi: np.ndarray, s: int) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (s,):
-        raise ParamArityError(f"MC needs {s} parameters, got shape {phi.shape}")
-    if not np.all(phi > 0.0):
-        raise ParamDomainError("MC parameters must all be positive")
-    a = np.exp(-phi)
-    P = np.outer(a, a)
-    np.fill_diagonal(P, 1.0)
-    return P
-
-
-def build_mc(phi: np.ndarray, s: int) -> CorrMatrix:
-    """Multiplicative correlation: tau_ij = exp(-(phi_i + phi_j)), i != j."""
-    return _finish(mc_values(phi, s), s)
-
-
 @functools.lru_cache(maxsize=None)
 def _angle_slots(s: int, rank: int) -> np.ndarray:
     """Flat positions of the angle vector in the (s-1) x (rank-1) grid.
@@ -299,29 +265,6 @@ def sphere_loading_grad(theta: np.ndarray, s: int, rank: int, parts=None):
     return Q, rows, dQ
 
 
-def build_uc(theta: np.ndarray, s: int) -> CorrMatrix:
-    """Unrestrictive correlation L L^T via spherical coordinates.
-
-    Rows of L are points on unit hyperspheres, so the product has unit
-    diagonal; the result is positive definite for any valid angles.
-    """
-    L = sphere_loading(theta, s, s)
-    return _finish(L @ L.T, s)
-
-
-def build_lrc(
-    theta: np.ndarray, s: int, rank: int, nugget: float = DEFAULT_NUGGET
-) -> tuple[np.ndarray, CorrMatrix]:
-    """Low-rank correlation Q Q^T, nugget-regularized to full rank.
-
-    Returns both the s x rank loading array Q (for rank inspection) and
-    the regularized correlation matrix. Before regularization the product
-    has rank at most ``rank``.
-    """
-    Q = sphere_loading(theta, s, rank)
-    return Q, regularize(Q @ Q.T, nugget)
-
-
 def regularize(P: np.ndarray, nugget: float = DEFAULT_NUGGET) -> CorrMatrix:
     """Add ``nugget`` to the diagonal and rescale so the diagonal is 1.
 
@@ -339,7 +282,7 @@ def regularize(P: np.ndarray, nugget: float = DEFAULT_NUGGET) -> CorrMatrix:
     if np.abs(P).max() > 1.0 + 1e-12:
         raise ParamDomainError("regularize expects entries in [-1, 1]")
     out = (P + nugget * np.eye(s)) / (1.0 + nugget)
-    result = _finish(out, s)
+    result = CorrMatrix(_symmetrize(out), s)
     result.cholesky()  # NumericalRankError if still not pd
     return result
 
@@ -374,27 +317,41 @@ def embed_lrc_in_uc(
 def corr_values(
     spec: FamilySpec, values: np.ndarray, nugget: float = DEFAULT_NUGGET, parts=None
 ) -> np.ndarray:
-    """Raw matrix for the family, dispatching on ``spec``.
+    """The family's s x s matrix at ``values``, after checking their arity and domain.
 
-    Fast path used inside likelihood loops; skips the CorrMatrix
-    wrapper, and for LRC the positive-definiteness check of
-    :func:`regularize`. For UC and LRC, a list ``parts`` receives the
-    loading Q and its sine products, which :func:`corr_grad` needs at
-    the same parameters.
+    EC and MC are exactly symmetric with unit diagonal as built; UC
+    (Q Q^T at rank s) and LRC ((Q Q^T + nugget I) / (1 + nugget)) are
+    symmetrized against rounding. The likelihood uses this array;
+    :func:`build_correlation` wraps it in a checked CorrMatrix. For UC
+    and LRC, a list ``parts`` receives the loading Q and its sine
+    products, which :func:`corr_grad` needs at the same parameters.
     """
     values = np.asarray(values, dtype=float)
+    s = spec.s
     if spec.family == "EC":
         if values.shape != (1,):
             raise ParamArityError(f"EC takes a single parameter, got shape {values.shape}")
-        return ec_values(float(values[0]), spec.s)
+        c = float(values[0])
+        if not (0.0 < c < 1.0):
+            raise ParamDomainError(f"EC parameter must lie in (0, 1), got {c}")
+        P = np.full((s, s), c)
+        np.fill_diagonal(P, 1.0)
+        return P
     if spec.family == "MC":
-        return mc_values(values, spec.s)
-    Q, sp = _sphere_parts(values, spec.s, spec.s if spec.family == "UC" else spec.rank)
+        if values.shape != (s,):
+            raise ParamArityError(f"MC needs {s} parameters, got shape {values.shape}")
+        if not np.all(values > 0.0):
+            raise ParamDomainError("MC parameters must all be positive")
+        a = np.exp(-values)
+        P = np.outer(a, a)
+        np.fill_diagonal(P, 1.0)
+        return P
+    Q, sp = _sphere_parts(values, s, s if spec.family == "UC" else spec.rank)
     if parts is not None:
         parts.extend((Q, sp))
     P = Q @ Q.T
     if spec.family == "LRC":
-        P = (P + nugget * np.eye(spec.s)) / (1.0 + nugget)
+        P = (P + nugget * np.eye(s)) / (1.0 + nugget)
     return _symmetrize(P)
 
 
@@ -429,7 +386,15 @@ def corr_grad(
 def build_correlation(
     spec: FamilySpec, values: np.ndarray, nugget: float = DEFAULT_NUGGET
 ) -> CorrMatrix:
-    """Validated correlation matrix for any family."""
+    """Validated correlation matrix for any family: :func:`corr_values` as a CorrMatrix.
+
+    LRC's nugget must be positive, and its regularized matrix must
+    factor (``NumericalRankError`` otherwise); EC, MC and UC are
+    positive definite for every valid parameter vector.
+    """
+    if spec.family == "LRC" and nugget <= 0.0:
+        raise ParamDomainError(f"nugget must be positive, got {nugget}")
+    result = CorrMatrix(corr_values(spec, values, nugget), spec.s)
     if spec.family == "LRC":
-        return build_lrc(values, spec.s, spec.rank, nugget)[1]
-    return _finish(corr_values(spec, values, nugget), spec.s)
+        result.cholesky()
+    return result

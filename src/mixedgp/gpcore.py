@@ -50,7 +50,6 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.optimize import minimize
 
 from .corrparam import (
-    CorrMatrix,
     FamilySpec,
     cat_param_bounds,
     corr_grad,
@@ -102,10 +101,6 @@ class KernelConfig:
                     f"{self.family_spec.label} needs {k} parameters, "
                     f"got shape {self.cat_params.shape}"
                 )
-
-    @property
-    def q(self) -> int:
-        return self.lengthscales.size
 
     def corr_matrix(self) -> np.ndarray | None:
         if self.family_spec is None:
@@ -249,14 +244,15 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     """Training correlation matrix with nugget, plus its Cholesky factor.
 
     Returns (R, L) with R = correlations + nugget * I and L lower
-    triangular. Raises ``IllConditionedError`` when factorization fails.
+    triangular. ``P`` is the s x s array of ``config.corr_matrix()``,
+    built here when not given. Raises ``IllConditionedError`` when
+    factorization fails.
     """
     if P is None:
         P = config.corr_matrix()
-    Pv = P.values if isinstance(P, CorrMatrix) else P
     R = _kernel(train.pairwise_absdiff(), config.lengthscales)
-    if Pv is not None:
-        R *= np.take(Pv, train.pair_index(Pv.shape[0]))
+    if P is not None:
+        R *= np.take(P, train.pair_index(P.shape[0]))
     R.flat[:: train.n + 1] += config.nugget
     return R, _cholesky(R)
 
@@ -326,15 +322,6 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
     return n * math.log(sigma2) + logdet, mu, sigma2, L, r, g
 
 
-def decode_psi(psi, q: int, spec: FamilySpec | None):
-    """Split a flat parameter vector into (lengthscales, cat_params)."""
-    psi = np.asarray(psi, dtype=float).ravel()
-    k = param_count(spec) if spec is not None else 0
-    if psi.size != q + k:
-        raise ParamArityError(f"psi must have length {q + k}, got {psi.size}")
-    return psi[:q], (psi[q:] if spec is not None else None)
-
-
 def concentrated_nll(
     psi, train: TrainingSet, spec: FamilySpec | None, nugget: float = 1e-8,
     corr_nugget: float = 1e-8,
@@ -345,9 +332,18 @@ def concentrated_nll(
     generalized-least-squares estimates, so the objective depends only
     on the correlation parameters. Responses are standardized
     internally; the reported value refers to the standardized scale.
+    ``psi`` is the lengthscales followed by the family's parameters.
     """
-    ls, cat = decode_psi(psi, train.q, spec)
-    KernelConfig(ls, spec, cat, nugget=nugget, corr_nugget=corr_nugget)  # validates psi
+    psi = np.asarray(psi, dtype=float).ravel()
+    q = train.q
+    k = q + (param_count(spec) if spec is not None else 0)
+    if psi.size != k:
+        raise ParamArityError(f"psi must have length {k}, got {psi.size}")
+    ls, cat = psi[:q], (psi[q:] if spec is not None else None)
+    if not np.all(ls > 0):
+        raise ParamDomainError("lengthscales must be positive")
+    if nugget < 0:
+        raise ParamDomainError("nugget must be nonnegative")
     z, _, _ = _standardize(train.y)
     return _profile(train, z, ls, spec, cat, nugget, corr_nugget)[0]
 
@@ -524,9 +520,9 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
             f"all {options.n_starts} optimizer starts failed", diagnostics=diagnostics
         )
 
-    ls, cat = decode_psi(np.r_[np.exp(best_u[:q]), best_u[q:]], q, spec)
     config = KernelConfig(
-        ls, spec, cat, nugget=options.nugget, corr_nugget=options.corr_nugget
+        np.exp(best_u[:q]), spec, best_u[q:] if spec is not None else None,
+        nugget=options.nugget, corr_nugget=options.corr_nugget,
     )
     return _finalize_fit(train, config, start_objectives)
 
@@ -560,54 +556,6 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     pairs = np.ix_(levels - 1, train.levels - 1)
     r0 = _kernel(absdiff, fit.config.lengthscales, P, pairs)
     return fit.y_mean + fit.y_std * (fit.mu_z + r0 @ fit.alpha)
-
-
-class IndividualKriging:
-    """One continuous-only model per level; prediction dispatches on level.
-
-    Levels with fewer than two observations get no model and fall back
-    to the level's mean response (global mean if the level is empty).
-    """
-
-    def __init__(self, fits: dict, fallback: dict, global_mean: float, bounds, n_levels: int):
-        self.fits = fits
-        self.fallback = fallback
-        self.global_mean = global_mean
-        self.bounds = bounds
-        self.n_levels = n_levels
-
-    def predict_batch(self, X, levels) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        levels = np.broadcast_to(np.asarray(levels, dtype=int), (X.shape[0],))
-        out = np.empty(X.shape[0])
-        for lv in np.unique(levels):
-            m = levels == lv
-            submodel = self.fits.get(int(lv))
-            if submodel is not None:
-                out[m] = predict_batch(submodel, X[m], lv)
-            else:
-                out[m] = self.fallback.get(int(lv), self.global_mean)
-        return out
-
-
-def fit_individual(train: TrainingSet, options: FitOptions | None = None) -> IndividualKriging:
-    """Fit an independent continuous GP to each level's sub-data set."""
-    options = options or FitOptions()
-    fits: dict[int, GPFit] = {}
-    fallback: dict[int, float] = {}
-    for lv in range(1, train.n_levels + 1):
-        m = train.levels == lv
-        if m.sum() >= 2:
-            sub = TrainingSet(train.X[m], train.levels[m], train.y[m], train.bounds)
-            fits[lv] = fit(sub, None, options)
-        else:
-            warnings.warn(f"level {lv} has {int(m.sum())} point(s); using mean fallback",
-                          stacklevel=2)
-            if m.any():
-                fallback[lv] = float(train.y[m].mean())
-    return IndividualKriging(
-        fits, fallback, float(train.y.mean()), train.bounds, train.n_levels
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -133,27 +133,6 @@ def swap_optimum(positions: np.ndarray, opt_coord: float) -> np.ndarray:
     return out
 
 
-def quantile_positions(qdist, s: int, l: float, u: float) -> np.ndarray:
-    """Slice positions from a quantile function.
-
-    Evaluates the quantile map on an (s+2)-point equispaced probability
-    grid, drops the two boundary values (they may be infinite), rescales
-    the interior values to [0, 1] and then to [l, u]. With the uniform
-    quantile map this reduces to :func:`slice_positions`.
-    """
-    if s < 2:
-        raise ParamDomainError(f"need at least 2 slices, got s={s}")
-    probs = np.linspace(0.0, 1.0, s + 2)
-    vals = np.asarray([float(qdist(p)) for p in probs[1:-1]], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ParamDomainError("quantile map produced non-finite interior values")
-    span = vals[-1] - vals[0]
-    if span <= 0:
-        raise ParamDomainError("quantile map must be increasing on (0, 1)")
-    vals = (vals - vals[0]) / span
-    return vals * (u - l) + l
-
-
 @dataclass(frozen=True)
 class SlicedFunction:
     """A continuous function with one dimension pinned to s positions.
@@ -240,11 +219,6 @@ def eval_sliced_batch(fn: SlicedFunction, slice_idx: int, x_rest) -> np.ndarray:
     if slice_idx in fn.upended:
         return upend_values(vals, fn.y_max_hat[slice_idx], fn.base.global_opt_val)
     return vals
-
-
-def eval_sliced(fn: SlicedFunction, slice_idx: int, x_rest) -> float:
-    """Value of slice ``slice_idx`` (1-based) at the remaining coordinates."""
-    return float(eval_sliced_batch(fn, slice_idx, np.atleast_2d(x_rest))[0])
 
 
 def _slice_max(base: ContinuousFunction, sliced_dim: int, position: float,
@@ -445,6 +419,3 @@ def make_benchmark_suite() -> list[SlicedFunction]:
     upended variants of the three all-positively-correlated ones."""
     return [get_testbed_function(fid) for fid in testbed_ids()]
 
-
-def testbed_by_id() -> dict[str, SlicedFunction]:
-    return {fn.fid: fn for fn in make_benchmark_suite()}

@@ -14,15 +14,13 @@ import numpy as np
 from mixedgp.bench import ExperimentConfig, run_experiment, summarize
 from mixedgp.corrparam import (
     FamilySpec,
-    build_ec,
-    build_lrc,
-    build_mc,
-    build_uc,
+    build_correlation,
     cat_param_bounds,
     embed_lrc_in_uc,
     lrc_param_count,
     param_count,
     regularize,
+    sphere_loading,
 )
 from mixedgp.gpcore import (
     KernelConfig,
@@ -138,16 +136,19 @@ def test_criterion_04_pdude_property_suite():
                 ranks = list(range(2, s)) or [2]
             for i in range(draws):
                 if family == "EC":
-                    P = build_ec(rng.uniform(1e-6, 1 - 1e-6), s).values
+                    c = rng.uniform(1e-6, 1 - 1e-6)
+                    P = build_correlation(FamilySpec("EC", s), [c]).values
                 elif family == "MC":
-                    P = build_mc(rng.uniform(1e-6, 10.0, size=s), s).values
+                    phi = rng.uniform(1e-6, 10.0, size=s)
+                    P = build_correlation(FamilySpec("MC", s), phi).values
                 elif family == "UC":
                     theta = rng.uniform(1e-6, np.pi - 1e-6, size=s * (s - 1) // 2)
-                    P = build_uc(theta, s).values
+                    P = build_correlation(FamilySpec("UC", s), theta).values
                 else:
                     r = ranks[i % len(ranks)]
                     theta = rng.uniform(1e-6, np.pi - 1e-6, size=lrc_param_count(s, r))
-                    P = build_lrc(theta, s, r)[1].values
+                    Q = sphere_loading(theta, s, r)
+                    P = regularize(Q @ Q.T).values
                 assert np.array_equal(P, P.T)
                 assert np.all(np.diag(P) == 1.0)
                 assert np.all(np.abs(P) <= 1.0)
@@ -168,8 +169,8 @@ def test_criterion_05_lrc_embeds_in_uc():
         bounds = cat_param_bounds(FamilySpec("LRC", s, r))
         for _ in range(100):
             theta = rng.uniform(bounds[:, 0] + 1e-4, bounds[:, 1] - 1e-4)
-            lrc = build_lrc(theta, s, r)[1].values
-            uc = build_uc(embed_lrc_in_uc(theta, s, r), s).values
+            lrc = build_correlation(FamilySpec("LRC", s, r), theta).values
+            uc = build_correlation(FamilySpec("UC", s), embed_lrc_in_uc(theta, s, r)).values
             worst = max(worst, float(np.abs(uc - lrc).max()))
     ok = worst < 1e-6
     report(5, "rank-limited angles embed into the full parameterization", ok,
@@ -184,11 +185,13 @@ def test_criterion_06_closed_form_maps_to_uc():
     worst = 0.0
     for _ in range(20):
         c = rng.uniform(0.02, 0.98)
-        gap = np.abs(build_uc(ec_to_uc_angles(c), 3).values - build_ec(c, 3).values)
+        uc = build_correlation(FamilySpec("UC", 3), ec_to_uc_angles(c))
+        gap = np.abs(uc.values - build_correlation(FamilySpec("EC", 3), [c]).values)
         worst = max(worst, float(gap.max()))
     for _ in range(20):
         phi = rng.uniform(0.05, 2.5, size=3)
-        gap = np.abs(build_uc(mc_to_uc_angles(phi), 3).values - build_mc(phi, 3).values)
+        uc = build_correlation(FamilySpec("UC", 3), mc_to_uc_angles(phi))
+        gap = np.abs(uc.values - build_correlation(FamilySpec("MC", 3), phi).values)
         worst = max(worst, float(gap.max()))
     ok = worst < 1e-10
     report(6, "printed arccos mappings reproduce EC and MC at s=3", ok,
@@ -294,7 +297,8 @@ def test_criterion_09_metric_unit_checks():
     exact = (
         q_squared(y, y) == 1.0
         and q_squared(y, np.full(4, y.mean())) == 0.0
-        and rmse_corr(build_ec(0.4, 3).values, build_ec(0.4, 3).values) == 0.0
+        and rmse_corr(build_correlation(FamilySpec("EC", 3), [0.4]).values,
+                      build_correlation(FamilySpec("EC", 3), [0.4]).values) == 0.0
         and rmse_corr(np.array([[1.0, 1.0], [1.0, 1.0]]),
                       np.array([[1.0, -1.0], [-1.0, 1.0]])) == 2.0
     )

@@ -21,7 +21,7 @@ from mixedgp.bench import (
     summarize,
     validate_config,
 )
-from mixedgp.corrparam import FamilySpec, build_ec
+from mixedgp.corrparam import FamilySpec, build_correlation
 from mixedgp.errors import (
     ConfigError,
     CriterionUndefinedError,
@@ -55,7 +55,7 @@ def tiny_config(**overrides):
 # metrics
 
 def test_rmse_identical_matrices_zero():
-    m = build_ec(0.4, 5).values
+    m = build_correlation(FamilySpec("EC", 5), [0.4]).values
     assert rmse_corr(m, m) == 0.0
 
 
@@ -78,7 +78,7 @@ def test_rmse_matches_brute_force_sum():
 
 
 def test_rmse_skips_missing_entries():
-    a = build_ec(0.5, 3).values
+    a = build_correlation(FamilySpec("EC", 3), [0.5]).values
     b = a.copy()
     b[0, 1] = b[1, 0] = np.nan
     b[0, 2] = b[2, 0] = 0.2
@@ -179,7 +179,8 @@ def test_extract_tau_hat_round_trip():
     train = TrainingSet(X, levels, y, n_levels=2)
     config = KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.37]))
     gp = refit_config(train, config)
-    assert np.array_equal(extract_tau_hat(gp).values, build_ec(0.37, 2).values)
+    expected = build_correlation(FamilySpec("EC", 2), [0.37]).values
+    assert np.array_equal(extract_tau_hat(gp).values, expected)
 
 
 def test_extract_tau_hat_continuous_only_rejected():

@@ -36,6 +36,14 @@ def test_corr_build_lrc_rank(capsys):
     assert m[1, 2] == pytest.approx(np.cos(1.0 - 2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("family,rank", [("EC", "2"), ("UC", "3")])
+def test_corr_build_rejects_rank_outside_lrc(capsys, family, rank):
+    code, out, err = run_cli(capsys, "corr", "build", "--family", family, "--rank", rank,
+                             "--s", "4", "--params", "0.5,1.0,2.5")
+    assert code == 2 and out == ""
+    assert f"error: rank is only meaningful for LRC, not {family}" in err
+
+
 def test_corr_build_domain_error(capsys):
     code, _, err = run_cli(capsys, "corr", "build", "--family", "EC", "--s", "3",
                            "--params", "1.5")

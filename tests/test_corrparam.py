@@ -9,10 +9,6 @@ from mixedgp.corrparam import (
     CorrMatrix,
     FamilySpec,
     build_correlation,
-    build_ec,
-    build_lrc,
-    build_mc,
-    build_uc,
     cat_param_bounds,
     corr_grad,
     corr_values,
@@ -91,52 +87,52 @@ def test_family_label_parsing():
 # EC
 
 def test_ec_all_off_diagonals_equal():
-    m = build_ec(0.5, 3)
+    m = build_correlation(FamilySpec("EC", 3), [0.5])
     expected = np.array([[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1.0]])
     assert np.array_equal(m.values, expected)
 
 
 def test_ec_small_c_near_identity():
-    m = build_ec(1e-12, 4)
+    m = build_correlation(FamilySpec("EC", 4), [1e-12])
     assert np.allclose(m.values, np.eye(4), atol=1e-11)
 
 
 def test_ec_two_levels_exact():
-    m = build_ec(0.25, 2)
+    m = build_correlation(FamilySpec("EC", 2), [0.25])
     assert np.array_equal(m.values, np.array([[1.0, 0.25], [0.25, 1.0]]))
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -0.3, 1.5])
 def test_ec_domain_error(c):
     with pytest.raises(ParamDomainError):
-        build_ec(c, 3)
+        build_correlation(FamilySpec("EC", 3), [c])
 
 
 # ---------------------------------------------------------------------------
 # MC
 
 def test_mc_direct_evaluation():
-    m = build_mc(np.array([0.5, 0.5]), 2)
+    m = build_correlation(FamilySpec("MC", 2), np.array([0.5, 0.5]))
     assert m.values[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
 
 def test_mc_large_phi_vanishes():
-    m = build_mc(np.full(3, 50.0), 3)
+    m = build_correlation(FamilySpec("MC", 3), np.full(3, 50.0))
     off = m.values[~np.eye(3, dtype=bool)]
     assert np.all(off < 1e-40)
 
 
 def test_mc_log2_gives_quarter():
-    m = build_mc(np.full(3, np.log(2.0)), 3)
+    m = build_correlation(FamilySpec("MC", 3), np.full(3, np.log(2.0)))
     off = m.values[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 0.25, atol=1e-15)
 
 
 def test_mc_domain_and_arity_errors():
     with pytest.raises(ParamDomainError):
-        build_mc(np.array([0.5, -0.1]), 2)
+        build_correlation(FamilySpec("MC", 2), np.array([0.5, -0.1]))
     with pytest.raises(ParamArityError):
-        build_mc(np.array([0.5]), 2)
+        build_correlation(FamilySpec("MC", 2), np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +153,15 @@ def mc_to_uc_angles(phi: np.ndarray) -> np.ndarray:
 
 
 def test_uc_reproduces_ec_half():
-    m = build_uc(ec_to_uc_angles(0.5), 3)
-    assert np.allclose(m.values, build_ec(0.5, 3).values, atol=1e-12)
+    m = build_correlation(FamilySpec("UC", 3), ec_to_uc_angles(0.5))
+    ec = build_correlation(FamilySpec("EC", 3), [0.5])
+    assert np.allclose(m.values, ec.values, atol=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
 def test_uc_ec_mapping(c):
-    gap = np.abs(build_uc(ec_to_uc_angles(c), 3).values - build_ec(c, 3).values)
+    uc = build_correlation(FamilySpec("UC", 3), ec_to_uc_angles(c))
+    gap = np.abs(uc.values - build_correlation(FamilySpec("EC", 3), [c]).values)
     assert gap.max() < 1e-12
 
 
@@ -171,34 +169,36 @@ def test_uc_mc_mapping_random():
     rng = np.random.default_rng(7)
     for _ in range(20):
         phi = rng.uniform(0.1, 2.0, size=3)
-        gap = np.abs(build_uc(mc_to_uc_angles(phi), 3).values - build_mc(phi, 3).values)
+        uc = build_correlation(FamilySpec("UC", 3), mc_to_uc_angles(phi))
+        gap = np.abs(uc.values - build_correlation(FamilySpec("MC", 3), phi).values)
         assert gap.max() < 1e-10
 
 
 def test_uc_right_angles_give_identity():
-    m = build_uc(np.full(6, np.pi / 2), 4)
+    m = build_correlation(FamilySpec("UC", 4), np.full(6, np.pi / 2))
     assert np.allclose(m.values, np.eye(4), atol=1e-15)
 
 
 def test_uc_random_theta_positive_definite():
     rng = np.random.default_rng(11)
     theta = random_params(FamilySpec("UC", 5), rng)
-    m = build_uc(theta, 5)
+    m = build_correlation(FamilySpec("UC", 5), theta)
     assert np.linalg.eigvalsh(m.values).min() > 0.0
 
 
 def test_uc_arity_and_domain_errors():
     with pytest.raises(ParamArityError):
-        build_uc(np.array([1.0, 1.0]), 3)
+        build_correlation(FamilySpec("UC", 3), np.array([1.0, 1.0]))
     with pytest.raises(ParamDomainError):
-        build_uc(np.array([1.0, 1.0, 3.5]), 3)
+        build_correlation(FamilySpec("UC", 3), np.array([1.0, 1.0, 3.5]))
 
 
 # ---------------------------------------------------------------------------
 # LRC
 
 def test_lrc_rank2_two_levels_orthogonal():
-    _, m = build_lrc(np.array([np.pi / 2]), 2, 2)
+    Q = sphere_loading(np.array([np.pi / 2]), 2, 2)
+    m = regularize(Q @ Q.T)
     assert abs(m.values[0, 1]) < 1e-8
 
 
@@ -207,7 +207,7 @@ def test_lrc_rank2_angle_difference_identity():
     for _ in range(50):
         s = int(rng.integers(2, 9))
         theta = rng.uniform(1e-3, np.pi - 1e-3, size=lrc_param_count(s, 2))
-        loading, _ = build_lrc(theta, s, 2)
+        loading = sphere_loading(theta, s, 2)
         P = loading @ loading.T
         full = np.r_[0.0, theta]  # first level pinned at angle zero
         for i in range(s):
@@ -217,7 +217,7 @@ def test_lrc_rank2_angle_difference_identity():
 
 def test_lrc_rank2_reaches_negative_pattern():
     eps = 1e-6
-    _, m = build_lrc(np.array([np.pi - eps, eps, np.pi - eps]), 4, 2)
+    m = build_correlation(FamilySpec("LRC", 4, 2), np.array([np.pi - eps, eps, np.pi - eps]))
     assert m.values[0, 1] < -0.999
     assert m.values[0, 3] < -0.999
     assert m.values[1, 2] < -0.999
@@ -228,7 +228,7 @@ def test_lrc_rank2_reaches_negative_pattern():
 def test_lrc_loading_structure():
     rng = np.random.default_rng(5)
     spec = FamilySpec("LRC", 6, 3)
-    Q, _ = build_lrc(random_params(spec, rng), 6, 3)
+    Q = sphere_loading(random_params(spec, rng), 6, 3)
     assert Q.shape == (6, 3)
     assert Q[0, 0] == 1.0 and np.all(Q[0, 1:] == 0.0)
     # zero padding beyond min(i, r)
@@ -336,7 +336,7 @@ def test_corr_grad_matches_differenced_corr_values(label, s, log_nugget, seed):
 def test_lrc_rank_before_regularization():
     rng = np.random.default_rng(9)
     for s, r in [(4, 2), (5, 3), (6, 4), (8, 2)]:
-        loading, _ = build_lrc(random_params(FamilySpec("LRC", s, r), rng), s, r)
+        loading = sphere_loading(random_params(FamilySpec("LRC", s, r), rng), s, r)
         sv = np.linalg.svd(loading @ loading.T, compute_uv=False)
         assert sv[r:].max() < 1e-10 if r < s else True
 
@@ -358,7 +358,7 @@ def test_regularize_identity_unchanged():
 
 def test_regularize_lifts_smallest_eigenvalue():
     rng = np.random.default_rng(13)
-    loading, _ = build_lrc(random_params(FamilySpec("LRC", 5, 2), rng), 5, 2)
+    loading = sphere_loading(random_params(FamilySpec("LRC", 5, 2), rng), 5, 2)
     m = regularize(loading @ loading.T, nugget=1e-8)
     assert m.min_eigenvalue() >= 1e-8 / (1 + 1e-8) - 1e-15
 
@@ -386,8 +386,8 @@ def test_embed_lrc_in_uc_random(s, r):
     rng = np.random.default_rng(100 * s + r)
     for _ in range(25):
         theta = random_params(FamilySpec("LRC", s, r), rng)
-        _, lrc = build_lrc(theta, s, r)
-        uc = build_uc(embed_lrc_in_uc(theta, s, r), s)
+        lrc = build_correlation(FamilySpec("LRC", s, r), theta)
+        uc = build_correlation(FamilySpec("UC", s), embed_lrc_in_uc(theta, s, r))
         assert np.abs(uc.values - lrc.values).max() < 1e-6
 
 
@@ -404,8 +404,8 @@ def test_embed_many_draws_max_gap():
     worst = 0.0
     for _ in range(100):
         theta = random_params(FamilySpec("LRC", 6, 3), rng)
-        _, lrc = build_lrc(theta, 6, 3)
-        uc = build_uc(embed_lrc_in_uc(theta, 6, 3), 6)
+        lrc = build_correlation(FamilySpec("LRC", 6, 3), theta)
+        uc = build_correlation(FamilySpec("UC", 6), embed_lrc_in_uc(theta, 6, 3))
         worst = max(worst, float(np.abs(uc.values - lrc.values).max()))
     assert worst < 1e-6
 
@@ -438,8 +438,8 @@ def test_ec_mc_strictly_positive_off_diagonals():
     rng = np.random.default_rng(21)
     for _ in range(50):
         s = int(rng.integers(2, 8))
-        ec = build_ec(rng.uniform(1e-4, 1 - 1e-4), s)
-        mc = build_mc(rng.uniform(0.01, 5.0, size=s), s)
+        ec = build_correlation(FamilySpec("EC", s), [rng.uniform(1e-4, 1 - 1e-4)])
+        mc = build_correlation(FamilySpec("MC", s), rng.uniform(0.01, 5.0, size=s))
         for m in (ec, mc):
             off = m.values[~np.eye(s, dtype=bool)]
             assert np.all(off > 0.0)
@@ -447,7 +447,7 @@ def test_ec_mc_strictly_positive_off_diagonals():
 
 def test_uc_reaches_negative_correlations():
     theta = np.array([np.pi - 1e-3])
-    m = build_uc(np.r_[theta, np.full(2, np.pi / 2)], 3)
+    m = build_correlation(FamilySpec("UC", 3), np.r_[theta, np.full(2, np.pi / 2)])
     assert m.values[0, 1] < -0.99
 
 

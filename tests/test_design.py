@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedgp.design import (
@@ -196,6 +196,32 @@ def test_csv_round_trip(tmp_path):
     for k in np.unique(cm.assignment):
         members = np.where(cm.assignment == k)[0]
         assert len(set(clusters.assignment[members])) == 1
+
+
+def _partition(assignment):
+    return {frozenset(np.flatnonzero(assignment == k)) for k in np.unique(assignment)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    s=st.integers(min_value=2, max_value=12),
+    q=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+    centered=st.booleans(),
+)
+@example(n=1, s=2, q=1, seed=0, centered=False)
+@example(n=1, s=12, q=1, seed=0, centered=True)
+def test_csv_round_trip_edge_sizes(tmp_path_factory, n, s, q, seed, centered):
+    d, cm = cslhd(n, s, q, seed, centered=centered)
+    path = tmp_path_factory.mktemp("design") / "design.csv"
+    to_csv(d, path)
+    loaded, clusters = from_csv(path)
+    assert (loaded.n_per_slice, loaded.s, loaded.q) == (n, s, q)
+    assert np.array_equal(loaded.X, d.X)
+    assert np.array_equal(loaded.levels, d.levels)
+    # from_csv numbers clusters by sorted coarse bin, cslhd by row
+    assert _partition(clusters.assignment) == _partition(cm.assignment)
 
 
 def test_csv_includes_problem_coordinates(tmp_path):

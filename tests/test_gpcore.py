@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
-from mixedgp.corrparam import FamilySpec, build_ec, corr_values
+from mixedgp.corrparam import FamilySpec, build_correlation, corr_values
 from mixedgp.errors import IllConditionedError, ParamDomainError
 from mixedgp.gpcore import (
     FitOptions,
@@ -22,7 +22,6 @@ from mixedgp.gpcore import (
     build_R,
     concentrated_nll,
     fit,
-    fit_individual,
     load_fit,
     predict_batch,
     psi_box,
@@ -133,7 +132,7 @@ def test_matern_in_unit_interval(h, t):
 
 def test_compound_corr_cases():
     config = KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.4]))
-    P = build_ec(0.4, 2).values
+    P = build_correlation(FamilySpec("EC", 2), [0.4]).values
     ls = config.lengthscales
     w = np.array([0.2, 0.7])
     assert kernel_at(w - w, ls, P, (1, 1)) == 1.0
@@ -447,7 +446,7 @@ def test_fit_recovers_ec_parameter():
     for rep in range(50):
         rng = np.random.default_rng(5000 + rep)
         d, _ = cslhd(20, 2, 1, 5000 + rep)
-        P = build_ec(0.8, 2).values
+        P = build_correlation(FamilySpec("EC", 2), [0.8]).values
         points = TrainingSet(d.X, d.levels, np.zeros(40), n_levels=2)
         R = _kernel(points.pairwise_absdiff(), np.array([0.3]), P.ravel(), points.pair_index(2))
         R[np.diag_indices_from(R)] += 1e-10
@@ -631,65 +630,6 @@ def test_predict_outside_bounds_rejected():
 
 
 # ---------------------------------------------------------------------------
-# individual kriging
-
-def test_individual_single_level_equals_continuous_fit():
-    rng = np.random.default_rng(4)
-    X = rng.random((10, 1))
-    y = np.cos(4 * X[:, 0])
-    ts = TrainingSet(X, np.ones(10, int), y)
-    individual = fit_individual(ts, QUICK_FIT)
-    direct = fit(ts, None, QUICK_FIT)
-    grid = np.linspace(0.05, 0.95, 9)[:, None]
-    assert np.array_equal(
-        individual.predict_batch(grid, 1), predict_batch(direct, grid, 1)
-    )
-
-
-def test_individual_interpolates_disjoint_slices():
-    X = np.r_[np.linspace(0.0, 0.4, 5), np.linspace(0.6, 1.0, 5)][:, None]
-    levels = np.r_[np.ones(5, int), np.full(5, 2, int)]
-    y = np.r_[np.sin(6 * X[:5, 0]), 2.0 + np.cos(6 * X[5:, 0])]
-    ts = TrainingSet(X, levels, y, n_levels=2)
-    model = fit_individual(ts, FitOptions(n_starts=4, nugget=0.0))
-    preds = model.predict_batch(X, levels)
-    assert np.abs(preds - y).max() < 1e-5
-
-
-def test_individual_sparse_level_falls_back_to_mean():
-    X = np.array([[0.1], [0.5], [0.9], [0.3]])
-    levels = np.array([1, 1, 1, 2])
-    y = np.array([1.0, 2.0, 3.0, 9.0])
-    ts = TrainingSet(X, levels, y, n_levels=3)
-    with pytest.warns(UserWarning):
-        model = fit_individual(ts, QUICK_FIT)
-    assert model.predict_batch(np.array([[0.7]]), 2)[0] == 9.0
-    assert model.predict_batch(np.array([[0.7]]), 3)[0] == pytest.approx(y.mean())
-
-
-def test_compound_model_beats_individual_on_correlated_slices():
-    # both slices carry the same smooth function; sharing information
-    # through the cross-correlation should not hurt on held-out points
-    from mixedgp.design import cslhd
-
-    truth = lambda x: np.sin(5.0 * x[:, 0]) + x[:, 0] ** 2
-    grid = np.linspace(0.02, 0.98, 25)[:, None]
-    wins_compound, wins_individual = 0.0, 0.0
-    for rep in range(20):
-        d, _ = cslhd(5, 2, 1, 700 + rep)
-        y = truth(d.X)
-        ts = TrainingSet(d.X, d.levels, y, n_levels=2)
-        compound = fit(ts, FamilySpec("EC", 2), QUICK_FIT)
-        individual = fit_individual(ts, QUICK_FIT)
-        target = truth(grid)
-        err_c = np.abs(predict_batch(compound, grid, 1) - target).mean()
-        err_i = np.abs(individual.predict_batch(grid, 1) - target).mean()
-        wins_compound += err_c
-        wins_individual += err_i
-    assert wins_compound / 20 <= wins_individual / 20
-
-
-# ---------------------------------------------------------------------------
 # persistence
 
 def test_save_load_round_trip(tmp_path):
@@ -706,6 +646,39 @@ def test_save_load_round_trip(tmp_path):
     after = predict_batch(loaded, grid, levels0)
     assert np.array_equal(before, after)
     assert loaded.neg_log_lik == gp.neg_log_lik
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    label=st.sampled_from(["EC", "MC", "LRC", "UC", None]),
+    s=st.integers(min_value=2, max_value=5),
+    unobserved=st.integers(min_value=0, max_value=2),
+    q=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=3, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_save_load_round_trip_random_fits(tmp_path_factory, label, s, unobserved, q, n, seed):
+    # the model keeps s levels; the top ``unobserved`` of them have no data
+    assume(s - unobserved >= 2 and (label != "LRC" or s >= 3))
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(2, s)) if label == "LRC" else None
+    spec = None if label is None else FamilySpec(label, s, rank)
+    bounds = np.column_stack([rng.uniform(-5.0, 0.0, q), rng.uniform(0.5, 5.0, q)])
+    width = bounds[:, 1] - bounds[:, 0]
+    levels = rng.integers(1, s - unobserved + 1, size=n)
+    levels[:2] = (1, 2)
+    train = TrainingSet(bounds[:, 0] + rng.random((n, q)) * width, levels,
+                        rng.standard_normal(n), bounds=bounds, n_levels=s)
+    gp = fit(train, spec, FitOptions(n_starts=2, max_evals_per_start=40, seed=seed % 997))
+    path = tmp_path_factory.mktemp("fit") / "model.json"
+    save_fit(gp, path)
+    loaded = load_fit(path)
+    grid = bounds[:, 0] + rng.random((15, q)) * width
+    grid_levels = rng.integers(1, s + 1, size=15)
+    assert loaded.train.n_levels == s
+    assert loaded.neg_log_lik == gp.neg_log_lik
+    assert np.array_equal(predict_batch(loaded, grid, grid_levels),
+                          predict_batch(gp, grid, grid_levels))
 
 
 def _saved_fit(tmp_path):

@@ -2,24 +2,21 @@
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from mixedgp.errors import ParamArityError, ParamDomainError
 from mixedgp.testbed import (
     ContinuousFunction,
     empirical_cross_corr,
     estimate_slice_max,
-    eval_sliced,
     eval_sliced_batch,
     get_function,
+    get_testbed_function,
     make_benchmark_suite,
     make_sliced,
-    quantile_positions,
     slice_positions,
     standard_functions,
     swap_optimum,
 )
-from mixedgp.testbed import testbed_by_id as suite_by_id
 
 # printed slice positions, two decimals (rows keyed by function id and s)
 PRINTED_POSITIONS = {
@@ -123,7 +120,7 @@ def test_continuous_function_validates_optimum():
 def test_optimum_slice_evaluates_to_optimum():
     fn = make_sliced(get_function("ackley"), 4)
     assert fn.opt_slice == 2
-    assert eval_sliced(fn, 2, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+    assert eval_sliced_batch(fn, 2, np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_upended_function_construction():
@@ -141,9 +138,9 @@ def test_cannot_upend_optimum_slice():
 def test_unknown_slice_index():
     fn = make_sliced(get_function("ackley"), 4)
     with pytest.raises(IndexError):
-        eval_sliced(fn, 5, np.zeros(2))
+        eval_sliced_batch(fn, 5, np.zeros((1, 2)))
     with pytest.raises(IndexError):
-        eval_sliced(fn, 0, np.zeros(2))
+        eval_sliced_batch(fn, 0, np.zeros((1, 2)))
 
 
 def test_upended_slice_range_and_floor():
@@ -163,7 +160,7 @@ def test_global_optimum_preserved_after_upending():
     # grid includes the optimum's remaining coordinates for every
     # function (odd resolution hits the midpoint of symmetric bounds)
     for fid in ("ackley_s4_up13", "alpine1_s6_up124", "dcs_s4_up13"):
-        fn = suite_by_id()[fid]
+        fn = get_testbed_function(fid)
         rb = fn.rest_bounds
         g1 = np.linspace(rb[0, 0], rb[0, 1], 101)
         g2 = np.linspace(rb[1, 0], rb[1, 1], 101)
@@ -239,7 +236,7 @@ def test_originals_all_positive_pairs():
 def test_upended_sign_structure():
     # upending k slices flips exactly k(s-k) pairs on functions whose
     # original correlations are near one
-    fn = suite_by_id()["ackley_s4_up13"]
+    fn = get_testbed_function("ackley_s4_up13")
     est = empirical_cross_corr(fn, resolution=100)
     tri = est.matrix[np.triu_indices(4, 1)]
     assert int((tri < 0).sum()) == 4
@@ -285,7 +282,7 @@ def test_testbed_has_fourteen_functions():
 
 
 def test_testbed_upended_sets():
-    by_id = suite_by_id()
+    by_id = {fn.fid: fn for fn in make_benchmark_suite()}
     for name in ("ackley", "alpine1", "dcs"):
         assert by_id[f"{name}_s4_up13"].upended == frozenset({1, 3})
         assert by_id[f"{name}_s6_up124"].upended == frozenset({1, 2, 4})
@@ -297,31 +294,3 @@ def test_testbed_upends_never_touch_optimum():
     for fn in make_benchmark_suite():
         if fn.upended:
             assert fn.opt_slice not in fn.upended
-
-
-# ---------------------------------------------------------------------------
-# quantile positions
-
-def test_quantile_positions_uniform_is_equidistant():
-    got = quantile_positions(lambda p: p, 4, 0.0, 10.0)
-    assert np.allclose(got, slice_positions(0.0, 10.0, 4), atol=1e-12)
-
-
-def test_quantile_positions_normal_center_dense():
-    got = quantile_positions(norm.ppf, 5, -1.0, 1.0)
-    assert got[0] == -1.0 and got[-1] == 1.0
-    assert np.allclose(got, -got[::-1], atol=1e-12)
-    gaps = np.diff(got)
-    assert gaps[0] > gaps[1]  # wider near the edges
-
-
-def test_quantile_positions_endpoints_exact():
-    got = quantile_positions(norm.ppf, 7, 3.0, 9.0)
-    assert got[0] == 3.0 and got[-1] == 9.0
-
-
-def test_quantile_positions_rejects_nonfinite():
-    with pytest.raises(ParamDomainError):
-        quantile_positions(lambda p: np.inf if p > 0.5 else p, 4, 0.0, 1.0)
-    with pytest.raises(ParamDomainError):
-        quantile_positions(lambda p: -p, 4, 0.0, 1.0)
