@@ -7,9 +7,15 @@ Subcommand groups:
 * ``testbed list / positions / corr`` inspect the benchmark functions.
 * ``bench run / summarize / corr-rmse / q2 / validate-config`` drive
   the simulation study.
+
+``main`` first runs numpy's and scipy's OpenBLAS on one thread unless
+the user has set a thread variable (:func:`pin_blas_threads`); importing
+the package changes no thread setting.
 """
 
 import argparse
+import ctypes
+import os
 import sys
 
 import numpy as np
@@ -19,6 +25,42 @@ from . import design as design_mod
 from . import testbed as testbed_mod
 from .corrparam import FamilySpec, build_correlation
 from .errors import MixedGPError
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# The thread setters of numpy's OpenBLAS (64-bit integer build) and of scipy's.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def pin_blas_threads() -> None:
+    """Run the OpenBLAS libraries loaded in this process on one thread.
+
+    Does nothing when any of ``THREAD_VARS`` is set: the user chose.
+    The fits work on matrices of a few dozen rows, where a second BLAS
+    thread doubles a fit's CPU time without shortening it. The
+    libraries are found, as threadpoolctl finds them, among the
+    OpenBLAS files mapped into the process (``/proc/self/maps``);
+    without that file, or without OpenBLAS, nothing changes. Process
+    pools forked afterwards (``bench run --jobs``) inherit the setting.
+    """
+    if any(var in os.environ for var in THREAD_VARS):
+        return
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
 
 
 def _print_matrix_csv(matrix: np.ndarray) -> None:
@@ -209,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_blas_threads()
     try:
         return args.func(args)
     except MixedGPError as exc:

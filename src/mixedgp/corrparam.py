@@ -161,8 +161,9 @@ class CorrMatrix:
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     # force exact symmetry / unit diagonal / range against fp noise
     P = (P + P.T) / 2.0
-    np.fill_diagonal(P, 1.0)
-    return np.clip(P, -1.0, 1.0, out=P)
+    P.reshape(-1)[:: P.shape[0] + 1] = 1.0
+    np.maximum(P, -1.0, out=P)
+    return np.minimum(P, 1.0, out=P)
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,16 +213,16 @@ def _sphere_parts(theta: np.ndarray, s: int, rank: int):
     if theta.shape != (k,):
         raise ParamArityError(
             f"{_sphere_label(s, rank)} with s={s} needs {k} angles, got shape {theta.shape}")
-    if not ((theta > 0.0) & (theta < np.pi)).all():
+    if not (theta.min() > 0.0 and theta.max() < np.pi):  # NaN fails both
         raise ParamDomainError(f"{_sphere_label(s, rank)} angles must lie in (0, pi)")
     grid = np.zeros((s - 1) * (rank - 1))
     grid[_angle_slots(s, rank)] = theta
     grid.shape = (s - 1, rank - 1)
     sp = np.ones((s - 1, rank))
-    np.cumprod(np.sin(grid), axis=1, out=sp[:, 1:])
+    np.multiply.accumulate(np.sin(grid), axis=1, out=sp[:, 1:])  # cumprod
     Q = np.zeros((s, rank))
     Q[0, 0] = 1.0
-    Q[1:, :-1] = np.cos(grid) * sp[:, :-1]
+    np.multiply(np.cos(grid), sp[:, :-1], out=Q[1:, :-1])
     Q[1:, -1] = sp[:, -1]
     return Q, sp
 
@@ -335,7 +336,7 @@ def corr_values(
         if not (0.0 < c < 1.0):
             raise ParamDomainError(f"EC parameter must lie in (0, 1), got {c}")
         P = np.full((s, s), c)
-        np.fill_diagonal(P, 1.0)
+        P.reshape(-1)[:: s + 1] = 1.0
         return P
     if spec.family == "MC":
         if values.shape != (s,):
@@ -343,15 +344,16 @@ def corr_values(
         if not np.all(values > 0.0):
             raise ParamDomainError("MC parameters must all be positive")
         a = np.exp(-values)
-        P = np.outer(a, a)
-        np.fill_diagonal(P, 1.0)
+        P = a[:, None] * a
+        P.reshape(-1)[:: s + 1] = 1.0
         return P
     Q, sp = _sphere_parts(values, s, s if spec.family == "UC" else spec.rank)
     if parts is not None:
         parts.extend((Q, sp))
     P = Q @ Q.T
-    if spec.family == "LRC":
-        P = (P + nugget * np.eye(s)) / (1.0 + nugget)
+    if spec.family == "LRC":  # (P + nugget I) / (1 + nugget), in place
+        P.reshape(-1)[:: s + 1] += nugget
+        P /= 1.0 + nugget
     return _symmetrize(P)
 
 
@@ -369,8 +371,8 @@ def corr_grad(
     1 / (1 + nugget) for LRC, and each angle moves one row of Q
     (:func:`sphere_loading_grad`, on the Q that ``parts`` holds).
     """
-    G = np.array(G, dtype=float)
-    np.fill_diagonal(G, 0.0)
+    G = np.array(G, dtype=float, order="C")  # reshape(-1) below is then a view
+    G.reshape(-1)[:: G.shape[0] + 1] = 0.0
     values = np.asarray(values, dtype=float)
     if spec.family == "EC":
         return np.array([G.sum()])

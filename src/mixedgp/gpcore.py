@@ -8,9 +8,17 @@ in closed form) with multi-start L-BFGS-B on the parameter box, using
 the likelihood's analytic gradient.
 Prediction is the plug-in best linear unbiased predictor.
 
-One function, ``_kernel``, evaluates that compound correlation: on the
-training set's memoized pairwise differences for the likelihood, and on
-query-to-training differences, one dimension at a time, for prediction.
+One expression, ``_matern``, evaluates the Matern(5/2) factor of scaled
+distances of any shape. The likelihood applies it once to the whole
+(q, n, n) stack of the training set's memoized pairwise differences
+and multiplies the q factors along the first axis (``_kernel``), so
+each numpy operation runs once for all dimensions. Prediction applies
+it to query-to-training differences one dimension at a time, which
+keeps large query grids to one (rows, n) array per step. The memoized
+differences are C-contiguous in (q, n, n) order, so each dimension's
+slice of the stack, and of its lengthscale derivative, is contiguous:
+BLAS dot products then accumulate exactly as on arrays built for one
+dimension, while strided slices round differently in the last bits.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model: LAPACK
@@ -29,9 +37,10 @@ study fits, N = 16 to 48: 74 us CPU for 44 us wall at N = 32, against
 17 us for ``dtrtri`` and the product.) An evaluation builds the UC/LRC
 loading once, in ``corr_values``, and hands it to ``corr_grad``; P is
 gathered at the level pairs through a flat index memoized on the
-training set. Neither changes a floating-point operation or its order,
-so the searches, and every fitted number, are those of the
-straightforward evaluation.
+training set, and the standardized responses are memoized there too.
+None of this changes a floating-point operation or its order, so the
+searches, and every fitted number, are those of the straightforward
+evaluation.
 
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
@@ -129,7 +138,10 @@ class TrainingSet:
     def __init__(self, X, levels, y, bounds=None, n_levels=None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         levels = np.asarray(levels, dtype=int).ravel()
-        y = np.asarray(y, dtype=float).ravel()
+        # a private read-only copy: the memoized standardization below
+        # must not change when the caller's array does
+        y = np.array(y, dtype=float).ravel()
+        y.setflags(write=False)
         n, q = X.shape
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ParamDomainError("training coordinates and responses must be finite")
@@ -164,15 +176,29 @@ class TrainingSet:
             raise ParamDomainError("n_levels smaller than an observed level")
         self.X01 = (X - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
         self._absdiff = None
+        self._standardized = None
         self._indicators = {}
         self._pair_index = {}
 
     def pairwise_absdiff(self) -> np.ndarray:
-        """Memoized (q, n, n) array of |x_i - x_j| per dimension (normalized)."""
+        """Memoized (q, n, n) array of |x_i - x_j| per dimension (normalized).
+
+        C-contiguous in that order, so each dimension's (n, n) slice is
+        contiguous (see the module docstring).
+        """
         if self._absdiff is None:
-            self._absdiff = np.abs(self.X01[:, None, :] - self.X01[None, :, :]).transpose(2, 0, 1)
+            X = np.ascontiguousarray(self.X01.T)
+            self._absdiff = np.abs(X[:, :, None] - X[:, None, :])
             self._absdiff.setflags(write=False)
         return self._absdiff
+
+    def standardized(self):
+        """Memoized (z, mean, std): the responses standardized for fitting."""
+        if self._standardized is None:
+            z, mean, std = _standardize(self.y)
+            z.setflags(write=False)
+            self._standardized = (z, mean, std)
+        return self._standardized
 
     def level_indicator(self, s: int) -> np.ndarray:
         """Memoized (n, s) 0/1 matrix with row i's 1 in column levels[i] - 1.
@@ -201,28 +227,50 @@ class TrainingSet:
         return index
 
 
-def _kernel(absdiff, lengthscales, P=None, pairs=None, dlog=None):
-    """The compound correlation, Matern(5/2) over x times P over levels.
+def _matern(t, dlog=False):
+    """The Matern(5/2) factor k(t) = exp(-t) (1 + t + t^2/3), elementwise.
 
-    ``absdiff`` yields one array of |x_d - x'_d| per continuous
-    dimension, in dimension order (normalized units). Each is scaled to
-    t_d = (sqrt(5) / lengthscale_d) |x_d - x'_d| and its Matern factor
-    k(t) = exp(-t) (1 + t + t^2/3) multiplied in; then P, if given, at
-    the level index ``pairs``. Returns a new array of the shape of the
-    differences. A list ``dlog`` receives, per dimension, the array
-    lengthscale_d * d log k / d lengthscale_d = t^2 (1 + t) / (3 + 3t + t^2).
+    ``t`` holds scaled distances sqrt(5) |x_d - x'_d| / lengthscale_d,
+    in a fresh array of any shape, which this overwrites. With ``dlog``
+    returns (k, lengthscale_d * d log k / d lengthscale_d), the latter
+    t^2 (1 + t) / (t^2 + 3t + 3).
     """
-    # map drops each |x_d - x'_d| as soon as it is scaled (a zip would
-    # hold it through the next step), so prediction keeps one query-grid
-    # sized array fewer alive
-    K = 1.0
-    for t in map(operator.mul, SQRT5 / np.asarray(lengthscales), absdiff):
-        K *= np.exp(-t) * (t * t / 3.0 + t + 1.0)
-        if dlog is not None:
-            dlog.append(t * t * (1.0 + t) / (t * t + 3.0 * t + 3.0))
-    if P is not None:
-        K *= P[pairs]
-    return K
+    # In place: every product and sum has the operands of the plain
+    # expression, at most swapped, which leaves each result bit for bit
+    # the same. Fewer t-sized arrays are then allocated and alive, which
+    # matters on prediction grids and large training sets, where each
+    # is fresh memory from the OS and page faults cost more than the
+    # arithmetic.
+    tt = t * t
+    if dlog:
+        dl = 1.0 + t
+        dl *= tt
+        den = 3.0 * t
+        den += tt
+        den += 3.0
+        dl /= den
+    tt /= 3.0
+    tt += t
+    tt += 1.0
+    tt *= np.exp(np.negative(t, out=t), out=t)
+    return (tt, dl) if dlog else tt
+
+
+def _kernel(absdiff, lengthscales, dlog=False):
+    """The Matern(5/2) product over a stack of differences.
+
+    ``absdiff`` is a (q, ...) array of |x_d - x'_d| per continuous
+    dimension (normalized units), C-contiguous. Returns a new array of
+    shape ``absdiff.shape[1:]``: the q factors multiplied in dimension
+    order. With ``dlog`` returns (K, D), D the (q, ...) array of each
+    factor's lengthscale derivative (:func:`_matern`).
+    """
+    scale = (SQRT5 / np.asarray(lengthscales)).reshape((-1,) + (1,) * (absdiff.ndim - 1))
+    t = scale * absdiff
+    if dlog:
+        k, D = _matern(t, dlog=True)
+        return k.prod(axis=0), D
+    return _matern(t).prod(axis=0)
 
 
 def _cholesky(R: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -253,7 +301,7 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     R = _kernel(train.pairwise_absdiff(), config.lengthscales)
     if P is not None:
         R *= np.take(P, train.pair_index(P.shape[0]))
-    R.flat[:: train.n + 1] += config.nugget
+    R.reshape(-1)[:: train.n + 1] += config.nugget
     return R, _cholesky(R)
 
 
@@ -280,15 +328,14 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
     """
     parts = [] if grad else None
     Pv = None if spec is None else corr_values(spec, cat_params, corr_nugget, parts=parts)
-    dlog = [] if grad else None
-    K = _kernel(train.pairwise_absdiff(), lengthscales, dlog=dlog)
     Ppairs = 1.0 if spec is None else np.take(Pv, train.pair_index(spec.s))
     if grad:
+        K, dlog = _kernel(train.pairwise_absdiff(), lengthscales, dlog=True)
         R = K * Ppairs  # the gradient needs K itself
     else:
-        K *= Ppairs
-        R = K
-    R.flat[:: train.n + 1] += nugget
+        R = _kernel(train.pairwise_absdiff(), lengthscales)
+        R *= Ppairs
+    R.reshape(-1)[:: train.n + 1] += nugget
     L = _cholesky(R, overwrite=True)
     n = z.size
     zb = np.empty((n, 2), order="F")
@@ -309,12 +356,12 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
         W = Linv.T @ Linv
         if rr > SIGMA2_FLOOR:  # a floored sigma2 does not move with psi
             alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
-            W -= np.outer(alpha, alpha / sigma2)
+            W -= alpha[:, None] * (alpha / sigma2)
         WK = W * K
         WR = WK * Ppairs
         g = np.empty(lengthscales.size + (0 if spec is None else cat_params.size))
         for d, (ell, dl) in enumerate(zip(lengthscales, dlog)):
-            g[d] = np.vdot(WR, dl) / ell
+            g[d] = np.vdot(WR, dl) / ell  # dl is contiguous (pairwise_absdiff)
         if spec is not None:
             E = train.level_indicator(spec.s)
             g[lengthscales.size:] = corr_grad(spec, cat_params, E.T @ WK @ E, parts,
@@ -344,8 +391,7 @@ def concentrated_nll(
         raise ParamDomainError("lengthscales must be positive")
     if nugget < 0:
         raise ParamDomainError("nugget must be nonnegative")
-    z, _, _ = _standardize(train.y)
-    return _profile(train, z, ls, spec, cat, nugget, corr_nugget)[0]
+    return _profile(train, train.standardized()[0], ls, spec, cat, nugget, corr_nugget)[0]
 
 
 @dataclass(frozen=True)
@@ -419,7 +465,7 @@ class GPFit:
 
 
 def _finalize_fit(train: TrainingSet, config: KernelConfig, start_objectives=()):
-    z, y_mean, y_std = _standardize(train.y)
+    z, y_mean, y_std = train.standardized()
     nll, mu_z, sigma2_z, L, r, _ = _profile(
         train, z, config.lengthscales, config.family_spec, config.cat_params,
         config.nugget, config.corr_nugget,
@@ -466,7 +512,7 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     starts = maximin_starts(lo, hi, options.n_starts, rng)
     maxfun = options.max_evals_per_start or 150 * dim
 
-    z, _, _ = _standardize(train.y)
+    z = train.standardized()[0]
     q = train.q
     # The search runs on u = (log lengthscales, cat_params), the same
     # starts and box. In psi, L-BFGS-B's first, unit-length step can
@@ -540,21 +586,38 @@ def _check_in_bounds(X, bounds):
 def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     """Plug-in best linear unbiased prediction: mu + r0 @ alpha per query row.
 
-    ``X`` is in problem units; ``levels`` may be a scalar or per-row.
+    ``X`` is in problem units, one row of q coordinates per query (a
+    1-D array is one row); ``levels`` is a scalar, or one level per row.
+    Raises ``ParamArityError`` for other shapes and ``ParamDomainError``
+    for non-finite or out-of-bounds coordinates and unknown levels.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    levels = np.broadcast_to(np.asarray(levels, dtype=int), (X.shape[0],))
     train = fit.train
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != train.q:
+        raise ParamArityError(f"X must have shape (rows, {train.q}), got {X.shape}")
+    rows = X.shape[0]
+    levels = np.asarray(levels, dtype=int)
+    if levels.ndim > 1 or levels.size not in (1, rows):
+        raise ParamArityError(f"levels must be a scalar or have {rows} entries, "
+                              f"got shape {levels.shape}")
+    levels = np.broadcast_to(levels, (rows,))
+    if not np.isfinite(X).all():
+        raise ParamDomainError("query coordinates must be finite")
     _check_in_bounds(X, train.bounds)
     X01 = (X - train.bounds[:, 0]) / (train.bounds[:, 1] - train.bounds[:, 0])
     P = fit.config.corr_matrix()
     if P is not None and (np.any(levels < 1) or np.any(levels > P.shape[0])):
         raise ParamDomainError(f"query level outside 1..{P.shape[0]}")
     # one dimension at a time: a (q, rows, n) stack would multiply the
-    # rows x n temporaries by q on large query grids
+    # rows x n temporaries by q on large query grids; map drops each
+    # |x_d - x'_d| as soon as it is scaled (a zip would hold it through
+    # the next step)
     absdiff = (np.abs(X01[:, d, None] - train.X01[None, :, d]) for d in range(train.q))
-    pairs = np.ix_(levels - 1, train.levels - 1)
-    r0 = _kernel(absdiff, fit.config.lengthscales, P, pairs)
+    r0 = 1.0
+    for t in map(operator.mul, SQRT5 / fit.config.lengthscales, absdiff):
+        r0 *= _matern(t)
+    if P is not None:
+        r0 *= P[np.ix_(levels - 1, train.levels - 1)]
     return fit.y_mean + fit.y_std * (fit.mu_z + r0 @ fit.alpha)
 
 

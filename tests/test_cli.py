@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from mixedgp.cli import main
+from mixedgp.cli import THREAD_VARS, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -185,3 +192,75 @@ def test_bench_run_exit_code_reports_failed_fits(capsys, tmp_path, monkeypatch):
                            "--out", str(tmp_path / "out"))
     assert code == 1
     assert "wrote 2 records" in out and "(2 failed fits)" in out
+
+
+
+# A fresh interpreter that runs ``bench run --jobs 2`` through ``main``
+# and reports the thread counts of numpy's and scipy's OpenBLAS: before
+# and after importing mixedgp, after ``main``, and in each pool worker
+# (a stand-in for a study cell writes them).
+BLAS_PROBE = r'''
+import ctypes, json, os, sys
+import numpy, scipy.linalg
+
+def blas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    found = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                found[name] = getter()
+    return found
+
+def report_cell(*cell):
+    with open(os.path.join(sys.argv[2], f"worker-{os.getpid()}.json"), "w") as fh:
+        json.dump(blas_threads(), fh)
+    return []
+
+bare = blas_threads()
+from mixedgp import bench, cli
+imported = blas_threads()
+bench._run_cell = report_cell
+code = cli.main(["bench", "run", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"])
+print(json.dumps({"code": code, "bare": bare, "imported": imported, "after": blas_threads()}))
+'''
+
+
+def probe_blas_threads(tmp_path, **thread_vars):
+    """Run BLAS_PROBE with no thread variable set but ``thread_vars``."""
+    config = tmp_path / "tiny.ini"
+    config.write_text(
+        "[experiment]\nfunctions = ackley_s4\nn_values = 4\nfamilies = EC\n"
+        "replications = 2\nbase_seed = 1\nresolution = 10\ntest_size = 10\ntest_seed = 1\n"
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(thread_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, str(config), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    workers = [json.loads(p.read_text()) for p in out.glob("worker-*.json")]
+    assert report["code"] == 0 and workers
+    if len(report["bare"]) != 2:
+        pytest.skip("numpy's and scipy's OpenBLAS are not both loaded")
+    return report, workers
+
+
+def test_main_pins_blas_to_one_thread_in_process_and_pool_workers(tmp_path):
+    report, workers = probe_blas_threads(tmp_path)
+    assert report["imported"] == report["bare"]  # importing mixedgp pins nothing
+    one = dict.fromkeys(report["bare"], 1)
+    assert report["after"] == one
+    assert all(w == one for w in workers)
+
+
+def test_main_leaves_blas_threads_to_a_user_thread_variable(tmp_path):
+    report, workers = probe_blas_threads(tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert report["after"] == report["bare"]
+    assert all(w == report["bare"] for w in workers)

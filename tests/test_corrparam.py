@@ -333,6 +333,58 @@ def test_corr_grad_matches_differenced_corr_values(label, s, log_nugget, seed):
         1.0, np.abs(numeric).max())
 
 
+def straightforward_corr_values(spec, values, nugget):
+    """corr_values as first written: np.outer, np.eye, fill_diagonal, np.clip."""
+    s = spec.s
+    if spec.family == "EC":
+        P = np.full((s, s), values[0])
+        np.fill_diagonal(P, 1.0)
+        return P
+    if spec.family == "MC":
+        a = np.exp(-values)
+        P = np.outer(a, a)
+        np.fill_diagonal(P, 1.0)
+        return P
+    Q = row_recursion_loading(values, s, spec.rank or s)
+    P = Q @ Q.T
+    if spec.family == "LRC":
+        P = (P + nugget * np.eye(s)) / (1.0 + nugget)
+    P = (P + P.T) / 2.0
+    np.fill_diagonal(P, 1.0)
+    return np.clip(P, -1.0, 1.0, out=P)
+
+
+@pytest.mark.parametrize("label", ["EC", "MC", "LRC2", "LRC3", "UC"])
+@settings(max_examples=25, deadline=None)
+@given(
+    s=st.integers(min_value=2, max_value=7),
+    log_nugget=st.floats(min_value=-8.0, max_value=-2.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_corr_values_and_grad_match_the_straightforward_build_bitwise(label, s, log_nugget,
+                                                                      seed):
+    # corr_values writes diagonals through strided views and clips in
+    # place; corr_grad zeroes the diagonal of its own copy of G, also
+    # when G is Fortran-ordered
+    assume(not label.startswith("LRC") or int(label[3:]) <= s - 1)
+    spec = FamilySpec.parse(label, s)
+    rng = np.random.default_rng(seed)
+    theta = random_params(spec, rng)
+    nugget = 10.0**log_nugget
+    parts = []
+    P = corr_values(spec, theta, nugget, parts=parts)
+    assert np.array_equal(P, straightforward_corr_values(spec, theta, nugget))
+    G = rng.standard_normal((s, s))
+    G += G.T
+    G = np.asfortranarray(G)
+    kept = G.copy()
+    off_diagonal = G.copy(order="C")
+    np.fill_diagonal(off_diagonal, 0.0)
+    g = corr_grad(spec, theta, G, parts, nugget)
+    assert np.array_equal(G, kept)
+    assert np.array_equal(g, corr_grad(spec, theta, off_diagonal, parts, nugget))
+
+
 def test_lrc_rank_before_regularization():
     rng = np.random.default_rng(9)
     for s, r in [(4, 2), (5, 3), (6, 4), (8, 2)]:

@@ -2,16 +2,19 @@
 
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
 from mixedgp.corrparam import FamilySpec, build_correlation, corr_values
-from mixedgp.errors import IllConditionedError, ParamDomainError
+from mixedgp.errors import IllConditionedError, ParamArityError, ParamDomainError
 from mixedgp.gpcore import (
     FitOptions,
     KernelConfig,
@@ -95,10 +98,12 @@ def random_instance(rng, n, q=2, s=3):
 # kernel
 
 def kernel_at(h, lengthscales, P=None, level_pair=(1, 1)):
-    """The one compound kernel at a single displacement h and level pair."""
+    """The compound kernel at a single displacement h and level pair."""
     absdiff = np.abs(np.asarray(h, dtype=float))[:, None]
-    pairs = tuple(np.array([lv - 1]) for lv in level_pair)
-    return float(_kernel(absdiff, lengthscales, P, pairs)[0])
+    K = _kernel(absdiff, lengthscales)
+    if P is not None:
+        K *= P[level_pair[0] - 1, level_pair[1] - 1]
+    return float(K[0])
 
 
 def test_matern_zero_distance_is_one():
@@ -128,6 +133,48 @@ def test_matern_separability(a, b, t1, t2):
 def test_matern_in_unit_interval(h, t):
     v = kernel_at(np.array([h]), np.array([t]))
     assert 0.0 < v <= 1.0
+
+
+def loop_kernel(absdiff, lengthscales):
+    """The Matern(5/2) product one dimension at a time: the reference.
+
+    ``absdiff`` yields one array per dimension. Returns the product
+    (1.0 without dimensions) and the list of each dimension's
+    lengthscale_d * d log k / d lengthscale_d, each written out as the
+    stacked kernel is expected to compute it.
+    """
+    K = 1.0
+    dlog = []
+    for t in map(operator.mul, math.sqrt(5.0) / np.asarray(lengthscales), absdiff):
+        K *= np.exp(-t) * (t * t / 3.0 + t + 1.0)
+        dlog.append(t * t * (1.0 + t) / (t * t + 3.0 * t + 3.0))
+    return K, dlog
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.integers(min_value=0, max_value=4),
+    n=st.integers(min_value=2, max_value=12),
+    m=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_stacked_kernel_matches_the_per_dimension_loop(q, n, m, seed):
+    # to the last bit: on the training set's (q, n, n) stack against
+    # freshly built per-dimension arrays, and on a (q, m) stack such as
+    # kernel_at's against its rows
+    rng = np.random.default_rng(seed)
+    ls = np.exp(rng.uniform(math.log(1e-2), math.log(10.0), size=q))
+    X = rng.random((n, q))
+    train = TrainingSet(X, np.arange(1, n + 1), rng.standard_normal(n))
+    fresh = [np.abs(train.X01[:, d, None] - train.X01[None, :, d]) for d in range(q)]
+    h = rng.random((q, m)) * rng.choice([0.0, 1.0, 5.0], size=(q, m))
+    for absdiff, per_dim in ((train.pairwise_absdiff(), fresh), (h, list(h))):
+        K, D = _kernel(absdiff, ls, dlog=True)
+        ref_K, ref_D = loop_kernel(per_dim, ls)
+        assert K.shape == absdiff.shape[1:] and D.shape == absdiff.shape
+        assert np.array_equal(K, np.broadcast_to(ref_K, K.shape))
+        assert all(np.array_equal(d, r) for d, r in zip(D, ref_D, strict=True))
+        assert np.array_equal(_kernel(absdiff, ls), K)
 
 
 def test_compound_corr_cases():
@@ -176,6 +223,35 @@ def test_training_set_rejects_non_finite_data(where, bad):
 def test_training_set_rejects_non_finite_bounds(bounds):
     with pytest.raises(ParamDomainError, match="bounds must be finite"):
         TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], bounds=bounds)
+
+
+def test_training_set_pairwise_differences_are_contiguous_per_dimension():
+    rng = np.random.default_rng(4)
+    ts = TrainingSet(rng.random((7, 3)), np.ones(7, int), rng.standard_normal(7))
+    absdiff = ts.pairwise_absdiff()
+    assert absdiff.shape == (3, 7, 7) and absdiff.flags.c_contiguous
+    for d in range(3):
+        assert np.array_equal(absdiff[d], np.abs(ts.X01[:, d, None] - ts.X01[None, :, d]))
+
+
+def test_training_set_keeps_its_own_copy_of_the_responses():
+    rng = np.random.default_rng(41)
+    X, levels, y = random_instance(rng, 10, s=2)
+    ts = TrainingSet(X, levels, y)
+    z, mean, std = ts.standardized()
+    kept = (z.copy(), mean, std)
+    spec = FamilySpec("EC", 2)
+    before = fit(ts, spec, QUICK_FIT)
+    y *= -3.0
+    y[0] = 100.0
+    z_after, mean_after, std_after = ts.standardized()
+    assert np.array_equal(z_after, kept[0]) and (mean_after, std_after) == kept[1:]
+    assert not (ts.y.flags.writeable or z_after.flags.writeable)
+    again = fit(ts, spec, QUICK_FIT)
+    assert again.neg_log_lik == before.neg_log_lik
+    assert np.array_equal(again.config.lengthscales, before.config.lengthscales)
+    assert np.array_equal(again.config.cat_params, before.config.cat_params)
+    assert again.y_mean == before.y_mean and again.y_std == before.y_std
 
 
 def test_training_set_normalizes_with_bounds():
@@ -351,6 +427,77 @@ def test_profile_gradient_matches_central_differences(family, s, n, log_nugget, 
     assert gradient_gap(nll, psi, grad, scale) <= 1e-6
 
 
+def reference_profile(train, z, lengthscales, spec, cat_params, nugget, corr_nugget):
+    """_profile(grad=True)'s (value, gradient), written out step by step;
+    None where R does not factor.
+
+    The kernel comes from :func:`loop_kernel` on one freshly allocated
+    array per dimension; P is gathered with np.ix_, the nugget added
+    through R.flat, the level sums formed with a fresh indicator and
+    the rank-one term with np.outer. Every floating-point operation is
+    the one ``_profile`` is meant to perform, in the same order.
+    """
+    q, n = train.q, train.n
+    parts = []
+    P = None if spec is None else corr_values(spec, cat_params, corr_nugget, parts=parts)
+    fresh = [np.abs(train.X01[:, d, None] - train.X01[None, :, d]) for d in range(q)]
+    K, dlog = loop_kernel(fresh, lengthscales)
+    K = np.broadcast_to(K, (n, n))
+    Ppairs = 1.0 if spec is None else P[np.ix_(train.levels - 1, train.levels - 1)]
+    R = K * Ppairs
+    R.flat[:: n + 1] += nugget
+    L, info = dpotrf(R, lower=1)
+    if info != 0:
+        return None
+    zb = np.asfortranarray(np.column_stack([z, np.ones(n)]))
+    a, b = dtrsm(1.0, L, zb, lower=1).T
+    mu = float(b @ a) / float(b @ b)
+    r = a - mu * b
+    rr = float(r @ r) / n
+    sigma2 = max(rr, gpcore.SIGMA2_FLOOR)
+    value = n * math.log(sigma2) + 2.0 * float(np.log(L.diagonal()).sum())
+    Linv = dtrtri(L, lower=1)[0]
+    W = Linv.T @ Linv
+    if rr > gpcore.SIGMA2_FLOOR:
+        alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
+        W -= np.outer(alpha, alpha / sigma2)
+    WK = W * K
+    WR = WK * Ppairs
+    grad = [np.vdot(WR, dl) / ell for ell, dl in zip(lengthscales, dlog)]
+    if spec is not None:
+        E = (train.levels[:, None] == np.arange(1, spec.s + 1)).astype(float)
+        grad.extend(corrparam.corr_grad(spec, cat_params, E.T @ WK @ E, parts, corr_nugget))
+    return value, np.array(grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["EC", "MC", "LRC", "UC", None]),
+    s=st.integers(min_value=3, max_value=6),
+    q=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=6, max_value=32),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, seed):
+    # the stacked kernel on the memoized (C-contiguous) differences must
+    # give the value and gradient of the per-dimension computation to
+    # the last bit; strided per-dimension slices would round differently
+    rng = np.random.default_rng(seed)
+    X, levels, y = random_instance(rng, n, q=q, s=s)
+    ts = TrainingSet(X, levels, y, n_levels=s)
+    rank = min(3, s - 1) if family == "LRC" else None
+    spec = None if family is None else FamilySpec(family, s, rank)
+    lo, hi = psi_box(ts.q, spec, FitOptions())
+    psi = rng.uniform(lo, hi)
+    z = ts.standardized()[0]
+    nugget = 1e-6
+    reference = reference_profile(ts, z, psi[:q], spec, psi[q:], nugget, 1e-8)
+    assume(reference is not None)
+    out = _profile(ts, z, psi[:q], spec, psi[q:], nugget, 1e-8, grad=True)
+    assert out[0] == reference[0]
+    assert np.array_equal(out[5], reference[1])
+
+
 def test_profile_value_same_with_and_without_gradient():
     rng = np.random.default_rng(3)
     X, levels, y = random_instance(rng, 8)
@@ -448,7 +595,7 @@ def test_fit_recovers_ec_parameter():
         d, _ = cslhd(20, 2, 1, 5000 + rep)
         P = build_correlation(FamilySpec("EC", 2), [0.8]).values
         points = TrainingSet(d.X, d.levels, np.zeros(40), n_levels=2)
-        R = _kernel(points.pairwise_absdiff(), np.array([0.3]), P.ravel(), points.pair_index(2))
+        R = _kernel(points.pairwise_absdiff(), np.array([0.3])) * np.take(P, points.pair_index(2))
         R[np.diag_indices_from(R)] += 1e-10
         y = np.linalg.cholesky(R) @ rng.standard_normal(40)
         ts = TrainingSet(d.X, d.levels, y, n_levels=2)
@@ -620,6 +767,43 @@ def test_prediction_equivariance_under_response_affine_maps():
     # which a gradient-based search may carry into the last bits of psi
     assert np.allclose(base.config.lengthscales, scaled.config.lengthscales,
                        rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(
+    "X,levels,error",
+    [
+        ([[0.2], [0.7]], 1, ParamArityError),  # one column for a q = 2 model
+        ([[0.2, 0.3, 0.4]], 1, ParamArityError),
+        (np.full((2, 2, 2), 0.5), 1, ParamArityError),
+        ([[0.2, np.nan], [0.5, 0.5]], 1, ParamDomainError),
+        ([[np.inf, 0.2]], 2, ParamDomainError),
+        ([[0.2, 0.3], [0.4, 0.5], [0.6, 0.7]], [1, 2], ParamArityError),
+        ([[0.2, 0.3], [0.4, 0.5]], [[1, 2]], ParamArityError),
+    ],
+)
+def test_predict_rejects_malformed_queries(X, levels, error):
+    rng = np.random.default_rng(6)
+    X_train, train_levels, y = random_instance(rng, 8, s=2)
+    gp = refit_config(
+        TrainingSet(X_train, train_levels, y),
+        KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.5])),
+    )
+    with pytest.raises(error):
+        predict_batch(gp, X, levels)
+
+
+def test_predict_accepts_one_level_or_one_per_row():
+    rng = np.random.default_rng(6)
+    X_train, train_levels, y = random_instance(rng, 8, s=2)
+    gp = refit_config(
+        TrainingSet(X_train, train_levels, y),
+        KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.5])),
+    )
+    X = rng.random((3, 2))
+    each = predict_batch(gp, X, [2, 2, 2])
+    assert np.array_equal(predict_batch(gp, X, 2), each)
+    assert np.array_equal(predict_batch(gp, X, [2]), each)
+    assert np.array_equal(predict_batch(gp, X[0], 2), each[:1])
 
 
 def test_predict_outside_bounds_rejected():
