@@ -12,7 +12,7 @@ design
 testbed
     Sliced continuous benchmark functions with optional upended slices.
 bench
-    Simulation-study harness with CSV outputs and a disk cache.
+    Simulation-study harness with CSV outputs.
 """
 
 from .corrparam import (

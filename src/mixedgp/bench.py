@@ -6,9 +6,9 @@ every family sees the identical design), the function is evaluated,
 every family is fitted, and two criteria are recorded: the root of the
 summed squared gaps between fitted and empirical cross-correlations
 over the lower triangle, and Q^2 on a fixed test design repeated over
-all levels. Empirical matrices and test sets are computed once per
-function and cached on disk; each cache file stores the parameters it
-was generated from and is rebuilt when they do not match.
+all levels. The empirical matrix and the test set of each function are
+computed once per process, keyed by the function id and their
+parameters, and are read-only; a study writes only its two CSV files.
 """
 
 import concurrent.futures
@@ -16,7 +16,6 @@ import configparser
 import csv
 import operator
 import os
-import tempfile
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -85,12 +84,18 @@ class TestSet:
     """A shared continuous design replicated over all levels.
 
     ``X`` holds problem-unit coordinates (identical for every level);
-    ``Y[i]`` holds slice i+1's true values.
+    ``Y[i]`` holds slice i+1's true values. Both are read-only copies.
     """
 
     X: np.ndarray
     Y: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        for name in ("X", "Y"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def size(self) -> int:
@@ -186,76 +191,48 @@ def applicable_families(labels, s: int) -> list[FamilySpec]:
 
 
 # ---------------------------------------------------------------------------
-# disk cache for empirical matrices and test sets
+# the fixed inputs every fit of a function is scored against, once per process
 
-def _atomic_savez(path: str, **arrays) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+_MEMO: dict = {}
 
 
-# Bump when a change to the testbed or to these files alters what a
-# cache file holds for the same parameters, so older files are rebuilt.
-CACHE_VERSION = 1
+def _memoized(key, compute):
+    if key not in _MEMO:
+        _MEMO[key] = compute()
+    return _MEMO[key]
 
 
-def _fingerprint(fn: SlicedFunction, **params) -> dict:
-    """What a cache file was generated from: format, function, parameters."""
-    return dict(cache_version=CACHE_VERSION, fid=fn.fid,
-                upend_rate=testbed_mod.UPEND_RATE, **params)
+def cached_empirical_corr(fn: SlicedFunction, resolution: int, cache_dir=None) -> CrossCorrEstimate:
+    """The empirical cross-correlations of ``fn``, computed once per process.
+
+    Keyed by the function id and the resolution; later calls return the
+    same object, whose matrix is read-only. ``cache_dir`` is accepted and
+    ignored: the benchmark harness in ``perfbench/`` still passes it.
+    """
+    return _memoized(("emp", fn.fid, resolution),
+                     lambda: testbed_mod.empirical_cross_corr(fn, resolution))
 
 
-def _read_cache(path: str, fingerprint: dict, names: tuple[str, ...]):
-    """The arrays ``names`` of a cache file whose stored fingerprint
-    equals ``fingerprint``; None for a missing, stale or incomplete file."""
-    if not os.path.exists(path):
-        return None
-    with np.load(path) as data:
-        if not set(fingerprint).union(names) <= set(data.files):
-            return None
-        if any(data[key].item() != value for key, value in fingerprint.items()):
-            return None
-        return [data[name] for name in names]
+def cached_test_set(fn: SlicedFunction, size: int, seed: int, cache_dir=None) -> TestSet:
+    """The test set of ``fn``, computed once per process.
 
-
-def cached_empirical_corr(fn: SlicedFunction, resolution: int, cache_dir: str) -> CrossCorrEstimate:
-    path = os.path.join(cache_dir, f"emp_{fn.fid}_res{resolution}.npz")
-    fingerprint = _fingerprint(fn, resolution=resolution)
-    arrays = _read_cache(path, fingerprint, ("matrix",))
-    if arrays is not None:
-        return CrossCorrEstimate(arrays[0], resolution)
-    est = testbed_mod.empirical_cross_corr(fn, resolution)
-    _atomic_savez(path, matrix=np.asarray(est.matrix), **fingerprint)
-    return est
-
-
-def cached_test_set(fn: SlicedFunction, size: int, seed: int, cache_dir: str) -> TestSet:
-    path = os.path.join(cache_dir, f"test_{fn.fid}_size{size}_seed{seed}.npz")
-    fingerprint = _fingerprint(fn, size=size, seed=seed)
-    arrays = _read_cache(path, fingerprint, ("X", "Y"))
-    if arrays is not None:
-        return TestSet(*arrays, seed)
-    ts = make_test_set(fn, size, seed)
-    _atomic_savez(path, X=ts.X, Y=ts.Y, **fingerprint)
-    return ts
+    Keyed by the function id, the size and the seed; later calls return
+    the same object, whose arrays are read-only. ``cache_dir`` is
+    accepted and ignored: the benchmark harness in ``perfbench/`` still
+    passes it.
+    """
+    return _memoized(("test", fn.fid, size, seed), lambda: make_test_set(fn, size, seed))
 
 
 # ---------------------------------------------------------------------------
 # the experiment itself
 
-def _run_cell(cfg: ExperimentConfig, cache_dir: str, fid: str, n: int, rep: int) -> list[BenchRecord]:
+def _run_cell(cfg: ExperimentConfig, fid: str, n: int, rep: int) -> list[BenchRecord]:
     """All family fits for one (function, n, replication) cell."""
     fn = testbed_mod.get_testbed_function(fid)
     s = fn.s
-    emp = cached_empirical_corr(fn, cfg.resolution, cache_dir)
-    test = cached_test_set(fn, cfg.test_size, cfg.test_seed, cache_dir)
+    emp = cached_empirical_corr(fn, cfg.resolution)
+    test = cached_test_set(fn, cfg.test_size, cfg.test_seed)
 
     d, _ = design_mod.cslhd(n, s, fn.base.d - 1, cfg.base_seed + rep)
     X = design_mod.to_problem_coords(d.X, fn.rest_bounds)
@@ -307,17 +284,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[B
     for fid in cfg.functions:
         testbed_mod.parse_fid(fid)
     os.makedirs(out_dir, exist_ok=True)
-    cache_dir = os.path.join(out_dir, "cache")
-    os.makedirs(cache_dir, exist_ok=True)
 
-    # warm the caches serially so workers only read
+    # fill the memo serially; forked workers inherit it, while spawned
+    # ones compute their own copy of the same numbers
     for fid in cfg.functions:
         fn = testbed_mod.get_testbed_function(fid)
-        cached_empirical_corr(fn, cfg.resolution, cache_dir)
-        cached_test_set(fn, cfg.test_size, cfg.test_seed, cache_dir)
+        cached_empirical_corr(fn, cfg.resolution)
+        cached_test_set(fn, cfg.test_size, cfg.test_seed)
 
     cells = [
-        (cfg, cache_dir, fid, n, rep)
+        (cfg, fid, n, rep)
         for fid in cfg.functions
         for n in cfg.n_values
         for rep in range(cfg.replications)

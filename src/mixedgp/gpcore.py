@@ -65,6 +65,7 @@ from .corrparam import (
     corr_values,
     param_count,
 )
+from .design import to_unit_coords
 from .errors import FitFailureError, IllConditionedError, ParamArityError, ParamDomainError
 
 SQRT5 = math.sqrt(5.0)
@@ -136,12 +137,13 @@ class TrainingSet:
     """
 
     def __init__(self, X, levels, y, bounds=None, n_levels=None):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        levels = np.asarray(levels, dtype=int).ravel()
-        # a private read-only copy: the memoized standardization below
-        # must not change when the caller's array does
+        # private read-only copies: the memoized quantities below, and
+        # what save_fit writes, must not change when the caller's arrays do
+        X = np.array(X, dtype=float, ndmin=2)
+        levels = np.array(levels, dtype=int).ravel()
         y = np.array(y, dtype=float).ravel()
-        y.setflags(write=False)
+        for a in (X, levels, y):
+            a.setflags(write=False)
         n, q = X.shape
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ParamDomainError("training coordinates and responses must be finite")
@@ -153,7 +155,8 @@ class TrainingSet:
             raise ParamDomainError("levels are 1-based positive integers")
         if bounds is None:
             bounds = np.tile((0.0, 1.0), (q, 1)).astype(float)
-        bounds = np.asarray(bounds, dtype=float).reshape(q, 2)
+        bounds = np.array(bounds, dtype=float).reshape(q, 2)
+        bounds.setflags(write=False)
         if not np.isfinite(bounds).all():
             raise ParamDomainError("bounds must be finite")
         if np.any(bounds[:, 0] >= bounds[:, 1]):
@@ -174,7 +177,7 @@ class TrainingSet:
         self.n_levels = int(n_levels) if n_levels is not None else int(levels.max())
         if self.n_levels < levels.max():
             raise ParamDomainError("n_levels smaller than an observed level")
-        self.X01 = (X - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
+        self.X01 = to_unit_coords(X, bounds)
         self._absdiff = None
         self._standardized = None
         self._indicators = {}
@@ -604,7 +607,7 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ParamDomainError("query coordinates must be finite")
     _check_in_bounds(X, train.bounds)
-    X01 = (X - train.bounds[:, 0]) / (train.bounds[:, 1] - train.bounds[:, 0])
+    X01 = to_unit_coords(X, train.bounds)
     P = fit.config.corr_matrix()
     if P is not None and (np.any(levels < 1) or np.any(levels > P.shape[0])):
         raise ParamDomainError(f"query level outside 1..{P.shape[0]}")

@@ -1,5 +1,7 @@
 """Tests for the experiment harness, metrics and configuration files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from mixedgp.bench import (
     ExperimentConfig,
-    CACHE_VERSION,
     applicable_families,
     cached_empirical_corr,
     cached_test_set,
@@ -30,8 +31,9 @@ from mixedgp.errors import (
     RankRangeError,
 )
 from mixedgp.gpcore import FitOptions, KernelConfig, TrainingSet, refit_config
-from mixedgp.testbed import get_testbed_function
+from mixedgp.testbed import empirical_cross_corr, get_testbed_function
 
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 QUICK_FIT = dict(n_starts=4, max_evals_per_start=300)
 
 
@@ -310,51 +312,39 @@ def test_ec_error_bounded_below_on_upended_function(tmp_path):
         resolution=100,
     )
     records = run_experiment(cfg, str(tmp_path / "out"))
-    emp = cached_empirical_corr(
-        get_testbed_function("ackley_s4_up13"), 100, str(tmp_path / "out" / "cache")
-    )
+    emp = cached_empirical_corr(get_testbed_function("ackley_s4_up13"), 100)
     tri = emp.matrix[np.triu_indices(4, 1)]
     floor = np.sqrt((tri[tri < 0] ** 2).sum())
     for r in records:
         assert r.rmse_corr >= floor - 1e-12
 
 
-@pytest.mark.parametrize(
-    "stale",
-    [
-        {},  # a file from before fingerprints: no generating parameters
-        {"cache_version": CACHE_VERSION - 1},
-        {"upend_rate": 0.25},
-        {"fid": "ackley_s6"},
-    ],
-)
-def test_stale_cache_files_are_rebuilt(tmp_path, stale):
-    fn = get_testbed_function("ackley_s4_up13")
-    cache = str(tmp_path / "cache")
-    emp = cached_empirical_corr(fn, 12, cache)
-    test = cached_test_set(fn, 5, 3, cache)
-    for path, arrays in (
-        (tmp_path / "cache" / f"emp_{fn.fid}_res12.npz", {"matrix": np.zeros((4, 4))}),
-        (tmp_path / "cache" / f"test_{fn.fid}_size5_seed3.npz",
-         {"X": np.zeros((5, 2)), "Y": np.zeros((4, 5))}),
-    ):
-        with np.load(path) as data:
-            planted = {key: data[key] for key in data.files}
-        planted.update(arrays)
-        if stale:
-            planted.update(stale)
-        else:
-            planted = arrays
-        np.savez(path, **planted)
-    again = cached_empirical_corr(fn, 12, cache)
-    assert np.array_equal(again.matrix, emp.matrix, equal_nan=True)
-    test_again = cached_test_set(fn, 5, 3, cache)
-    assert np.array_equal(test_again.X, test.X) and np.array_equal(test_again.Y, test.Y)
-    # the rebuilt files are current and served as they are
-    with np.load(tmp_path / "cache" / f"emp_{fn.fid}_res12.npz") as data:
-        assert data["cache_version"].item() == CACHE_VERSION
-    assert np.array_equal(cached_empirical_corr(fn, 12, cache).matrix, emp.matrix,
-                          equal_nan=True)
+def test_run_experiment_writes_only_its_two_csv_files(tmp_path):
+    run_experiment(tiny_config(), str(tmp_path / "out"))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["records.csv",
+                                                                    "summary.csv"]
+
+
+def test_cached_inputs_are_computed_once_per_process():
+    fn = get_testbed_function("alpine1_s4_up13")
+    emp = cached_empirical_corr(fn, 12)
+    assert cached_empirical_corr(fn, 12, "ignored") is emp
+    assert cached_empirical_corr(fn, 13) is not emp
+    assert np.array_equal(emp.matrix, empirical_cross_corr(fn, 12).matrix, equal_nan=True)
+    test = cached_test_set(fn, 5, 3)
+    assert cached_test_set(fn, 5, 3, "ignored") is test
+    assert cached_test_set(fn, 5, 4) is not test
+    fresh = make_test_set(fn, 5, 3)
+    assert np.array_equal(test.X, fresh.X) and np.array_equal(test.Y, fresh.Y)
+
+
+def test_cached_inputs_are_read_only():
+    fn = get_testbed_function("alpine1_s4_up13")
+    emp = cached_empirical_corr(fn, 12)
+    test = cached_test_set(fn, 5, 3)
+    for array in (emp.matrix, test.X, test.Y):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_summarize_medians_and_failures():
@@ -438,6 +428,11 @@ def test_validate_config_reports_issues(tmp_path, mutation, needle):
     assert issues and any(needle in issue for issue in issues)
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_configs_are_valid(path):
+    assert validate_config(str(path)) == []
 
 
 def test_validate_config_missing_file(tmp_path):

@@ -832,6 +832,27 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.neg_log_lik == gp.neg_log_lik
 
 
+def test_reloaded_model_ignores_later_changes_to_the_callers_arrays(tmp_path):
+    rng = np.random.default_rng(19)
+    X, levels, y = random_instance(rng, 8, s=2)
+    levels = np.asarray(levels)
+    bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
+    ts = TrainingSet(X, levels, y, bounds)
+    for mine, theirs in ((ts.X, X), (ts.levels, levels), (ts.bounds, bounds)):
+        assert not (np.shares_memory(mine, theirs) or mine.flags.writeable)
+    config = KernelConfig(np.array([0.3, 0.4]), FamilySpec("EC", 2), np.array([0.6]))
+    gp = refit_config(ts, config)
+    X[:, 0] = 0.5
+    levels[:] = 3 - levels  # swap levels 1 and 2
+    bounds[:, 1] = 2.0
+    path = tmp_path / "model.json"
+    save_fit(gp, path)
+    loaded = load_fit(path)
+    grid = rng.random((20, 2))
+    for lv in (1, 2):
+        assert np.array_equal(predict_batch(loaded, grid, lv), predict_batch(gp, grid, lv))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     label=st.sampled_from(["EC", "MC", "LRC", "UC", None]),
