@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -811,6 +812,98 @@ def test_predict_outside_bounds_rejected():
     gp = refit_config(ts, KernelConfig(np.array([0.5])))
     with pytest.raises(ParamDomainError):
         predict_batch(gp, np.array([[1.5]]), 1)
+
+
+def test_non_integral_levels_rejected():
+    rng = np.random.default_rng(6)
+    X_train, train_levels, y = random_instance(rng, 8, s=2)
+    for bad in (train_levels + 0.5, np.where(train_levels == 2, np.nan, 1.0)):
+        with pytest.raises(ParamDomainError, match="integers"):
+            TrainingSet(X_train, bad, y)
+    ts = TrainingSet(X_train, train_levels.astype(float), y)  # 2.0 is level 2
+    assert ts.levels.dtype.kind == "i" and np.array_equal(ts.levels, train_levels)
+    gp = refit_config(
+        ts, KernelConfig(np.array([0.5, 0.5]), FamilySpec("EC", 2), np.array([0.5]))
+    )
+    X = rng.random((2, 2))
+    assert np.array_equal(predict_batch(gp, X, 2.0), predict_batch(gp, X, 2))
+    assert np.array_equal(predict_batch(gp, X, [1.0, 2.0]), predict_batch(gp, X, [1, 2]))
+    for bad in (1.9, [1, 1.5], np.nan, np.inf):
+        with pytest.raises(ParamDomainError, match="integers"):
+            predict_batch(gp, X, bad)
+
+
+def test_continuous_only_model_rejects_levels_outside_the_training_set():
+    rng = np.random.default_rng(6)
+    X_train, train_levels, y = random_instance(rng, 8, s=2)
+    gp = refit_config(TrainingSet(X_train, train_levels, y, n_levels=3),
+                      KernelConfig(np.array([0.5, 0.5])))
+    X = rng.random((2, 2))
+    each = predict_batch(gp, X, 1)
+    for lv in (2, 3, [3, 1]):
+        assert np.array_equal(predict_batch(gp, X, lv), each)
+    for lv in (0, 4, -3, 99, [1, 4]):
+        with pytest.raises(ParamDomainError, match="outside 1..3"):
+            predict_batch(gp, X, lv)
+
+
+def reference_predict(fit, X, levels):
+    """predict_batch as one (rows, n) array per step, without row blocks."""
+    train = fit.train
+    X01 = gpcore.to_unit_coords(X, train.bounds)
+    levels = np.broadcast_to(np.asarray(levels, dtype=int), (X.shape[0],))
+    absdiff = (np.abs(X01[:, d, None] - train.X01[None, :, d]) for d in range(train.q))
+    r0 = 1.0
+    for t in map(operator.mul, gpcore.SQRT5 / fit.config.lengthscales, absdiff):
+        r0 *= gpcore._matern(t)
+    P = fit.config.corr_matrix()
+    if P is not None:
+        r0 *= P[np.ix_(levels - 1, train.levels - 1)]
+    return fit.y_mean + fit.y_std * (fit.mu_z + r0 @ fit.alpha)
+
+
+@pytest.mark.parametrize(
+    "label, q",
+    # without continuous inputs only a family model predicts
+    [(label, q) for label in ("EC", "MC", "UC", "LRC", None) for q in (1, 2, 3)] + [("EC", 0)],
+)
+def test_predict_batch_blocks_match_one_array_reference(label, q):
+    s, n = 4, 24
+    rng = np.random.default_rng(31 + q)
+    spec = None if label is None else FamilySpec(label, s, 2 if label == "LRC" else None)
+    if q == 0:  # one point per level
+        X, levels, y = np.empty((s, 0)), np.arange(1, s + 1), rng.standard_normal(s)
+    else:
+        X, levels, y = random_instance(rng, n, q=q, s=s)
+    train = TrainingSet(X, levels, y, n_levels=s)
+    lo, hi = psi_box(q, spec, FitOptions())
+    config = KernelConfig(np.exp(rng.uniform(np.log(0.1), np.log(2.0), q)), spec,
+                          None if spec is None else rng.uniform(lo[q:], hi[q:]))
+    gp = refit_config(train, config)
+    block = max(8, gpcore._BLOCK_ELEMENTS // train.n // 8 * 8)
+    for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5):
+        Xq = rng.random((rows, q))
+        for lv in (s, rng.integers(1, s + 1, size=rows)):
+            assert np.array_equal(predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv))
+
+
+def test_predict_batch_memory_is_a_few_blocks():
+    # O(block * n), not O(rows * n): one (rows, n) array here is 19 MB
+    rng = np.random.default_rng(8)
+    X_train, levels, y = random_instance(rng, 24, s=3)
+    gp = refit_config(TrainingSet(X_train, levels, y),
+                      KernelConfig(np.array([0.3, 0.6]), FamilySpec("EC", 3), np.array([0.4])))
+    X = rng.random((100_000, 2))
+    tracemalloc.start()
+    try:
+        for lv in (2, rng.integers(1, 4, size=len(X))):
+            tracemalloc.reset_peak()
+            out = predict_batch(gp, X, lv)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert out.shape == (len(X),)
+            assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
