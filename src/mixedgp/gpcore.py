@@ -55,6 +55,17 @@ None of this changes a floating-point operation or its order, so the
 searches, and every fitted number, are those of the straightforward
 evaluation.
 
+Each search is scipy's L-BFGS-B, driven directly (``_lbfgsb``): the
+reverse-communication loop of ``scipy.optimize.minimize(...,
+method="L-BFGS-B")`` on the same compiled ``setulb``, with minimize's
+defaults (10 corrections, ftol 2.2e-9, pgtol 1e-5, 20 line-search
+steps, 15000 iterations), its ``maxfun`` check after each iteration and
+its skip of a point equal to the last one evaluated. So every search
+takes minimize's path, evaluation for evaluation and bit for bit, but
+without minimize's per-evaluation wrapper objects and copies, and the
+start, which ``fit`` evaluates to record its objective, is evaluated
+once rather than once more by minimize.
+
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
 are standardized for fitting and de-standardized for prediction.
@@ -68,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dtrtri
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .corrparam import (
     FamilySpec,
@@ -93,6 +104,15 @@ _FAILED_OBJ = 1e30
 # about a million pages from the OS and run 1.5 times slower (2-vCPU
 # x86-64 VM, 2 MB L2 per core); this many, about a hundred.
 _BLOCK_ELEMENTS = 1 << 15
+
+# scipy.optimize.minimize's L-BFGS-B defaults: corrections kept, factr
+# (ftol / machine epsilon), projected-gradient tolerance, line-search
+# steps per iteration and iterations
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 15000
 
 
 @dataclass(frozen=True)
@@ -137,16 +157,17 @@ class KernelConfig:
         return corr_values(self.family_spec, self.cat_params, self.corr_nugget)
 
 
-def _as_levels(levels) -> np.ndarray:
+def _as_levels(levels, what: str = "levels") -> np.ndarray:
     """A new int array of ``levels``; ``ParamDomainError`` unless integral.
 
-    Integral floats such as 2.0 are accepted; 1.9 is no level.
+    Integral floats such as 2.0 are accepted; 1.9 is no level. ``what``
+    names the argument in the error.
     """
     raw = np.asarray(levels)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
         ints = raw.astype(int)
     if raw.dtype.kind not in "biu" and not np.array_equal(ints, raw):
-        raise ParamDomainError("levels must be integers")
+        raise ParamDomainError(f"{what} must be integers")
     return ints
 
 
@@ -165,7 +186,9 @@ class TrainingSet:
         Per-dimension (lower, upper); defaults to the unit box. Used to
         normalize coordinates before kernel evaluation.
     n_levels : int, optional
-        Number of levels s; defaults to max(levels).
+        Number of levels s; defaults to max(levels). An integral float
+        such as 4.0 is accepted; a non-integral or non-finite one raises
+        ``ParamDomainError``.
     """
 
     def __init__(self, X, levels, y, bounds=None, n_levels=None):
@@ -206,7 +229,10 @@ class TrainingSet:
         self.bounds = bounds
         self.n = n
         self.q = q
-        self.n_levels = int(n_levels) if n_levels is not None else int(levels.max())
+        if n_levels is None:
+            self.n_levels = int(levels.max())
+        else:
+            self.n_levels = _as_levels(n_levels, "n_levels").item()
         if self.n_levels < levels.max():
             raise ParamDomainError("n_levels smaller than an observed level")
         self.X01 = to_unit_coords(X, bounds)
@@ -436,8 +462,11 @@ class FitOptions:
     ``n_starts`` local searches begin from a maximin-spread sample of
     the parameter box; each is L-BFGS-B on the box with the analytic
     gradient, stopping on scipy's default tolerances.
-    ``max_evals_per_start`` caps the likelihood evaluations (value and
-    gradient together) of one search; None means 150 per parameter.
+    ``max_evals_per_start`` is L-BFGS-B's ``maxfun``: the budget of
+    likelihood evaluations (value and gradient together) of one search,
+    the start's included; None means 150 per parameter. It is not a hard
+    cap: as in scipy, the count is checked only after each iteration, so
+    a search can overrun it by one line search, up to 20 evaluations.
     """
 
     n_starts: int = 10
@@ -472,6 +501,58 @@ def maximin_starts(lo, hi, k: int, rng) -> np.ndarray:
     return lo + cand[chosen] * (hi - lo)
 
 
+def _lbfgsb(objective, u0, first, box, maxfun: int):
+    """L-BFGS-B on a finite box, step for step as scipy's ``minimize``.
+
+    ``objective(u)`` returns (f, g), and ``first`` is its value at
+    ``u0``. This is the reverse-communication loop of
+    ``scipy.optimize.minimize(objective, u0, jac=True, method="L-BFGS-B",
+    bounds=box, options={"maxfun": maxfun})`` on the same compiled
+    ``setulb`` (Byrd, Lu, Nocedal & Zhu 1995), with its defaults and its
+    ``nfev > maxfun`` check after each iteration. As there, a point equal
+    to the last one evaluated is not evaluated again, so the path, the
+    evaluation count and the result are minimize's to the last bit.
+    Unlike there, the start is evaluated once, by the caller.
+
+    Returns (f, u, nfev, nit, task): the last value handed to ``setulb``
+    (after an ``ABNORMAL`` line-search exit, that of the last trial
+    point, not of ``u``, as minimize reports it), the final point, the
+    number of evaluations (the start's included), the iterations and
+    ``setulb``'s final (task, reason) code pair.
+    """
+    n = u0.size
+    lo, hi = np.ascontiguousarray(box.T, dtype=float)
+    x = np.clip(u0, lo, hi)
+    if not np.array_equal(x, u0):  # minimize starts from the clipped point
+        first = objective(x.copy())
+    last, (f_last, g_last) = x.copy(), first
+    f, g = 0.0, np.zeros(n)
+    nbd = np.full(n, 2, np.int32)  # both bounds finite
+    wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    nfev, nit = 1, 0
+    while True:
+        setulb(_LBFGSB_M, x, lo, hi, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa,
+               task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:  # FG: evaluate at x
+            if not np.array_equal(x, last):
+                last = x.copy()
+                f_last, g_last = objective(last)
+                nfev += 1
+            # setulb may write into g; the kept gradient must stay as evaluated
+            f, g = f_last, g_last.copy()
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= _LBFGSB_MAXITER:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            return f, x, nfev, nit, (int(task[0]), int(task[1]))
+
+
 @dataclass(frozen=True)
 class GPFit:
     """A fitted model: optimized kernel plus cached solves.
@@ -499,7 +580,15 @@ class GPFit:
         return (self.mu_hat - self.y_mean) / self.y_std
 
 
+def _check_family_levels(train: TrainingSet, spec: FamilySpec | None) -> None:
+    if spec is not None and spec.s < train.n_levels:
+        raise ParamDomainError(
+            f"{spec.label} has {spec.s} levels but the training set has {train.n_levels}"
+        )
+
+
 def _finalize_fit(train: TrainingSet, config: KernelConfig, start_objectives=()):
+    _check_family_levels(train, config.family_spec)
     z, y_mean, y_std = train.standardized()
     nll, mu_z, sigma2_z, L, r, _ = _profile(
         train, z, config.lengthscales, config.family_spec, config.cat_params,
@@ -527,13 +616,19 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     gradient of the profiled likelihood, from maximin-spread start
     points (searching log lengthscales), keeps the best objective (ties
     resolved toward the lowest start index) and returns the finished
-    model. Deterministic for a fixed seed.
+    model. Deterministic for a fixed seed. Each search is scipy's
+    L-BFGS-B routine with ``minimize``'s defaults, driven directly (see
+    the module docstring); each start is evaluated once, and its value
+    is both the start's entry of ``start_objectives`` and the search's
+    first evaluation.
 
     If fewer than two levels are observed the categorical parameters
     are unidentifiable; a warning is issued and a continuous-only model
-    is fitted instead.
+    is fitted instead. Raises ``ParamDomainError`` when ``spec`` has
+    fewer levels than the training set's ``n_levels``.
     """
     options = options or FitOptions()
+    _check_family_levels(train, spec)
     if spec is not None and np.unique(train.levels).size < 2:
         warnings.warn(
             "only one categorical level observed; fitting a continuous-only model",
@@ -573,18 +668,11 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     diagnostics = []
     start_objectives = []
     for idx, start in enumerate(starts):
-        f0 = objective(start)[0]
+        first = objective(start)
+        f0 = first[0]
         start_objectives.append(f0)
         try:
-            res = minimize(
-                objective,
-                start,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=box,
-                options={"maxfun": maxfun},
-            )
-            val, u = float(res.fun), res.x
+            val, u = _lbfgsb(objective, start, first, box, maxfun)[:2]
         except Exception as exc:  # keep going; other starts may succeed
             diagnostics.append((idx, f"exception: {exc}"))
             val, u = np.inf, None
@@ -609,7 +697,11 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
 
 
 def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
-    """Build a GPFit from known hyperparameters without optimizing."""
+    """Build a GPFit from known hyperparameters without optimizing.
+
+    Raises ``ParamDomainError`` when the family has fewer levels than the
+    training set's ``n_levels``.
+    """
     return _finalize_fit(train, config)
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.optimize import minimize
 
 import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
@@ -21,6 +22,7 @@ from mixedgp.gpcore import (
     KernelConfig,
     TrainingSet,
     _kernel,
+    _lbfgsb,
     _profile,
     _standardize,
     build_R,
@@ -218,6 +220,35 @@ def test_training_set_rejects_non_finite_data(where, bad):
     (X if where == "X" else y)[1] = bad
     with pytest.raises(ParamDomainError, match="must be finite"):
         TrainingSet(X, [1, 1, 2], y)
+
+
+@pytest.mark.parametrize("n_levels", [2.9, np.nan, np.inf, -np.inf])
+def test_training_set_rejects_a_non_integral_level_count(n_levels):
+    with pytest.raises(ParamDomainError, match="n_levels must be integers"):
+        TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], n_levels=n_levels)
+
+
+def test_training_set_accepts_an_integral_float_level_count():
+    ts = TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], n_levels=4.0)
+    assert ts.n_levels == 4 and type(ts.n_levels) is int
+
+
+def test_family_with_fewer_levels_than_the_training_set_rejected(tmp_path):
+    rng = np.random.default_rng(2)
+    X, levels, y = random_instance(rng, 10, s=4)
+    ts = TrainingSet(X, levels, y)
+    message = "EC has 3 levels but the training set has 4"
+    with pytest.raises(ParamDomainError, match=message):
+        fit(ts, FamilySpec("EC", 3), QUICK_FIT)
+    with pytest.raises(ParamDomainError, match=message):
+        refit_config(ts, KernelConfig([0.3, 0.4], FamilySpec("EC", 3), [0.5]))
+    path = tmp_path / "fit.json"
+    save_fit(refit_config(ts, KernelConfig([0.3, 0.4], FamilySpec("EC", 4), [0.5])), path)
+    doc = json.loads(path.read_text())
+    doc["s"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamDomainError, match=message):
+        load_fit(path)
 
 
 @pytest.mark.parametrize("bounds", [[[0.0, np.inf]], [[-np.inf, 1.0]], [[np.nan, 1.0]]])
@@ -619,42 +650,161 @@ def test_fit_single_level_falls_back_to_continuous(recwarn):
     assert p1 == p2
 
 
+def spy_on_searches(monkeypatch):
+    """Record (objective, start, box, maxfun, result) of each search."""
+    searches = []
+    real = gpcore._lbfgsb
+
+    def spy(objective, u0, first, box, maxfun):
+        out = real(objective, u0, first, box, maxfun)
+        searches.append((objective, u0.copy(), box.copy(), maxfun, out))
+        return out
+
+    monkeypatch.setattr(gpcore, "_lbfgsb", spy)
+    return searches
+
+
 @pytest.mark.parametrize("cap", [None, 7])
 def test_fit_caps_evaluations_per_start(monkeypatch, cap):
     # max_evals_per_start is L-BFGS-B's maxfun; None means 150 per parameter
-    seen = []
-    real = gpcore.minimize
-
-    def spy(*args, **kwargs):
-        seen.append((kwargs["method"], kwargs["jac"], kwargs["options"]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gpcore, "minimize", spy)
+    searches = spy_on_searches(monkeypatch)
     rng = np.random.default_rng(9)
     X, levels, y = random_instance(rng, 9, s=3)
     fit(TrainingSet(X, levels, y), FamilySpec("UC", 3),
         FitOptions(n_starts=2, max_evals_per_start=cap))
     dim = 2 + 3
-    assert seen == [("L-BFGS-B", True, {"maxfun": cap or 150 * dim})] * 2
+    assert [search[3] for search in searches] == [cap or 150 * dim] * 2
 
 
 def test_fit_objective_gradient_matches_its_values(monkeypatch):
     # the search runs on (log lengthscales, cat_params): the gradient
     # L-BFGS-B receives must be the one of the values it receives
-    searches = []
-    real = gpcore.minimize
-
-    def spy(fun, x0, **kwargs):
-        searches.append((fun, x0.copy()))
-        return real(fun, x0, **kwargs)
-
-    monkeypatch.setattr(gpcore, "minimize", spy)
+    searches = spy_on_searches(monkeypatch)
     rng = np.random.default_rng(5)
     X, levels, y = random_instance(rng, 10, s=3)
     fit(TrainingSet(X, levels, y), FamilySpec("UC", 3), FitOptions(n_starts=3))
     assert len(searches) == 3
-    for fun, u in searches:
+    for fun, u, *_ in searches:
         assert gradient_gap(lambda v: fun(v)[0], u, fun(u)[1], np.maximum(1.0, np.abs(u))) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# _lbfgsb against scipy.optimize.minimize, its reference
+
+_TASK_NAMES = {4: "CONVERGENCE", 5: "STOP", 8: "ABNORMAL"}
+
+
+def assert_same_search_as_minimize(objective, u0, box, maxfun):
+    """Run _lbfgsb and minimize from u0; every reported field must agree.
+
+    Returns _lbfgsb's final (task, reason) pair.
+    """
+    ref = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=box,
+                   options={"maxfun": maxfun})
+    f, u, nfev, nit, task = _lbfgsb(objective, u0, objective(u0), box, maxfun)
+    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= 15000 else 2
+    assert (f, nfev, nit, status) == (ref.fun, ref.nfev, ref.nit, ref.status)
+    assert np.array_equal(u, ref.x)
+    assert ref.message.split(":")[0] == _TASK_NAMES[task[0]]
+    return task
+
+
+def rosenbrock(u):
+    f = float(np.sum(100.0 * (u[1:] - u[:-1] ** 2) ** 2 + (1.0 - u[:-1]) ** 2))
+    g = np.zeros_like(u)
+    g[:-1] = -400.0 * u[:-1] * (u[1:] - u[:-1] ** 2) - 2.0 * (1.0 - u[:-1])
+    g[1:] += 200.0 * (u[1:] - u[:-1] ** 2)
+    return f, g
+
+
+def uphill_bowl(u):  # a bowl's value with its negated gradient: no descent
+    return float(u @ u), -2.0 * u
+
+
+def rippled_bowl(u):  # ripples the gradient omits: line searches fail late
+    return float(np.sum((u - 0.3) ** 2) + 1e-3 * np.sin(1e4 * u).sum()), 2.0 * (u - 0.3)
+
+
+@pytest.mark.parametrize("maxfun", [7, 15000])
+@pytest.mark.parametrize("upper", [2.0, 0.5])  # 0.5: the optimum is on the box
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_lbfgsb_matches_minimize_on_boxed_rosenbrock(dim, upper, maxfun):
+    rng = np.random.default_rng(dim)
+    box = np.column_stack([np.full(dim, -1.5), np.full(dim, upper)])
+    tasks = {assert_same_search_as_minimize(rosenbrock, rng.uniform(-1.5, upper, dim), box, maxfun)[0]
+             for _ in range(4)}
+    assert (5 in tasks) == (maxfun == 7)  # stopped by maxfun
+
+
+def test_lbfgsb_matches_minimize_on_abnormal_exits():
+    box = np.column_stack([np.full(3, -2.0), np.full(3, 2.0)])
+    for objective in (uphill_bowl, rippled_bowl):
+        u0 = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
+        assert assert_same_search_as_minimize(objective, u0, box, 100)[0] == 8
+
+
+def test_lbfgsb_clips_a_start_outside_the_box():
+    box = np.column_stack([np.zeros(2), np.ones(2)])
+    assert_same_search_as_minimize(rosenbrock, np.array([-0.5, 0.3]), box, 150)
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+@pytest.mark.parametrize("label", ["EC", "MC", "LRC2", "UC"])
+def test_lbfgsb_matches_minimize_on_the_fit_objective(monkeypatch, label, cap):
+    searches = spy_on_searches(monkeypatch)
+    rng = np.random.default_rng(21)
+    X, levels, y = random_instance(rng, 10, s=3)
+    fit(TrainingSet(X, levels, y), FamilySpec.parse(label, 3),
+        FitOptions(n_starts=3, max_evals_per_start=cap))
+    for objective, u0, box, maxfun, out in searches:
+        assert assert_same_search_as_minimize(objective, u0, box, maxfun) == out[4]
+        assert (out[4][0] == 5) == (cap is not None)
+
+
+def test_lbfgsb_matches_minimize_where_the_fit_search_ends_abnormally(monkeypatch):
+    # criterion 8's upended cell at base seed 1000, replication 4: a UC
+    # search there ends in an ABNORMAL line search, and minimize reports
+    # the last trial's value, not the value at the point it returns
+    from mixedgp.design import cslhd, to_problem_coords
+    from mixedgp.testbed import eval_sliced_batch, get_testbed_function
+
+    fn = get_testbed_function("ackley_s4_up13")
+    d, _ = cslhd(8, fn.s, fn.base.d - 1, 1004)
+    X = to_problem_coords(d.X, fn.rest_bounds)
+    y = np.empty(d.n_total)
+    for lv in range(1, fn.s + 1):
+        y[d.levels == lv] = eval_sliced_batch(fn, lv, X[d.levels == lv])
+    train = TrainingSet(X, d.levels, y, bounds=fn.rest_bounds, n_levels=fn.s)
+    searches = spy_on_searches(monkeypatch)
+    fit(train, FamilySpec("UC", 4), FitOptions(seed=1004))
+    gaps = []
+    for objective, u0, box, maxfun, (f, u, *_, task) in searches:
+        assert assert_same_search_as_minimize(objective, u0, box, maxfun) == task
+        if task[0] == 8:
+            gaps.append(objective(u)[0] - f)
+    assert any(gap != 0.0 for gap in gaps)
+
+
+def test_fit_evaluates_each_start_once(monkeypatch):
+    calls = []
+    real = gpcore._profile
+
+    def spy(train, z, lengthscales, spec, cat_params, *args, grad=False):
+        if grad:  # the search's evaluations; the finished model's is not one
+            calls.append(np.r_[lengthscales, cat_params].tobytes())
+        return real(train, z, lengthscales, spec, cat_params, *args, grad=grad)
+
+    monkeypatch.setattr(gpcore, "_profile", spy)
+    searches = spy_on_searches(monkeypatch)
+    rng = np.random.default_rng(3)
+    X, levels, y = random_instance(rng, 10, s=3)
+    q = X.shape[1]
+    fit(TrainingSet(X, levels, y), FamilySpec("MC", 3), FitOptions(n_starts=4))
+    assert len(searches) == 4
+    for _, u0, *_ in searches:
+        assert calls.count(np.r_[np.exp(u0[:q]), u0[q:]].tobytes()) == 1
+    # and no point is evaluated outside the searches' counts
+    assert len(calls) == sum(search[4][2] for search in searches)
 
 
 def test_fit_failure_carries_diagnostics():
