@@ -40,7 +40,6 @@ from .testbed import (
     CrossCorrEstimate,
     SlicedFunction,
     empirical_cross_corr,
-    estimate_slice_max,
     make_benchmark_suite,
     make_sliced,
     slice_positions,

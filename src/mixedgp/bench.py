@@ -14,9 +14,9 @@ parameters, and are read-only; a study writes only its two CSV files.
 import concurrent.futures
 import configparser
 import csv
-import operator
 import os
 import time
+import typing
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -39,10 +39,6 @@ from .testbed import CrossCorrEstimate, SlicedFunction
 
 FAMILY_ORDER = ("EC", "LRC2", "MC", "LRC3", "LRC4", "LRC5", "LRC6", "LRC7", "UC")
 
-RECORD_COLUMNS = ("function", "s", "n", "family", "rank", "rep",
-                  "rmse_corr", "q2", "fit_seconds", "status")
-SUMMARY_COLUMNS = ("function", "s", "n", "family", "rank", "metric",
-                   "median", "q25", "q75", "failures")
 TIMINGS = ("wall", "none")  # "none" writes zeros, so records.csv is byte-reproducible
 
 
@@ -132,6 +128,12 @@ class ExperimentConfig:
     ``families`` are labels like "EC" or "LRC3", or the single word
     "auto" for EC, LRC ranks 2..s-1, MC and UC. Replication r uses
     design seed base_seed + r for every family.
+
+    Building one checks that each function id parses and each label
+    names a family, n_values and replications >= 1, base_seed and
+    test_seed >= 0, resolution and test_size >= 2 and timing in TIMINGS,
+    for the API and config files alike, and raises one ``ConfigError``
+    listing every rule broken; FitOptions checks its own fields.
     """
 
     functions: tuple[str, ...]
@@ -149,15 +151,34 @@ class ExperimentConfig:
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         object.__setattr__(self, "families", tuple(self.families))
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.timing not in TIMINGS:
-            raise ConfigError(f"timing must be one of {TIMINGS}, got {self.timing!r}")
+        ConfigError.check((
+            ("n_values", self.n_values, ">= 1", all(v >= 1 for v in self.n_values)),
+            ("replications", self.replications, ">= 1", self.replications >= 1),
+            ("base_seed", self.base_seed, ">= 0", self.base_seed >= 0),
+            ("resolution", self.resolution, ">= 2", self.resolution >= 2),
+            ("test_size", self.test_size, ">= 2", self.test_size >= 2),
+            ("test_seed", self.test_seed, ">= 0", self.test_seed >= 0),
+            ("timing", self.timing, f"one of {TIMINGS}", self.timing in TIMINGS),
+        ), self._label_issues())
+
+    def _label_issues(self) -> list[str]:
+        issues = []
+        for fid in self.functions:
+            try:
+                testbed_mod.parse_fid(fid)
+            except ValueError as exc:
+                issues.append(f"functions: {exc}")
+        for label in () if self.families == ("auto",) else self.families:
+            try:
+                FamilySpec.parse(label, 8)  # s = 8 admits LRC ranks up to 7
+            except ValueError:
+                issues.append(f"families: unknown family label {label!r}")
+        return issues
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One replication's outcome for one (function, n, family) cell."""
+    """One replication's outcome for one (function, n, family) cell: a row of records.csv."""
 
     function: str
     s: int
@@ -263,7 +284,7 @@ def _run_cell(cfg: ExperimentConfig, fid: str, n: int, rep: int) -> list[BenchRe
             # one failed fit, score or prediction costs this record only
             status = "failed"
             rmse = q2 = None
-        seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
+        seconds = round(time.perf_counter() - t0, 6) if cfg.timing == "wall" else 0.0
         records.append(
             BenchRecord(fid, s, n, spec.family, spec.rank, rep, rmse, q2, seconds, status)
         )
@@ -281,8 +302,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[B
     deterministically before writing, so outputs do not depend on
     scheduling.
     """
-    for fid in cfg.functions:
-        testbed_mod.parse_fid(fid)
     os.makedirs(out_dir, exist_ok=True)
 
     # fill the memo serially; forked workers inherit it, while spawned
@@ -315,56 +334,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[B
             r.rep,
         )
     )
-    write_records_csv(records, os.path.join(out_dir, "records.csv"))
-    write_summary_csv(summarize(records), os.path.join(out_dir, "summary.csv"))
-    return records
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
-def write_records_csv(records, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.function, r.s, r.n, r.family,
-                "" if r.rank is None else r.rank,
-                r.rep, _fmt(r.rmse_corr), _fmt(r.q2),
-                repr(round(float(r.fit_seconds), 6)), r.status,
-            ])
-
-
-def read_records_csv(path) -> list[BenchRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if tuple(reader.fieldnames or ()) != RECORD_COLUMNS:
-        raise ConfigError(f"{path}: unexpected records.csv columns {reader.fieldnames}")
-    for row in reader:
-        records.append(BenchRecord(
-            function=row["function"],
-            s=int(row["s"]),
-            n=int(row["n"]),
-            family=row["family"],
-            rank=int(row["rank"]) if row["rank"] else None,
-            rep=int(row["rep"]),
-            rmse_corr=float(row["rmse_corr"]) if row["rmse_corr"] else None,
-            q2=float(row["q2"]) if row["q2"] else None,
-            fit_seconds=float(row["fit_seconds"]),
-            status=row["status"],
-        ))
+    write_csv(os.path.join(out_dir, "records.csv"), BenchRecord, records)
+    write_csv(os.path.join(out_dir, "summary.csv"), SummaryRow, summarize(records))
     return records
 
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """Boxplot statistics of one cell and metric: a row of summary.csv."""
+
     function: str
     s: int
     n: int
@@ -402,16 +380,42 @@ def summarize(records) -> list[SummaryRow]:
     return rows
 
 
-def write_summary_csv(rows, path) -> None:
+def write_csv(path, row_type, rows) -> None:
+    """One column per field of the ``row_type`` dataclass, in field order.
+
+    None is written as "", floats (numpy's too) as their repr, the rest
+    with str. Records (BenchRecord rows) get a "# generated <time>" line first.
+    """
+    names = [f.name for f in fields(row_type)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        if row_type is BenchRecord:
+            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.function, r.s, r.n, r.family,
-                "" if r.rank is None else r.rank, r.metric,
-                _fmt(r.median), _fmt(r.q25), _fmt(r.q75), r.failures,
-            ])
+        writer.writerow(names)
+        writer.writerows([_cell(getattr(row, name)) for name in names] for row in rows)
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def read_records_csv(path) -> list[BenchRecord]:
+    """The rows of a records.csv, each cell parsed by its BenchRecord field's type."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+    header = rows[0] if rows else None
+    if header != [f.name for f in fields(BenchRecord)]:
+        raise ConfigError(f"{path}: unexpected records.csv columns {header}")
+    casts = [_cast(f.type) for f in fields(BenchRecord)]
+    return [BenchRecord(*(cast(text) for cast, text in zip(casts, row))) for row in rows[1:] if row]
+
+
+def _cast(annotation) -> Callable[[str], object]:
+    """Parser of a cell for a field of type ``annotation``; "" is None where None is allowed."""
+    kind, *rest = typing.get_args(annotation) or (annotation,)  # X | None lists X first
+    return (lambda text: kind(text) if text else None) if rest else kind
 
 
 # ---------------------------------------------------------------------------
@@ -433,34 +437,12 @@ def _typed(cast, what: str):
 
 def _function_ids(raw: str) -> tuple[str, ...]:
     ids = _split_list(raw)
-    if ids == ["all"]:
-        return tuple(testbed_mod.testbed_ids())
-    for fid in ids:
-        testbed_mod.parse_fid(fid)  # ParamDomainError names the bad id
-    return tuple(ids)
-
-
-def _family_labels(raw: str) -> tuple[str, ...]:
-    labels = tuple(_split_list(raw))
-    if labels == ("auto",):
-        return labels
-    for label in labels:
-        try:
-            FamilySpec.parse(label, 8)  # s = 8 admits LRC ranks up to 7
-        except ValueError:
-            raise ValueError(f"unknown family label {label!r}") from None
-    return labels
-
-
-def _timing(raw: str) -> str:
-    if raw not in TIMINGS:
-        raise ValueError(f"must be one of {TIMINGS}, got {raw!r}")
-    return raw
+    return tuple(testbed_mod.testbed_ids()) if ids == ["all"] else tuple(ids)
 
 
 def _eval_budget(raw: str) -> int | None:
     value = int(raw)
-    return value if value > 0 else None  # automatic: 150 per parameter
+    return None if value == 0 else value  # 0: automatic, 150 per parameter
 
 
 _INT = _typed(int, "an integer")
@@ -472,50 +454,40 @@ class _Key:
     """One accepted config key.
 
     ``type`` parses the raw text, raising ValueError with the issue;
-    ``minimum`` (">= 1", "> 0", ...) bounds every parsed number;
     ``target`` is the ExperimentConfig field ([experiment], [output]) or
     FitOptions field ([fit]) receiving the value, by default the key
     itself, or (field, index) for one end of a pair. Keys left out keep
-    the dataclass defaults.
+    the dataclass defaults, and the dataclasses check the value ranges.
     """
 
     section: str
     key: str
     type: Callable[[str], object]
-    minimum: str | None = None
     target: str | tuple[str, int] | None = None
 
 
 _SCHEMA = (
     _Key("experiment", "functions", _function_ids),
     _Key("experiment", "n_values",
-         _typed(lambda raw: tuple(int(v) for v in _split_list(raw)), "integers"), ">= 1"),
-    _Key("experiment", "families", _family_labels),
-    _Key("experiment", "replications", _INT, ">= 1"),
-    _Key("experiment", "base_seed", _INT, ">= 0"),
-    _Key("experiment", "resolution", _INT, ">= 2"),
-    _Key("experiment", "test_size", _INT, ">= 2"),
-    _Key("experiment", "test_seed", _INT, ">= 0"),
-    _Key("fit", "n_starts", _INT, ">= 1"),
-    _Key("fit", "nugget", _FLOAT, ">= 0"),
-    _Key("fit", "corr_nugget", _FLOAT, "> 0"),
-    _Key("fit", "lengthscale_min", _FLOAT, "> 0", ("lengthscale_bounds", 0)),
-    _Key("fit", "lengthscale_max", _FLOAT, "> 0", ("lengthscale_bounds", 1)),
+         _typed(lambda raw: tuple(int(v) for v in _split_list(raw)), "integers")),
+    _Key("experiment", "families", lambda raw: tuple(_split_list(raw))),
+    _Key("experiment", "replications", _INT),
+    _Key("experiment", "base_seed", _INT),
+    _Key("experiment", "resolution", _INT),
+    _Key("experiment", "test_size", _INT),
+    _Key("experiment", "test_seed", _INT),
+    _Key("fit", "n_starts", _INT),
+    _Key("fit", "nugget", _FLOAT),
+    _Key("fit", "corr_nugget", _FLOAT),
+    _Key("fit", "lengthscale_min", _FLOAT, ("lengthscale_bounds", 0)),
+    _Key("fit", "lengthscale_max", _FLOAT, ("lengthscale_bounds", 1)),
     _Key("fit", "max_evals_per_start", _typed(_eval_budget, "an integer")),
-    _Key("output", "timing", _timing),
+    _Key("output", "timing", str),
 )
-
-_COMPARE = {">=": operator.ge, ">": operator.gt}
-
-
-def _meets(value, minimum: str) -> bool:
-    op, bound = minimum.split()
-    values = value if isinstance(value, tuple) else (value,)
-    return all(_COMPARE[op](v, float(bound)) for v in values)
 
 
 def _read_config(path) -> tuple[ExperimentConfig | None, list[str]]:
-    """One walk over the schema: the config, or None and the issues found."""
+    """The config, or None and every issue: the schema's, then the dataclasses' ranges."""
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path):
@@ -543,9 +515,6 @@ def _read_config(path) -> tuple[ExperimentConfig | None, list[str]]:
         except ValueError as exc:
             issues.append(f"{k.key}: {exc}")
             continue
-        if k.minimum is not None and not _meets(value, k.minimum):
-            issues.append(f"{k.key}: must be {k.minimum}, got {raw!r}")
-            continue
         kwargs = fit_kwargs if k.section == "fit" else exp_kwargs
         if isinstance(k.target, tuple):
             name, end = k.target
@@ -555,24 +524,32 @@ def _read_config(path) -> tuple[ExperimentConfig | None, list[str]]:
         else:
             kwargs[k.target or k.key] = value
 
-    issues += [f"missing {f.name!r} in [experiment]" for f in fields(ExperimentConfig)
-               if f.default is MISSING and f.default_factory is MISSING
-               and not parser.has_option("experiment", f.name)]
-    low, high = fit_kwargs.get("lengthscale_bounds", FitOptions.lengthscale_bounds)
-    if low >= high:
-        issues.append(f"lengthscale bounds must satisfy min < max, got {low} and {high}")
-    if issues:
-        return None, issues
-    return ExperimentConfig(**exp_kwargs, fit_options=FitOptions(**fit_kwargs)), []
+    missing = [f.name for f in fields(ExperimentConfig) if f.default is MISSING
+               and f.default_factory is MISSING and f.name not in exp_kwargs]
+    issues += [f"missing {name!r} in [experiment]" for name in missing]
+    try:
+        fit_options = FitOptions(**fit_kwargs)
+    except ConfigError as exc:
+        issues += exc.issues
+        fit_options = FitOptions()
+    try:
+        # an empty stand-in for a missing key, so the other ranges are still checked
+        cfg = ExperimentConfig(**dict.fromkeys(missing, ()), **exp_kwargs,
+                               fit_options=fit_options)
+    except ConfigError as exc:
+        issues += exc.issues
+    return (None, issues) if issues else (cfg, [])
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment configuration file.
 
-    Sections [experiment], [fit] and [output]; the accepted keys, their
-    types and minimums are the rows of ``_SCHEMA``. Unknown keys or
-    sections, values of the wrong type and values below their minimum
-    raise ``ConfigError``, so typos cannot silently change a study.
+    Sections [experiment], [fit] and [output]; the accepted keys and
+    their types are the rows of ``_SCHEMA``, and the value ranges are
+    those that :class:`ExperimentConfig` and :class:`FitOptions` check
+    for the Python API too. Unknown keys or sections, values of the
+    wrong type and values out of range raise one ``ConfigError`` that
+    lists every issue, so typos cannot silently change a study.
     """
     cfg, issues = _read_config(path)
     if issues:

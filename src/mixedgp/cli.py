@@ -140,7 +140,7 @@ def _cmd_bench_summarize(args) -> int:
     records = bench_mod.read_records_csv(args.records)
     rows = bench_mod.summarize(records)
     out = args.out or "summary.csv"
-    bench_mod.write_summary_csv(rows, out)
+    bench_mod.write_csv(out, bench_mod.SummaryRow, rows)
     print(f"wrote {len(rows)} summary rows to {out}")
     return 0
 

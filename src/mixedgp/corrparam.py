@@ -201,13 +201,8 @@ def _sphere_label(s: int, rank: int) -> str:
     return "UC" if rank == s else f"LRC{rank}"
 
 
-def _sphere_parts(theta: np.ndarray, s: int, rank: int):
-    """Q of :func:`sphere_loading` with the sine products that built it.
-
-    Returns (Q, sp): sp[i - 1, j] is the product of the first j sines
-    of row i's zero-padded angles (sp[:, 0] = 1), so that
-    Q[1:] = [cos(angles), 1] * sp.
-    """
+def _angle_grid(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
+    """The (s-1) x (rank-1) zero-padded grid of ``theta``, after checking its arity and domain."""
     theta = np.asarray(theta, dtype=float)
     k = lrc_param_count(s, rank)
     if theta.shape != (k,):
@@ -218,6 +213,17 @@ def _sphere_parts(theta: np.ndarray, s: int, rank: int):
     grid = np.zeros((s - 1) * (rank - 1))
     grid[_angle_slots(s, rank)] = theta
     grid.shape = (s - 1, rank - 1)
+    return grid
+
+
+def _sphere_parts(theta: np.ndarray, s: int, rank: int):
+    """Q of :func:`sphere_loading` with the sine products that built it.
+
+    Returns (Q, sp): sp[i - 1, j] is the product of the first j sines
+    of row i's zero-padded angles (sp[:, 0] = 1), so that
+    Q[1:] = [cos(angles), 1] * sp.
+    """
+    grid = _angle_grid(theta, s, rank)
     sp = np.ones((s - 1, rank))
     np.multiply.accumulate(np.sin(grid), axis=1, out=sp[:, 1:])  # cumprod
     Q = np.zeros((s, rank))
@@ -298,21 +304,13 @@ def embed_lrc_in_uc(
     zeroes every later column. Zero is outside the open angle domain, so
     ``eps`` is substituted; the entrywise gap it causes is O(s * eps),
     far below 1e-6 at the default. Angles after position r are
-    unidentified and fixed at pi/2.
+    unidentified and fixed at pi/2: on the UC angle grid, the LRC grid
+    fills the first rank - 1 columns, eps the next and pi/2 the rest.
     """
-    sphere_loading(theta_lrc, s, rank)  # validates arity and domain
-    theta_lrc = np.asarray(theta_lrc, dtype=float)
-    out = []
-    off = 0
-    for i in range(2, s + 1):
-        m = min(i, rank) - 1
-        row = list(theta_lrc[off : off + m])
-        off += m
-        if i > rank:
-            row.append(eps)
-            row.extend([np.pi / 2.0] * (i - 1 - rank))
-        out.append(row)
-    return np.concatenate([np.asarray(r) for r in out])
+    grid = np.full((s - 1, s - 1), np.pi / 2.0)
+    grid[:, : rank - 1] = _angle_grid(theta_lrc, s, rank)
+    grid[:, rank - 1 : rank] = eps
+    return grid.ravel()[_angle_slots(s, s)]
 
 
 def corr_values(

@@ -21,16 +21,6 @@ import numpy as np
 
 from .errors import DesignValidationError, ParamDomainError
 
-_PROPERTY_ORDER = (
-    "column structure",
-    "level counts",
-    "coordinate range",
-    "full-design Latin hypercube",
-    "per-slice Latin hypercube",
-    "cluster structure",
-)
-
-
 @dataclass(frozen=True)
 class Design:
     """A slice-structured design with normalized coordinates in [0, 1).

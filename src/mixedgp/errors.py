@@ -56,4 +56,18 @@ class DesignValidationError(MixedGPError, ValueError):
 
 
 class ConfigError(MixedGPError, ValueError):
-    """An experiment configuration file is invalid."""
+    """A study or fit configuration is invalid; ``issues`` lists every problem."""
+
+    def __init__(self, issues):
+        issues = [issues] if isinstance(issues, str) else list(issues)
+        super().__init__("; ".join(issues))
+        self.issues = issues
+
+    @classmethod
+    def check(cls, rules, issues=()) -> None:
+        """Raise one ConfigError, unless every (name, value, rule, holds) of
+        ``rules`` holds and ``issues`` is empty, that lists them all."""
+        issues = [f"{name}: must be {rule}, got {value!r}"
+                  for name, value, rule, holds in rules if not holds] + list(issues)
+        if issues:
+            raise cls(issues)

@@ -89,7 +89,13 @@ from .corrparam import (
     param_count,
 )
 from .design import to_unit_coords
-from .errors import FitFailureError, IllConditionedError, ParamArityError, ParamDomainError
+from .errors import (
+    ConfigError,
+    FitFailureError,
+    IllConditionedError,
+    ParamArityError,
+    ParamDomainError,
+)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -355,8 +361,10 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     Returns (R, L) with R = correlations + nugget * I and L lower
     triangular. ``P`` is the s x s array of ``config.corr_matrix()``,
     built here when not given. Raises ``IllConditionedError`` when
-    factorization fails.
+    factorization fails, and ``ParamDomainError`` when the family has
+    fewer levels than the training set.
     """
+    _check_family_levels(train, config.family_spec)
     if P is None:
         P = config.corr_matrix()
     R = _kernel(train.pairwise_absdiff(), config.lengthscales)
@@ -440,19 +448,20 @@ def concentrated_nll(
     generalized-least-squares estimates, so the objective depends only
     on the correlation parameters. Responses are standardized
     internally; the reported value refers to the standardized scale.
-    ``psi`` is the lengthscales followed by the family's parameters.
+    ``psi`` is the lengthscales followed by the family's parameters; a
+    wrong length raises ``ParamArityError``, :class:`KernelConfig` checks
+    the values, and a family with fewer levels than the training set
+    raises ``ParamDomainError``.
     """
     psi = np.asarray(psi, dtype=float).ravel()
     q = train.q
     k = q + (param_count(spec) if spec is not None else 0)
     if psi.size != k:
         raise ParamArityError(f"psi must have length {k}, got {psi.size}")
-    ls, cat = psi[:q], (psi[q:] if spec is not None else None)
-    if not np.all(ls > 0):
-        raise ParamDomainError("lengthscales must be positive")
-    if nugget < 0:
-        raise ParamDomainError("nugget must be nonnegative")
-    return _profile(train, train.standardized()[0], ls, spec, cat, nugget, corr_nugget)[0]
+    config = KernelConfig(psi[:q], spec, None if spec is None else psi[q:], nugget, corr_nugget)
+    _check_family_levels(train, spec)
+    return _profile(train, train.standardized()[0], config.lengthscales, spec,
+                    config.cat_params, nugget, corr_nugget)[0]
 
 
 @dataclass(frozen=True)
@@ -467,6 +476,10 @@ class FitOptions:
     the start's included; None means 150 per parameter. It is not a hard
     cap: as in scipy, the count is checked only after each iteration, so
     a search can overrun it by one line search, up to 20 evaluations.
+    Building one checks n_starts >= 1, seed >= 0, nugget >= 0,
+    corr_nugget > 0, 0 < lengthscale_bounds[0] < lengthscale_bounds[1] and
+    max_evals_per_start None or >= 1, for the API and config files alike,
+    and raises one ``ConfigError`` listing every rule broken.
     """
 
     n_starts: int = 10
@@ -475,6 +488,19 @@ class FitOptions:
     corr_nugget: float = 1e-8
     lengthscale_bounds: tuple[float, float] = (1e-2, 10.0)
     max_evals_per_start: int | None = None
+
+    def __post_init__(self):
+        low, high = self.lengthscale_bounds
+        budget = self.max_evals_per_start
+        ConfigError.check((
+            ("n_starts", self.n_starts, ">= 1", self.n_starts >= 1),
+            ("seed", self.seed, ">= 0", self.seed >= 0),
+            ("nugget", self.nugget, ">= 0", self.nugget >= 0),
+            ("corr_nugget", self.corr_nugget, "> 0", self.corr_nugget > 0),
+            ("lengthscale_bounds", self.lengthscale_bounds, "> 0", low > 0 and high > 0),
+            ("max_evals_per_start", budget, ">= 1 or None", budget is None or budget >= 1),
+        ), [] if low < high else
+            [f"lengthscale bounds must satisfy min < max, got {low} and {high}"])
 
 
 def psi_box(q: int, spec: FamilySpec | None, options: FitOptions):

@@ -278,13 +278,6 @@ def _slice_max(base: ContinuousFunction, sliced_dim: int, position: float,
     return best
 
 
-def estimate_slice_max(fn: SlicedFunction, slice_idx: int, resolution: int = 100) -> float:
-    """Estimated maximum of the original slice over its continuous domain."""
-    if not 1 <= slice_idx <= fn.s:
-        raise IndexError(f"slice index {slice_idx} outside 1..{fn.s}")
-    return _slice_max(fn.base, fn.sliced_dim, fn.positions[slice_idx - 1], resolution)
-
-
 def make_sliced(base: ContinuousFunction, s: int, upend=(), sliced_dim: int = 0,
                 max_resolution: int = 100, fid: str | None = None) -> SlicedFunction:
     """Slice ``base`` into s levels, estimating maxima of upended slices."""

@@ -26,6 +26,7 @@ from mixedgp.corrparam import FamilySpec, build_correlation
 from mixedgp.errors import (
     ConfigError,
     CriterionUndefinedError,
+    MixedGPError,
     ParamArityError,
     ParamDomainError,
     RankRangeError,
@@ -293,7 +294,7 @@ def test_record_completeness_counts(tmp_path):
 
 
 def test_records_csv_round_trip(tmp_path):
-    cfg = tiny_config(families=("EC", "LRC3"))
+    cfg = tiny_config(families=("EC", "LRC3"), timing="wall")
     records = run_experiment(cfg, str(tmp_path / "out"))
     loaded = read_records_csv(str(tmp_path / "out" / "records.csv"))
     assert [(r.function, r.family, r.rank, r.rep) for r in loaded] == [
@@ -302,6 +303,22 @@ def test_records_csv_round_trip(tmp_path):
     assert all(
         a.rmse_corr == b.rmse_corr and a.q2 == b.q2 for a, b in zip(loaded, records)
     )
+    assert loaded == records  # fit_seconds included: rounded once, when recorded
+
+
+def test_csv_columns_are_the_dataclass_fields(tmp_path):
+    from dataclasses import fields
+
+    from mixedgp.bench import BenchRecord, SummaryRow, write_csv
+
+    write_csv(tmp_path / "records.csv", BenchRecord, [])
+    write_csv(tmp_path / "summary.csv", SummaryRow, [])
+    stamp, header = (tmp_path / "records.csv").read_text().splitlines()
+    assert stamp.startswith("# generated ")
+    assert header.split(",") == [f.name for f in fields(BenchRecord)]
+    assert (tmp_path / "summary.csv").read_text().splitlines() == [
+        ",".join(f.name for f in fields(SummaryRow))]
+    assert read_records_csv(tmp_path / "records.csv") == []
 
 
 def test_ec_error_bounded_below_on_upended_function(tmp_path):
@@ -433,6 +450,81 @@ def test_validate_config_reports_issues(tmp_path, mutation, needle):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
 def test_shipped_configs_are_valid(path):
     assert validate_config(str(path)) == []
+
+
+def test_validate_config_reports_every_bad_key(tmp_path):
+    path = tmp_path / "study.ini"
+    path.write_text("[experiment]\nfunctions = nosuch_s4\nreplications = 0\n"
+                    "test_size = two\n\n[fit]\nn_starts = 0\ncorr_nugget = 0\n")
+    issues = validate_config(str(path))
+    for needle in ("unknown test function", "replications: must be >= 1",
+                   "test_size: must be an integer", "n_starts: must be >= 1",
+                   "corr_nugget: must be > 0"):
+        assert sum(needle in issue for issue in issues) == 1, (needle, issues)
+    assert len(issues) == 5
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert "replications: must be >= 1" in str(err.value) and "n_starts" in str(err.value)
+
+
+def test_validate_config_missing_functions_still_checks_the_rest(tmp_path):
+    path = tmp_path / "study.ini"
+    path.write_text("[experiment]\nresolution = 1\n")
+    assert validate_config(str(path)) == ["missing 'functions' in [experiment]",
+                                          "resolution: must be >= 2, got 1"]
+
+
+def test_config_eval_budget_zero_is_automatic_and_negative_rejected(tmp_path):
+    path = tmp_path / "study.ini"
+    path.write_text("[experiment]\nfunctions = ackley_s4\n[fit]\nmax_evals_per_start = 0\n")
+    assert load_config(str(path)).fit_options.max_evals_per_start is None
+    path.write_text("[experiment]\nfunctions = ackley_s4\n[fit]\nmax_evals_per_start = -3\n")
+    assert any("max_evals_per_start: must be >= 1" in issue for issue in validate_config(str(path)))
+
+
+@pytest.mark.parametrize("kwargs,needle", [
+    (dict(n_starts=0), "n_starts: must be >= 1"),
+    (dict(n_starts=-3), "n_starts: must be >= 1"),
+    (dict(seed=-1), "seed: must be >= 0"),
+    (dict(nugget=-1.0), "nugget: must be >= 0"),
+    (dict(nugget=float("nan")), "nugget: must be >= 0"),
+    (dict(corr_nugget=0.0), "corr_nugget: must be > 0"),
+    (dict(lengthscale_bounds=(2.0, 1.0)), "lengthscale bounds must satisfy min < max"),
+    (dict(lengthscale_bounds=(0.0, 1.0)), "lengthscale_bounds: must be > 0"),
+    (dict(max_evals_per_start=0), "max_evals_per_start: must be >= 1 or None"),
+])
+def test_fit_options_reject_values_out_of_range(kwargs, needle):
+    with pytest.raises(MixedGPError, match=needle):
+        FitOptions(**kwargs)
+
+
+def test_fit_options_list_every_broken_rule():
+    with pytest.raises(ConfigError) as err:
+        FitOptions(n_starts=0, nugget=-1.0, lengthscale_bounds=(-2.0, -3.0))
+    assert len(err.value.issues) == 4  # n_starts, nugget, both bound rules
+
+
+@pytest.mark.parametrize("kwargs,needle", [
+    (dict(n_values=(0,)), "n_values: must be >= 1"),
+    (dict(families=("XX",)), "unknown family label 'XX'"),
+    (dict(families=("EC", "LRC")), "unknown family label 'LRC'"),
+    (dict(functions=("nosuch_s4",)), "unknown test function"),
+    (dict(test_size=1), "test_size: must be >= 2"),
+    (dict(resolution=1), "resolution: must be >= 2"),
+    (dict(replications=0), "replications: must be >= 1"),
+    (dict(base_seed=-1), "base_seed: must be >= 0"),
+    (dict(test_seed=-1), "test_seed: must be >= 0"),
+    (dict(timing="cpu"), "timing: must be one of"),
+])
+def test_experiment_config_rejects_values_out_of_range(kwargs, needle):
+    with pytest.raises(MixedGPError, match=needle):
+        tiny_config(**kwargs)
+
+
+def test_experiment_config_lists_every_broken_rule():
+    with pytest.raises(ConfigError) as err:
+        tiny_config(functions=("nosuch_s4", "ackley_s1"), test_size=1, families=("XX",))
+    assert len(err.value.issues) == 4
 
 
 def test_validate_config_missing_file(tmp_path):

@@ -599,6 +599,40 @@ def test_concentrated_nll_singular_R_raises():
         concentrated_nll(np.array([0.5]), ts, None, nugget=0.0)
 
 
+def test_concentrated_nll_and_build_R_reject_a_family_with_fewer_levels():
+    rng = np.random.default_rng(5)
+    ts = TrainingSet(*random_instance(rng, 9, s=3))
+    spec = FamilySpec("EC", 2)
+    message = "EC has 2 levels but the training set has 3"
+    with pytest.raises(ParamDomainError, match=message):
+        concentrated_nll([0.3, 0.4, 0.5], ts, spec)
+    with pytest.raises(ParamDomainError, match=message):
+        build_R(ts, KernelConfig([0.3, 0.4], spec, [0.5]))
+
+
+@pytest.mark.parametrize("family,psi", [
+    (None, [0.3]), (None, [0.3, 0.4, 0.5]),
+    ("EC", [0.3, 0.4]), ("EC", [0.3, 0.4, 0.5, 0.6]), ("MC", [0.3, 0.4, 0.5]),
+])
+def test_concentrated_nll_rejects_a_wrong_length_psi(family, psi):
+    rng = np.random.default_rng(6)
+    ts = TrainingSet(*random_instance(rng, 9, s=3))
+    spec = None if family is None else FamilySpec(family, 3)
+    with pytest.raises(ParamArityError):
+        concentrated_nll(psi, ts, spec)
+
+
+@pytest.mark.parametrize("family", [None, "EC"])
+@pytest.mark.parametrize("lengthscale", [0.0, -0.2, np.nan])
+def test_concentrated_nll_rejects_a_non_positive_lengthscale(family, lengthscale):
+    rng = np.random.default_rng(7)
+    ts = TrainingSet(*random_instance(rng, 9, s=3))
+    spec = None if family is None else FamilySpec(family, 3)
+    psi = [0.3, lengthscale] + ([] if spec is None else [0.5])
+    with pytest.raises(ParamDomainError, match="lengthscales must be positive"):
+        concentrated_nll(psi, ts, spec)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 

@@ -7,7 +7,6 @@ from mixedgp.errors import ParamArityError, ParamDomainError
 from mixedgp.testbed import (
     ContinuousFunction,
     empirical_cross_corr,
-    estimate_slice_max,
     eval_sliced_batch,
     get_function,
     get_testbed_function,
@@ -186,14 +185,13 @@ def test_slice_max_affine_function_exact():
         lambda X: np.atleast_2d(X).sum(axis=1),
         np.zeros(3), 0.0,
     )
-    fn = make_sliced(affine, 2)
-    assert estimate_slice_max(fn, 2) == pytest.approx(3.0, abs=1e-9)
+    fn = make_sliced(affine, 2, upend=(2,))
+    assert fn.y_max_hat[2] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_slice_max_ackley_matches_fine_grid():
-    fn = make_sliced(get_function("ackley"), 4)
-    est = estimate_slice_max(fn, 1)
-    assert abs(est - ACKLEY_S4_SLICE1_FINE_MAX) < 1e-3
+    fn = make_sliced(get_function("ackley"), 4, upend=(1,))
+    assert abs(fn.y_max_hat[1] - ACKLEY_S4_SLICE1_FINE_MAX) < 1e-3
 
 
 def test_slice_max_constant_slice():
@@ -202,8 +200,8 @@ def test_slice_max_constant_slice():
         lambda X: np.full(np.atleast_2d(X).shape[0], 7.0),
         np.zeros(3), 7.0,
     )
-    fn = make_sliced(flat, 2)
-    assert estimate_slice_max(fn, 1) == 7.0
+    fn = make_sliced(flat, 2, upend=(2,))  # slice 1 holds the optimum
+    assert fn.y_max_hat[2] == 7.0
 
 
 # ---------------------------------------------------------------------------
