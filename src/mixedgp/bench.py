@@ -37,8 +37,6 @@ from .errors import (
 from .gpcore import FitOptions, GPFit, TrainingSet, fit, predict_batch
 from .testbed import CrossCorrEstimate, SlicedFunction
 
-FAMILY_ORDER = ("EC", "LRC2", "MC", "LRC3", "LRC4", "LRC5", "LRC6", "LRC7", "UC")
-
 TIMINGS = ("wall", "none")  # "none" writes zeros, so records.csv is byte-reproducible
 
 
@@ -129,11 +127,9 @@ class ExperimentConfig:
     "auto" for EC, LRC ranks 2..s-1, MC and UC. Replication r uses
     design seed base_seed + r for every family.
 
-    Building one checks that each function id parses and each label
-    names a family, n_values and replications >= 1, base_seed and
-    test_seed >= 0, resolution and test_size >= 2 and timing in TIMINGS,
-    for the API and config files alike, and raises one ``ConfigError``
-    listing every rule broken; FitOptions checks its own fields.
+    Building one checks every field by the rules in ``__post_init__`` (a
+    family label must parse for some s), for the API and config files
+    alike, and raises one ``ConfigError`` listing every rule broken.
     """
 
     functions: tuple[str, ...]
@@ -170,7 +166,7 @@ class ExperimentConfig:
                 issues.append(f"functions: {exc}")
         for label in () if self.families == ("auto",) else self.families:
             try:
-                FamilySpec.parse(label, 8)  # s = 8 admits LRC ranks up to 7
+                FamilySpec.parse(label)
             except ValueError:
                 issues.append(f"families: unknown family label {label!r}")
         return issues
@@ -193,7 +189,8 @@ class BenchRecord:
 
 
 def applicable_families(labels, s: int) -> list[FamilySpec]:
-    """Expand config labels into specs valid for s levels, study order.
+    """Expand config labels into specs valid for s levels, in study order
+    (:attr:`FamilySpec.order`).
 
     An LRC rank outside 2..s-1 does not apply at s and is left out; a
     bare "LRC" without a rank raises ``RankRangeError``.
@@ -207,7 +204,7 @@ def applicable_families(labels, s: int) -> list[FamilySpec]:
         except RankRangeError:
             if label.strip().upper() == "LRC":
                 raise
-    specs.sort(key=lambda sp: FAMILY_ORDER.index(sp.label))
+    specs.sort(key=lambda sp: sp.order)
     return specs
 
 
@@ -330,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[B
         key=lambda r: (
             cfg.functions.index(r.function),
             cfg.n_values.index(r.n),
-            FAMILY_ORDER.index(FamilySpec(r.family, r.s, r.rank).label),
+            FamilySpec(r.family, r.s, r.rank).order,
             r.rep,
         )
     )
@@ -402,14 +399,26 @@ def _cell(value) -> str:
 
 
 def read_records_csv(path) -> list[BenchRecord]:
-    """The rows of a records.csv, each cell parsed by its BenchRecord field's type."""
+    """The rows of a records.csv, each cell parsed by its BenchRecord field's type;
+    ``ConfigError`` names the record of a row of the wrong width or a bad cell."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
-    header = rows[0] if rows else None
-    if header != [f.name for f in fields(BenchRecord)]:
-        raise ConfigError(f"{path}: unexpected records.csv columns {header}")
+        rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
+    names = [f.name for f in fields(BenchRecord)]
+    if rows[:1] != [names]:
+        raise ConfigError(f"{path}: unexpected records.csv columns {(rows or [None])[0]}")
     casts = [_cast(f.type) for f in fields(BenchRecord)]
-    return [BenchRecord(*(cast(text) for cast, text in zip(casts, row))) for row in rows[1:] if row]
+    records = []
+    for number, row in enumerate(rows[1:], start=1):
+        if len(row) != len(names):
+            raise ConfigError(f"{path}: record {number} has {len(row)} cells, expected {len(names)}")
+        values = []
+        for name, cast, text in zip(names, casts, row):
+            try:
+                values.append(cast(text))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: record {number}, {name}: {exc}") from None
+        records.append(BenchRecord(*values))
+    return records
 
 
 def _cast(annotation) -> Callable[[str], object]:

@@ -24,6 +24,7 @@ and within row i the angles theta_{i,1}, ..., theta_{i,min(i,r)-1}
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,19 @@ class FamilySpec:
     def label(self) -> str:
         return f"LRC{self.rank}" if self.family == "LRC" else self.family
 
+    @property
+    def order(self) -> float:
+        """Sort key of the study order EC, LRC2, MC, LRC3, ..., LRC_{s-1}, UC."""
+        return {"EC": 1, "MC": 2.5, "UC": math.inf}.get(self.family, self.rank)
+
     @classmethod
-    def parse(cls, label: str, s: int) -> "FamilySpec":
-        """Parse a label such as ``"EC"`` or ``"LRC3"`` into a spec."""
+    def parse(cls, label: str, s: int | None = None) -> "FamilySpec":
+        """Parse a label such as ``"EC"`` or ``"LRC3"`` into a spec; without
+        ``s``, at the fewest levels the label admits, to check it alone."""
         label = label.strip().upper()
-        if label.startswith("LRC") and len(label) > 3:
-            return cls("LRC", s, int(label[3:]))
-        return cls(label, s)
+        rank = int(label[3:]) if label.startswith("LRC") and len(label) > 3 else None
+        s = max(2, (rank or 0) + 1) if s is None else s
+        return cls(label, s) if rank is None else cls("LRC", s, rank)
 
 
 def lrc_param_count(s: int, rank: int) -> int:

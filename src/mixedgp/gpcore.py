@@ -55,16 +55,8 @@ None of this changes a floating-point operation or its order, so the
 searches, and every fitted number, are those of the straightforward
 evaluation.
 
-Each search is scipy's L-BFGS-B, driven directly (``_lbfgsb``): the
-reverse-communication loop of ``scipy.optimize.minimize(...,
-method="L-BFGS-B")`` on the same compiled ``setulb``, with minimize's
-defaults (10 corrections, ftol 2.2e-9, pgtol 1e-5, 20 line-search
-steps, 15000 iterations), its ``maxfun`` check after each iteration and
-its skip of a point equal to the last one evaluated. So every search
-takes minimize's path, evaluation for evaluation and bit for bit, but
-without minimize's per-evaluation wrapper objects and copies, and the
-start, which ``fit`` evaluates to record its objective, is evaluated
-once rather than once more by minimize.
+Each search is scipy's L-BFGS-B driven directly (``_lbfgsb``), on the path of
+``scipy.optimize.minimize`` evaluation for evaluation and bit for bit.
 
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
@@ -73,8 +65,9 @@ are standardized for fitting and de-standardized for prediction.
 
 import json
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -163,6 +156,11 @@ class KernelConfig:
         return corr_values(self.family_spec, self.cat_params, self.corr_nugget)
 
 
+def _outside(X: np.ndarray, bounds: np.ndarray) -> bool:
+    """Whether a coordinate of X lies more than 1e-9 outside its dimension's bounds."""
+    return np.any(X < bounds[:, 0] - 1e-9) or np.any(X > bounds[:, 1] + 1e-9)
+
+
 def _as_levels(levels, what: str = "levels") -> np.ndarray:
     """A new int array of ``levels``; ``ParamDomainError`` unless integral.
 
@@ -222,7 +220,7 @@ class TrainingSet:
             raise ParamDomainError("bounds must be finite")
         if np.any(bounds[:, 0] >= bounds[:, 1]):
             raise ParamDomainError("bounds must satisfy lower < upper per dimension")
-        if np.any(X < bounds[:, 0] - 1e-9) or np.any(X > bounds[:, 1] + 1e-9):
+        if _outside(X, bounds):
             raise ParamDomainError("training coordinates outside declared bounds")
         key = {(tuple(row), lv) for row, lv in zip(X.tolist(), levels.tolist())}
         if len(key) != n:
@@ -294,6 +292,17 @@ class TrainingSet:
         return index
 
 
+def _check_config(train: TrainingSet, spec: FamilySpec | None, n_lengthscales: int) -> None:
+    """The one check that a model of ``spec`` with ``n_lengthscales`` fits ``train``."""
+    if n_lengthscales != train.q:
+        raise ParamArityError(f"need {train.q} lengthscales, one per continuous dimension, "
+                              f"got {n_lengthscales}")
+    if spec is not None and spec.s < train.n_levels:
+        raise ParamDomainError(
+            f"{spec.label} has {spec.s} levels but the training set has {train.n_levels}"
+        )
+
+
 def _matern(t, dlog=False):
     """The Matern(5/2) factor k(t) = exp(-t) (1 + t + t^2/3), elementwise.
 
@@ -360,11 +369,10 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
 
     Returns (R, L) with R = correlations + nugget * I and L lower
     triangular. ``P`` is the s x s array of ``config.corr_matrix()``,
-    built here when not given. Raises ``IllConditionedError`` when
-    factorization fails, and ``ParamDomainError`` when the family has
-    fewer levels than the training set.
+    built here when not given. Raises as :func:`refit_config` does, and
+    ``IllConditionedError`` when factorization fails.
     """
-    _check_family_levels(train, config.family_spec)
+    _check_config(train, config.family_spec, config.lengthscales.size)
     if P is None:
         P = config.corr_matrix()
     R = _kernel(train.pairwise_absdiff(), config.lengthscales)
@@ -459,7 +467,7 @@ def concentrated_nll(
     if psi.size != k:
         raise ParamArityError(f"psi must have length {k}, got {psi.size}")
     config = KernelConfig(psi[:q], spec, None if spec is None else psi[q:], nugget, corr_nugget)
-    _check_family_levels(train, spec)
+    _check_config(train, spec, config.lengthscales.size)
     return _profile(train, train.standardized()[0], config.lengthscales, spec,
                     config.cat_params, nugget, corr_nugget)[0]
 
@@ -476,10 +484,9 @@ class FitOptions:
     the start's included; None means 150 per parameter. It is not a hard
     cap: as in scipy, the count is checked only after each iteration, so
     a search can overrun it by one line search, up to 20 evaluations.
-    Building one checks n_starts >= 1, seed >= 0, nugget >= 0,
-    corr_nugget > 0, 0 < lengthscale_bounds[0] < lengthscale_bounds[1] and
-    max_evals_per_start None or >= 1, for the API and config files alike,
-    and raises one ``ConfigError`` listing every rule broken.
+    Building one checks every field by the rules in ``__post_init__``, for
+    the API and config files alike, and raises one ``ConfigError`` listing
+    every rule broken.
     """
 
     n_starts: int = 10
@@ -491,14 +498,18 @@ class FitOptions:
 
     def __post_init__(self):
         low, high = self.lengthscale_bounds
-        budget = self.max_evals_per_start
+        n, seed, budget = self.n_starts, self.seed, self.max_evals_per_start
+        whole = lambda value: isinstance(value, numbers.Integral)
         ConfigError.check((
-            ("n_starts", self.n_starts, ">= 1", self.n_starts >= 1),
-            ("seed", self.seed, ">= 0", self.seed >= 0),
+            ("n_starts", n, "an integer", whole(n)),
+            ("seed", seed, "an integer", whole(seed)),
+            ("max_evals_per_start", budget, "an integer or None", budget is None or whole(budget)),
+            ("n_starts", n, ">= 1", not whole(n) or n >= 1),  # ranges of integers only
+            ("seed", seed, ">= 0", not whole(seed) or seed >= 0),
             ("nugget", self.nugget, ">= 0", self.nugget >= 0),
             ("corr_nugget", self.corr_nugget, "> 0", self.corr_nugget > 0),
             ("lengthscale_bounds", self.lengthscale_bounds, "> 0", low > 0 and high > 0),
-            ("max_evals_per_start", budget, ">= 1 or None", budget is None or budget >= 1),
+            ("max_evals_per_start", budget, ">= 1 or None", not whole(budget) or budget >= 1),
         ), [] if low < high else
             [f"lengthscale bounds must satisfy min < max, got {low} and {high}"])
 
@@ -606,35 +617,6 @@ class GPFit:
         return (self.mu_hat - self.y_mean) / self.y_std
 
 
-def _check_family_levels(train: TrainingSet, spec: FamilySpec | None) -> None:
-    if spec is not None and spec.s < train.n_levels:
-        raise ParamDomainError(
-            f"{spec.label} has {spec.s} levels but the training set has {train.n_levels}"
-        )
-
-
-def _finalize_fit(train: TrainingSet, config: KernelConfig, start_objectives=()):
-    _check_family_levels(train, config.family_spec)
-    z, y_mean, y_std = train.standardized()
-    nll, mu_z, sigma2_z, L, r, _ = _profile(
-        train, z, config.lengthscales, config.family_spec, config.cat_params,
-        config.nugget, config.corr_nugget,
-    )
-    alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
-    return GPFit(
-        config=config,
-        mu_hat=y_mean + y_std * mu_z,
-        sigma2_hat=y_std * y_std * sigma2_z,
-        neg_log_lik=nll,
-        chol_R=L,
-        alpha=alpha,
-        train=train,
-        y_mean=y_mean,
-        y_std=y_std,
-        start_objectives=tuple(start_objectives),
-    )
-
-
 def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None = None) -> GPFit:
     """Maximum-likelihood fit over the box-constrained parameter space.
 
@@ -654,7 +636,7 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     fewer levels than the training set's ``n_levels``.
     """
     options = options or FitOptions()
-    _check_family_levels(train, spec)
+    _check_config(train, spec, train.q)  # the search draws one lengthscale per dimension
     if spec is not None and np.unique(train.levels).size < 2:
         warnings.warn(
             "only one categorical level observed; fitting a continuous-only model",
@@ -719,21 +701,35 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
         np.exp(best_u[:q]), spec, best_u[q:] if spec is not None else None,
         nugget=options.nugget, corr_nugget=options.corr_nugget,
     )
-    return _finalize_fit(train, config, start_objectives)
+    return replace(refit_config(train, config), start_objectives=tuple(start_objectives))
 
 
 def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
     """Build a GPFit from known hyperparameters without optimizing.
 
-    Raises ``ParamDomainError`` when the family has fewer levels than the
-    training set's ``n_levels``.
+    The one place a GPFit is built; :func:`fit` and :func:`load_fit` end
+    here. Raises ``ParamArityError`` unless ``config`` has one lengthscale
+    per continuous dimension, and ``ParamDomainError`` when the family has
+    fewer levels than the training set's ``n_levels``.
     """
-    return _finalize_fit(train, config)
-
-
-def _check_in_bounds(X, bounds):
-    if np.any(X < bounds[:, 0] - 1e-9) or np.any(X > bounds[:, 1] + 1e-9):
-        raise ParamDomainError("query point outside the model's declared bounds")
+    _check_config(train, config.family_spec, config.lengthscales.size)
+    z, y_mean, y_std = train.standardized()
+    nll, mu_z, sigma2_z, L, r, _ = _profile(
+        train, z, config.lengthscales, config.family_spec, config.cat_params,
+        config.nugget, config.corr_nugget,
+    )
+    alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
+    return GPFit(
+        config=config,
+        mu_hat=y_mean + y_std * mu_z,
+        sigma2_hat=y_std * y_std * sigma2_z,
+        neg_log_lik=nll,
+        chol_R=L,
+        alpha=alpha,
+        train=train,
+        y_mean=y_mean,
+        y_std=y_std,
+    )
 
 
 def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
@@ -746,9 +742,7 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     not integers in 1..s (s the family's level count, or the training
     set's ``n_levels`` for a continuous-only model).
 
-    Works through the rows in blocks (see the module docstring): memory
-    is O(block * n), and each value is bit for bit that of one (rows, n)
-    expression.
+    Works through the rows in blocks (see the module docstring).
     """
     train = fit.train
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -761,7 +755,8 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
                               f"got shape {levels.shape}")
     if not np.isfinite(X).all():
         raise ParamDomainError("query coordinates must be finite")
-    _check_in_bounds(X, train.bounds)
+    if _outside(X, train.bounds):
+        raise ParamDomainError("query point outside the model's declared bounds")
     X01 = to_unit_coords(X, train.bounds)
     P = fit.config.corr_matrix()
     s = train.n_levels if P is None else P.shape[0]
@@ -879,4 +874,4 @@ def load_fit(path) -> GPFit:
         nugget=doc["nugget"],
         corr_nugget=doc["corr_nugget"],
     )
-    return _finalize_fit(train, config)
+    return refit_config(train, config)

@@ -1,6 +1,6 @@
 """Mixed-input benchmark functions built by slicing continuous ones.
 
-One dimension of a continuous test function is discretized at s
+The first dimension of a continuous test function is discretized at s
 positions, turning it into a categorical input. Positions are
 equidistant between the bounds, then the position closest to the
 global optimum is exchanged for the optimum's coordinate so the sliced
@@ -12,7 +12,8 @@ slice.
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -20,6 +21,8 @@ from scipy.optimize import minimize_scalar
 from .errors import ParamArityError, ParamDomainError
 
 UPEND_RATE = 0.5  # exponential cdf rate in the reflection smoothing
+_SLICE_MAX_RESOLUTION = 100  # _slice_max's grid points per non-sliced dimension
+_SLICE_MAX_TOP_CELLS = 5  # grid cells its coordinate descent starts from
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,12 @@ def double_sum(X: np.ndarray) -> np.ndarray:
     return (np.cumsum(X, axis=1) ** 2).sum(axis=1)
 
 
-def standard_functions() -> dict[str, ContinuousFunction]:
-    """The four three-dimensional benchmark functions, keyed by id."""
+@cache
+def standard_functions() -> MappingProxyType:
+    """The four three-dimensional benchmark functions, keyed by id: one
+    read-only mapping, built once per process."""
     cube = lambda l, u: [(l, u)] * 3
-    return {
+    return MappingProxyType({
         "ackley": ContinuousFunction(
             "ackley", 3, cube(-32.77, 32.77), ackley, np.zeros(3), 0.0
         ),
@@ -92,7 +97,7 @@ def standard_functions() -> dict[str, ContinuousFunction]:
         "doublesum": ContinuousFunction(
             "doublesum", 3, cube(-65.54, 65.54), double_sum, np.zeros(3), 0.0
         ),
-    }
+    })
 
 
 def get_function(name: str) -> ContinuousFunction:
@@ -135,18 +140,17 @@ def swap_optimum(positions: np.ndarray, opt_coord: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlicedFunction:
-    """A continuous function with one dimension pinned to s positions.
+    """A continuous function with its first dimension pinned to s positions.
 
     ``upended`` slices (1-based indices) return the smoothed reflection
     of the original values; their maxima ``y_max_hat`` are estimated at
     construction time. Slice 1-based index i evaluates the base
-    function at positions[i-1] in ``sliced_dim``.
+    function with its first coordinate at positions[i-1].
     """
 
     fid: str
     base: ContinuousFunction
     positions: np.ndarray
-    sliced_dim: int = 0
     upended: frozenset = frozenset()
     y_max_hat: dict = field(default_factory=dict)
 
@@ -155,7 +159,7 @@ class SlicedFunction:
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "upended", frozenset(self.upended))
-        l, u = self.base.bounds[self.sliced_dim]
+        l, u = self.base.bounds[0]
         if np.any(positions < l) or np.any(positions > u):
             raise ParamDomainError("slice positions outside the sliced dimension's bounds")
         opt = self.opt_slice
@@ -174,7 +178,7 @@ class SlicedFunction:
     @property
     def opt_slice(self) -> int:
         """1-based index of the slice holding the global optimum."""
-        opt = self.base.global_opt_pos[self.sliced_dim]
+        opt = self.base.global_opt_pos[0]
         matches = np.where(self.positions == opt)[0]
         if matches.size != 1:
             raise ParamDomainError(
@@ -184,20 +188,14 @@ class SlicedFunction:
 
     @property
     def rest_bounds(self) -> np.ndarray:
-        keep = [d for d in range(self.base.d) if d != self.sliced_dim]
-        return self.base.bounds[keep]
-
-
-def _insert_column(x_rest: np.ndarray, dim: int, value: float) -> np.ndarray:
-    x_rest = np.atleast_2d(x_rest)
-    return np.insert(x_rest, dim, value, axis=1)
+        return self.base.bounds[1:].copy()
 
 
 def base_slice_values(fn: SlicedFunction, slice_idx: int, x_rest) -> np.ndarray:
     """Original (never upended) values of one slice."""
     if not 1 <= slice_idx <= fn.s:
         raise IndexError(f"slice index {slice_idx} outside 1..{fn.s}")
-    pts = _insert_column(x_rest, fn.sliced_dim, fn.positions[slice_idx - 1])
+    pts = np.insert(np.atleast_2d(x_rest), 0, fn.positions[slice_idx - 1], axis=1)
     return fn.base.evaluate(pts)
 
 
@@ -221,8 +219,7 @@ def eval_sliced_batch(fn: SlicedFunction, slice_idx: int, x_rest) -> np.ndarray:
     return vals
 
 
-def _slice_max(base: ContinuousFunction, sliced_dim: int, position: float,
-               resolution: int = 100, top_cells: int = 5) -> float:
+def _slice_max(base: ContinuousFunction, position: float) -> float:
     """Maximum of one slice: dense grid plus coordinate-descent refinement.
 
     Each coordinate update does an exact line search (dense scan over a
@@ -232,15 +229,14 @@ def _slice_max(base: ContinuousFunction, sliced_dim: int, position: float,
     returned value is attained by the function, so it never exceeds the
     true maximum.
     """
-    rest = [d for d in range(base.d) if d != sliced_dim]
-    grids = [np.linspace(*base.bounds[d], resolution) for d in rest]
+    grids = [np.linspace(lo, hi, _SLICE_MAX_RESOLUTION) for lo, hi in base.bounds[1:]]
     mesh = np.meshgrid(*grids, indexing="ij")
     rest_pts = np.column_stack([m.ravel() for m in mesh])
-    vals = base.evaluate(_insert_column(rest_pts, sliced_dim, position))
-    order = np.argsort(vals)[::-1][:top_cells]
+    vals = base.evaluate(np.insert(rest_pts, 0, position, axis=1))
+    order = np.argsort(vals)[::-1][:_SLICE_MAX_TOP_CELLS]
 
     def value_at(x_rest):
-        return float(base.evaluate(_insert_column(x_rest[None, :], sliced_dim, position))[0])
+        return float(base.evaluate(np.insert(x_rest[None, :], 0, position, axis=1))[0])
 
     best = float(vals[order[0]])
     for idx in order:
@@ -248,15 +244,14 @@ def _slice_max(base: ContinuousFunction, sliced_dim: int, position: float,
         current = float(vals[idx])
         for _ in range(100):
             before = current
-            for j, d in enumerate(rest):
-                lo_d, hi_d = base.bounds[d]
-                h = (hi_d - lo_d) / (resolution - 1)
+            for j, (lo_d, hi_d) in enumerate(base.bounds[1:]):
+                h = (hi_d - lo_d) / (_SLICE_MAX_RESOLUTION - 1)
                 lo = max(lo_d, x[j] - 2.5 * h)
                 hi = min(hi_d, x[j] + 2.5 * h)
                 ts = np.linspace(lo, hi, 256)
                 scan = np.tile(x, (ts.size, 1))
                 scan[:, j] = ts
-                fv = base.evaluate(_insert_column(scan, sliced_dim, position))
+                fv = base.evaluate(np.insert(scan, 0, position, axis=1))
                 k = int(np.argmax(fv))
                 res = minimize_scalar(
                     lambda t: -value_at(np.r_[x[:j], t, x[j + 1 :]]),
@@ -278,23 +273,20 @@ def _slice_max(base: ContinuousFunction, sliced_dim: int, position: float,
     return best
 
 
-def make_sliced(base: ContinuousFunction, s: int, upend=(), sliced_dim: int = 0,
-                max_resolution: int = 100, fid: str | None = None) -> SlicedFunction:
-    """Slice ``base`` into s levels, estimating maxima of upended slices."""
-    l, u = base.bounds[sliced_dim]
-    positions = swap_optimum(slice_positions(l, u, s), base.global_opt_pos[sliced_dim])
+def make_sliced(base: ContinuousFunction, s: int, upend=()) -> SlicedFunction:
+    """Slice ``base`` in its first dimension into s levels, estimating the
+    maxima of the ``upend`` slices; the id is ``<name>_s<s>[_up<slices>]``."""
+    l, u = base.bounds[0]
+    positions = swap_optimum(slice_positions(l, u, s), base.global_opt_pos[0])
     upend = frozenset(int(i) for i in upend)
     for i in upend:
         if not 1 <= i <= s:
             raise ParamDomainError(f"upended slice index {i} outside 1..{s}")
-    y_max = {
-        i: _slice_max(base, sliced_dim, positions[i - 1], max_resolution) for i in sorted(upend)
-    }
-    if fid is None:
-        fid = f"{base.name}_s{s}"
-        if upend:
-            fid += "_up" + "".join(str(i) for i in sorted(upend))
-    return SlicedFunction(fid, base, positions, sliced_dim, upend, y_max)
+    y_max = {i: _slice_max(base, positions[i - 1]) for i in sorted(upend)}
+    fid = f"{base.name}_s{s}"
+    if upend:
+        fid += "_up" + "".join(str(i) for i in sorted(upend))
+    return SlicedFunction(fid, base, positions, upend, y_max)
 
 
 @dataclass(frozen=True)
@@ -305,16 +297,11 @@ class CrossCorrEstimate:
     """
 
     matrix: np.ndarray
-    grid_resolution: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def s(self) -> int:
-        return self.matrix.shape[0]
 
 
 def empirical_cross_corr(fn: SlicedFunction, resolution: int = 100) -> CrossCorrEstimate:
@@ -353,7 +340,7 @@ def empirical_cross_corr(fn: SlicedFunction, resolution: int = 100) -> CrossCorr
             else:
                 r = float((centered[i] @ centered[j]) / (values.shape[1] * std[i] * std[j]))
                 matrix[i, j] = matrix[j, i] = min(1.0, max(-1.0, r))
-    return CrossCorrEstimate(matrix, resolution)
+    return CrossCorrEstimate(matrix)
 
 
 _SUITE_UPENDS = {4: (1, 3), 6: (1, 2, 4)}

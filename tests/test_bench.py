@@ -208,6 +208,28 @@ def test_applicable_families_s6():
     assert labels == ["EC", "LRC2", "MC", "LRC3", "LRC4", "LRC5", "UC"]
 
 
+def test_family_order_equals_the_former_fixed_tuple_up_to_s8():
+    former = ("EC", "LRC2", "MC", "LRC3", "LRC4", "LRC5", "LRC6", "LRC7", "UC")
+    for s in range(2, 9):
+        labels = [spec.label for spec in applicable_families(("auto",), s)]
+        assert labels == [lb for lb in former if not lb.startswith("LRC") or int(lb[3:]) < s]
+        backwards = list(reversed(former))
+        assert [spec.label for spec in applicable_families(backwards, s)] == labels
+
+
+def test_applicable_families_s9():
+    labels = [spec.label for spec in applicable_families(("auto",), 9)]
+    assert labels == ["EC", "LRC2", "MC"] + [f"LRC{r}" for r in range(3, 9)] + ["UC"]
+
+
+def test_experiment_config_accepts_any_lrc_rank_of_at_least_two():
+    assert tiny_config(families=("LRC8",)).families == ("LRC8",)
+    assert tiny_config(functions=("ackley_s9",), families=("auto",)).functions == ("ackley_s9",)
+    for label in ("LRC", "LRC1"):
+        with pytest.raises(ConfigError, match=f"unknown family label '{label}'"):
+            tiny_config(families=(label,))
+
+
 def test_applicable_families_drops_oversized_ranks():
     labels = [spec.label for spec in applicable_families(("EC", "LRC5", "UC"), 4)]
     assert labels == ["EC", "UC"]
@@ -304,6 +326,35 @@ def test_records_csv_round_trip(tmp_path):
         a.rmse_corr == b.rmse_corr and a.q2 == b.q2 for a, b in zip(loaded, records)
     )
     assert loaded == records  # fit_seconds included: rounded once, when recorded
+
+
+RECORDS_HEADER = "function,s,n,family,rank,rep,rmse_corr,q2,fit_seconds,status"
+RECORD_OK = "ackley_s4,4,4,EC,,0,0.5,0.9,0.0,ok"
+
+
+@pytest.mark.parametrize("row,needle", [
+    ("ackley_s4,4,4,EC,,0,0.5", "record 2 has 7 cells, expected 10"),
+    (RECORD_OK + ",extra", "record 2 has 11 cells, expected 10"),
+])
+def test_read_records_csv_rejects_a_row_of_the_wrong_width(tmp_path, row, needle):
+    path = tmp_path / "records.csv"
+    path.write_text(f"# generated now\n{RECORDS_HEADER}\n{RECORD_OK}\n{row}\n")
+    with pytest.raises(ConfigError, match=needle) as err:
+        read_records_csv(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("row,needle", [
+    ("ackley_s4,4,4,EC,,0,abc,0.9,0.0,ok", "record 1, rmse_corr: could not convert"),
+    ("ackley_s4,four,4,EC,,0,0.5,0.9,0.0,ok", "record 1, s: invalid literal"),
+    ("ackley_s4,4,4,EC,,0,0.5,0.9,,ok", "record 1, fit_seconds: could not convert"),
+])
+def test_read_records_csv_rejects_a_cell_its_field_cannot_parse(tmp_path, row, needle):
+    path = tmp_path / "records.csv"
+    path.write_text(f"{RECORDS_HEADER}\n{row}\n")
+    with pytest.raises(ConfigError, match=needle) as err:
+        read_records_csv(path)
+    assert str(path) in str(err.value)
 
 
 def test_csv_columns_are_the_dataclass_fields(tmp_path):
@@ -492,6 +543,11 @@ def test_config_eval_budget_zero_is_automatic_and_negative_rejected(tmp_path):
     (dict(lengthscale_bounds=(2.0, 1.0)), "lengthscale bounds must satisfy min < max"),
     (dict(lengthscale_bounds=(0.0, 1.0)), "lengthscale_bounds: must be > 0"),
     (dict(max_evals_per_start=0), "max_evals_per_start: must be >= 1 or None"),
+    (dict(n_starts=2.5), "n_starts: must be an integer, got 2.5"),
+    (dict(n_starts=2.0), "n_starts: must be an integer"),
+    (dict(seed=1.5), "seed: must be an integer"),
+    (dict(seed="3"), "seed: must be an integer"),
+    (dict(max_evals_per_start=7.5), "max_evals_per_start: must be an integer or None"),
 ])
 def test_fit_options_reject_values_out_of_range(kwargs, needle):
     with pytest.raises(MixedGPError, match=needle):
@@ -502,6 +558,15 @@ def test_fit_options_list_every_broken_rule():
     with pytest.raises(ConfigError) as err:
         FitOptions(n_starts=0, nugget=-1.0, lengthscale_bounds=(-2.0, -3.0))
     assert len(err.value.issues) == 4  # n_starts, nugget, both bound rules
+
+
+def test_fit_options_check_ranges_on_integers_only():
+    with pytest.raises(ConfigError) as err:
+        FitOptions(n_starts=0.5, seed=-1.5, max_evals_per_start="x")
+    assert err.value.issues == ["n_starts: must be an integer, got 0.5",
+                                "seed: must be an integer, got -1.5",
+                                "max_evals_per_start: must be an integer or None, got 'x'"]
+    assert FitOptions(n_starts=np.int64(3), seed=np.int32(0)).n_starts == 3
 
 
 @pytest.mark.parametrize("kwargs,needle", [

@@ -164,6 +164,17 @@ def test_bench_run_and_summarize(capsys, tmp_path):
     assert text == (out_dir / "summary.csv").read_text()
 
 
+def test_bench_summarize_reports_a_bad_records_file(capsys, tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text("function,s,n,family,rank,rep,rmse_corr,q2,fit_seconds,status\n"
+                       "ackley_s4,4,4,EC,,0,0.5\n")
+    code, out, err = run_cli(capsys, "bench", "summarize", "--records", str(records),
+                             "--out", str(tmp_path / "summary.csv"))
+    assert code == 2
+    assert err.startswith("error:") and "record 1 has 7 cells" in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("fit_line", ["n_starts = abc", "n_starts = 0", "nugget = -1"])
 def test_bench_run_rejects_invalid_fit_values(capsys, tmp_path, fit_line):
     config = tmp_path / "study.ini"

@@ -251,6 +251,38 @@ def test_family_with_fewer_levels_than_the_training_set_rejected(tmp_path):
         load_fit(path)
 
 
+@pytest.mark.parametrize("lengthscales", [[0.3], [0.3, 0.4, 0.5]])
+def test_a_wrong_lengthscale_count_rejected(tmp_path, lengthscales):
+    rng = np.random.default_rng(2)
+    ts = TrainingSet(*random_instance(rng, 10, q=2, s=3))
+    spec = FamilySpec("EC", 3)
+    config = KernelConfig(lengthscales, spec, [0.5])
+    message = f"need 2 lengthscales, one per continuous dimension, got {len(lengthscales)}"
+    with pytest.raises(ParamArityError, match=message):
+        refit_config(ts, config)
+    with pytest.raises(ParamArityError, match=message):
+        build_R(ts, config)
+    with pytest.raises(ParamArityError):
+        concentrated_nll([*lengthscales, 0.5], ts, spec)
+    path = tmp_path / "fit.json"
+    save_fit(refit_config(ts, KernelConfig([0.3, 0.4], spec, [0.5])), path)
+    doc = json.loads(path.read_text())
+    doc["lengthscales"] = lengthscales
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamArityError, match=message):
+        load_fit(path)
+
+
+def test_fit_is_its_refit_plus_the_start_objectives():
+    rng = np.random.default_rng(3)
+    ts = TrainingSet(*random_instance(rng, 10, s=3))
+    gp = fit(ts, FamilySpec("MC", 3), FitOptions(n_starts=3))
+    again = refit_config(ts, gp.config)
+    assert len(gp.start_objectives) == 3 and again.start_objectives == ()
+    assert gp.neg_log_lik == again.neg_log_lik
+    assert np.array_equal(gp.alpha, again.alpha) and np.array_equal(gp.chol_R, again.chol_R)
+
+
 @pytest.mark.parametrize("bounds", [[[0.0, np.inf]], [[-np.inf, 1.0]], [[np.nan, 1.0]]])
 def test_training_set_rejects_non_finite_bounds(bounds):
     with pytest.raises(ParamDomainError, match="bounds must be finite"):

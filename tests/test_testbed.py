@@ -92,6 +92,14 @@ def test_registry_contents():
         assert fn.d == 3
 
 
+def test_registry_is_built_once_and_read_only():
+    registry = standard_functions()
+    assert standard_functions() is registry
+    assert all(registry[name] is get_function(name) for name in registry)
+    with pytest.raises(TypeError):
+        registry["ackley"] = None
+
+
 def test_known_optima():
     assert get_function("ackley").evaluate(np.zeros((1, 3)))[0] == pytest.approx(0.0, abs=1e-12)
     assert get_function("alpine1").evaluate(np.zeros((1, 3)))[0] == 0.0
