@@ -80,9 +80,13 @@ class FamilySpec:
     @classmethod
     def parse(cls, label: str, s: int | None = None) -> "FamilySpec":
         """Parse a label such as ``"EC"`` or ``"LRC3"`` into a spec; without
-        ``s``, at the fewest levels the label admits, to check it alone."""
+        ``s``, at the fewest levels the label admits, to check it alone.
+        An LRC rank that is not an integer raises ``ParamDomainError``."""
         label = label.strip().upper()
-        rank = int(label[3:]) if label.startswith("LRC") and len(label) > 3 else None
+        try:
+            rank = int(label[3:]) if label.startswith("LRC") and len(label) > 3 else None
+        except ValueError:
+            raise ParamDomainError(f"LRC rank must be an integer, got {label!r}") from None
         s = max(2, (rank or 0) + 1) if s is None else s
         return cls(label, s) if rank is None else cls("LRC", s, rank)
 

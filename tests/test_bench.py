@@ -225,9 +225,12 @@ def test_applicable_families_s9():
 def test_experiment_config_accepts_any_lrc_rank_of_at_least_two():
     assert tiny_config(families=("LRC8",)).families == ("LRC8",)
     assert tiny_config(functions=("ackley_s9",), families=("auto",)).functions == ("ackley_s9",)
-    for label in ("LRC", "LRC1"):
+    for label in ("LRC", "LRC1", "LRCx", "LRC2.5"):
         with pytest.raises(ConfigError, match=f"unknown family label '{label}'"):
             tiny_config(families=(label,))
+    for label in ("LRCx", "LRC2.5"):
+        with pytest.raises(ParamDomainError, match="LRC rank must be an integer"):
+            applicable_families((label,), 4)
 
 
 def test_applicable_families_drops_oversized_ranks():
@@ -548,10 +551,15 @@ def test_config_eval_budget_zero_is_automatic_and_negative_rejected(tmp_path):
     (dict(seed=1.5), "seed: must be an integer"),
     (dict(seed="3"), "seed: must be an integer"),
     (dict(max_evals_per_start=7.5), "max_evals_per_start: must be an integer or None"),
+    (dict(nugget="a"), "nugget: must be a real number, got 'a'"),
+    (dict(corr_nugget=None), "corr_nugget: must be a real number, got None"),
+    (dict(lengthscale_bounds=(1, "a")), "lengthscale_bounds: must be a pair of real numbers"),
+    (dict(lengthscale_bounds=(1,)), "lengthscale_bounds: must be a pair of real numbers"),
 ])
 def test_fit_options_reject_values_out_of_range(kwargs, needle):
-    with pytest.raises(MixedGPError, match=needle):
+    with pytest.raises(ConfigError, match=needle) as err:
         FitOptions(**kwargs)
+    assert len(err.value.issues) == 1
 
 
 def test_fit_options_list_every_broken_rule():

@@ -1098,9 +1098,35 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
     gp = refit_config(train, config)
     block = max(8, gpcore._BLOCK_ELEMENTS // train.n // 8 * 8)
     for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5):
-        Xq = rng.random((rows, q))
-        for lv in (s, rng.integers(1, s + 1, size=rows)):
+        for Xq in query_sets(rng, rows, q, block):
+            for lv in (s, rng.integers(1, s + 1, size=rows)):
+                assert np.array_equal(predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv))
+    if q:  # a full tensor grid of about three blocks
+        side = math.ceil((3 * block) ** (1 / q))
+        axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * q, indexing="ij")
+        Xq = np.column_stack([a.ravel() for a in axes])
+        for lv in (s, rng.integers(1, s + 1, size=len(Xq))):
             assert np.array_equal(predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv))
+
+
+def query_sets(rng, rows, q, block):
+    """Query sets of ``rows`` rows: scattered, then with repeated coordinates.
+
+    Those are a grid in the first dimension only, all rows equal, and
+    columns with exactly as many distinct values as predict_batch's
+    factor tables admit, and one more.
+    """
+    yield rng.random((rows, q))
+    if not (q and rows):
+        return
+    Xq = rng.random((rows, q))
+    Xq[:, 0] = np.linspace(0.0, 1.0, 7)[rng.integers(0, 7, size=rows)]
+    yield Xq
+    yield np.tile(rng.random(q), (rows, 1))
+    limit = min(block, int(gpcore._TABLE_SHARE * rows))
+    for distinct in (limit, limit + 1) if limit else ():
+        yield np.column_stack([rng.permutation(np.resize(rng.random(distinct), rows))
+                               for _ in range(q)])
 
 
 def test_predict_batch_memory_is_a_few_blocks():
@@ -1109,17 +1135,47 @@ def test_predict_batch_memory_is_a_few_blocks():
     X_train, levels, y = random_instance(rng, 24, s=3)
     gp = refit_config(TrainingSet(X_train, levels, y),
                       KernelConfig(np.array([0.3, 0.6]), FamilySpec("EC", 3), np.array([0.4])))
-    X = rng.random((100_000, 2))
+    rows = 100_000
+    block = max(8, gpcore._BLOCK_ELEMENTS // gp.train.n // 8 * 8)
+    scattered = rng.random((rows, 2))
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 400),
+                                                            np.linspace(0.0, 1.0, 250))])
+    # the first column has as many distinct values as a factor table admits
+    under = scattered.copy()
+    under[:, 0] = np.resize(rng.random(block), rows)
+    levels = rng.integers(1, 4, size=rows)
     tracemalloc.start()
     try:
-        for lv in (2, rng.integers(1, 4, size=len(X))):
-            tracemalloc.reset_peak()
-            out = predict_batch(gp, X, lv)
-            peak = tracemalloc.get_traced_memory()[1]
-            assert out.shape == (len(X),)
-            assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+        for X in (scattered, grid, under):
+            for lv in (2, levels):
+                tracemalloc.reset_peak()
+                out = predict_batch(gp, X, lv)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert out.shape == (rows,)
+                assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
     finally:
         tracemalloc.stop()
+
+
+def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch):
+    # on a 100 x 100 grid each column has 100 distinct values: the Matern
+    # factor is computed for 2 * 100 * n distances, not 2 * 10,000 * n
+    rng = np.random.default_rng(9)
+    X_train, levels, y = random_instance(rng, 24, s=3)
+    gp = refit_config(TrainingSet(X_train, levels, y),
+                      KernelConfig(np.array([0.3, 0.6]), FamilySpec("EC", 3), np.array([0.4])))
+    g = np.linspace(0.0, 1.0, 100)
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
+    sizes = []
+
+    def counted(t, dlog=False):
+        sizes.append(t.size)
+        return matern(t, dlog)
+
+    matern = gpcore._matern
+    monkeypatch.setattr(gpcore, "_matern", counted)
+    predict_batch(gp, grid, 2)
+    assert sum(sizes) == 2 * 100 * gp.train.n
 
 
 # ---------------------------------------------------------------------------
