@@ -183,8 +183,8 @@ def _outside(X: np.ndarray, bounds: np.ndarray) -> bool:
     Column by column: numpy compares a (rows, q) array with a length-q
     row of bounds in a length-q inner loop per row, several times slower.
     """
-    return len(X) > 0 and any(X[:, d].min() < lo - 1e-9 or X[:, d].max() > hi + 1e-9
-                              for d, (lo, hi) in enumerate(bounds))
+    return len(X) > 0 and any(x.min() < lo - 1e-9 or x.max() > hi + 1e-9
+                              for x, (lo, hi) in zip(X.T, bounds.tolist()))
 
 
 def _unit_columns(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -195,7 +195,7 @@ def _unit_columns(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     :func:`_outside`), and contiguous.
     """
     X01 = np.empty(X.shape[::-1])
-    for x, col, (lo, hi) in zip(X01, X.T, bounds):
+    for x, col, (lo, hi) in zip(X01, X.T, bounds.tolist()):
         np.subtract(col, lo, out=x)
         x /= hi - lo
     return X01
