@@ -27,22 +27,24 @@ OpenBLAS gemv kernel takes rows in groups (of 4 on x86-64 Haswell) and
 rounds its leftover rows differently, so a block that starts at a
 multiple of 8 puts every row in the group and path it has in one
 product over all rows, and each prediction is bit for bit that of the
-one-array expression. A query column with few distinct values, as each
-column of a grid has, gets a table instead: the Matern factors of its
-distinct values against the training set, a (distinct, n) array built
-by the same steps, from which each block gathers its rows through the
-column's inverse index (from one argsort). On a 100 x 100 grid that
-evaluates 100 rows of factors per dimension instead of 10,000, the
-per-dimension factorization of a product kernel on a grid (Gilboa,
-Saatci & Cunningham 2015). Every entry is the same operation on the
-same operands, so predictions are bit for bit those of the direct
-path. A column qualifies with at most ``_TABLE_SHARE`` of its rows
-distinct, and at most a block's rows, so a table is no larger than a
-block's array. The memoized
+one-array expression. The memoized
 differences are C-contiguous in (q, n, n) order, so each dimension's
 slice of the stack, and of its lengthscale derivative, is contiguous:
 BLAS dot products then accumulate exactly as on arrays built for one
 dimension, while strided slices round differently in the last bits.
+
+A query column with few distinct values, as each column of a grid has,
+gets a table in place of per-block differences: the Matern factors of
+its distinct values against the training set, a (distinct, n) array
+built by the same steps, from which each block gathers its rows
+through the column's inverse index (from one argsort). On a 100 x 100
+grid that evaluates 100 rows of factors per dimension instead of
+10,000: the per-dimension factorization of a product kernel on a grid
+(Gilboa, Saatci & Cunningham 2015). Every entry is the same operation
+on the same operands, so predictions are bit for bit those of the
+direct path. A column qualifies with at most ``_TABLE_SHARE`` of its
+rows distinct, and at most a block's rows, so a table is no larger
+than a block's array.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model: LAPACK
