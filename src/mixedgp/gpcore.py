@@ -19,9 +19,14 @@ array, made absolute and scaled in place, its Matern factor multiplies
 the block's product in place, and the level factor is one broadcast
 row of P (a row gather from the (s, n) table of P at the training
 levels when each query row has its own level). Memory is then
-O(block * n) for any number of rows, and the allocator reuses a
-block's memory for the next instead of faulting in fresh pages from
-the OS, as (rows, n) arrays on a large grid would. Blocks have a
+O(block * n) for any number of rows, and within a call the allocator
+reuses a block's memory for the next. Between calls it need not: a
+call's arrays above glibc's mmap threshold (unit coordinates, index
+arrays) may be mapped afresh each time. Counted with
+``getrusage(RUSAGE_SELF).ru_minflt`` over 50 calls on 10,000 rows at
+N = 16, 32 and 48, scattered queries faulted in 159-199 pages a call
+before models kept their last query (below) and 5 on a first call and
+under 1 on a repeated one since; grids 0 before and 0-3 since. Blocks have a
 multiple of 8 rows, about ``_BLOCK_ELEMENTS`` entries per array: the
 OpenBLAS gemv kernel takes rows in groups (of 4 on x86-64 Haswell) and
 rounds its leftover rows differently, so a block that starts at a
@@ -45,6 +50,27 @@ on the same operands, so predictions are bit for bit those of the
 direct path. A column qualifies with at most ``_TABLE_SHARE`` of its
 rows distinct, and at most a block's rows, so a table is no larger
 than a block's array.
+
+Of the factors of a query row's r0 only the last, P[level, .], depends
+on the level (Rasmussen & Williams 2006, eq. 2.25), and callers predict
+every level of one query in turn. So a model keeps the level-free part
+of its last query (``GPFit._query``): a private copy of the query as
+its key, P at the training levels, and the unit columns and factor
+tables. A call whose X equals the kept one (``np.array_equal``, about
+15 us at 10,000 x 2) skips the checks, the mapping and the tables. The
+second such call also builds r_c, the (rows, n) product of the
+continuous factors, by the same steps into an array the model keeps,
+while rows * n is at most ``_KEEP_ELEMENTS`` and the query has more
+than one block; every later call multiplies r_c's blocks by the level
+row (or per-row gather) and sums them. Blocks, row groups and operands
+are those of a fresh model's call, so predictions keep every bit. r_c
+is built on the second call, not the first: writing it, which leaves
+the cache, made first calls on the 168 predict_grid models 5% slower
+on scattered and 15% slower on grid queries, while a query predicted
+once should cost what it did. A one-block query keeps no r_c: it would
+save tens of us a call, yet every model alive that had predicted one
+would hold one. The kept part is published only once complete, so a
+concurrent call reads a finished one or none.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model: LAPACK
@@ -81,6 +107,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -127,6 +154,18 @@ _BLOCK_ELEMENTS = 1 << 15
 # three quarters.
 _TABLE_SHARE = 0.25
 
+# A model keeps r_c, the (rows, n) product of its last query's
+# continuous factors, while it has at most this many entries (8 MB; see
+# the module docstring). At N = 48 (2-vCPU x86-64 VM, medians of 9),
+# on scattered queries of 2 to 64 MB the call that builds r_c and one
+# that reuses it took 0.60-0.74 of the time of two calls without it; on
+# grids the build took 1.31-1.56 times a call without it and each reuse
+# 0.72-0.77 up to 32 MB, and 2.12 and 0.81 at 64 MB. Size barely moves
+# the gain below that, so memory sets the cap: predict_grid's largest
+# query has 480,000 entries, and 8 MB leaves room under the 16 MB that
+# a test allows a call.
+_KEEP_ELEMENTS = 1 << 20
+
 # scipy.optimize.minimize's L-BFGS-B defaults: corrections kept, factr
 # (ftol / machine epsilon), projected-gradient tolerance, line-search
 # steps per iteration and iterations
@@ -153,16 +192,22 @@ class KernelConfig:
     corr_nugget: float = 1e-8
 
     def __post_init__(self):
-        ls = np.asarray(self.lengthscales, dtype=float).ravel()
+        # private read-only copies, as in TrainingSet: a model keeps
+        # products of its last query built from them (predict_batch)
+        ls = np.array(self.lengthscales, dtype=float).ravel()
+        ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
         if not np.all(ls > 0):
             raise ParamDomainError("lengthscales must be positive")
-        if self.nugget < 0:
-            raise ParamDomainError("nugget must be nonnegative")
+        if not 0 <= self.nugget < math.inf:
+            raise ParamDomainError(f"nugget must be finite and nonnegative, got {self.nugget}")
+        if not 0 < self.corr_nugget < math.inf:
+            raise ParamDomainError(
+                f"corr_nugget must be finite and positive, got {self.corr_nugget}")
         if self.cat_params is not None:
-            object.__setattr__(
-                self, "cat_params", np.asarray(self.cat_params, dtype=float).ravel()
-            )
+            cat = np.array(self.cat_params, dtype=float).ravel()
+            cat.setflags(write=False)
+            object.__setattr__(self, "cat_params", cat)
         if (self.family_spec is None) != (self.cat_params is None):
             raise ParamDomainError("family_spec and cat_params must be given together")
         if self.family_spec is not None:
@@ -595,8 +640,9 @@ class FitOptions:
             # ranges of values of the right type only
             ("n_starts", n, ">= 1", not whole(n) or n >= 1),
             ("seed", seed, ">= 0", not whole(seed) or seed >= 0),
-            ("nugget", nugget, ">= 0", not real(nugget) or nugget >= 0),
-            ("corr_nugget", corr_nugget, "> 0", not real(corr_nugget) or corr_nugget > 0),
+            ("nugget", nugget, ">= 0 and finite", not real(nugget) or 0 <= nugget < math.inf),
+            ("corr_nugget", corr_nugget, "> 0 and finite",
+             not real(corr_nugget) or 0 < corr_nugget < math.inf),
             ("lengthscale_bounds", bounds, "> 0", not pair or (low > 0 and high > 0)),
             ("max_evals_per_start", budget, ">= 1 or None", not whole(budget) or budget >= 1),
         ), [] if not pair or low < high else
@@ -700,6 +746,8 @@ class GPFit:
     y_mean: float
     y_std: float
     start_objectives: tuple = field(default=(), compare=False)
+    # the level-free part of the last predict_batch query (_Query)
+    _query: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mu_z(self) -> float:
@@ -821,6 +869,65 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
     )
 
 
+class _Query(NamedTuple):
+    """The level-free part of a :func:`predict_batch` query, kept on the model.
+
+    ``parts`` holds the unit columns and factor tables each block
+    builds the product of the continuous Matern factors from, until
+    ``product`` holds that (rows, n) product r_c itself.
+    """
+
+    X: np.ndarray                   # a private copy of the query
+    level_table: np.ndarray | None  # P at (level, training level), (s, n)
+    s: int                          # the levels a query may name
+    product: np.ndarray | None
+    parts: list | None              # ((x, x_train, scale), table) per column
+
+
+def _block_product(parts, start: int, stop: int, first: np.ndarray, gathered):
+    """The product of the continuous factors of query rows start..stop.
+
+    A table gather goes straight into ``first``, a (stop - start, n)
+    array, when it is the block's first factor, else into the head of
+    ``gathered``; the product is formed in place in the first factor,
+    which is ``first`` or a fresh array. None without continuous inputs.
+    """
+    r = None
+    for (x, x_train, scale), table in parts:
+        if table is None:
+            factor = _matern_factor(x[start:stop], x_train, scale)
+        else:
+            # mode="clip" (the indices are in range) lets numpy write
+            # straight into ``out`` instead of through a buffer
+            factor = np.take(table[0], table[1][start:stop], axis=0, mode="clip",
+                             out=first if r is None else gathered[:stop - start])
+        if r is None:
+            r = factor
+        else:
+            r *= factor
+    return r
+
+
+def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
+    """The checks and level-free parts of a query ``X`` of the right shape.
+
+    Raises ``ParamDomainError`` for non-finite or out-of-bounds
+    coordinates.
+    """
+    train = fit.train
+    if not np.isfinite(X).all():
+        raise ParamDomainError("query coordinates must be finite")
+    if _outside(X, train.bounds):
+        raise ParamDomainError("query point outside the model's declared bounds")
+    X = X.copy()  # the key: the caller may change its array
+    X.setflags(write=False)
+    columns = zip(_unit_columns(X, train.bounds), train.X01.T, SQRT5 / fit.config.lengthscales)
+    parts = [(column, _factor_table(*column, block)) for column in columns]
+    P = fit.config.corr_matrix()
+    return _Query(X, None if P is None else P[:, train.levels - 1],
+                  train.n_levels if P is None else P.shape[0], None, parts)
+
+
 def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     """Plug-in best linear unbiased prediction: mu + r0 @ alpha per query row.
 
@@ -831,7 +938,14 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     not integers in 1..s (s the family's level count, or the training
     set's ``n_levels`` for a continuous-only model).
 
-    Works through the rows in blocks (see the module docstring).
+    Works through the rows in blocks (see the module docstring). The
+    model keeps the level-free part of its last query: the checks, unit
+    columns and factor tables that a call with an equal ``X``
+    (``np.array_equal``) skips. The second such call keeps the (rows, n)
+    product r_c of the continuous factors too, for a query of more than
+    one block and at most ``_KEEP_ELEMENTS`` entries, and later ones
+    only multiply it by the level factor and sum. Every prediction is
+    bit for bit a fresh model's.
     """
     train = fit.train
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -842,57 +956,72 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     if levels.ndim > 1 or levels.size not in (1, rows):
         raise ParamArityError(f"levels must be a scalar or have {rows} entries, "
                               f"got shape {levels.shape}")
-    if not np.isfinite(X).all():
-        raise ParamDomainError("query coordinates must be finite")
-    if _outside(X, train.bounds):
-        raise ParamDomainError("query point outside the model's declared bounds")
-    X01 = _unit_columns(X, train.bounds)
-    P = fit.config.corr_matrix()
-    s = train.n_levels if P is None else P.shape[0]
-    if np.any(levels < 1) or np.any(levels > s):
-        raise ParamDomainError(f"query level outside 1..{s}")
-    # P at (query level, training level): one row for a single level,
-    # else a row gather per block from the (s, n) table
-    if P is None:
-        level_table = None
-    elif levels.size == 1:
-        level_table = P[levels.item() - 1, train.levels - 1]
-    else:
-        level_table = P[:, train.levels - 1]
-        levels = levels.reshape(-1) - 1
     n = train.n
     block = max(8, _BLOCK_ELEMENTS // n // 8 * 8)
-    scales = SQRT5 / fit.config.lengthscales
-    columns = list(zip(X01, train.X01.T, scales))
-    tables = [_factor_table(x, x_train, scale, block) for x, x_train, scale in columns]
-    if any(table is not None for table in tables):
-        # gathers go into two arrays that every block reuses: the
-        # product when it is the block's first factor, else the other
-        product, gathered = np.empty((2, min(rows, block + 1), n))
+    query = fit._query
+    fresh = query is None or not np.array_equal(X, query.X)
+    if fresh:
+        # the last query's part is freed before this one's is built
+        del query
+        object.__setattr__(fit, "_query", None)
+        query = _level_free(fit, X, block)
+    if np.any(levels < 1) or np.any(levels > query.s):
+        raise ParamDomainError(f"query level outside 1..{query.s}")
+    product, level_table = query.product, query.level_table
+    build = product is None
+    if build and not fresh and block < rows and rows * n <= _KEEP_ELEMENTS:
+        product = np.empty((rows, n))  # the second call on a query builds r_c
+    # gathers go into arrays that every block reuses: a block's first
+    # factor into ``first`` (or r_c), later ones, per-row level factors
+    # and a kept r_c times the level factor into ``spare``
+    width = min(rows, block + 1)
+    tables = any(table is not None for _, table in query.parts or ())
+    first = np.empty((width, n)) if tables and product is None else None
+    spare = (np.empty((width, n)) if tables or (
+        level_table is not None and (product is not None or levels.size != 1)) else None)
+    if level_table is not None and levels.size == 1:
+        level_row = level_table[levels.item() - 1]
+    else:
+        levels = levels.reshape(-1) - 1
     out = np.empty(rows)
     # numpy sends a one-row product to BLAS ddot, which sums in another
     # order than gemv does for the other rows: a lone last row joins the
     # block before it
     starts = range(0, max(rows - 1, 1), block)
     for start, stop in zip(starts, [*starts[1:], rows]):
-        r0 = None
-        for (x, x_train, scale), table in zip(columns, tables):
-            if table is None:
-                factor = _matern_factor(x[start:stop], x_train, scale)
+        size = stop - start
+        if build:
+            if product is not None:
+                dest = product[start:stop]
             else:
-                # mode="clip" (the indices are in range) lets numpy write
-                # straight into ``out`` instead of through a buffer
-                factor = np.take(table[0], table[1][start:stop], axis=0, mode="clip",
-                                 out=(product if r0 is None else gathered)[:stop - start])
-            if r0 is None:
-                r0 = factor
-            else:
-                r0 *= factor
-        if r0 is None:  # no continuous inputs
-            r0 = np.ones((stop - start, n))
+                dest = None if first is None else first[:size]
+            r = _block_product(query.parts, start, stop, dest, spare)
+            if product is not None and r is not dest:
+                dest[...] = 1.0 if r is None else r
+                r = dest
+            elif r is None:  # no continuous inputs
+                r = np.ones((size, n))
+        else:
+            r = product[start:stop]
+        # the level factor: one broadcast row of P, or a row gather per
+        # row; r_c stays level-free, a block built for this call takes it
+        # in place
         if level_table is not None:
-            r0 *= level_table if level_table.ndim == 1 else level_table[levels[start:stop]]
-        np.matmul(r0, fit.alpha, out=out[start:stop])
+            r0 = r if product is None else spare[:size]
+            if levels.size == 1:
+                np.multiply(r, level_row, out=r0)
+            else:
+                np.multiply(r, np.take(level_table, levels[start:stop], axis=0, mode="clip",
+                                       out=spare[:size]), out=r0)
+            r = r0
+        np.matmul(r, fit.alpha, out=out[start:stop])
+    if product is not query.product:
+        product.setflags(write=False)
+        query = query._replace(product=product, parts=None)
+    if query is not fit._query:
+        # published once r_c is complete: a concurrent call reads either
+        # a finished query or none
+        object.__setattr__(fit, "_query", query)
     out += fit.mu_z
     out *= fit.y_std
     out += fit.y_mean

@@ -555,6 +555,9 @@ def test_config_eval_budget_zero_is_automatic_and_negative_rejected(tmp_path):
     (dict(corr_nugget=None), "corr_nugget: must be a real number, got None"),
     (dict(lengthscale_bounds=(1, "a")), "lengthscale_bounds: must be a pair of real numbers"),
     (dict(lengthscale_bounds=(1,)), "lengthscale_bounds: must be a pair of real numbers"),
+    (dict(nugget=float("inf")), "nugget: must be >= 0 and finite"),
+    (dict(corr_nugget=float("nan")), "corr_nugget: must be > 0 and finite"),
+    (dict(corr_nugget=float("inf")), "corr_nugget: must be > 0 and finite"),
 ])
 def test_fit_options_reject_values_out_of_range(kwargs, needle):
     with pytest.raises(ConfigError, match=needle) as err:

@@ -3,6 +3,8 @@
 import json
 import math
 import operator
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -270,6 +272,30 @@ def test_a_wrong_lengthscale_count_rejected(tmp_path, lengthscales):
     doc["lengthscales"] = lengthscales
     path.write_text(json.dumps(doc))
     with pytest.raises(ParamArityError, match=message):
+        load_fit(path)
+
+
+@pytest.mark.parametrize("nugget, corr_nugget", [
+    (math.nan, 1e-8), (math.inf, 1e-8), (-1e-9, 1e-8),
+    (1e-8, 0.0), (1e-8, -0.5), (1e-8, -1.0), (1e-8, math.nan), (1e-8, math.inf),
+])
+def test_nuggets_must_be_finite_and_in_range(tmp_path, nugget, corr_nugget):
+    rng = np.random.default_rng(2)
+    ts = TrainingSet(*random_instance(rng, 10, q=2, s=3))
+    spec = FamilySpec("LRC", 3, 2)
+    lo, hi = psi_box(2, spec, FitOptions())
+    theta = (lo[2:] + hi[2:]) / 2
+    message = "nugget must be finite and"
+    with pytest.raises(ParamDomainError, match=message):
+        refit_config(ts, KernelConfig([0.3, 0.4], spec, theta, nugget, corr_nugget))
+    with pytest.raises(ParamDomainError, match=message):
+        concentrated_nll([0.3, 0.4, *theta], ts, spec, nugget, corr_nugget)
+    path = tmp_path / "fit.json"
+    save_fit(refit_config(ts, KernelConfig([0.3, 0.4], spec, theta)), path)
+    doc = json.loads(path.read_text())
+    doc.update(nugget=nugget, corr_nugget=corr_nugget)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamDomainError, match=message):
         load_fit(path)
 
 
@@ -1097,15 +1123,18 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
                           None if spec is None else rng.uniform(lo[q:], hi[q:]))
     gp = refit_config(train, config)
     block = max(8, gpcore._BLOCK_ELEMENTS // train.n // 8 * 8)
-    for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5):
-        for Xq in query_sets(rng, rows, q, block):
-            for lv in (s, rng.integers(1, s + 1, size=rows)):
-                assert np.array_equal(predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv))
+    # Each query is predicted four times: the model builds its level-free
+    # part on the first call and, from more than a block of rows, the
+    # product r_c on the second; the others reuse it.
+    sets = [Xq for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5)
+            for Xq in query_sets(rng, rows, q, block)]
     if q:  # a full tensor grid of about three blocks
         side = math.ceil((3 * block) ** (1 / q))
         axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * q, indexing="ij")
-        Xq = np.column_stack([a.ravel() for a in axes])
-        for lv in (s, rng.integers(1, s + 1, size=len(Xq))):
+        sets.append(np.column_stack([a.ravel() for a in axes]))
+    for Xq in sets:
+        for lv in (s, rng.integers(1, s + 1, size=len(Xq)), 1,
+                   rng.integers(1, s + 1, size=len(Xq))):
             assert np.array_equal(predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv))
 
 
@@ -1143,18 +1172,20 @@ def test_predict_batch_memory_is_a_few_blocks():
     # the first column has as many distinct values as a factor table admits
     under = scattered.copy()
     under[:, 0] = np.resize(rng.random(block), rows)
-    levels = rng.integers(1, 4, size=rows)
+    # as many rows as the model keeps the (rows, n) product r_c of (8 MB)
+    at_cap = rng.random((gpcore._KEEP_ELEMENTS // gp.train.n, 2))
     tracemalloc.start()
     try:
-        for X in (scattered, grid, under):
-            for lv in (2, levels):
+        for X in (scattered, grid, under, at_cap):
+            for lv in (2, rng.integers(1, 4, size=len(X)), 1):
                 tracemalloc.reset_peak()
                 out = predict_batch(gp, X, lv)
                 peak = tracemalloc.get_traced_memory()[1]
-                assert out.shape == (rows,)
+                assert out.shape == (len(X),)
                 assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
     finally:
         tracemalloc.stop()
+    assert gp._query.product is not None  # the last query's r_c was kept
 
 
 def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch):
@@ -1176,6 +1207,74 @@ def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch)
     monkeypatch.setattr(gpcore, "_matern", counted)
     predict_batch(gp, grid, 2)
     assert sum(sizes) == 2 * 100 * gp.train.n
+    # the same query at other levels: from the kept tables, then from r_c
+    for lv in (3, 1, [1, 2, 3] * 3333 + [1]):
+        predict_batch(gp, grid, lv)
+    assert sum(sizes) == 2 * 100 * gp.train.n
+
+
+def test_predict_batch_keeps_no_stale_query():
+    # a model keeps the level-free part of its last query, keyed by the
+    # query's values: a query changed in place between calls, and another
+    # model on the same training set, predict as a fresh model does
+    rng = np.random.default_rng(10)
+    train = TrainingSet(*random_instance(rng, 24, s=3))
+    ec = refit_config(train, KernelConfig([0.3, 0.6], FamilySpec("EC", 3), [0.4]))
+    uc = refit_config(train, KernelConfig([0.5, 0.2], FamilySpec("UC", 3), [1.0, 2.0, 1.5]))
+    g = np.linspace(0.0, 1.0, 60)
+    Xq = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
+    assert len(Xq) > gpcore._BLOCK_ELEMENTS // train.n  # more than a block: r_c is kept
+
+    def check(model, lv):
+        fresh = refit_config(train, model.config)
+        assert np.array_equal(predict_batch(model, Xq, lv), predict_batch(fresh, Xq, lv))
+
+    for model, lv in [(ec, 1), (ec, 2), (uc, 1), (ec, 3), (uc, 2), (uc, 3), (ec, 1)]:
+        check(model, lv)
+    Xq[::7, 0] = rng.random(len(Xq[::7]))
+    for lv in (2, 3, 1):
+        check(ec, lv)
+    Xq[5, 1] = 0.5
+    check(ec, 3)
+    check(uc, 1)
+    for params in (ec.config.lengthscales, uc.config.cat_params):  # nor its parameters
+        with pytest.raises(ValueError, match="read-only"):
+            params[0] = 0.9
+
+
+def test_predict_batch_is_safe_for_concurrent_callers():
+    # threads that share one model and alternate two queries see every
+    # prediction a fresh model makes: a query's r_c is published complete
+    rng = np.random.default_rng(11)
+    train = TrainingSet(*random_instance(rng, 24, s=3))
+    config = KernelConfig([0.3, 0.6], FamilySpec("MC", 3), [0.4, 0.7, 0.2])
+    model = refit_config(train, config)
+    g = np.linspace(0.0, 1.0, 50)
+    queries = [np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")]),
+               rng.random((2500, 2))]  # of one shape, so memory of one may serve the other
+    expected = {(k, lv): predict_batch(refit_config(train, config), X, lv)
+                for k, X in enumerate(queries) for lv in (1, 2, 3)}
+    failures = []
+
+    def worker(seed):
+        r = np.random.default_rng(seed)
+        for _ in range(60):
+            k, lv = int(r.integers(2)), int(r.integers(1, 4))
+            if not np.array_equal(predict_batch(model, queries[k], lv), expected[k, lv]):
+                failures.append((k, lv))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
 
 
 # ---------------------------------------------------------------------------
