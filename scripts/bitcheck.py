@@ -89,6 +89,7 @@ def fit_lines(tmp):
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
+        # fit_lines last: the study workload wraps bench.fit for good
         for section in (gate_lines, grid_lines, fit_lines):
             for line in section(os.path.join(tmp, section.__name__)):
                 print(line, flush=True)

@@ -199,11 +199,11 @@ class KernelConfig:
         object.__setattr__(self, "lengthscales", ls)
         if not np.all(ls > 0):
             raise ParamDomainError("lengthscales must be positive")
-        if not 0 <= self.nugget < math.inf:
-            raise ParamDomainError(f"nugget must be finite and nonnegative, got {self.nugget}")
-        if not 0 < self.corr_nugget < math.inf:
-            raise ParamDomainError(
-                f"corr_nugget must be finite and positive, got {self.corr_nugget}")
+        nugget, corr_nugget = self.nugget, self.corr_nugget
+        if not (isinstance(nugget, numbers.Real) and 0 <= nugget < math.inf):
+            raise ParamDomainError(f"nugget must be finite and nonnegative, got {nugget!r}")
+        if not (isinstance(corr_nugget, numbers.Real) and 0 < corr_nugget < math.inf):
+            raise ParamDomainError(f"corr_nugget must be finite and positive, got {corr_nugget!r}")
         if self.cat_params is not None:
             cat = np.array(self.cat_params, dtype=float).ravel()
             cat.setflags(write=False)

@@ -278,6 +278,7 @@ def test_a_wrong_lengthscale_count_rejected(tmp_path, lengthscales):
 @pytest.mark.parametrize("nugget, corr_nugget", [
     (math.nan, 1e-8), (math.inf, 1e-8), (-1e-9, 1e-8),
     (1e-8, 0.0), (1e-8, -0.5), (1e-8, -1.0), (1e-8, math.nan), (1e-8, math.inf),
+    ("1e-8", 1e-8), (1e-8, None),
 ])
 def test_nuggets_must_be_finite_and_in_range(tmp_path, nugget, corr_nugget):
     rng = np.random.default_rng(2)
