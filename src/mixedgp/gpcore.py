@@ -19,7 +19,8 @@ array, made absolute and scaled in place, its Matern factor multiplies
 the block's product in place, and the level factor is one broadcast
 row of P (a row gather from the (s, n) table of P at the training
 levels when each query row has its own level). Memory is then
-O(block * n) for any number of rows, and within a call the allocator
+O(block * n) for any number of rows, besides a kept r_c of at most
+``_KEEP_ELEMENTS`` entries (below), and within a call the allocator
 reuses a block's memory for the next. Between calls it need not: a
 call's arrays above glibc's mmap threshold (unit coordinates, index
 arrays) may be mapped afresh each time. Counted with
