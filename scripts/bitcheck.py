@@ -7,7 +7,7 @@ checkouts to see whether a change keeps every bit:
     python3 scripts/bitcheck.py > bits_after.txt
     diff bits_before.txt bits_after.txt
 
-Three sections, one digest per line:
+Four sections, one digest per line:
 
 * ``gate``: ``scripts/configs/refactor_gate.ini``'s ``records.csv``
   below its ``# generated`` header line;
@@ -17,10 +17,18 @@ Three sections, one digest per line:
   on one model, per-row levels and then every level in descending
   order on a second;
 * ``fit``: the 8 fits of the ``study_upended`` workload (NLL,
-  lengthscales, family parameters and ``start_objectives``).
+  lengthscales, family parameters and ``start_objectives``);
+* ``desk``: ``records.csv`` below its header line for each of the six
+  studies of acceptance criterion 8 (base seeds 1000, 2000 and 3000;
+  ackley_s4_up13 at n = 8 with EC, MC, LRC3 and UC, and ackley_s4 at
+  n = 4 with EC and UC; 20 replications each), with ``timing = none``
+  and run serially: 360 fits. Their 3,600 searches end at different
+  rounds, so a fit's searches are evaluated together in many different
+  compositions of the stacked likelihood call, and every one must give
+  the bits of a search evaluated alone.
 
 The workloads are imported from ``perfbench/`` and only read. BLAS runs
-on one thread. A full run takes about half a minute.
+on one thread. A full run takes about a minute.
 """
 
 import hashlib
@@ -87,10 +95,25 @@ def fit_lines(tmp):
                + digest([f.neg_log_lik], f.config.lengthscales, cat, f.start_objectives))
 
 
+def desk_lines(tmp):
+    for base_seed in (1000, 2000, 3000):
+        for name, fid, n, families in (("up", "ackley_s4_up13", 8, ("EC", "MC", "LRC3", "UC")),
+                                       ("orig", "ackley_s4", 4, ("EC", "UC"))):
+            cfg = bench.ExperimentConfig(
+                functions=(fid,), n_values=(n,), families=families, replications=20,
+                base_seed=base_seed, resolution=100, test_size=100, test_seed=4242,
+                timing="none")
+            out = os.path.join(tmp, f"{name}{base_seed}")
+            bench.run_experiment(cfg, out)
+            with open(os.path.join(out, "records.csv"), encoding="utf-8") as fh:
+                body = fh.read().split("\n", 1)[1]
+            yield f"desk {name}{base_seed} {hashlib.sha256(body.encode()).hexdigest()}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # fit_lines last: the study workload wraps bench.fit for good
-        for section in (gate_lines, grid_lines, fit_lines):
+        for section in (gate_lines, grid_lines, desk_lines, fit_lines):
             for line in section(os.path.join(tmp, section.__name__)):
                 print(line, flush=True)
     return 0

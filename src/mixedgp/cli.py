@@ -68,17 +68,32 @@ def _print_matrix_csv(matrix: np.ndarray) -> None:
         sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _parse_floats(raw: str) -> np.ndarray:
-    return np.array([float(tok) for tok in raw.replace(",", " ").split()], dtype=float)
+def _parse_numbers(raw: str, option: str, kind=float) -> list:
+    """The comma- or space-separated numbers of ``option``'s value ``raw``."""
+    try:
+        return [kind(tok) for tok in raw.replace(",", " ").split()]
+    except ValueError:
+        noun = "numbers" if kind is float else "integers"
+        raise MixedGPError(f"{option}: expected comma-separated {noun}, got {raw!r}") from None
 
 
-def _parse_ints(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+def _read_file(path, read):
+    """``read(path)``, with a missing, unreadable or malformed file
+    reported as a ``MixedGPError`` that names it."""
+    try:
+        return read(path)
+    except MixedGPError:
+        raise
+    except OSError as exc:
+        raise MixedGPError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except ValueError as exc:
+        raise MixedGPError(f"{path}: {exc}") from None
 
 
 def _cmd_corr_build(args) -> int:
     spec = FamilySpec(args.family.strip().upper(), args.s, args.rank)
-    matrix = build_correlation(spec, _parse_floats(args.params), nugget=args.nugget)
+    params = np.array(_parse_numbers(args.params, "--params"), dtype=float)
+    matrix = build_correlation(spec, params, nugget=args.nugget)
     _print_matrix_csv(matrix.values)
     return 0
 
@@ -89,7 +104,10 @@ def _cmd_design_generate(args) -> int:
     else:
         d, _ = design_mod.cslhd(args.n, args.s, args.q, args.seed, centered=args.centered)
     if args.bounds:
-        bounds = _parse_floats(args.bounds).reshape(args.q, 2)
+        bounds = _parse_numbers(args.bounds, "--bounds")
+        if len(bounds) != 2 * args.q:
+            raise MixedGPError(f"--bounds: expected 2q = {2 * args.q} values, got {len(bounds)}")
+        bounds = np.array(bounds, dtype=float).reshape(args.q, 2)
         d = design_mod.scale_to_bounds(d, bounds)
     design_mod.to_csv(d, args.out)
     print(f"wrote {d.n_total} points ({d.s} slice(s)) to {args.out}")
@@ -97,7 +115,7 @@ def _cmd_design_generate(args) -> int:
 
 
 def _cmd_design_validate(args) -> int:
-    design, clusters = design_mod.from_csv(args.file)
+    design, clusters = _read_file(args.file, design_mod.from_csv)
     print(
         f"{args.file}: valid design with s={design.s}, n={design.n_per_slice}, "
         f"q={design.q}, {int(clusters.assignment.max())} cluster(s)"
@@ -121,7 +139,7 @@ def _cmd_testbed_positions(args) -> int:
 
 def _cmd_testbed_corr(args) -> int:
     base = testbed_mod.get_function(args.fn)
-    upend = _parse_ints(args.upend) if args.upend else ()
+    upend = _parse_numbers(args.upend, "--upend", int) if args.upend else ()
     fn = testbed_mod.make_sliced(base, args.s, upend=upend)
     est = testbed_mod.empirical_cross_corr(fn, resolution=args.resolution)
     _print_matrix_csv(est.matrix)
@@ -137,7 +155,7 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_summarize(args) -> int:
-    records = bench_mod.read_records_csv(args.records)
+    records = _read_file(args.records, bench_mod.read_records_csv)
     rows = bench_mod.summarize(records)
     out = args.out or "summary.csv"
     bench_mod.write_csv(out, bench_mod.SummaryRow, rows)
@@ -146,7 +164,7 @@ def _cmd_bench_summarize(args) -> int:
 
 
 def _read_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    return _read_file(path, lambda p: np.loadtxt(p, delimiter=",", ndmin=2))
 
 
 def _cmd_bench_corr_rmse(args) -> int:
@@ -157,7 +175,9 @@ def _cmd_bench_corr_rmse(args) -> int:
 
 
 def _cmd_bench_q2(args) -> int:
-    data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_file(args.data, lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2))
+    if data.shape[1] != 2:
+        raise MixedGPError(f"{args.data}: expected 2 columns y_true,y_pred, got {data.shape[1]}")
     print(repr(bench_mod.q_squared(data[:, 0], data[:, 1])))
     return 0
 

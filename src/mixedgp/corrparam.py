@@ -21,6 +21,11 @@ LRC_r
 Angle vectors for UC and LRC are flattened row-major: rows i = 2..s,
 and within row i the angles theta_{i,1}, ..., theta_{i,min(i,r)-1}
 (min(i, s) for UC).
+
+:func:`corr_values` and :func:`corr_grad` also take a (k, p) stack of k
+parameter vectors, for the likelihood's stacked evaluation: every step
+is elementwise or one small product per matrix, so each row of the
+result is bit for bit that of its vector alone.
 """
 
 import functools
@@ -169,10 +174,16 @@ class CorrMatrix:
             ) from None
 
 
+def _set_diagonal(P: np.ndarray, value: float) -> None:
+    """Set the diagonal of each s x s matrix of a C-contiguous (..., s, s) array."""
+    s = P.shape[-1]
+    P.reshape(-1, s * s)[:, :: s + 1] = value
+
+
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     # force exact symmetry / unit diagonal / range against fp noise
-    P = (P + P.T) / 2.0
-    P.reshape(-1)[:: P.shape[0] + 1] = 1.0
+    P = (P + P.swapaxes(-1, -2)) / 2.0
+    _set_diagonal(P, 1.0)
     np.maximum(P, -1.0, out=P)
     return np.minimum(P, 1.0, out=P)
 
@@ -196,12 +207,12 @@ def _angle_cells(s: int, rank: int):
 
     Returns (rows, later, own, own_sp): the row of Q each angle moves;
     a (k, rank) 0/1 mask of the entries after the angle's own column;
-    and the flat positions of (angle, own column) in a (k, rank) array
-    and of the angle's preceding-sines product in ``sp``.
+    a (k, rank) boolean mask of the angle's own column; and the flat
+    position of the angle's preceding-sines product in ``sp``.
     """
     grid_row, col = divmod(_angle_slots(s, rank), rank - 1)
     later = (np.arange(rank) > col[:, None]).astype(float)
-    own = np.arange(col.size) * rank + col
+    own = np.arange(rank) == col[:, None]
     own_sp = grid_row * rank + col
     for a in (grid_row, later, own, own_sp):
         a.setflags(write=False)
@@ -213,18 +224,22 @@ def _sphere_label(s: int, rank: int) -> str:
 
 
 def _angle_grid(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
-    """The (s-1) x (rank-1) zero-padded grid of ``theta``, after checking its arity and domain."""
+    """The (s-1) x (rank-1) zero-padded grid of ``theta``, after checking its arity and domain.
+
+    A (k, p) stack of angle vectors gives the (k, s-1, rank-1) stack of
+    their grids; its rows are not checked against the domain.
+    """
     theta = np.asarray(theta, dtype=float)
     k = lrc_param_count(s, rank)
-    if theta.shape != (k,):
+    if theta.shape[-1:] != (k,) or theta.ndim > 2:
         raise ParamArityError(
             f"{_sphere_label(s, rank)} with s={s} needs {k} angles, got shape {theta.shape}")
-    if not (theta.min() > 0.0 and theta.max() < np.pi):  # NaN fails both
+    if theta.ndim == 1 and not (theta.min() > 0.0 and theta.max() < np.pi):  # NaN fails both
         raise ParamDomainError(f"{_sphere_label(s, rank)} angles must lie in (0, pi)")
-    grid = np.zeros((s - 1) * (rank - 1))
-    grid[_angle_slots(s, rank)] = theta
-    grid.shape = (s - 1, rank - 1)
-    return grid
+    lead = theta.shape[:-1]
+    grid = np.zeros(lead + ((s - 1) * (rank - 1),))
+    grid[..., _angle_slots(s, rank)] = theta
+    return grid.reshape(lead + (s - 1, rank - 1))
 
 
 def _sphere_parts(theta: np.ndarray, s: int, rank: int):
@@ -232,15 +247,17 @@ def _sphere_parts(theta: np.ndarray, s: int, rank: int):
 
     Returns (Q, sp): sp[i - 1, j] is the product of the first j sines
     of row i's zero-padded angles (sp[:, 0] = 1), so that
-    Q[1:] = [cos(angles), 1] * sp.
+    Q[1:] = [cos(angles), 1] * sp. A (k, p) stack of angle vectors
+    gives stacks of both, with a leading axis k.
     """
     grid = _angle_grid(theta, s, rank)
-    sp = np.ones((s - 1, rank))
-    np.multiply.accumulate(np.sin(grid), axis=1, out=sp[:, 1:])  # cumprod
-    Q = np.zeros((s, rank))
-    Q[0, 0] = 1.0
-    np.multiply(np.cos(grid), sp[:, :-1], out=Q[1:, :-1])
-    Q[1:, -1] = sp[:, -1]
+    lead = grid.shape[:-2]
+    sp = np.ones(lead + (s - 1, rank))
+    np.multiply.accumulate(np.sin(grid), axis=-1, out=sp[..., 1:])  # cumprod
+    Q = np.zeros(lead + (s, rank))
+    Q[..., 0, 0] = 1.0
+    np.multiply(np.cos(grid), sp[..., :-1], out=Q[..., 1:, :-1])
+    Q[..., 1:, -1] = sp[..., -1]
     return Q, sp
 
 
@@ -272,14 +289,16 @@ def sphere_loading_grad(theta: np.ndarray, s: int, rank: int, parts=None):
     entries do not depend on it.
 
     ``parts`` is the (Q, sp) that :func:`corr_values` built at the same
-    angles; without it they are built (and the angles checked) here.
+    angles; without it they are built (and the angles checked) here. A
+    (k, p) stack of angle vectors gives stacks of Q and dQ.
     """
     Q, sp = _sphere_parts(theta, s, rank) if parts is None else parts
     theta = np.asarray(theta, dtype=float)
     rows, later, own, own_sp = _angle_cells(s, rank)
     sn = np.sin(theta)
-    dQ = Q[rows] * (later * (np.cos(theta) / sn)[:, None])
-    dQ.ravel()[own] = -sn * sp.ravel()[own_sp]
+    dQ = Q.take(rows, axis=-2) * (later * (np.cos(theta) / sn)[..., None])
+    own_sp = sp.reshape(sp.shape[:-2] + (-1,)).take(own_sp, axis=-1)
+    np.copyto(dQ, (-sn * own_sp)[..., None], where=own)
     return Q, rows, dQ
 
 
@@ -335,35 +354,48 @@ def corr_values(
     :func:`build_correlation` wraps it in a checked CorrMatrix. For UC
     and LRC, a list ``parts`` receives the loading Q and its sine
     products, which :func:`corr_grad` needs at the same parameters.
+
+    A (k, p) stack of parameter vectors gives (P, ok): the (k, s, s)
+    stack of their matrices, and the (k,) mask of the rows inside the
+    domain. A row outside it raises nothing, and its matrix is
+    meaningless. ``parts`` then receives stacks.
     """
     values = np.asarray(values, dtype=float)
-    s = spec.s
-    if spec.family == "EC":
-        if values.shape != (1,):
-            raise ParamArityError(f"EC takes a single parameter, got shape {values.shape}")
-        c = float(values[0])
-        if not (0.0 < c < 1.0):
-            raise ParamDomainError(f"EC parameter must lie in (0, 1), got {c}")
-        P = np.full((s, s), c)
-        P.reshape(-1)[:: s + 1] = 1.0
-        return P
-    if spec.family == "MC":
-        if values.shape != (s,):
-            raise ParamArityError(f"MC needs {s} parameters, got shape {values.shape}")
-        if not np.all(values > 0.0):
-            raise ParamDomainError("MC parameters must all be positive")
+    s, family = spec.s, spec.family
+    k = param_count(spec)
+    if values.shape[-1:] != (k,) or values.ndim > 2:
+        raise ParamArityError({
+            "EC": "EC takes a single parameter",
+            "MC": f"MC needs {s} parameters",
+        }.get(family, f"{spec.label} with s={s} needs {k} angles") + f", got shape {values.shape}")
+    # the domain, open intervals: NaN is outside
+    ok = values > 0.0
+    if family != "MC":
+        ok &= values < (1.0 if family == "EC" else np.pi)
+    ok = np.logical_and.reduce(ok, axis=-1)
+    if values.ndim == 1 and not ok:
+        raise ParamDomainError({
+            "EC": f"EC parameter must lie in (0, 1), got {values[0]}",
+            "MC": "MC parameters must all be positive",
+        }.get(family, f"{spec.label} angles must lie in (0, pi)"))
+    if family == "EC":
+        P = np.empty(values.shape[:-1] + (s, s))
+        P[...] = values[..., None]
+        _set_diagonal(P, 1.0)
+    elif family == "MC":
         a = np.exp(-values)
-        P = a[:, None] * a
-        P.reshape(-1)[:: s + 1] = 1.0
-        return P
-    Q, sp = _sphere_parts(values, s, s if spec.family == "UC" else spec.rank)
-    if parts is not None:
-        parts.extend((Q, sp))
-    P = Q @ Q.T
-    if spec.family == "LRC":  # (P + nugget I) / (1 + nugget), in place
-        P.reshape(-1)[:: s + 1] += nugget
-        P /= 1.0 + nugget
-    return _symmetrize(P)
+        P = a[..., :, None] * a[..., None, :]
+        _set_diagonal(P, 1.0)
+    else:
+        Q, sp = _sphere_parts(values, s, s if family == "UC" else spec.rank)
+        if parts is not None:
+            parts.extend((Q, sp))
+        P = Q @ Q.swapaxes(-1, -2)
+        if family == "LRC":  # (P + nugget I) / (1 + nugget), in place
+            P.reshape(-1, s * s)[:, :: s + 1] += nugget
+            P /= 1.0 + nugget
+        P = _symmetrize(P)
+    return P if values.ndim == 1 else (P, ok)
 
 
 def corr_grad(
@@ -378,20 +410,22 @@ def corr_grad(
     weights; MC has dP_ab/dphi_k = -P_ab (1[a=k] + 1[b=k]) off the
     diagonal; UC and LRC have dP = dQ Q^T + Q dQ^T, scaled by
     1 / (1 + nugget) for LRC, and each angle moves one row of Q
-    (:func:`sphere_loading_grad`, on the Q that ``parts`` holds).
+    (:func:`sphere_loading_grad`, on the Q that ``parts`` holds). With a
+    (k, p) stack of ``values``, ``G`` is a (k, s, s) stack and ``parts``
+    holds stacks; the result is (k, p).
     """
-    G = np.array(G, dtype=float, order="C")  # reshape(-1) below is then a view
-    G.reshape(-1)[:: G.shape[0] + 1] = 0.0
+    G = np.array(G, dtype=float, order="C")  # reshape below is then a view
+    _set_diagonal(G, 0.0)
     values = np.asarray(values, dtype=float)
     if spec.family == "EC":
-        return np.array([G.sum()])
+        return np.add.reduce(G.reshape(G.shape[:-2] + (-1,)), axis=-1)[..., None]
     if spec.family == "MC":
         a = np.exp(-values)
-        return -2.0 * a * (G @ a)
+        return -2.0 * a * (G @ a[..., None])[..., 0]
     rank = spec.s if spec.family == "UC" else spec.rank
     Q, rows, dQ = sphere_loading_grad(values, spec.s, rank, parts)
     scale = 2.0 if spec.family == "UC" else 2.0 / (1.0 + nugget)
-    return scale * ((G @ Q)[rows] * dQ).sum(axis=1)
+    return scale * np.add.reduce((G @ Q).take(rows, axis=-2) * dQ, axis=-1)
 
 
 def build_correlation(

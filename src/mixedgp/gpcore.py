@@ -74,11 +74,12 @@ would hold one. The kept part is published only once complete, so a
 concurrent call reads a finished one or none.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
-for :func:`concentrated_nll` and for the finished model: LAPACK
-``dpotrf`` factors R, and one BLAS ``dtrsm`` solve on [z, 1] yields the
-GLS mean and profiled variance. (LAPACK ``dtrtrs`` would do the same
-solve, but OpenBLAS runs it on a second thread even at a few dozen rows,
-doubling its CPU time for no gain in wall time.) For the optimizer it
+for :func:`concentrated_nll` and for the finished model, at a stack of
+k parameter points at once (k = 1 for the latter two): LAPACK
+``dpotrf`` factors each R, and one BLAS ``dtrsm`` solve on [z, 1] per
+point yields the GLS mean and profiled variance. (LAPACK ``dtrtrs``
+would do the same solve, but OpenBLAS runs it on a second thread even
+at a few dozen rows, doubling its CPU time for no gain in wall time.) For the optimizer it
 also returns the gradient sum(W * dR/dpsi), W = R^-1 - alpha alpha^T /
 sigma2, with R^-1 = L^-T L^-1 from one ``dtrtri`` on the same factor
 and one product: closed-form Matern lengthscale terms, and category
@@ -95,8 +96,30 @@ None of this changes a floating-point operation or its order, so the
 searches, and every fitted number, are those of the straightforward
 evaluation.
 
-Each search is scipy's L-BFGS-B driven directly (``_lbfgsb``), on the path of
-``scipy.optimize.minimize`` evaluation for evaluation and bit for bit.
+The stack changes none either. Every step is elementwise on (k, ...)
+arrays, one LAPACK or BLAS call per point (``dpotrf``, both ``dtrsm``
+solves, ``dtrtri``), one small product per matrix (``Linv^T Linv``,
+the level sums, the category terms), or ``np.vecdot``, which is BLAS
+``ddot`` on each pair of rows and so sums as the dot product of two
+vectors does; each point's value and gradient are then bit for bit
+those of the point alone, whatever else is in the stack (a test pins
+this). ``np.einsum``, or a matrix-vector product in place of the dot
+products, did not give the same bits; n log(sigma2) keeps ``math.log``. A
+point whose family parameters lie outside their domain, or whose R
+does not factor, fails alone: it gets ``_FAILED_OBJ`` and a zero
+gradient.
+
+Each search is scipy's L-BFGS-B driven directly (``_lbfgsb_search``), on
+the path of ``scipy.optimize.minimize`` evaluation for evaluation and
+bit for bit. It is a generator that yields each point it needs and is
+sent that point's value and gradient, so :func:`fit` runs its starts in
+lockstep: one stacked call evaluates every start, and then each round
+one stacked call evaluates the next point of every search still
+running. At N = 24-32 most of an evaluation's time is numpy's and
+LAPACK's per-call overhead, which a stack pays once; the 8 fits of the
+``study_upended`` benchmark make 2,964 stacked calls for 8,303
+evaluations. A round is split into calls of at most ``_STACK_ELEMENTS``
+entries per (points, q, n, n) array.
 
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
@@ -167,6 +190,16 @@ _TABLE_SHARE = 0.25
 # a test allows a call.
 _KEEP_ELEMENTS = 1 << 20
 
+# fit evaluates its searches' points together, in stacked likelihood
+# calls of at most this many entries in each (points, q, n, n) array
+# (128 KB; see fit). Per point of a 16-point round at q = 2 (UC, s = 4;
+# BLAS on one thread, 2-vCPU x86-64 VM), calls of 18,432 entries or
+# fewer page-faulted no memory from the OS, and larger ones 200-2,300
+# pages a round, glibc's mmap threshold being 128 KB: at N = 32, 8
+# points a call took 50 us a point and 16 took 68; at N = 48, 4 took
+# 110 and 8 took 184; at N = 96, 1 took 435 and 2 took 548.
+_STACK_ELEMENTS = 1 << 14
+
 # scipy.optimize.minimize's L-BFGS-B defaults: corrections kept, factr
 # (ftol / machine epsilon), projected-gradient tolerance, line-search
 # steps per iteration and iterations
@@ -198,7 +231,7 @@ class KernelConfig:
         ls = np.array(self.lengthscales, dtype=float).ravel()
         ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
-        if not np.all(ls > 0):
+        if not (ls > 0).all():
             raise ParamDomainError("lengthscales must be positive")
         nugget, corr_nugget = self.nugget, self.corr_nugget
         if not (isinstance(nugget, numbers.Real) and 0 <= nugget < math.inf):
@@ -464,28 +497,26 @@ def _kernel(absdiff, lengthscales, dlog=False):
     dimension (normalized units), C-contiguous. Returns a new array of
     shape ``absdiff.shape[1:]``: the q factors multiplied in dimension
     order. With ``dlog`` returns (K, D), D the (q, ...) array of each
-    factor's lengthscale derivative (:func:`_matern`).
+    factor's lengthscale derivative (:func:`_matern`). A (k, q) stack
+    of lengthscale vectors gives a leading axis k to K and D.
     """
-    scale = (SQRT5 / np.asarray(lengthscales)).reshape((-1,) + (1,) * (absdiff.ndim - 1))
-    t = scale * absdiff
+    ls = np.asarray(lengthscales)
+    t = (SQRT5 / ls).reshape(ls.shape + (1,) * (absdiff.ndim - 1)) * absdiff
     if dlog:
         k, D = _matern(t, dlog=True)
-        return k.prod(axis=0), D
-    return _matern(t).prod(axis=0)
+        return np.multiply.reduce(k, axis=ls.ndim - 1), D
+    return np.multiply.reduce(_matern(t), axis=ls.ndim - 1)
 
 
-def _cholesky(R: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric R (upper triangle zeroed).
+_NOT_POSITIVE_DEFINITE = ("training correlation matrix is not positive definite; "
+                          "increase the model nugget")
 
-    R is passed transposed, a Fortran-ordered view of the same matrix,
-    so ``overwrite`` factors it in place without a copy.
-    """
-    L, info = dpotrf(R.T, lower=1, overwrite_a=overwrite)
+
+def _cholesky(R: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric R (upper triangle zeroed)."""
+    L, info = dpotrf(R.T, lower=1)
     if info != 0:
-        raise IllConditionedError(
-            "training correlation matrix is not positive definite; "
-            "increase the model nugget"
-        )
+        raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
     return L
 
 
@@ -517,58 +548,110 @@ def _standardize(y: np.ndarray):
 
 def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
              nugget: float, corr_nugget: float, grad: bool = False):
-    """The profiled likelihood at one parameter point.
+    """The profiled likelihood at a stack of k parameter points.
 
-    Returns (nll, mu, sigma2, L, r, g): the objective n log(sigma2) +
-    log det R, the GLS mean and profiled variance of the standardized
-    responses ``z``, the Cholesky factor L of R, the whitened residual
-    r = L^-1 (z - mu 1), and, with ``grad``, the gradient g of the
-    objective in (lengthscales, cat_params) (else None). With
+    ``lengthscales`` is a (k, q) array and ``cat_params`` a (k, p) array
+    (None without a family). Returns (nll, ok, mu, sigma2, L, r, g), each
+    with a leading axis k: the objective n log(sigma2) + log det R, the
+    mask of the points where it is defined, the GLS mean and profiled
+    variance of the standardized responses ``z``, the Cholesky factors
+    L of R (lower, each Fortran-ordered), the whitened residuals
+    r = L^-1 (z - mu 1), and, with ``grad``, the (k, q + p) gradient g
+    of the objective in (lengthscales, cat_params) (else None). With
     a = L^-1 z and b = L^-1 1 from one solve, mu = b.a / b.b and
-    r = a - mu b. Raises ``IllConditionedError`` when R cannot be
-    factored.
+    r = a - mu b. A point whose family parameters lie outside their
+    domain, or whose R cannot be factored, has nll ``_FAILED_OBJ``, a
+    zero gradient and a False entry in ``ok``; its other entries are
+    meaningless, and the other points are unaffected.
     """
+    k, n = len(lengthscales), train.n
     parts = [] if grad else None
-    Pv = None if spec is None else corr_values(spec, cat_params, corr_nugget, parts=parts)
-    Ppairs = 1.0 if spec is None else np.take(Pv, train.pair_index(spec.s))
+    if spec is None:
+        Ppairs, ok = 1.0, np.ones(k, bool)
+    else:
+        P, ok = corr_values(spec, cat_params, corr_nugget, parts=parts)
+        Ppairs = P.reshape(k, -1).take(train.pair_index(spec.s), axis=1)
     if grad:
         K, dlog = _kernel(train.pairwise_absdiff(), lengthscales, dlog=True)
         R = K * Ppairs  # the gradient needs K itself
     else:
         R = _kernel(train.pairwise_absdiff(), lengthscales)
         R *= Ppairs
-    R.reshape(-1)[:: train.n + 1] += nugget
-    L = _cholesky(R, overwrite=True)
-    n = z.size
-    zb = np.empty((n, 2), order="F")
-    zb[:, 0] = z
-    zb[:, 1] = 1.0
-    a, b = dtrsm(1.0, L, zb, lower=1, overwrite_b=1).T
-    mu = float(b @ a) / float(b @ b)
-    r = a - mu * b
-    rr = float(r @ r) / n
-    sigma2 = max(rr, SIGMA2_FLOOR)
-    logdet = 2.0 * float(np.log(L.diagonal()).sum())
+    # R's diagonal is exactly 1 (Matern(0) = 1 and P's diagonal is 1), so
+    # setting it to 1 + nugget adds the nugget, without a read
+    R.reshape(k, -1)[:, :: n + 1] = 1.0 + nugget
+    # each R[i] is factored in place, through its transpose, a Fortran-
+    # ordered view: R[i] then holds L_i^T and L[i] is L_i; and [z, 1] is
+    # solved in place in ab[i]
+    L = R.transpose(0, 2, 1)
+    ab = np.empty((k, 2, n))
+    ab[:, 0] = z
+    ab[:, 1] = 1.0
+    for i, Li in enumerate(L):
+        if dpotrf(Li, lower=1, overwrite_a=1)[1]:
+            ok[i] = False
+            R[i] = np.eye(n)  # a stand-in factor, with which every step below is finite
+        else:
+            dtrsm(1.0, Li, ab[i].T, lower=1, overwrite_b=1)
+    # np.vecdot is BLAS ddot on each pair of rows, so it sums as the dot
+    # product of two vectors does; here b.a and b.b in one call
+    ba, bb = np.vecdot(ab[:, 1:], ab).T
+    mu = ba / bb
+    r = ab[:, 0] - mu[:, None] * ab[:, 1]
+    rr = np.vecdot(r, r) / n
+    sigma2 = np.maximum(rr, SIGMA2_FLOOR)
+    nll = 2.0 * np.add.reduce(np.log(R.diagonal(0, 1, 2)), axis=1)  # log det R
+    for i, v in enumerate(sigma2.tolist()):
+        nll[i] += n * math.log(v)
     g = None
     if grad:
         # df/dpsi = sum(W * dR/dpsi) with W = R^-1 - alpha alpha^T / sigma2
         # and alpha = R^-1 (z - mu 1); the profiled mu drops out
-        # (Rasmussen & Williams 2006, sec. 5.4.1)
-        Linv = dtrtri(L, lower=1)[0]  # lower triangular, like L
-        W = Linv.T @ Linv
-        if rr > SIGMA2_FLOOR:  # a floored sigma2 does not move with psi
-            alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
-            W -= alpha[:, None] * (alpha / sigma2)
+        # (Rasmussen & Williams 2006, sec. 5.4.1). R^-1 = L^-T L^-1, and
+        # LT[i] becomes L_i^-T in place, lower triangular as L_i is. A
+        # floored sigma2 does not move with psi: there alpha is +0, and
+        # subtracting the +0 products leaves W's bits as they are
+        LT = R.copy()
+        moves = rr > SIGMA2_FLOOR
+        alpha = np.where(moves[:, None], r, 0.0)
+        for Li, Ti, ai, m in zip(L, LT.transpose(0, 2, 1), alpha, moves.tolist()):
+            dtrtri(Ti, lower=1, overwrite_c=1)
+            if m:
+                dtrsm(1.0, Li, ai, lower=1, trans_a=1, overwrite_b=1)
+        W = LT @ LT.transpose(0, 2, 1)
+        W -= alpha[:, :, None] * (alpha / sigma2[:, None])[:, None, :]
         WK = W * K
         WR = WK * Ppairs
-        g = np.empty(lengthscales.size + (0 if spec is None else cat_params.size))
-        for d, (ell, dl) in enumerate(zip(lengthscales, dlog)):
-            g[d] = np.vdot(WR, dl) / ell  # dl is contiguous (pairwise_absdiff)
+        q = lengthscales.shape[1]
+        g = np.empty((k, q + (0 if spec is None else cat_params.shape[1])))
+        # the lengthscale terms by one dot product per (point, dimension),
+        # on contiguous rows (pairwise_absdiff), so summed as np.vdot does
+        g[:, :q] = np.vecdot(dlog.reshape(k, q, n * n), WR.reshape(k, 1, n * n))
+        g[:, :q] /= lengthscales
         if spec is not None:
             E = train.level_indicator(spec.s)
-            g[lengthscales.size:] = corr_grad(spec, cat_params, E.T @ WK @ E, parts,
-                                              corr_nugget)
-    return n * math.log(sigma2) + logdet, mu, sigma2, L, r, g
+            g[:, q:] = corr_grad(spec, cat_params, E.T @ WK @ E, parts, corr_nugget)
+    if False in ok.tolist():
+        nll[~ok] = _FAILED_OBJ
+        if grad:
+            g[~ok] = 0.0
+    return nll, ok, mu, sigma2, L, r, g
+
+
+def _profile_one(train: TrainingSet, config: KernelConfig):
+    """:func:`_profile` at one checked model, unstacked: (nll, mu, sigma2, L, r).
+
+    Raises ``ParamDomainError`` for family parameters outside their
+    domain, and ``IllConditionedError`` when R cannot be factored.
+    """
+    spec, cat = config.family_spec, config.cat_params
+    nll, ok, mu, sigma2, L, r, _ = _profile(
+        train, train.standardized()[0], config.lengthscales[None], spec,
+        None if cat is None else cat[None], config.nugget, config.corr_nugget)
+    if not ok[0]:
+        config.corr_matrix()  # raises for parameters outside the domain
+        raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
+    return float(nll[0]), float(mu[0]), float(sigma2[0]), L[0], r[0]
 
 
 def concentrated_nll(
@@ -582,9 +665,9 @@ def concentrated_nll(
     on the correlation parameters. Responses are standardized
     internally; the reported value refers to the standardized scale.
     ``psi`` is the lengthscales followed by the family's parameters; a
-    wrong length raises ``ParamArityError``, :class:`KernelConfig` checks
-    the values, and a family with fewer levels than the training set
-    raises ``ParamDomainError``.
+    wrong length raises ``ParamArityError``, :class:`KernelConfig` and
+    the family check the values, and a family with fewer levels than the
+    training set raises ``ParamDomainError``.
     """
     psi = np.asarray(psi, dtype=float).ravel()
     q = train.q
@@ -593,8 +676,7 @@ def concentrated_nll(
         raise ParamArityError(f"psi must have length {k}, got {psi.size}")
     config = KernelConfig(psi[:q], spec, None if spec is None else psi[q:], nugget, corr_nugget)
     _check_config(train, spec, config.lengthscales.size)
-    return _profile(train, train.standardized()[0], config.lengthscales, spec,
-                    config.cat_params, nugget, corr_nugget)[0]
+    return _profile_one(train, config)[0]
 
 
 @dataclass(frozen=True)
@@ -674,18 +756,19 @@ def maximin_starts(lo, hi, k: int, rng) -> np.ndarray:
     return lo + cand[chosen] * (hi - lo)
 
 
-def _lbfgsb(objective, u0, first, box, maxfun: int):
+def _lbfgsb_search(u0, first, box, maxfun: int):
     """L-BFGS-B on a finite box, step for step as scipy's ``minimize``.
 
-    ``objective(u)`` returns (f, g), and ``first`` is its value at
-    ``u0``. This is the reverse-communication loop of
-    ``scipy.optimize.minimize(objective, u0, jac=True, method="L-BFGS-B",
-    bounds=box, options={"maxfun": maxfun})`` on the same compiled
-    ``setulb`` (Byrd, Lu, Nocedal & Zhu 1995), with its defaults and its
-    ``nfev > maxfun`` check after each iteration. As there, a point equal
-    to the last one evaluated is not evaluated again, so the path, the
-    evaluation count and the result are minimize's to the last bit.
-    Unlike there, the start is evaluated once, by the caller.
+    A generator: it yields each point it needs the objective at, and is
+    sent back that point's (f, g). ``first`` is the (f, g) at ``u0``. This
+    is the reverse-communication loop of ``scipy.optimize.minimize(
+    objective, u0, jac=True, method="L-BFGS-B", bounds=box,
+    options={"maxfun": maxfun})`` on the same compiled ``setulb`` (Byrd,
+    Lu, Nocedal & Zhu 1995), with its defaults and its ``nfev > maxfun``
+    check after each iteration. As there, a point equal to the last one
+    evaluated is not asked for again, so the path, the evaluation count
+    and the result are minimize's to the last bit. Unlike there, the
+    start is evaluated once, by the caller.
 
     Returns (f, u, nfev, nit, task): the last value handed to ``setulb``
     (after an ``ABNORMAL`` line-search exit, that of the last trial
@@ -697,7 +780,7 @@ def _lbfgsb(objective, u0, first, box, maxfun: int):
     lo, hi = np.ascontiguousarray(box.T, dtype=float)
     x = np.clip(u0, lo, hi)
     if not np.array_equal(x, u0):  # minimize starts from the clipped point
-        first = objective(x.copy())
+        first = yield x.copy()
     last, (f_last, g_last) = x.copy(), first
     f, g = 0.0, np.zeros(n)
     nbd = np.full(n, 2, np.int32)  # both bounds finite
@@ -712,7 +795,7 @@ def _lbfgsb(objective, u0, first, box, maxfun: int):
         if task[0] == 3:  # FG: evaluate at x
             if not np.array_equal(x, last):
                 last = x.copy()
-                f_last, g_last = objective(last)
+                f_last, g_last = yield last
                 nfev += 1
             # setulb may write into g; the kept gradient must stay as evaluated
             f, g = f_last, g_last.copy()
@@ -724,6 +807,17 @@ def _lbfgsb(objective, u0, first, box, maxfun: int):
                 task[:] = 5, 502
         else:
             return f, x, nfev, nit, (int(task[0]), int(task[1]))
+
+
+def _lbfgsb(objective, u0, first, box, maxfun: int):
+    """:func:`_lbfgsb_search` run alone: ``objective(u)`` returns (f, g)."""
+    search = _lbfgsb_search(u0, first, box, maxfun)
+    try:
+        u = next(search)
+        while True:
+            u = search.send(objective(u))
+    except StopIteration as stop:
+        return stop.value
 
 
 @dataclass(frozen=True)
@@ -768,6 +862,16 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     is both the start's entry of ``start_objectives`` and the search's
     first evaluation.
 
+    The searches advance in lockstep: the starts are evaluated in one
+    stacked likelihood call, and then each round evaluates, in one
+    call, the next point of every search still running (split into
+    calls of at most ``_STACK_ELEMENTS`` entries per array). Each search
+    receives the values and gradients it would receive alone, bit for
+    bit, so it takes the same path and ends at the same point. A point
+    whose likelihood fails costs its own search an evaluation of
+    ``_FAILED_OBJ``, and an exception raised for one search ends that
+    search only, as if it had run alone.
+
     If fewer than two levels are observed the categorical parameters
     are unidentifiable; a warning is issued and a continuous-only model
     is fitted instead. Raises ``ParamDomainError`` when ``spec`` has
@@ -797,31 +901,68 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     box = np.column_stack([lo, hi])
     box[:q] = np.log(box[:q])
     starts[:, :q] = np.log(starts[:, :q])
+    # points per stacked likelihood call: its largest arrays, the
+    # (points, q, n, n) Matern stacks, stay within _STACK_ELEMENTS entries
+    chunk = max(1, _STACK_ELEMENTS // (max(q, 1) * train.n ** 2))
 
-    def objective(u):
-        ls = np.exp(u[:q])
+    def evaluate(U):
+        """The (f, g) rows of the objective at the rows of U; g in u."""
+        F, G = np.empty(len(U)), np.empty(U.shape)
+        for at in range(0, len(U), chunk):
+            V = U[at:at + chunk]
+            ls = np.exp(V[:, :q])
+            nll, *_, g = _profile(train, z, ls, spec, None if spec is None else V[:, q:],
+                                  options.nugget, options.corr_nugget, grad=True)
+            g[:, :q] *= ls  # df/dlog(l) = l df/dl
+            F[at:at + chunk], G[at:at + chunk] = nll, g
+        return F, G
+
+    # The searches run in lockstep: each round evaluates, in one stacked
+    # call, the next point of every search that is still running. Each
+    # search receives the (f, g) it would alone, bit for bit.
+    F, G = evaluate(starts)
+    start_objectives = F.tolist()
+    searches = [_lbfgsb_search(u0, first, box, maxfun) for u0, *first in zip(starts, F, G)]
+    ends = [None] * len(searches)  # the result, or the exception that ended each
+    waiting = {}  # search index -> the point it waits on
+
+    def step(idx, reply):
+        """Hand search ``idx`` its (f, g), or an exception to raise, and
+        keep the point it asks for next."""
+        search = searches[idx]
         try:
-            out = _profile(train, z, ls, spec, u[q:],
-                           options.nugget, options.corr_nugget, grad=True)
-        except (IllConditionedError, ParamDomainError):
-            return _FAILED_OBJ, np.zeros(dim)
-        g = out[5]
-        g[:q] *= ls  # df/dlog(l) = l df/dl
-        return out[0], g
+            waiting[idx] = (search.throw(reply) if isinstance(reply, Exception)
+                            else search.send(reply))
+        except StopIteration as stop:
+            ends[idx] = stop.value
+        except Exception as exc:  # keep going; other starts may succeed
+            ends[idx] = exc
+
+    def replies(U):
+        """Each row's (f, g); if the stacked call raises, each row's own
+        (f, g) or exception, so that a point that raises ends only its
+        own search."""
+        try:
+            return list(zip(*evaluate(U)))
+        except Exception as exc:
+            return [exc] if len(U) == 1 else [reply for u in U for reply in replies(u[None])]
+
+    for idx in range(len(searches)):
+        step(idx, None)
+    while waiting:
+        idxs = list(waiting)
+        for idx, reply in zip(idxs, replies(np.array([waiting.pop(idx) for idx in idxs]))):
+            step(idx, reply)
 
     best_val = np.inf
     best_u = None
     diagnostics = []
-    start_objectives = []
-    for idx, start in enumerate(starts):
-        first = objective(start)
-        f0 = first[0]
-        start_objectives.append(f0)
-        try:
-            val, u = _lbfgsb(objective, start, first, box, maxfun)[:2]
-        except Exception as exc:  # keep going; other starts may succeed
-            diagnostics.append((idx, f"exception: {exc}"))
+    for idx, (start, f0, end) in enumerate(zip(starts, start_objectives, ends)):
+        if isinstance(end, Exception):
+            diagnostics.append((idx, f"exception: {end}"))
             val, u = np.inf, None
+        else:
+            val, u = end[:2]
         if f0 < val and f0 < _FAILED_OBJ:
             val, u = f0, start
         if val >= _FAILED_OBJ or u is None:
@@ -851,11 +992,8 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
     fewer levels than the training set's ``n_levels``.
     """
     _check_config(train, config.family_spec, config.lengthscales.size)
-    z, y_mean, y_std = train.standardized()
-    nll, mu_z, sigma2_z, L, r, _ = _profile(
-        train, z, config.lengthscales, config.family_spec, config.cat_params,
-        config.nugget, config.corr_nugget,
-    )
+    _, y_mean, y_std = train.standardized()
+    nll, mu_z, sigma2_z, L, r = _profile_one(train, config)
     alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
     return GPFit(
         config=config,

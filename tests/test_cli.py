@@ -58,6 +58,33 @@ def test_corr_build_domain_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["corr", "build", "--family", "EC", "--s", "3", "--params", "a"], "--params"),
+    (["design", "generate", "--n", "2", "--q", "2", "--seed", "1", "--bounds", "0,1,0",
+      "--out", "{tmp}/d.csv"], "--bounds"),
+    (["design", "generate", "--n", "2", "--q", "1", "--seed", "1", "--bounds", "0,one",
+      "--out", "{tmp}/d.csv"], "--bounds"),
+    (["testbed", "corr", "--fn", "ackley", "--s", "4", "--upend", "x"], "--upend"),
+    (["bench", "q2", "--data", "{tmp}/missing.csv"], "missing.csv"),
+    (["bench", "q2", "--data", "{tmp}/text.csv"], "text.csv"),
+    (["bench", "q2", "--data", "{tmp}/one_column.csv"], "one_column.csv"),
+    (["bench", "corr-rmse", "--estimated", "{tmp}/missing.csv", "--empirical", "{tmp}/ok.csv"],
+     "missing.csv"),
+    (["bench", "corr-rmse", "--estimated", "{tmp}/ok.csv", "--empirical", "{tmp}/text.csv"],
+     "text.csv"),
+    (["design", "validate", "{tmp}/missing.csv"], "missing.csv"),
+    (["bench", "summarize", "--records", "{tmp}/missing.csv"], "missing.csv"),
+])
+def test_malformed_input_exits_2_with_an_error_naming_it(capsys, tmp_path, argv, named):
+    (tmp_path / "text.csv").write_text("y_true,y_pred\n1.0,one\n")
+    (tmp_path / "one_column.csv").write_text("y_true\n1.0\n2.0\n")
+    (tmp_path / "ok.csv").write_text("1.0,0.5\n0.5,1.0\n")
+    code, out, err = run_cli(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_design_generate_and_validate(capsys, tmp_path):
     path = tmp_path / "d.csv"
     code, out, _ = run_cli(capsys, "design", "generate", "--n", "3", "--s", "4",

@@ -383,6 +383,14 @@ def test_corr_values_and_grad_match_the_straightforward_build_bitwise(label, s, 
     g = corr_grad(spec, theta, G, parts, nugget)
     assert np.array_equal(G, kept)
     assert np.array_equal(g, corr_grad(spec, theta, off_diagonal, parts, nugget))
+    # in a stack, each row gives the bits it gives alone, and a row
+    # outside the domain is masked, not raised
+    stack = np.array([random_params(spec, rng), theta, -theta])
+    stack_parts = []
+    P_stack, ok = corr_values(spec, stack, nugget, parts=stack_parts)
+    g_stack = corr_grad(spec, stack, np.stack([G] * 3), stack_parts, nugget)
+    assert ok.tolist() == [True, True, False]
+    assert np.array_equal(P_stack[1], P) and np.array_equal(g_stack[1], g)
 
 
 def test_lrc_rank_before_regularization():

@@ -510,12 +510,20 @@ def test_profile_gradient_matches_central_differences(family, s, n, log_nugget, 
     z, _, _ = _standardize(y)
 
     def nll(p):
-        return _profile(ts, z, p[:2], spec, p[2:], nugget, 1e-8)[0]
+        return profile_one(ts, z, p[:2], spec, p[2:], nugget, 1e-8)[0]
 
-    grad = _profile(ts, z, psi[:2], spec, psi[2:], nugget, 1e-8, grad=True)[5]
+    grad = profile_one(ts, z, psi[:2], spec, psi[2:], nugget, 1e-8, grad=True)[1]
     scale = np.minimum(psi - lo, hi - psi)
     scale[:2] = psi[:2]
     assert gradient_gap(nll, psi, grad, scale) <= 1e-6
+
+
+def profile_one(train, z, lengthscales, spec, cat_params, nugget, corr_nugget, grad=False):
+    """_profile at one point, through a stack of one: (value, gradient or None)."""
+    nll, *_, g = _profile(train, z, np.asarray(lengthscales, dtype=float)[None], spec,
+                          None if spec is None else np.asarray(cat_params, dtype=float)[None],
+                          nugget, corr_nugget, grad=grad)
+    return nll[0], None if g is None else g[0]
 
 
 def reference_profile(train, z, lengthscales, spec, cat_params, nugget, corr_nugget):
@@ -567,26 +575,42 @@ def reference_profile(train, z, lengthscales, spec, cat_params, nugget, corr_nug
     s=st.integers(min_value=3, max_value=6),
     q=st.integers(min_value=1, max_value=3),
     n=st.integers(min_value=6, max_value=32),
+    k=st.integers(min_value=1, max_value=5),
+    bad=st.integers(min_value=0, max_value=5),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, seed):
+def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, k, bad, seed):
     # the stacked kernel on the memoized (C-contiguous) differences must
     # give the value and gradient of the per-dimension computation to
-    # the last bit; strided per-dimension slices would round differently
+    # the last bit; strided per-dimension slices would round differently.
+    # Each of the k stacked points must give its own bits, whatever the
+    # others are: row ``bad`` (if there is one and the model has a
+    # family) has its first family parameter negated, outside the
+    # domain, and must come out as a failed point
     rng = np.random.default_rng(seed)
     X, levels, y = random_instance(rng, n, q=q, s=s)
     ts = TrainingSet(X, levels, y, n_levels=s)
     rank = min(3, s - 1) if family == "LRC" else None
     spec = None if family is None else FamilySpec(family, s, rank)
     lo, hi = psi_box(ts.q, spec, FitOptions())
-    psi = rng.uniform(lo, hi)
+    psi = rng.uniform(lo, hi, size=(k, lo.size))
+    bad = bad if bad < k and spec is not None else None
+    if bad is not None:
+        psi[bad, q] *= -1.0
     z = ts.standardized()[0]
     nugget = 1e-6
-    reference = reference_profile(ts, z, psi[:q], spec, psi[q:], nugget, 1e-8)
-    assume(reference is not None)
-    out = _profile(ts, z, psi[:q], spec, psi[q:], nugget, 1e-8, grad=True)
-    assert out[0] == reference[0]
-    assert np.array_equal(out[5], reference[1])
+    references = [None if i == bad else reference_profile(ts, z, p[:q], spec, p[q:], nugget, 1e-8)
+                  for i, p in enumerate(psi)]
+    assume(all(ref is not None for i, ref in enumerate(references) if i != bad))
+    nll, ok, *_, g = _profile(ts, z, psi[:, :q], spec, None if spec is None else psi[:, q:],
+                              nugget, 1e-8, grad=True)
+    assert nll.shape == ok.shape == (k,) and g.shape == psi.shape
+    for i, ref in enumerate(references):
+        if i == bad:
+            assert not ok[i] and nll[i] == gpcore._FAILED_OBJ and not g[i].any()
+        else:
+            assert ok[i] and nll[i] == ref[0]
+            assert np.array_equal(g[i], ref[1])
 
 
 def test_profile_value_same_with_and_without_gradient():
@@ -595,9 +619,9 @@ def test_profile_value_same_with_and_without_gradient():
     ts = TrainingSet(X, levels, y)
     spec = FamilySpec("EC", int(levels.max()))
     z, _, _ = _standardize(y)
-    plain = _profile(ts, z, np.array([0.4, 0.6]), spec, np.array([0.5]), 1e-6, 1e-8)
-    both = _profile(ts, z, np.array([0.4, 0.6]), spec, np.array([0.5]), 1e-6, 1e-8, grad=True)
-    assert plain[5] is None and both[5].shape == (3,)
+    plain = profile_one(ts, z, [0.4, 0.6], spec, [0.5], 1e-6, 1e-8)
+    both = profile_one(ts, z, [0.4, 0.6], spec, [0.5], 1e-6, 1e-8, grad=True)
+    assert plain[1] is None and both[1].shape == (3,)
     assert plain[0] == both[0]
 
 
@@ -645,11 +669,12 @@ def test_profile_category_gradient_builds_the_loading_once(monkeypatch, label):
         psi = rng.uniform(lo, hi)
         builds.clear()
         weights.clear()
-        g = _profile(ts, z, psi[:2], spec, psi[2:], 1e-6, 1e-4, grad=True)[5]
+        g = profile_one(ts, z, psi[:2], spec, psi[2:], 1e-6, 1e-4, grad=True)[1]
         assert len(builds) == (0 if spec.family in ("EC", "MC") else 1)
-        assert len(weights) == 1
+        assert len(weights) == 1 and weights[0].shape == (1, s, s)
         fresh = [] if spec.family in ("EC", "MC") else real_parts(psi[2:], s, spec.rank or s)
-        assert np.array_equal(g[2:], corrparam.corr_grad(spec, psi[2:], weights[0], fresh, 1e-4))
+        assert np.array_equal(g[2:],
+                              corrparam.corr_grad(spec, psi[2:], weights[0][0], fresh, 1e-4))
 
 
 def test_concentrated_nll_singular_R_raises():
@@ -744,17 +769,45 @@ def test_fit_single_level_falls_back_to_continuous(recwarn):
 
 
 def spy_on_searches(monkeypatch):
-    """Record (objective, start, box, maxfun, result) of each search."""
+    """Record (start, box, maxfun, result) of each search of a fit, in
+    the order the searches end."""
     searches = []
-    real = gpcore._lbfgsb
+    real = gpcore._lbfgsb_search
 
-    def spy(objective, u0, first, box, maxfun):
-        out = real(objective, u0, first, box, maxfun)
-        searches.append((objective, u0.copy(), box.copy(), maxfun, out))
+    def spy(u0, first, box, maxfun):
+        out = yield from real(u0, first, box, maxfun)
+        searches.append((u0.copy(), box.copy(), maxfun, out))
         return out
 
-    monkeypatch.setattr(gpcore, "_lbfgsb", spy)
+    monkeypatch.setattr(gpcore, "_lbfgsb_search", spy)
     return searches
+
+
+def fit_objective(train, spec, options):
+    """The objective of fit's searches at one point u alone: (f, g) in u =
+    (log lengthscales, family parameters), _FAILED_OBJ and zeros where
+    the likelihood fails."""
+    z, q = train.standardized()[0], train.q
+
+    def objective(u):
+        ls = np.exp(u[None, :q])
+        nll, *_, g = _profile(train, z, ls, spec, None if spec is None else u[None, q:],
+                              options.nugget, options.corr_nugget, grad=True)
+        g[:, :q] *= ls
+        return nll[0], g[0]
+
+    return objective
+
+
+def assert_replays_alone(train, spec, options, searches):
+    """Replay each search of a lockstep fit alone, through minimize on the
+    single-point objective; each must end exactly as it did in the fit."""
+    objective = fit_objective(train, spec, options)
+    assert len(searches) == options.n_starts
+    for u0, box, maxfun, out in list(searches):  # the replays are recorded too
+        f, u, nfev, nit, task = assert_same_search_as_minimize(objective, u0, box, maxfun)
+        assert (f, nfev, nit, task) == (out[0], out[2], out[3], out[4])
+        assert np.array_equal(u, out[1])
 
 
 @pytest.mark.parametrize("cap", [None, 7])
@@ -766,7 +819,7 @@ def test_fit_caps_evaluations_per_start(monkeypatch, cap):
     fit(TrainingSet(X, levels, y), FamilySpec("UC", 3),
         FitOptions(n_starts=2, max_evals_per_start=cap))
     dim = 2 + 3
-    assert [search[3] for search in searches] == [cap or 150 * dim] * 2
+    assert [search[2] for search in searches] == [cap or 150 * dim] * 2
 
 
 def test_fit_objective_gradient_matches_its_values(monkeypatch):
@@ -775,9 +828,11 @@ def test_fit_objective_gradient_matches_its_values(monkeypatch):
     searches = spy_on_searches(monkeypatch)
     rng = np.random.default_rng(5)
     X, levels, y = random_instance(rng, 10, s=3)
-    fit(TrainingSet(X, levels, y), FamilySpec("UC", 3), FitOptions(n_starts=3))
+    train, spec, options = TrainingSet(X, levels, y), FamilySpec("UC", 3), FitOptions(n_starts=3)
+    fit(train, spec, options)
     assert len(searches) == 3
-    for fun, u, *_ in searches:
+    fun = fit_objective(train, spec, options)
+    for u, *_ in searches:
         assert gradient_gap(lambda v: fun(v)[0], u, fun(u)[1], np.maximum(1.0, np.abs(u))) <= 1e-6
 
 
@@ -790,16 +845,16 @@ _TASK_NAMES = {4: "CONVERGENCE", 5: "STOP", 8: "ABNORMAL"}
 def assert_same_search_as_minimize(objective, u0, box, maxfun):
     """Run _lbfgsb and minimize from u0; every reported field must agree.
 
-    Returns _lbfgsb's final (task, reason) pair.
+    Returns _lbfgsb's result (f, u, nfev, nit, task).
     """
     ref = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=box,
                    options={"maxfun": maxfun})
-    f, u, nfev, nit, task = _lbfgsb(objective, u0, objective(u0), box, maxfun)
+    out = f, u, nfev, nit, task = _lbfgsb(objective, u0, objective(u0), box, maxfun)
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= 15000 else 2
     assert (f, nfev, nit, status) == (ref.fun, ref.nfev, ref.nit, ref.status)
     assert np.array_equal(u, ref.x)
     assert ref.message.split(":")[0] == _TASK_NAMES[task[0]]
-    return task
+    return out
 
 
 def rosenbrock(u):
@@ -824,7 +879,8 @@ def rippled_bowl(u):  # ripples the gradient omits: line searches fail late
 def test_lbfgsb_matches_minimize_on_boxed_rosenbrock(dim, upper, maxfun):
     rng = np.random.default_rng(dim)
     box = np.column_stack([np.full(dim, -1.5), np.full(dim, upper)])
-    tasks = {assert_same_search_as_minimize(rosenbrock, rng.uniform(-1.5, upper, dim), box, maxfun)[0]
+    tasks = {assert_same_search_as_minimize(rosenbrock, rng.uniform(-1.5, upper, dim), box,
+                                            maxfun)[4][0]
              for _ in range(4)}
     assert (5 in tasks) == (maxfun == 7)  # stopped by maxfun
 
@@ -833,7 +889,7 @@ def test_lbfgsb_matches_minimize_on_abnormal_exits():
     box = np.column_stack([np.full(3, -2.0), np.full(3, 2.0)])
     for objective in (uphill_bowl, rippled_bowl):
         u0 = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
-        assert assert_same_search_as_minimize(objective, u0, box, 100)[0] == 8
+        assert assert_same_search_as_minimize(objective, u0, box, 100)[4][0] == 8
 
 
 def test_lbfgsb_clips_a_start_outside_the_box():
@@ -844,13 +900,16 @@ def test_lbfgsb_clips_a_start_outside_the_box():
 @pytest.mark.parametrize("cap", [None, 7])
 @pytest.mark.parametrize("label", ["EC", "MC", "LRC2", "UC"])
 def test_lbfgsb_matches_minimize_on_the_fit_objective(monkeypatch, label, cap):
+    # the fit's searches run in lockstep; each, replayed alone through
+    # minimize, must end exactly where it did
     searches = spy_on_searches(monkeypatch)
     rng = np.random.default_rng(21)
     X, levels, y = random_instance(rng, 10, s=3)
-    fit(TrainingSet(X, levels, y), FamilySpec.parse(label, 3),
-        FitOptions(n_starts=3, max_evals_per_start=cap))
-    for objective, u0, box, maxfun, out in searches:
-        assert assert_same_search_as_minimize(objective, u0, box, maxfun) == out[4]
+    train, spec = TrainingSet(X, levels, y), FamilySpec.parse(label, 3)
+    options = FitOptions(n_starts=3, max_evals_per_start=cap)
+    fit(train, spec, options)
+    assert_replays_alone(train, spec, options, searches)
+    for *_, out in searches:
         assert (out[4][0] == 5) == (cap is not None)
 
 
@@ -869,12 +928,11 @@ def test_lbfgsb_matches_minimize_where_the_fit_search_ends_abnormally(monkeypatc
         y[d.levels == lv] = eval_sliced_batch(fn, lv, X[d.levels == lv])
     train = TrainingSet(X, d.levels, y, bounds=fn.rest_bounds, n_levels=fn.s)
     searches = spy_on_searches(monkeypatch)
-    fit(train, FamilySpec("UC", 4), FitOptions(seed=1004))
-    gaps = []
-    for objective, u0, box, maxfun, (f, u, *_, task) in searches:
-        assert assert_same_search_as_minimize(objective, u0, box, maxfun) == task
-        if task[0] == 8:
-            gaps.append(objective(u)[0] - f)
+    spec, options = FamilySpec("UC", 4), FitOptions(seed=1004)
+    fit(train, spec, options)
+    assert_replays_alone(train, spec, options, searches)
+    objective = fit_objective(train, spec, options)
+    gaps = [objective(u)[0] - f for *_, (f, u, _, _, task) in searches if task[0] == 8]
     assert any(gap != 0.0 for gap in gaps)
 
 
@@ -884,7 +942,7 @@ def test_fit_evaluates_each_start_once(monkeypatch):
 
     def spy(train, z, lengthscales, spec, cat_params, *args, grad=False):
         if grad:  # the search's evaluations; the finished model's is not one
-            calls.append(np.r_[lengthscales, cat_params].tobytes())
+            calls.extend(np.c_[lengthscales, cat_params].tolist())
         return real(train, z, lengthscales, spec, cat_params, *args, grad=grad)
 
     monkeypatch.setattr(gpcore, "_profile", spy)
@@ -894,10 +952,57 @@ def test_fit_evaluates_each_start_once(monkeypatch):
     q = X.shape[1]
     fit(TrainingSet(X, levels, y), FamilySpec("MC", 3), FitOptions(n_starts=4))
     assert len(searches) == 4
-    for _, u0, *_ in searches:
-        assert calls.count(np.r_[np.exp(u0[:q]), u0[q:]].tobytes()) == 1
+    for u0, *_ in searches:
+        assert calls.count(np.r_[np.exp(u0[:q]), u0[q:]].tolist()) == 1
     # and no point is evaluated outside the searches' counts
-    assert len(calls) == sum(search[4][2] for search in searches)
+    assert len(calls) == sum(search[3][2] for search in searches)
+
+
+def test_an_exception_at_one_point_ends_only_its_search(monkeypatch):
+    # the searches share stacked likelihood calls; a point whose
+    # evaluation raises must end its own search, as it would alone, and
+    # leave every other search's path as it was
+    rng = np.random.default_rng(8)
+    train, spec = TrainingSet(*random_instance(rng, 10, s=3)), FamilySpec("MC", 3)
+    options = FitOptions(n_starts=4)
+    asked = {}
+    real_search = gpcore._lbfgsb_search
+
+    def recording(u0, first, box, maxfun):
+        asked[u0.tobytes()] = points = []
+        answer = None
+        search = real_search(u0, first, box, maxfun)
+        try:
+            while True:
+                points.append(search.send(answer).copy())
+                answer = yield points[-1]
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(gpcore, "_lbfgsb_search", recording)
+    fit(train, spec, options)
+    starts = list(asked)
+    poisoned = np.exp(asked[starts[1]][2][:train.q])  # search 1's fourth evaluation
+    monkeypatch.setattr(gpcore, "_lbfgsb_search", real_search)
+    clean = spy_on_searches(monkeypatch)
+    fit(train, spec, options)
+    ends = {u0.tobytes(): out for u0, *_, out in clean}
+    monkeypatch.setattr(gpcore, "_lbfgsb_search", real_search)
+    real_profile = gpcore._profile
+
+    def raising(train, z, lengthscales, *args, **kwargs):
+        if (lengthscales == poisoned).all(axis=1).any():
+            raise RuntimeError("boom")
+        return real_profile(train, z, lengthscales, *args, **kwargs)
+
+    monkeypatch.setattr(gpcore, "_profile", raising)
+    hit = spy_on_searches(monkeypatch)
+    fit(train, spec, options)
+    # a search that raises records no end; the others end as before
+    assert len(ends) == 4 and len(hit) == 3 and starts[1] not in {u0.tobytes() for u0, *_ in hit}
+    for u0, *_, (f, u, *rest) in hit:
+        g, v, *others = ends[u0.tobytes()]
+        assert f == g and np.array_equal(u, v) and rest == others
 
 
 def test_fit_failure_carries_diagnostics():
