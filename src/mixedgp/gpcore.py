@@ -96,30 +96,23 @@ None of this changes a floating-point operation or its order, so the
 searches, and every fitted number, are those of the straightforward
 evaluation.
 
-The stack changes none either. Every step is elementwise on (k, ...)
-arrays, one LAPACK or BLAS call per point (``dpotrf``, both ``dtrsm``
-solves, ``dtrtri``), one small product per matrix (``Linv^T Linv``,
-the level sums, the category terms), or ``np.vecdot``, which is BLAS
-``ddot`` on each pair of rows and so sums as the dot product of two
-vectors does; each point's value and gradient are then bit for bit
-those of the point alone, whatever else is in the stack (a test pins
-this). ``np.einsum``, or a matrix-vector product in place of the dot
-products, did not give the same bits; n log(sigma2) keeps ``math.log``. A
-point whose family parameters lie outside their domain, or whose R
-does not factor, fails alone: it gets ``_FAILED_OBJ`` and a zero
-gradient.
+Nor does the stack. Every step is elementwise on (k, ...) arrays, one
+LAPACK or BLAS call per point (``dpotrf``, both ``dtrsm`` solves,
+``dtrtri``), one small product per matrix, or ``np.vecdot``, which is
+BLAS ``ddot`` on each pair of rows; so each point gets the bits it gets
+alone (a test pins this). ``np.einsum``, or matrix-vector products in
+place of the dot products, did not give the same bits. A point whose
+family parameters lie outside their domain, or whose R does not
+factor, fails alone, with ``_FAILED_OBJ`` and a zero gradient.
 
 Each search is scipy's L-BFGS-B driven directly (``_lbfgsb_search``), on
 the path of ``scipy.optimize.minimize`` evaluation for evaluation and
-bit for bit. It is a generator that yields each point it needs and is
-sent that point's value and gradient, so :func:`fit` runs its starts in
-lockstep: one stacked call evaluates every start, and then each round
-one stacked call evaluates the next point of every search still
-running. At N = 24-32 most of an evaluation's time is numpy's and
-LAPACK's per-call overhead, which a stack pays once; the 8 fits of the
-``study_upended`` benchmark make 2,964 stacked calls for 8,303
-evaluations. A round is split into calls of at most ``_STACK_ELEMENTS``
-entries per (points, q, n, n) array.
+bit for bit: a generator that yields each point it needs and is sent
+that point's value and gradient. :func:`fit` thus runs its starts in
+lockstep, each round's points in one stacked call of at most
+``_STACK_ELEMENTS`` entries per (points, q, n, n) array. At N = 24-32
+an evaluation's time is mostly numpy's and LAPACK's per-call overhead,
+which a stack pays once.
 
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
@@ -862,15 +855,10 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     is both the start's entry of ``start_objectives`` and the search's
     first evaluation.
 
-    The searches advance in lockstep: the starts are evaluated in one
-    stacked likelihood call, and then each round evaluates, in one
-    call, the next point of every search still running (split into
-    calls of at most ``_STACK_ELEMENTS`` entries per array). Each search
-    receives the values and gradients it would receive alone, bit for
-    bit, so it takes the same path and ends at the same point. A point
-    whose likelihood fails costs its own search an evaluation of
-    ``_FAILED_OBJ``, and an exception raised for one search ends that
-    search only, as if it had run alone.
+    The searches advance in lockstep, each round's points evaluated in
+    one stacked likelihood call; each search takes the path it takes
+    alone, bit for bit. A failed evaluation costs only its own search,
+    as does an exception raised for one search's point.
 
     If fewer than two levels are observed the categorical parameters
     are unidentifiable; a warning is issued and a continuous-only model
