@@ -7,7 +7,7 @@ checkouts to see whether a change keeps every bit:
     python3 scripts/bitcheck.py > bits_after.txt
     diff bits_before.txt bits_after.txt
 
-Four sections, one digest per line:
+Five sections, one digest per line:
 
 * ``gate``: ``scripts/configs/refactor_gate.ini``'s ``records.csv``
   below its ``# generated`` header line;
@@ -16,6 +16,12 @@ Four sections, one digest per line:
   ``load_fit``: every level in ascending order and then per-row levels
   on one model, per-row levels and then every level in descending
   order on a second;
+* ``scatter``: predictions of the same 168 models on one 10,000-row
+  query drawn uniformly from the unit square and mapped to each model's
+  bounds, reloaded with ``load_fit``: every level in ascending order,
+  then per-row levels. At 16 to 48 training points that query spans 5
+  to 15 of ``predict_batch``'s blocks, and its columns have too many
+  distinct values for factor tables;
 * ``fit``: the 8 fits of the ``study_upended`` workload (NLL,
   lengthscales, family parameters and ``start_objectives``);
 * ``desk``: ``records.csv`` below its header line for each of the six
@@ -83,6 +89,22 @@ def grid_lines(tmp):
         yield f"grid {name} {digest(*preds)}"
 
 
+def scatter_lines(tmp):
+    grid = workloads.make("predict_grid", tmp, SEED)
+    grid.setup()
+    U = np.random.default_rng(workloads.derive_seed(SEED, "scatter")).random((10_000, 2))
+    for path, _, _ in sorted(grid.models):
+        name = os.path.basename(path)
+        model = gpcore.load_fit(path)
+        lo, hi = model.train.bounds.T
+        X = lo + U * (hi - lo)
+        s = model.train.n_levels
+        rng = np.random.default_rng(workloads.derive_seed(SEED, "scatter", name))
+        preds = [gpcore.predict_batch(model, X, lv) for lv in range(1, s + 1)]
+        preds.append(gpcore.predict_batch(model, X, rng.integers(1, s + 1, size=len(X))))
+        yield f"scatter {name} {digest(*preds)}"
+
+
 def fit_lines(tmp):
     study = workloads.make("study_upended", tmp, SEED)
     study.setup()
@@ -113,7 +135,7 @@ def desk_lines(tmp):
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # fit_lines last: the study workload wraps bench.fit for good
-        for section in (gate_lines, grid_lines, desk_lines, fit_lines):
+        for section in (gate_lines, grid_lines, scatter_lines, desk_lines, fit_lines):
             for line in section(os.path.join(tmp, section.__name__)):
                 print(line, flush=True)
     return 0

@@ -33,6 +33,7 @@ from .errors import (
     ParamArityError,
     ParamDomainError,
     RankRangeError,
+    whole,
 )
 from .gpcore import FitOptions, GPFit, TrainingSet, fit, predict_batch
 from .testbed import CrossCorrEstimate, SlicedFunction
@@ -145,17 +146,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         object.__setattr__(self, "families", tuple(self.families))
+        n_values = tuple(self.n_values)
+        counts = (("replications", self.replications, 1), ("base_seed", self.base_seed, 0),
+                  ("resolution", self.resolution, 2), ("test_size", self.test_size, 2),
+                  ("test_seed", self.test_seed, 0))
         ConfigError.check((
-            ("n_values", self.n_values, ">= 1", all(v >= 1 for v in self.n_values)),
-            ("replications", self.replications, ">= 1", self.replications >= 1),
-            ("base_seed", self.base_seed, ">= 0", self.base_seed >= 0),
-            ("resolution", self.resolution, ">= 2", self.resolution >= 2),
-            ("test_size", self.test_size, ">= 2", self.test_size >= 2),
-            ("test_seed", self.test_seed, ">= 0", self.test_seed >= 0),
+            ("n_values", n_values, "integers", all(map(whole, n_values))),
+            *((name, value, "an integer", whole(value)) for name, value, _ in counts),
+            # ranges of values of the right type only
+            ("n_values", n_values, ">= 1", all(v >= 1 for v in n_values if whole(v))),
+            *((name, value, f">= {least}", not whole(value) or value >= least)
+              for name, value, least in counts),
             ("timing", self.timing, f"one of {TIMINGS}", self.timing in TIMINGS),
         ), self._label_issues())
+        object.__setattr__(self, "n_values", tuple(map(int, n_values)))
 
     def _label_issues(self) -> list[str]:
         issues = []

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class MixedGPError(Exception):
     """Base class for all package-specific errors."""
@@ -71,3 +73,9 @@ class ConfigError(MixedGPError, ValueError):
                   for name, value, rule, holds in rules if not holds] + list(issues)
         if issues:
             raise cls(issues)
+
+
+def whole(value) -> bool:
+    """Whether ``value`` is an integer (a Python or numpy int, not 2.0):
+    the rule of every integer field of a configuration."""
+    return isinstance(value, numbers.Integral)

@@ -19,8 +19,7 @@ array, made absolute and scaled in place, its Matern factor multiplies
 the block's product in place, and the level factor is one broadcast
 row of P (a row gather from the (s, n) table of P at the training
 levels when each query row has its own level). Memory is then
-O(block * n) for any number of rows, besides a kept r_c of at most
-``_KEEP_ELEMENTS`` entries (below), and within a call the allocator
+O(block * n) for any number of rows, and within a call the allocator
 reuses a block's memory for the next. Between calls it need not: a
 call's arrays above glibc's mmap threshold (unit coordinates, index
 arrays) may be mapped afresh each time. Counted with
@@ -58,20 +57,14 @@ every level of one query in turn. So a model keeps the level-free part
 of its last query (``GPFit._query``): a private copy of the query as
 its key, P at the training levels, and the unit columns and factor
 tables. A call whose X equals the kept one (``np.array_equal``, about
-15 us at 10,000 x 2) skips the checks, the mapping and the tables. The
-second such call also builds r_c, the (rows, n) product of the
-continuous factors, by the same steps into an array the model keeps,
-while rows * n is at most ``_KEEP_ELEMENTS`` and the query has more
-than one block; every later call multiplies r_c's blocks by the level
-row (or per-row gather) and sums them. Blocks, row groups and operands
-are those of a fresh model's call, so predictions keep every bit. r_c
-is built on the second call, not the first: writing it, which leaves
-the cache, made first calls on the 168 predict_grid models 5% slower
-on scattered and 15% slower on grid queries, while a query predicted
-once should cost what it did. A one-block query keeps no r_c: it would
-save tens of us a call, yet every model alive that had predicted one
-would hold one. The kept part is published only once complete, so a
-concurrent call reads a finished one or none.
+15 us at 10,000 x 2) skips the checks, the mapping and the tables, and
+builds each block's product of continuous factors from the kept parts
+as a first call does. The kept part is published once complete, so a
+concurrent call reads a finished one or none. Keeping that (rows, n)
+product itself as well made the 168 predict_grid models predict their
+grids 1.12 times as fast, but held up to 8 MB per model and saved about
+1% of the desk study's CPU time (2-vCPU x86-64 VM), whose 1,000-row
+test sets span more than one block only at N = 48.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model, at a stack of
@@ -145,6 +138,7 @@ from .errors import (
     IllConditionedError,
     ParamArityError,
     ParamDomainError,
+    whole,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -170,18 +164,6 @@ _BLOCK_ELEMENTS = 1 << 15
 # 0.81-0.99 with a quarter, 1.02-1.17 with a half and 1.15-2.10 with
 # three quarters.
 _TABLE_SHARE = 0.25
-
-# A model keeps r_c, the (rows, n) product of its last query's
-# continuous factors, while it has at most this many entries (8 MB; see
-# the module docstring). At N = 48 (2-vCPU x86-64 VM, medians of 9),
-# on scattered queries of 2 to 64 MB the call that builds r_c and one
-# that reuses it took 0.60-0.74 of the time of two calls without it; on
-# grids the build took 1.31-1.56 times a call without it and each reuse
-# 0.72-0.77 up to 32 MB, and 2.12 and 0.81 at 64 MB. Size barely moves
-# the gain below that, so memory sets the cap: predict_grid's largest
-# query has 480,000 entries, and 8 MB leaves room under the 16 MB that
-# a test allows a call.
-_KEEP_ELEMENTS = 1 << 20
 
 # fit evaluates its searches' points together, in stacked likelihood
 # calls of at most this many entries in each (points, q, n, n) array
@@ -505,14 +487,6 @@ _NOT_POSITIVE_DEFINITE = ("training correlation matrix is not positive definite;
                           "increase the model nugget")
 
 
-def _cholesky(R: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric R (upper triangle zeroed)."""
-    L, info = dpotrf(R.T, lower=1)
-    if info != 0:
-        raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
-    return L
-
-
 def build_R(train: TrainingSet, config: KernelConfig, P=None):
     """Training correlation matrix with nugget, plus its Cholesky factor.
 
@@ -528,7 +502,10 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     if P is not None:
         R *= np.take(P, train.pair_index(P.shape[0]))
     R.reshape(-1)[:: train.n + 1] += config.nugget
-    return R, _cholesky(R)
+    L, info = dpotrf(R.T, lower=1)
+    if info != 0:
+        raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
+    return R, L
 
 
 def _standardize(y: np.ndarray):
@@ -699,7 +676,6 @@ class FitOptions:
     def __post_init__(self):
         n, seed, budget = self.n_starts, self.seed, self.max_evals_per_start
         nugget, corr_nugget, bounds = self.nugget, self.corr_nugget, self.lengthscale_bounds
-        whole = lambda value: isinstance(value, numbers.Integral)
         real = lambda value: isinstance(value, numbers.Real)
         try:
             low, high = bounds
@@ -800,17 +776,6 @@ def _lbfgsb_search(u0, first, box, maxfun: int):
                 task[:] = 5, 502
         else:
             return f, x, nfev, nit, (int(task[0]), int(task[1]))
-
-
-def _lbfgsb(objective, u0, first, box, maxfun: int):
-    """:func:`_lbfgsb_search` run alone: ``objective(u)`` returns (f, g)."""
-    search = _lbfgsb_search(u0, first, box, maxfun)
-    try:
-        u = next(search)
-        while True:
-            u = search.send(objective(u))
-    except StopIteration as stop:
-        return stop.value
 
 
 @dataclass(frozen=True)
@@ -1000,15 +965,13 @@ class _Query(NamedTuple):
     """The level-free part of a :func:`predict_batch` query, kept on the model.
 
     ``parts`` holds the unit columns and factor tables each block
-    builds the product of the continuous Matern factors from, until
-    ``product`` holds that (rows, n) product r_c itself.
+    builds the product of the continuous Matern factors from.
     """
 
     X: np.ndarray                   # a private copy of the query
     level_table: np.ndarray | None  # P at (level, training level), (s, n)
     s: int                          # the levels a query may name
-    product: np.ndarray | None
-    parts: list | None              # ((x, x_train, scale), table) per column
+    parts: list                     # ((x, x_train, scale), table) per column
 
 
 def _block_product(parts, start: int, stop: int, first: np.ndarray, gathered):
@@ -1052,7 +1015,7 @@ def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
     parts = [(column, _factor_table(*column, block)) for column in columns]
     P = fit.config.corr_matrix()
     return _Query(X, None if P is None else P[:, train.levels - 1],
-                  train.n_levels if P is None else P.shape[0], None, parts)
+                  train.n_levels if P is None else P.shape[0], parts)
 
 
 def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
@@ -1068,11 +1031,8 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     Works through the rows in blocks (see the module docstring). The
     model keeps the level-free part of its last query: the checks, unit
     columns and factor tables that a call with an equal ``X``
-    (``np.array_equal``) skips. The second such call keeps the (rows, n)
-    product r_c of the continuous factors too, for a query of more than
-    one block and at most ``_KEEP_ELEMENTS`` entries, and later ones
-    only multiply it by the level factor and sum. Every prediction is
-    bit for bit a fresh model's.
+    (``np.array_equal``) skips. Every prediction is bit for bit a fresh
+    model's.
     """
     train = fit.train
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -1086,26 +1046,25 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     n = train.n
     block = max(8, _BLOCK_ELEMENTS // n // 8 * 8)
     query = fit._query
-    fresh = query is None or not np.array_equal(X, query.X)
-    if fresh:
-        # the last query's part is freed before this one's is built
+    if query is None or not np.array_equal(X, query.X):
+        # the last query's part is freed before this one's is built, and
+        # this one's is published complete: a concurrent call reads
+        # either a finished query or none
         del query
         object.__setattr__(fit, "_query", None)
         query = _level_free(fit, X, block)
+        object.__setattr__(fit, "_query", query)
     if np.any(levels < 1) or np.any(levels > query.s):
         raise ParamDomainError(f"query level outside 1..{query.s}")
-    product, level_table = query.product, query.level_table
-    build = product is None
-    if build and not fresh and block < rows and rows * n <= _KEEP_ELEMENTS:
-        product = np.empty((rows, n))  # the second call on a query builds r_c
+    level_table = query.level_table
     # gathers go into arrays that every block reuses: a block's first
-    # factor into ``first`` (or r_c), later ones, per-row level factors
-    # and a kept r_c times the level factor into ``spare``
+    # factor into ``first``, later ones and per-row level factors into
+    # ``spare``
     width = min(rows, block + 1)
-    tables = any(table is not None for _, table in query.parts or ())
-    first = np.empty((width, n)) if tables and product is None else None
-    spare = (np.empty((width, n)) if tables or (
-        level_table is not None and (product is not None or levels.size != 1)) else None)
+    tables = any(table is not None for _, table in query.parts)
+    first = np.empty((width, n)) if tables else None
+    spare = (np.empty((width, n))
+             if tables or (level_table is not None and levels.size != 1) else None)
     if level_table is not None and levels.size == 1:
         level_row = level_table[levels.item() - 1]
     else:
@@ -1117,38 +1076,18 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     starts = range(0, max(rows - 1, 1), block)
     for start, stop in zip(starts, [*starts[1:], rows]):
         size = stop - start
-        if build:
-            if product is not None:
-                dest = product[start:stop]
-            else:
-                dest = None if first is None else first[:size]
-            r = _block_product(query.parts, start, stop, dest, spare)
-            if product is not None and r is not dest:
-                dest[...] = 1.0 if r is None else r
-                r = dest
-            elif r is None:  # no continuous inputs
-                r = np.ones((size, n))
-        else:
-            r = product[start:stop]
-        # the level factor: one broadcast row of P, or a row gather per
-        # row; r_c stays level-free, a block built for this call takes it
-        # in place
+        r = _block_product(query.parts, start, stop,
+                           None if first is None else first[:size], spare)
+        if r is None:  # no continuous inputs
+            r = np.ones((size, n))
+        # the level factor: one broadcast row of P, or a row gather per row
         if level_table is not None:
-            r0 = r if product is None else spare[:size]
             if levels.size == 1:
-                np.multiply(r, level_row, out=r0)
+                r *= level_row
             else:
-                np.multiply(r, np.take(level_table, levels[start:stop], axis=0, mode="clip",
-                                       out=spare[:size]), out=r0)
-            r = r0
+                r *= np.take(level_table, levels[start:stop], axis=0, mode="clip",
+                             out=spare[:size])
         np.matmul(r, fit.alpha, out=out[start:stop])
-    if product is not query.product:
-        product.setflags(write=False)
-        query = query._replace(product=product, parts=None)
-    if query is not fit._query:
-        # published once r_c is complete: a concurrent call reads either
-        # a finished query or none
-        object.__setattr__(fit, "_query", query)
     out += fit.mu_z
     out *= fit.y_std
     out += fit.y_mean
@@ -1195,11 +1134,27 @@ _FIT_KEYS = ("bounds", "n_levels", "family", "s", "rank", "cat_params", "lengths
              "nugget", "corr_nugget", "train_X", "train_levels", "train_y")
 
 
+def _numbers(value) -> np.ndarray:
+    """A float array of a JSON list of numbers, or of nested lists for a matrix."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list, got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def _integer(value):
+    """``value``, an integer or None (JSON null)."""
+    if value is not None and not whole(value):
+        raise TypeError(f"must be an integer or null, got {value!r}")
+    return value
+
+
 def load_fit(path) -> GPFit:
     """Reconstruct a fitted model saved by :func:`save_fit`.
 
     Raises ``ParamDomainError`` for a file that is not valid JSON, not a
-    version-1 mixedgp fit, or lacks a field the model is rebuilt from.
+    version-1 mixedgp fit, lacks a field the model is rebuilt from, or
+    has a field of the wrong type (the error names the file and the
+    field); the model's own checks apply to the values.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -1211,20 +1166,27 @@ def load_fit(path) -> GPFit:
     missing = [key for key in _FIT_KEYS if key not in doc]
     if missing:
         raise ParamDomainError(f"{path}: missing fields {', '.join(missing)}")
+
+    def read(key, convert):
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as exc:  # ParamDomainError included
+            raise ParamDomainError(f"{path}: field {key}: {exc}") from None
+
     train = TrainingSet(
-        np.array(doc["train_X"], dtype=float),
-        np.array(doc["train_levels"], dtype=int),
-        np.array(doc["train_y"], dtype=float),
-        bounds=np.array(doc["bounds"], dtype=float),
+        read("train_X", _numbers),
+        read("train_levels", _as_levels),  # rejects 1.5, which int() would truncate
+        read("train_y", _numbers),
+        bounds=read("bounds", _numbers),
         n_levels=doc["n_levels"],
     )
     spec = None
     if doc["family"] is not None:
-        spec = FamilySpec(doc["family"], doc["s"], doc["rank"])
+        spec = FamilySpec(doc["family"], read("s", _integer), read("rank", _integer))
     config = KernelConfig(
-        np.array(doc["lengthscales"], dtype=float),
+        read("lengthscales", _numbers),
         spec,
-        None if doc["cat_params"] is None else np.array(doc["cat_params"], dtype=float),
+        read("cat_params", lambda value: None if value is None else _numbers(value)),
         nugget=doc["nugget"],
         corr_nugget=doc["corr_nugget"],
     )

@@ -591,6 +591,11 @@ def test_fit_options_check_ranges_on_integers_only():
     (dict(base_seed=-1), "base_seed: must be >= 0"),
     (dict(test_seed=-1), "test_seed: must be >= 0"),
     (dict(timing="cpu"), "timing: must be one of"),
+    (dict(n_values=(4.5,)), "n_values: must be integers"),
+    (dict(replications=2.5), "replications: must be an integer"),
+    (dict(base_seed=1.5), "base_seed: must be an integer"),
+    (dict(replications="3"), "replications: must be an integer"),
+    (dict(resolution=None), "resolution: must be an integer"),
 ])
 def test_experiment_config_rejects_values_out_of_range(kwargs, needle):
     with pytest.raises(MixedGPError, match=needle):

@@ -24,7 +24,6 @@ from mixedgp.gpcore import (
     KernelConfig,
     TrainingSet,
     _kernel,
-    _lbfgsb,
     _profile,
     _standardize,
     build_R,
@@ -837,9 +836,20 @@ def test_fit_objective_gradient_matches_its_values(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# _lbfgsb against scipy.optimize.minimize, its reference
+# _lbfgsb_search against scipy.optimize.minimize, its reference
 
 _TASK_NAMES = {4: "CONVERGENCE", 5: "STOP", 8: "ABNORMAL"}
+
+
+def _lbfgsb(objective, u0, first, box, maxfun):
+    """gpcore._lbfgsb_search run alone: ``objective(u)`` returns (f, g)."""
+    search = gpcore._lbfgsb_search(u0, first, box, maxfun)
+    try:
+        u = next(search)
+        while True:
+            u = search.send(objective(u))
+    except StopIteration as stop:
+        return stop.value
 
 
 def assert_same_search_as_minimize(objective, u0, box, maxfun):
@@ -1230,8 +1240,7 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
     gp = refit_config(train, config)
     block = max(8, gpcore._BLOCK_ELEMENTS // train.n // 8 * 8)
     # Each query is predicted four times: the model builds its level-free
-    # part on the first call and, from more than a block of rows, the
-    # product r_c on the second; the others reuse it.
+    # part on the first call, and the others reuse it.
     sets = [Xq for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5)
             for Xq in query_sets(rng, rows, q, block)]
     if q:  # a full tensor grid of about three blocks
@@ -1278,11 +1287,11 @@ def test_predict_batch_memory_is_a_few_blocks():
     # the first column has as many distinct values as a factor table admits
     under = scattered.copy()
     under[:, 0] = np.resize(rng.random(block), rows)
-    # as many rows as the model keeps the (rows, n) product r_c of (8 MB)
-    at_cap = rng.random((gpcore._KEEP_ELEMENTS // gp.train.n, 2))
+    # a query of 2^20 entries, one (rows, n) array of 8 MB
+    large = rng.random(((1 << 20) // gp.train.n, 2))
     tracemalloc.start()
     try:
-        for X in (scattered, grid, under, at_cap):
+        for X in (scattered, grid, under, large):
             for lv in (2, rng.integers(1, 4, size=len(X)), 1):
                 tracemalloc.reset_peak()
                 out = predict_batch(gp, X, lv)
@@ -1291,7 +1300,38 @@ def test_predict_batch_memory_is_a_few_blocks():
                 assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
     finally:
         tracemalloc.stop()
-    assert gp._query.product is not None  # the last query's r_c was kept
+
+
+def arrays_in(value):
+    """The numpy arrays in ``value`` and its nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+@pytest.mark.parametrize("kind", ["scattered", "grid"])
+def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
+    # however often a 100,000-row query is predicted, the model keeps
+    # its copy, unit columns, per-row table indices and small tables:
+    # O(rows * q + block * n) entries, never a (rows, n) array (6.4 MB
+    # here, 2^20 entries or fewer at n = 8)
+    rng = np.random.default_rng(15)
+    train = TrainingSet(*random_instance(rng, 8, s=3))
+    gp = refit_config(train, KernelConfig([0.3, 0.6], FamilySpec("EC", 3), [0.4]))
+    rows, n = 100_000, train.n
+    if kind == "scattered":
+        X = rng.random((rows, 2))
+    else:
+        X = np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 400),
+                                                            np.linspace(0.0, 1.0, 250))])
+    for lv in (1, 2, 3, rng.integers(1, 4, size=rows), 2):
+        predict_batch(gp, X, lv)
+    kept = list(arrays_in(gp._query))
+    assert kept and all(a.size < rows * n for a in kept)
+    # the copy and the unit columns (X.nbytes each), and an index per column
+    assert sum(a.nbytes for a in kept) < 2 * X.nbytes + 2 * 8 * rows + 1e6
 
 
 def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch):
@@ -1313,7 +1353,7 @@ def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch)
     monkeypatch.setattr(gpcore, "_matern", counted)
     predict_batch(gp, grid, 2)
     assert sum(sizes) == 2 * 100 * gp.train.n
-    # the same query at other levels: from the kept tables, then from r_c
+    # the same query at other levels: from the kept tables
     for lv in (3, 1, [1, 2, 3] * 3333 + [1]):
         predict_batch(gp, grid, lv)
     assert sum(sizes) == 2 * 100 * gp.train.n
@@ -1329,7 +1369,7 @@ def test_predict_batch_keeps_no_stale_query():
     uc = refit_config(train, KernelConfig([0.5, 0.2], FamilySpec("UC", 3), [1.0, 2.0, 1.5]))
     g = np.linspace(0.0, 1.0, 60)
     Xq = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
-    assert len(Xq) > gpcore._BLOCK_ELEMENTS // train.n  # more than a block: r_c is kept
+    assert len(Xq) > gpcore._BLOCK_ELEMENTS // train.n  # more than a block
 
     def check(model, lv):
         fresh = refit_config(train, model.config)
@@ -1350,7 +1390,8 @@ def test_predict_batch_keeps_no_stale_query():
 
 def test_predict_batch_is_safe_for_concurrent_callers():
     # threads that share one model and alternate two queries see every
-    # prediction a fresh model makes: a query's r_c is published complete
+    # prediction a fresh model makes: a query's kept part is published
+    # complete
     rng = np.random.default_rng(11)
     train = TrainingSet(*random_instance(rng, 24, s=3))
     config = KernelConfig([0.3, 0.6], FamilySpec("MC", 3), [0.4, 0.7, 0.2])
@@ -1474,6 +1515,13 @@ def _saved_fit(tmp_path):
         (lambda doc: doc.pop("lengthscales"), "missing fields lengthscales"),
         (lambda doc: doc.pop("version"), "version-1"),
         (lambda doc: doc.update(version=2), "version-1"),
+        # malformed values: each names the file and the field
+        (lambda doc: doc.update(train_levels=[1.5] * len(doc["train_levels"])),
+         "model.json: field train_levels"),
+        (lambda doc: doc.update(lengthscales="abc"), "model.json: field lengthscales"),
+        (lambda doc: doc["train_X"][0].append(0.5), "model.json: field train_X"),
+        (lambda doc: doc.update(bounds=None), "model.json: field bounds"),
+        (lambda doc: doc.update(s="4"), "model.json: field s"),
     ],
 )
 def test_load_fit_rejects_incomplete_document(tmp_path, edit, message):
