@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print sha256 digests of the package's fitted and predicted numbers.
+"""Print sha256 digests of loaded study configs and of fitted and predicted numbers.
 
 Run from the root of a source checkout; diff the output of two
 checkouts to see whether a change keeps every bit:
@@ -7,8 +7,12 @@ checkouts to see whether a change keeps every bit:
     python3 scripts/bitcheck.py > bits_after.txt
     diff bits_before.txt bits_after.txt
 
-Five sections, one digest per line:
+Six sections, one digest per line:
 
+* ``config``: ``repr`` of ``load_config`` of each study config in
+  ``scripts/configs/`` (``desk_study.ini``, ``full_study.ini`` and
+  ``refactor_gate.ini``), so a change to the config reader is checked
+  by the same diff as the fitted bits;
 * ``gate``: ``scripts/configs/refactor_gate.ini``'s ``records.csv``
   below its ``# generated`` header line;
 * ``grid``: predictions of the 168 ``predict_grid`` models of
@@ -53,7 +57,8 @@ import mixedgp.bench as bench  # noqa: E402
 import mixedgp.gpcore as gpcore  # noqa: E402
 import workloads  # noqa: E402
 
-GATE = os.path.join(ROOT, "scripts", "configs", "refactor_gate.ini")
+CONFIGS = os.path.join(ROOT, "scripts", "configs")
+GATE = os.path.join(CONFIGS, "refactor_gate.ini")
 SEED = 0  # orders the workloads' operations, which no digest depends on
 
 
@@ -62,6 +67,12 @@ def digest(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     return h.hexdigest()
+
+
+def config_lines(tmp):
+    for name in ("desk_study.ini", "full_study.ini", "refactor_gate.ini"):
+        cfg = bench.load_config(os.path.join(CONFIGS, name))
+        yield f"config {name} {hashlib.sha256(repr(cfg).encode()).hexdigest()}"
 
 
 def gate_lines(tmp):
@@ -135,7 +146,8 @@ def desk_lines(tmp):
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # fit_lines last: the study workload wraps bench.fit for good
-        for section in (gate_lines, grid_lines, scatter_lines, desk_lines, fit_lines):
+        for section in (config_lines, gate_lines, grid_lines, scatter_lines, desk_lines,
+                        fit_lines):
             for line in section(os.path.join(tmp, section.__name__)):
                 print(line, flush=True)
     return 0

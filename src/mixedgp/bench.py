@@ -148,10 +148,13 @@ class ExperimentConfig:
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "families", tuple(self.families))
         n_values = tuple(self.n_values)
+        text = lambda values: all(isinstance(v, str) for v in values)
         counts = (("replications", self.replications, 1), ("base_seed", self.base_seed, 0),
                   ("resolution", self.resolution, 2), ("test_size", self.test_size, 2),
                   ("test_seed", self.test_seed, 0))
         ConfigError.check((
+            ("functions", self.functions, "text", text(self.functions)),
+            ("families", self.families, "text", text(self.families)),
             ("n_values", n_values, "integers", all(map(whole, n_values))),
             *((name, value, "an integer", whole(value)) for name, value, _ in counts),
             # ranges of values of the right type only
@@ -163,13 +166,15 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(map(int, n_values)))
 
     def _label_issues(self) -> list[str]:
+        """The issues of the function ids and family labels that are text."""
         issues = []
-        for fid in self.functions:
+        for fid in (fid for fid in self.functions if isinstance(fid, str)):
             try:
                 testbed_mod.parse_fid(fid)
             except ValueError as exc:
                 issues.append(f"functions: {exc}")
-        for label in () if self.families == ("auto",) else self.families:
+        labels = () if self.families == ("auto",) else self.families
+        for label in (label for label in labels if isinstance(label, str)):
             try:
                 FamilySpec.parse(label)
             except ValueError:
@@ -439,104 +444,76 @@ def _split_list(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
 
 
-def _typed(cast, what: str):
-    """Parser applying ``cast``; its ValueError names the expected type."""
-    def parse(raw: str):
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ValueError(f"must be {what}, got {raw!r}") from None
-    return parse
+_EXPERIMENT_FIELDS, _FIT_FIELDS = ({f.name: f for f in fields(cls)}
+                                    for cls in (ExperimentConfig, FitOptions))
+
+# The accepted keys: (section, key) -> the ExperimentConfig field ([experiment],
+# [output]) or FitOptions field ([fit]) receiving the value. A fit's seed comes
+# from base_seed, and lengthscale_min/max set the two ends of one pair.
+_SCHEMA = {
+    **{("experiment", name): f for name, f in _EXPERIMENT_FIELDS.items()
+       if name not in ("fit_options", "timing")},
+    **{("fit", name): f for name, f in _FIT_FIELDS.items()
+       if name not in ("seed", "lengthscale_bounds")},
+    ("fit", "lengthscale_min"): _FIT_FIELDS["lengthscale_bounds"],
+    ("fit", "lengthscale_max"): _FIT_FIELDS["lengthscale_bounds"],
+    ("output", "timing"): _EXPERIMENT_FIELDS["timing"],
+}
 
 
-def _function_ids(raw: str) -> tuple[str, ...]:
-    ids = _split_list(raw)
-    return tuple(testbed_mod.testbed_ids()) if ids == ["all"] else tuple(ids)
+def _value(f, raw: str):
+    """``raw`` read for field ``f``: a tuple of tokens for a ``tuple[X, ...]``
+    field, else one token. A token stays text for a text field, becomes a
+    float for a real-number field, and is otherwise an int, else a float;
+    one that does not convert stays text. The dataclasses judge every
+    value's type and range."""
+    kind, *rest = typing.get_args(f.type) or (f.type,)
+    casts = () if kind is str else (float,) if kind is float else (int, float)
 
+    def token(text: str):
+        for cast in casts:
+            try:
+                return cast(text)
+            except ValueError:
+                pass
+        return text
 
-def _eval_budget(raw: str) -> int | None:
-    value = int(raw)
-    return None if value == 0 else value  # 0: automatic, 150 per parameter
-
-
-_INT = _typed(int, "an integer")
-_FLOAT = _typed(float, "a number")
-
-
-@dataclass(frozen=True)
-class _Key:
-    """One accepted config key.
-
-    ``type`` parses the raw text, raising ValueError with the issue;
-    ``target`` is the ExperimentConfig field ([experiment], [output]) or
-    FitOptions field ([fit]) receiving the value, by default the key
-    itself, or (field, index) for one end of a pair. Keys left out keep
-    the dataclass defaults, and the dataclasses check the value ranges.
-    """
-
-    section: str
-    key: str
-    type: Callable[[str], object]
-    target: str | tuple[str, int] | None = None
-
-
-_SCHEMA = (
-    _Key("experiment", "functions", _function_ids),
-    _Key("experiment", "n_values",
-         _typed(lambda raw: tuple(int(v) for v in _split_list(raw)), "integers")),
-    _Key("experiment", "families", lambda raw: tuple(_split_list(raw))),
-    _Key("experiment", "replications", _INT),
-    _Key("experiment", "base_seed", _INT),
-    _Key("experiment", "resolution", _INT),
-    _Key("experiment", "test_size", _INT),
-    _Key("experiment", "test_seed", _INT),
-    _Key("fit", "n_starts", _INT),
-    _Key("fit", "nugget", _FLOAT),
-    _Key("fit", "corr_nugget", _FLOAT),
-    _Key("fit", "lengthscale_min", _FLOAT, ("lengthscale_bounds", 0)),
-    _Key("fit", "lengthscale_max", _FLOAT, ("lengthscale_bounds", 1)),
-    _Key("fit", "max_evals_per_start", _typed(_eval_budget, "an integer")),
-    _Key("output", "timing", str),
-)
+    return tuple(map(token, _split_list(raw))) if rest == [Ellipsis] else token(raw)
 
 
 def _read_config(path) -> tuple[ExperimentConfig | None, list[str]]:
-    """The config, or None and every issue: the schema's, then the dataclasses' ranges."""
+    """The config, or None and every issue: unknown sections and keys in file
+    order, missing keys, then the issues FitOptions and ExperimentConfig raise."""
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path):
             return None, ["file not found or unreadable"]
     except configparser.Error as exc:
         return None, [f"parse error: {exc}"]
-    known = {(k.section, k.key) for k in _SCHEMA}
-    sections = {section for section, _ in known}
+    sections = {section for section, _ in _SCHEMA}
     issues = []
+    exp_kwargs: dict = {}
+    fit_kwargs: dict = {}
     for section in parser.sections():
         if section not in sections:
             issues.append(f"unknown section [{section}]")
             continue
-        issues += [f"unknown key {key!r} in [{section}]"
-                   for key in parser[section] if (section, key) not in known]
-
-    exp_kwargs: dict = {}
-    fit_kwargs: dict = {}
-    for k in _SCHEMA:
-        if not parser.has_option(k.section, k.key):
-            continue
-        raw = parser.get(k.section, k.key)
-        try:
-            value = k.type(raw)
-        except ValueError as exc:
-            issues.append(f"{k.key}: {exc}")
-            continue
-        kwargs = fit_kwargs if k.section == "fit" else exp_kwargs
-        if isinstance(k.target, tuple):
-            name, end = k.target
-            pair = list(kwargs.get(name, getattr(FitOptions, name)))
-            pair[end] = value
-            kwargs[name] = tuple(pair)
-        else:
-            kwargs[k.target or k.key] = value
+        kwargs = fit_kwargs if section == "fit" else exp_kwargs
+        for key in parser[section]:
+            f = _SCHEMA.get((section, key))
+            if f is None:
+                issues.append(f"unknown key {key!r} in [{section}]")
+                continue
+            value = _value(f, parser.get(section, key))
+            if key == "functions" and value == ("all",):
+                value = tuple(testbed_mod.testbed_ids())
+            elif key == "max_evals_per_start" and whole(value) and value == 0:
+                value = None  # automatic: 150 per parameter
+            elif f.name == "lengthscale_bounds":
+                pair = list(kwargs.get(f.name, f.default))
+                pair[key == "lengthscale_max"] = value
+                value = tuple(pair)
+            kwargs[f.name] = value
 
     missing = [f.name for f in fields(ExperimentConfig) if f.default is MISSING
                and f.default_factory is MISSING and f.name not in exp_kwargs]
@@ -558,12 +535,14 @@ def _read_config(path) -> tuple[ExperimentConfig | None, list[str]]:
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment configuration file.
 
-    Sections [experiment], [fit] and [output]; the accepted keys and
-    their types are the rows of ``_SCHEMA``, and the value ranges are
-    those that :class:`ExperimentConfig` and :class:`FitOptions` check
-    for the Python API too. Unknown keys or sections, values of the
-    wrong type and values out of range raise one ``ConfigError`` that
-    lists every issue, so typos cannot silently change a study.
+    Sections [experiment], [fit] and [output]; the accepted keys are
+    those of ``_SCHEMA``. The file is checked for its keys only: each
+    value is read as text (``functions``, ``families``, ``timing``) or
+    else as an int, a float or text, and :class:`ExperimentConfig` and
+    :class:`FitOptions` check its type and range as they do for the
+    Python API. Unknown keys or sections, missing keys, and values of
+    the wrong type or out of range raise one ``ConfigError`` that lists
+    every issue, so typos cannot silently change a study.
     """
     cfg, issues = _read_config(path)
     if issues:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignValidationError, ParamDomainError
+from .errors import DesignValidationError, ParamArityError, ParamDomainError
 
 @dataclass(frozen=True)
 class Design:
@@ -116,24 +116,51 @@ def to_problem_coords(X01: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def to_unit_coords(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    bounds = np.asarray(bounds, dtype=float)
-    return (np.asarray(X) - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
+    """The (rows, q) coordinates ``X`` mapped to [0, 1] per dimension by ``bounds``.
+
+    Returns a (rows, q) view of a C-contiguous (q, rows) array, so each
+    column is contiguous. Each column is ``(X[:, d] - lo_d) / (hi_d -
+    lo_d)`` with scalar operands: numpy would subtract a length-q row of
+    bounds in a length-q inner loop per row, several times slower.
+    """
+    X = np.asarray(X, dtype=float)
+    X01 = np.empty(X.shape[::-1])
+    for x, col, (lo, hi) in zip(X01, X.T, np.asarray(bounds, dtype=float).tolist()):
+        np.subtract(col, lo, out=x)
+        x /= hi - lo
+    return X01.T
+
+
+def check_bounds(bounds, q: int) -> np.ndarray:
+    """``bounds`` as a read-only (q, 2) float array of (lower, upper) per dimension.
+
+    Raises ``ParamArityError`` unless ``bounds`` is q pairs of numbers
+    (a flat list of 2q numbers, or a ragged list, is not), and
+    ``ParamDomainError`` unless every bound is finite with lower < upper.
+    """
+    try:
+        checked = np.array(bounds, dtype=float)
+    except (TypeError, ValueError):  # a ragged list, or not numbers
+        checked = None
+    if checked is None or checked.shape != (q, 2):
+        raise ParamArityError(f"bounds must be {q} (lower, upper) pairs, got {bounds!r}")
+    if not np.isfinite(checked).all():
+        raise ParamDomainError("bounds must be finite")
+    if np.any(checked[:, 0] >= checked[:, 1]):
+        raise ParamDomainError("bounds must satisfy lower < upper per dimension")
+    checked.setflags(write=False)
+    return checked
 
 
 def scale_to_bounds(design: Design, bounds) -> Design:
     """Attach problem-coordinate bounds to a design.
 
-    Bounds must be finite with lower < upper per dimension. The affine
-    map and its inverse are exact to floating-point roundoff.
+    Bounds are checked by :func:`check_bounds`. The affine map and its
+    inverse are exact to floating-point roundoff.
     """
-    bounds = np.asarray(bounds, dtype=float).reshape(design.q, 2)
-    if not np.all(np.isfinite(bounds)):
-        raise ParamDomainError("bounds must be finite")
-    if np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise ParamDomainError("bounds must satisfy lower < upper per dimension")
     return Design(
         design.X, design.levels, design.n_per_slice, design.s, design.q,
-        design.seed, bounds,
+        design.seed, check_bounds(bounds, design.q),
     )
 
 

@@ -22,11 +22,7 @@ levels when each query row has its own level). Memory is then
 O(block * n) for any number of rows, and within a call the allocator
 reuses a block's memory for the next. Between calls it need not: a
 call's arrays above glibc's mmap threshold (unit coordinates, index
-arrays) may be mapped afresh each time. Counted with
-``getrusage(RUSAGE_SELF).ru_minflt`` over 50 calls on 10,000 rows at
-N = 16, 32 and 48, scattered queries faulted in 159-199 pages a call
-before models kept their last query (below) and 5 on a first call and
-under 1 on a repeated one since; grids 0 before and 0-3 since. Blocks have a
+arrays) may be mapped afresh each time. Blocks have a
 multiple of 8 rows, about ``_BLOCK_ELEMENTS`` entries per array: the
 OpenBLAS gemv kernel takes rows in groups (of 4 on x86-64 Haswell) and
 rounds its leftover rows differently, so a block that starts at a
@@ -42,7 +38,7 @@ A query column with few distinct values, as each column of a grid has,
 gets a table in place of per-block differences: the Matern factors of
 its distinct values against the training set, a (distinct, n) array
 built by the same steps, from which each block gathers its rows
-through the column's inverse index (from one argsort). On a 100 x 100
+through the column's inverse index (from ``np.unique``). On a 100 x 100
 grid that evaluates 100 rows of factors per dimension instead of
 10,000: the per-dimension factorization of a product kernel on a grid
 (Gilboa, Saatci & Cunningham 2015). Every entry is the same operation
@@ -60,11 +56,7 @@ tables. A call whose X equals the kept one (``np.array_equal``, about
 15 us at 10,000 x 2) skips the checks, the mapping and the tables, and
 builds each block's product of continuous factors from the kept parts
 as a first call does. The kept part is published once complete, so a
-concurrent call reads a finished one or none. Keeping that (rows, n)
-product itself as well made the 168 predict_grid models predict their
-grids 1.12 times as fast, but held up to 8 MB per model and saved about
-1% of the desk study's CPU time (2-vCPU x86-64 VM), whose 1,000-row
-test sets span more than one block only at N = 48.
+concurrent call reads a finished one or none.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model, at a stack of
@@ -131,7 +123,7 @@ from .corrparam import (
     corr_values,
     param_count,
 )
-from .design import to_unit_coords
+from .design import check_bounds, to_unit_coords
 from .errors import (
     ConfigError,
     FitFailureError,
@@ -243,20 +235,6 @@ def _outside(X: np.ndarray, bounds: np.ndarray) -> bool:
                               for x, (lo, hi) in zip(X.T, bounds.tolist()))
 
 
-def _unit_columns(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """The (q, rows) array of X's columns mapped to [0, 1] by ``bounds``.
-
-    Each column is ``(X[:, d] - lo_d) / (hi_d - lo_d)``, bit for bit
-    :func:`design.to_unit_coords`, but with scalar operands (see
-    :func:`_outside`), and contiguous.
-    """
-    X01 = np.empty(X.shape[::-1])
-    for x, col, (lo, hi) in zip(X01, X.T, bounds.tolist()):
-        np.subtract(col, lo, out=x)
-        x /= hi - lo
-    return X01
-
-
 def _as_levels(levels, what: str = "levels") -> np.ndarray:
     """A new int array of ``levels``; ``ParamDomainError`` unless integral.
 
@@ -283,8 +261,9 @@ class TrainingSet:
     y : (n,) array
         Responses.
     bounds : (q, 2) array, optional
-        Per-dimension (lower, upper); defaults to the unit box. Used to
-        normalize coordinates before kernel evaluation.
+        Per-dimension (lower, upper); defaults to the unit box. Checked
+        by :func:`design.check_bounds`, and used to normalize coordinates
+        before kernel evaluation.
     n_levels : int, optional
         Number of levels s; defaults to max(levels). An integral float
         such as 4.0 is accepted; a non-integral or non-finite one raises
@@ -308,14 +287,7 @@ class TrainingSet:
             raise ParamArityError("X, levels and y must have matching first dimension")
         if np.any(levels < 1):
             raise ParamDomainError("levels are 1-based positive integers")
-        if bounds is None:
-            bounds = np.tile((0.0, 1.0), (q, 1)).astype(float)
-        bounds = np.array(bounds, dtype=float).reshape(q, 2)
-        bounds.setflags(write=False)
-        if not np.isfinite(bounds).all():
-            raise ParamDomainError("bounds must be finite")
-        if np.any(bounds[:, 0] >= bounds[:, 1]):
-            raise ParamDomainError("bounds must satisfy lower < upper per dimension")
+        bounds = check_bounds(np.tile((0.0, 1.0), (q, 1)) if bounds is None else bounds, q)
         if _outside(X, bounds):
             raise ParamDomainError("training coordinates outside declared bounds")
         key = {(tuple(row), lv) for row, lv in zip(X.tolist(), levels.tolist())}
@@ -348,7 +320,7 @@ class TrainingSet:
         contiguous (see the module docstring).
         """
         if self._absdiff is None:
-            X = np.ascontiguousarray(self.X01.T)
+            X = self.X01.T
             self._absdiff = np.abs(X[:, :, None] - X[:, None, :])
             self._absdiff.setflags(write=False)
         return self._absdiff
@@ -452,17 +424,10 @@ def _factor_table(x, x_train, scale, most: int):
     head = np.sort(x[:limit + 1])
     if np.count_nonzero(head[1:] != head[:-1]) >= limit:
         return None
-    order = np.argsort(x)
-    ordered = x[order]
-    new = np.empty(x.size, bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    firsts = np.flatnonzero(new)
-    if firsts.size > limit:
+    values, index = np.unique(x, return_inverse=True)
+    if values.size > limit:
         return None
-    index = np.empty(x.size, np.intp)
-    index[order] = np.repeat(np.arange(firsts.size), np.diff(firsts, append=x.size))
-    return _matern_factor(ordered[firsts], x_train, scale), index
+    return _matern_factor(values, x_train, scale), index
 
 
 def _kernel(absdiff, lengthscales, dlog=False):
@@ -1011,7 +976,7 @@ def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
         raise ParamDomainError("query point outside the model's declared bounds")
     X = X.copy()  # the key: the caller may change its array
     X.setflags(write=False)
-    columns = zip(_unit_columns(X, train.bounds), train.X01.T, SQRT5 / fit.config.lengthscales)
+    columns = zip(to_unit_coords(X, train.bounds).T, train.X01.T, SQRT5 / fit.config.lengthscales)
     parts = [(column, _factor_table(*column, block)) for column in columns]
     P = fit.config.corr_matrix()
     return _Query(X, None if P is None else P[:, train.levels - 1],

@@ -18,6 +18,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .design import check_bounds
 from .errors import ParamArityError, ParamDomainError
 
 UPEND_RATE = 0.5  # exponential cdf rate in the reflection smoothing
@@ -37,7 +38,7 @@ class ContinuousFunction:
     global_opt_val: float
 
     def __post_init__(self):
-        bounds = np.asarray(self.bounds, dtype=float).reshape(self.d, 2)
+        bounds = check_bounds(self.bounds, self.d)
         pos = np.asarray(self.global_opt_pos, dtype=float).ravel()
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "global_opt_pos", pos)

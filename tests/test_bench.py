@@ -490,6 +490,12 @@ def test_config_all_functions(tmp_path):
         ("functions = ackley_s4\n[fit]\nlengthscale_min = 2\nlengthscale_max = 1",
          "lengthscale bounds must satisfy min < max"),
         ("functions = ackley_s4\nbase_seed = -1", "base_seed: must be >= 0"),
+        # only the integer 0 means automatic
+        ("functions = ackley_s4\n[fit]\nmax_evals_per_start = 0.0",
+         "max_evals_per_start: must be an integer or None, got 0.0"),
+        ("functions = ackley_s4\nreplications = 3.0", "replications: must be an integer, got 3.0"),
+        ("functions = ackley_s4\n[fit]\nnugget = abc", "nugget: must be a real number"),
+        ("functions = 1", "bad function id '1'"),
     ],
 )
 def test_validate_config_reports_issues(tmp_path, mutation, needle):
@@ -596,6 +602,8 @@ def test_fit_options_check_ranges_on_integers_only():
     (dict(base_seed=1.5), "base_seed: must be an integer"),
     (dict(replications="3"), "replications: must be an integer"),
     (dict(resolution=None), "resolution: must be an integer"),
+    (dict(functions=(1,)), r"functions: must be text, got \(1,\)"),
+    (dict(families=("EC", 2)), r"families: must be text, got \('EC', 2\)"),
 ])
 def test_experiment_config_rejects_values_out_of_range(kwargs, needle):
     with pytest.raises(MixedGPError, match=needle):

@@ -15,7 +15,7 @@ from mixedgp.design import (
     to_unit_coords,
     validate_design,
 )
-from mixedgp.errors import DesignValidationError, ParamDomainError
+from mixedgp.errors import DesignValidationError, ParamArityError, ParamDomainError
 
 
 def assert_full_lhd(X, N):
@@ -162,6 +162,7 @@ def test_scale_identity_bounds():
     d, _ = cslhd(2, 2, 2, seed=0)
     scaled = scale_to_bounds(d, [(0.0, 1.0), (0.0, 1.0)])
     assert np.array_equal(scaled.problem_coords(), d.X)
+    assert scaled.bounds.dtype == float and not scaled.bounds.flags.writeable
 
 
 def test_scale_symmetric_bounds_center():
@@ -180,6 +181,14 @@ def test_scale_rejects_degenerate_bounds():
     d, _ = cslhd(2, 2, 1, seed=0)
     with pytest.raises(ParamDomainError):
         scale_to_bounds(d, [(1.0, 1.0)])
+
+
+# not q = 2 (lower, upper) pairs: transposed, flat, ragged
+@pytest.mark.parametrize("bounds", [[[0, 1, 0], [1, 0, 1]], [0, 1, 0, 1], [[0, 1], [0]]])
+def test_scale_rejects_misshaped_bounds(bounds):
+    d, _ = cslhd(2, 2, 2, seed=0)
+    with pytest.raises(ParamArityError, match=r"bounds must be 2 \(lower, upper\) pairs"):
+        scale_to_bounds(d, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
 from mixedgp.corrparam import FamilySpec, build_correlation, corr_values
-from mixedgp.errors import IllConditionedError, ParamArityError, ParamDomainError
+from mixedgp.errors import IllConditionedError, MixedGPError, ParamArityError, ParamDomainError
 from mixedgp.gpcore import (
     FitOptions,
     KernelConfig,
@@ -313,6 +313,16 @@ def test_fit_is_its_refit_plus_the_start_objectives():
 def test_training_set_rejects_non_finite_bounds(bounds):
     with pytest.raises(ParamDomainError, match="bounds must be finite"):
         TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], bounds=bounds)
+
+
+# bounds that are not q = 2 (lower, upper) pairs: transposed, flat, ragged
+MISSHAPED_BOUNDS = [[[0, 1, 0], [1, 0, 1]], [0, 1, 0, 1], [[0, 1], [0]]]
+
+
+@pytest.mark.parametrize("bounds", MISSHAPED_BOUNDS)
+def test_training_set_rejects_misshaped_bounds(bounds):
+    with pytest.raises(ParamArityError, match=r"bounds must be 2 \(lower, upper\) pairs"):
+        TrainingSet(np.array([[0.1, 0.2], [0.5, 0.6]]), [1, 2], [0.0, 1.0], bounds=bounds)
 
 
 def test_training_set_pairwise_differences_are_contiguous_per_dimension():
@@ -1529,6 +1539,15 @@ def test_load_fit_rejects_incomplete_document(tmp_path, edit, message):
     edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ParamDomainError, match=message):
+        load_fit(path)
+
+
+@pytest.mark.parametrize("bounds", MISSHAPED_BOUNDS)
+def test_load_fit_rejects_misshaped_bounds(tmp_path, bounds):
+    path, doc = _saved_fit(tmp_path)
+    doc["bounds"] = bounds
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MixedGPError, match="bounds"):
         load_fit(path)
 
 

@@ -121,6 +121,14 @@ def test_continuous_function_validates_optimum():
         )
 
 
+# not d = 2 (lower, upper) pairs: transposed, flat, ragged
+@pytest.mark.parametrize("bounds", [[[0, 1, 0], [1, 0, 1]], [0, 1, 0, 1], [[0, 1], [0]]])
+def test_continuous_function_rejects_misshaped_bounds(bounds):
+    with pytest.raises(ParamArityError, match=r"bounds must be 2 \(lower, upper\) pairs"):
+        ContinuousFunction("plane", 2, bounds, lambda X: np.atleast_2d(X).sum(axis=1),
+                           np.zeros(2), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # slicing and upending
 
