@@ -7,7 +7,7 @@ checkouts to see whether a change keeps every bit:
     python3 scripts/bitcheck.py > bits_after.txt
     diff bits_before.txt bits_after.txt
 
-Six sections, one digest per line:
+Seven sections, one digest per line:
 
 * ``config``: ``repr`` of ``load_config`` of each study config in
   ``scripts/configs/`` (``desk_study.ini``, ``full_study.ini`` and
@@ -35,7 +35,20 @@ Six sections, one digest per line:
   and run serially: 360 fits. Their 3,600 searches end at different
   rounds, so a fit's searches are evaluated together in many different
   compositions of the stacked likelihood call, and every one must give
-  the bits of a search evaluated alone.
+  the bits of a search evaluated alone;
+* ``profile``: the likelihood ``gpcore._profile`` on its own, without
+  and with the gradient, at N = 24, 48 and 96 training points (s = 4
+  on ackley_s4_up13 and s = 6 on ackley_s6_up124), for every family
+  and a continuous-only model, at stacks of k = 1, 2 and 3 points
+  drawn in the search box (lengthscales log-uniform on [0.05, 2]),
+  and for one stack of three at N = 48 whose first point lies
+  outside UC's domain and whose second has an R that does not factor
+  (at nugget 0; 1e-8 elsewhere).
+  Each line hashes the value, the domain mask, the GLS mean, the
+  variance and the residuals (the factors too without the gradient,
+  and the gradient with it) of the points where the likelihood is
+  defined. ``desk`` and ``fit`` stop at N = 32, and the desk study's
+  costliest cells are at N = 48.
 
 The workloads are imported from ``perfbench/`` and only read. BLAS runs
 on one thread. A full run takes about a minute.
@@ -54,7 +67,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 import mixedgp.bench as bench  # noqa: E402
+import mixedgp.corrparam as corrparam  # noqa: E402
 import mixedgp.gpcore as gpcore  # noqa: E402
+import mixedgp.testbed as testbed  # noqa: E402
 import workloads  # noqa: E402
 
 CONFIGS = os.path.join(ROOT, "scripts", "configs")
@@ -143,11 +158,48 @@ def desk_lines(tmp):
             yield f"desk {name}{base_seed} {hashlib.sha256(body.encode()).hexdigest()}"
 
 
+def profile_digest(train, ls, spec, cat, grad, nugget=1e-8):
+    nll, ok, mu, sigma2, L, r, g = gpcore._profile(train, ls, spec, cat, nugget, 1e-8, grad=grad)
+    return digest(nll, ok, mu[ok], sigma2[ok], r[ok], *(g,) if grad else (L[ok],))
+
+
+def profile_lines(tmp):
+    options = gpcore.FitOptions()
+    for fid in ("ackley_s4_up13", "ackley_s6_up124"):
+        fn = testbed.get_testbed_function(fid)
+        for N in (24, 48, 96):
+            train = workloads.training_set(fn, N // fn.s, workloads.derive_seed(SEED, fid, N))
+            rng = np.random.default_rng(workloads.derive_seed(SEED, "profile", fid, N))
+            for spec in [None, *bench.applicable_families(("auto",), fn.s)]:
+                lo, hi = gpcore.psi_box(train.q, spec, options)
+                label = "none" if spec is None else spec.label
+                for k in (1, 2, 3):
+                    ls = np.exp(rng.uniform(np.log(0.05), np.log(2.0), (k, train.q)))
+                    cat = None if spec is None else rng.uniform(lo[train.q:], hi[train.q:],
+                                                               (k, lo.size - train.q))
+                    for grad in (False, True):
+                        yield (f"profile N{N} s{fn.s} {label} k{k} grad{int(grad)} "
+                               + profile_digest(train, ls, spec, cat, grad))
+    # a stack with a point outside the domain and one whose R does not
+    # factor (lengthscales of 1000 at nugget 0)
+    fn = testbed.get_testbed_function("ackley_s4_up13")
+    train = workloads.training_set(fn, 12, workloads.derive_seed(SEED, "failing"))
+    spec = corrparam.FamilySpec("UC", 4)
+    ls = np.array([[0.3, 0.3], [1e3, 1e3], [0.2, 0.5]])
+    cat = np.tile(np.linspace(0.5, 2.5, 6), (3, 1))
+    cat[0, 0] = -0.5
+    ok = gpcore._profile(train, ls, spec, cat, 0.0, 1e-8)[1]
+    assert ok.tolist() == [False, False, True], ok
+    for grad in (False, True):
+        yield (f"profile failing grad{int(grad)} "
+               + profile_digest(train, ls, spec, cat, grad, nugget=0.0))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # fit_lines last: the study workload wraps bench.fit for good
         for section in (config_lines, gate_lines, grid_lines, scatter_lines, desk_lines,
-                        fit_lines):
+                        profile_lines, fit_lines):
             for line in section(os.path.join(tmp, section.__name__)):
                 print(line, flush=True)
     return 0

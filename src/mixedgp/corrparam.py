@@ -184,8 +184,7 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     # force exact symmetry / unit diagonal / range against fp noise
     P = (P + P.swapaxes(-1, -2)) / 2.0
     _set_diagonal(P, 1.0)
-    np.maximum(P, -1.0, out=P)
-    return np.minimum(P, 1.0, out=P)
+    return P.clip(-1.0, 1.0, out=P)
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,9 +390,8 @@ def corr_values(
         if parts is not None:
             parts.extend((Q, sp))
         P = Q @ Q.swapaxes(-1, -2)
-        if family == "LRC":  # (P + nugget I) / (1 + nugget), in place
-            P.reshape(-1, s * s)[:, :: s + 1] += nugget
-            P /= 1.0 + nugget
+        if family == "LRC":  # (P + nugget I) / (1 + nugget) off the diagonal, in place
+            P /= 1.0 + nugget  # _symmetrize sets the diagonal to 1
         P = _symmetrize(P)
     return P if values.ndim == 1 else (P, ok)
 

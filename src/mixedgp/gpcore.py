@@ -10,9 +10,14 @@ Prediction is the plug-in best linear unbiased predictor.
 
 One expression, ``_matern``, evaluates the Matern(5/2) factor of scaled
 distances of any shape. The likelihood applies it once to the whole
-(q, n, n) stack of the training set's memoized pairwise differences
+(q, n(n-1)/2 + 1) stack of the training set's memoized differences,
+one column per unordered pair and one zero column for the diagonal
+(R is symmetric, and |x_i - x_j| and |x_j - x_i| are the same double),
 and multiplies the q factors along the first axis (``_kernel``), so
-each numpy operation runs once for all dimensions. Prediction applies
+each numpy operation runs once for all dimensions and once per pair.
+One gather through an (n, n) index of the columns
+(``_pair_columns``) expands the product, and the lengthscale
+derivatives, to every ordered pair. Prediction applies
 it to query-to-training differences one block of query rows and one
 dimension at a time: |x_d - x'_d| is built in one fresh (block, n)
 array, made absolute and scaled in place, its Matern factor multiplies
@@ -28,11 +33,11 @@ OpenBLAS gemv kernel takes rows in groups (of 4 on x86-64 Haswell) and
 rounds its leftover rows differently, so a block that starts at a
 multiple of 8 puts every row in the group and path it has in one
 product over all rows, and each prediction is bit for bit that of the
-one-array expression. The memoized
-differences are C-contiguous in (q, n, n) order, so each dimension's
-slice of the stack, and of its lengthscale derivative, is contiguous:
-BLAS dot products then accumulate exactly as on arrays built for one
-dimension, while strided slices round differently in the last bits.
+one-array expression. The expanded lengthscale derivatives are
+C-contiguous in (k, q, n, n) order, so each dimension's (n, n) slice
+is contiguous: BLAS dot products then accumulate exactly as on arrays
+built for one dimension, while strided slices round differently in the
+last bits.
 
 A query column with few distinct values, as each column of a grid has,
 gets a table in place of per-block differences: the Matern factors of
@@ -66,8 +71,9 @@ point yields the GLS mean and profiled variance. (LAPACK ``dtrtrs``
 would do the same solve, but OpenBLAS runs it on a second thread even
 at a few dozen rows, doubling its CPU time for no gain in wall time.) For the optimizer it
 also returns the gradient sum(W * dR/dpsi), W = R^-1 - alpha alpha^T /
-sigma2, with R^-1 = L^-T L^-1 from one ``dtrtri`` on the same factor
-and one product: closed-form Matern lengthscale terms, and category
+sigma2, with R^-1 = L^-T L^-1 from one ``dtrtri`` on the same factor,
+in place once alpha is solved, and one product: closed-form Matern
+lengthscale terms, and category
 terms from W times the Matern product summed by level pair and
 contracted with the family's closed-form dP/dtheta
 (:func:`corrparam.corr_grad`). (LAPACK ``dpotri`` would give R^-1 in
@@ -76,7 +82,8 @@ study fits, N = 16 to 48: 74 us CPU for 44 us wall at N = 32, against
 17 us for ``dtrtri`` and the product.) An evaluation builds the UC/LRC
 loading once, in ``corr_values``, and hands it to ``corr_grad``; P is
 gathered at the level pairs through a flat index memoized on the
-training set, and the standardized responses are memoized there too.
+training set, and the standardized responses are memoized there too,
+with the [z, 1] array that each solve starts from a copy of.
 None of this changes a floating-point operation or its order, so the
 searches, and every fitted number, are those of the straightforward
 evaluation.
@@ -104,6 +111,7 @@ training set's declared bounds before any kernel evaluation; responses
 are standardized for fitting and de-standardized for prediction.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -198,8 +206,8 @@ class KernelConfig:
         ls = np.array(self.lengthscales, dtype=float).ravel()
         ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
-        if not (ls > 0).all():
-            raise ParamDomainError("lengthscales must be positive")
+        if not ((ls > 0) & (ls < math.inf)).all():  # NaN fails both
+            raise ParamDomainError("lengthscales must be positive and finite")
         nugget, corr_nugget = self.nugget, self.corr_nugget
         if not (isinstance(nugget, numbers.Real) and 0 <= nugget < math.inf):
             raise ParamDomainError(f"nugget must be finite and nonnegative, got {nugget!r}")
@@ -209,6 +217,8 @@ class KernelConfig:
             cat = np.array(self.cat_params, dtype=float).ravel()
             cat.setflags(write=False)
             object.__setattr__(self, "cat_params", cat)
+            if not np.isfinite(cat).all():
+                raise ParamDomainError("cat_params must be finite")
         if (self.family_spec is None) != (self.cat_params is None):
             raise ParamDomainError("family_spec and cat_params must be given together")
         if self.family_spec is not None:
@@ -310,28 +320,41 @@ class TrainingSet:
         self.X01 = to_unit_coords(X, bounds)
         self._absdiff = None
         self._standardized = None
+        self._rhs = None
         self._indicators = {}
         self._pair_index = {}
 
-    def pairwise_absdiff(self) -> np.ndarray:
-        """Memoized (q, n, n) array of |x_i - x_j| per dimension (normalized).
+    def pair_absdiff(self) -> np.ndarray:
+        """Memoized (q, n(n-1)/2 + 1) array of |x_i - x_j| per dimension (normalized).
 
-        C-contiguous in that order, so each dimension's (n, n) slice is
-        contiguous (see the module docstring).
+        One column per pair i < j, in row-major order, then a zero column
+        for i = j; ``_pair_columns(n)`` maps each ordered pair to its
+        column (see the module docstring).
         """
         if self._absdiff is None:
+            i, j = _upper_pairs(self.n)
             X = self.X01.T
-            self._absdiff = np.abs(X[:, :, None] - X[:, None, :])
-            self._absdiff.setflags(write=False)
+            absdiff = np.zeros((self.q, i.size + 1))
+            np.abs(X.take(i, axis=1) - X.take(j, axis=1), out=absdiff[:, :-1])
+            absdiff.setflags(write=False)
+            self._absdiff = absdiff
         return self._absdiff
 
     def standardized(self):
         """Memoized (z, mean, std): the responses standardized for fitting."""
         if self._standardized is None:
             z, mean, std = _standardize(self.y)
-            z.setflags(write=False)
-            self._standardized = (z, mean, std)
+            rhs = np.array([z, np.ones(self.n)])
+            rhs.setflags(write=False)
+            self._rhs = rhs
+            self._standardized = (rhs[0], mean, std)
         return self._standardized
+
+    def rhs(self) -> np.ndarray:
+        """Memoized (2, n) array [z, 1]: the right-hand sides the likelihood
+        solves, z from :meth:`standardized` (whose z is its first row)."""
+        self.standardized()
+        return self._rhs
 
     def level_indicator(self, s: int) -> np.ndarray:
         """Memoized (n, s) 0/1 matrix with row i's 1 in column levels[i] - 1.
@@ -369,6 +392,31 @@ def _check_config(train: TrainingSet, spec: FamilySpec | None, n_lengthscales: i
         raise ParamDomainError(
             f"{spec.label} has {spec.s} levels but the training set has {train.n_levels}"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(n: int):
+    """The read-only ``np.triu_indices(n, 1)``, which costs more than the
+    memo of differences built from it."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_columns(n: int) -> np.ndarray:
+    """The (n, n) index of each ordered pair's column in
+    :meth:`TrainingSet.pair_absdiff`: (i, j) and (j, i) both map to the
+    column of the pair i < j, and the diagonal to the last, zero, column.
+    ``a.take(_pair_columns(n), axis=-1)`` expands a (..., n(n-1)/2 + 1)
+    array of per-pair values to its (..., n, n) matrices in one gather.
+    """
+    i, j = _upper_pairs(n)
+    index = np.full((n, n), i.size)
+    index[i, j] = index[j, i] = np.arange(i.size)
+    index.setflags(write=False)
+    return index
 
 
 def _matern(t, dlog=False):
@@ -463,7 +511,7 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     _check_config(train, config.family_spec, config.lengthscales.size)
     if P is None:
         P = config.corr_matrix()
-    R = _kernel(train.pairwise_absdiff(), config.lengthscales)
+    R = _kernel(train.pair_absdiff(), config.lengthscales).take(_pair_columns(train.n))
     if P is not None:
         R *= np.take(P, train.pair_index(P.shape[0]))
     R.reshape(-1)[:: train.n + 1] += config.nugget
@@ -481,36 +529,42 @@ def _standardize(y: np.ndarray):
     return (y - mean) / std, mean, std
 
 
-def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
-             nugget: float, corr_nugget: float, grad: bool = False):
+def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
+             corr_nugget: float, grad: bool = False):
     """The profiled likelihood at a stack of k parameter points.
 
     ``lengthscales`` is a (k, q) array and ``cat_params`` a (k, p) array
     (None without a family). Returns (nll, ok, mu, sigma2, L, r, g), each
     with a leading axis k: the objective n log(sigma2) + log det R, the
     mask of the points where it is defined, the GLS mean and profiled
-    variance of the standardized responses ``z``, the Cholesky factors
-    L of R (lower, each Fortran-ordered), the whitened residuals
-    r = L^-1 (z - mu 1), and, with ``grad``, the (k, q + p) gradient g
-    of the objective in (lengthscales, cat_params) (else None). With
-    a = L^-1 z and b = L^-1 1 from one solve, mu = b.a / b.b and
-    r = a - mu b. A point whose family parameters lie outside their
-    domain, or whose R cannot be factored, has nll ``_FAILED_OBJ``, a
-    zero gradient and a False entry in ``ok``; its other entries are
-    meaningless, and the other points are unaffected.
+    variance of the standardized responses z (``train.standardized()``),
+    the Cholesky factors L of R (lower, each Fortran-ordered), the
+    whitened residuals r = L^-1 (z - mu 1), and, with ``grad``, the
+    (k, q + p) gradient g of the objective in (lengthscales, cat_params)
+    (else None). With ``grad`` the factors' memory receives R^-1's
+    triangular factors, and L is None. With a = L^-1 z and b = L^-1 1
+    from one solve, mu = b.a / b.b and r = a - mu b. A point whose family
+    parameters lie outside their domain, or whose R cannot be factored,
+    has nll ``_FAILED_OBJ``, a zero gradient and a False entry in ``ok``;
+    its other entries are meaningless, and the other points are
+    unaffected.
     """
     k, n = len(lengthscales), train.n
+    columns = _pair_columns(n)
     parts = [] if grad else None
     if spec is None:
         Ppairs, ok = 1.0, np.ones(k, bool)
     else:
         P, ok = corr_values(spec, cat_params, corr_nugget, parts=parts)
         Ppairs = P.reshape(k, -1).take(train.pair_index(spec.s), axis=1)
+    # the Matern factors of each unordered pair, expanded to every
+    # ordered pair by one gather
     if grad:
-        K, dlog = _kernel(train.pairwise_absdiff(), lengthscales, dlog=True)
+        K, dlog = _kernel(train.pair_absdiff(), lengthscales, dlog=True)
+        K = K.take(columns, axis=1)
         R = K * Ppairs  # the gradient needs K itself
     else:
-        R = _kernel(train.pairwise_absdiff(), lengthscales)
+        R = _kernel(train.pair_absdiff(), lengthscales).take(columns, axis=1)
         R *= Ppairs
     # R's diagonal is exactly 1 (Matern(0) = 1 and P's diagonal is 1), so
     # setting it to 1 + nugget adds the nugget, without a read
@@ -520,8 +574,7 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
     # solved in place in ab[i]
     L = R.transpose(0, 2, 1)
     ab = np.empty((k, 2, n))
-    ab[:, 0] = z
-    ab[:, 1] = 1.0
+    ab[...] = train.rhs()
     for i, Li in enumerate(L):
         if dpotrf(Li, lower=1, overwrite_a=1)[1]:
             ok[i] = False
@@ -542,26 +595,28 @@ def _profile(train: TrainingSet, z: np.ndarray, lengthscales, spec, cat_params,
     if grad:
         # df/dpsi = sum(W * dR/dpsi) with W = R^-1 - alpha alpha^T / sigma2
         # and alpha = R^-1 (z - mu 1); the profiled mu drops out
-        # (Rasmussen & Williams 2006, sec. 5.4.1). R^-1 = L^-T L^-1, and
-        # LT[i] becomes L_i^-T in place, lower triangular as L_i is. A
-        # floored sigma2 does not move with psi: there alpha is +0, and
-        # subtracting the +0 products leaves W's bits as they are
-        LT = R.copy()
+        # (Rasmussen & Williams 2006, sec. 5.4.1). Each L_i first solves
+        # for alpha, then becomes L_i^-1 in place, so that R[i] holds
+        # L_i^-T and R^-1 = L^-T L^-1 is one product. A floored sigma2
+        # does not move with psi: there alpha is +0, and subtracting the
+        # +0 products leaves W's bits as they are
         moves = rr > SIGMA2_FLOOR
         alpha = np.where(moves[:, None], r, 0.0)
-        for Li, Ti, ai, m in zip(L, LT.transpose(0, 2, 1), alpha, moves.tolist()):
-            dtrtri(Ti, lower=1, overwrite_c=1)
+        for Li, ai, m in zip(L, alpha, moves.tolist()):
             if m:
                 dtrsm(1.0, Li, ai, lower=1, trans_a=1, overwrite_b=1)
-        W = LT @ LT.transpose(0, 2, 1)
+            dtrtri(Li, lower=1, overwrite_c=1)
+        L = None
+        W = R @ R.transpose(0, 2, 1)
         W -= alpha[:, :, None] * (alpha / sigma2[:, None])[:, None, :]
         WK = W * K
         WR = WK * Ppairs
         q = lengthscales.shape[1]
         g = np.empty((k, q + (0 if spec is None else cat_params.shape[1])))
         # the lengthscale terms by one dot product per (point, dimension),
-        # on contiguous rows (pairwise_absdiff), so summed as np.vdot does
-        g[:, :q] = np.vecdot(dlog.reshape(k, q, n * n), WR.reshape(k, 1, n * n))
+        # on contiguous rows (the gather's fresh array), so summed as
+        # np.vdot does
+        g[:, :q] = np.vecdot(dlog.take(columns.ravel(), axis=2), WR.reshape(k, 1, n * n))
         g[:, :q] /= lengthscales
         if spec is not None:
             E = train.level_indicator(spec.s)
@@ -581,8 +636,8 @@ def _profile_one(train: TrainingSet, config: KernelConfig):
     """
     spec, cat = config.family_spec, config.cat_params
     nll, ok, mu, sigma2, L, r, _ = _profile(
-        train, train.standardized()[0], config.lengthscales[None], spec,
-        None if cat is None else cat[None], config.nugget, config.corr_nugget)
+        train, config.lengthscales[None], spec, None if cat is None else cat[None],
+        config.nugget, config.corr_nugget)
     if not ok[0]:
         config.corr_matrix()  # raises for parameters outside the domain
         raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
@@ -715,7 +770,10 @@ def _lbfgsb_search(u0, first, box, maxfun: int):
     x = np.clip(u0, lo, hi)
     if not np.array_equal(x, u0):  # minimize starts from the clipped point
         first = yield x.copy()
-    last, (f_last, g_last) = x.copy(), first
+    # the last point evaluated, as a list: list equality is 5 times
+    # faster than np.array_equal here, with the same answers (the floats
+    # are fresh objects, so NaN never equals itself; -0.0 equals 0.0)
+    last, (f_last, g_last) = x.tolist(), first
     f, g = 0.0, np.zeros(n)
     nbd = np.full(n, 2, np.int32)  # both bounds finite
     wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
@@ -727,9 +785,10 @@ def _lbfgsb_search(u0, first, box, maxfun: int):
         setulb(_LBFGSB_M, x, lo, hi, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa,
                task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == 3:  # FG: evaluate at x
-            if not np.array_equal(x, last):
-                last = x.copy()
-                f_last, g_last = yield last
+            point = x.tolist()
+            if point != last:
+                last = point
+                f_last, g_last = yield x.copy()
                 nfev += 1
             # setulb may write into g; the kept gradient must stay as evaluated
             f, g = f_last, g_last.copy()
@@ -810,7 +869,6 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     starts = maximin_starts(lo, hi, options.n_starts, rng)
     maxfun = options.max_evals_per_start or 150 * dim
 
-    z = train.standardized()[0]
     q = train.q
     # The search runs on u = (log lengthscales, cat_params), the same
     # starts and box. In psi, L-BFGS-B's first, unit-length step can
@@ -819,21 +877,22 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     box = np.column_stack([lo, hi])
     box[:q] = np.log(box[:q])
     starts[:, :q] = np.log(starts[:, :q])
-    # points per stacked likelihood call: its largest arrays, the
-    # (points, q, n, n) Matern stacks, stay within _STACK_ELEMENTS entries
+    # points per stacked likelihood call: its largest array, the
+    # (points, q, n, n) stack of Matern derivatives, stays within
+    # _STACK_ELEMENTS entries
     chunk = max(1, _STACK_ELEMENTS // (max(q, 1) * train.n ** 2))
 
     def evaluate(U):
         """The (f, g) rows of the objective at the rows of U; g in u."""
-        F, G = np.empty(len(U)), np.empty(U.shape)
+        out = []
         for at in range(0, len(U), chunk):
             V = U[at:at + chunk]
             ls = np.exp(V[:, :q])
-            nll, *_, g = _profile(train, z, ls, spec, None if spec is None else V[:, q:],
+            nll, *_, g = _profile(train, ls, spec, None if spec is None else V[:, q:],
                                   options.nugget, options.corr_nugget, grad=True)
             g[:, :q] *= ls  # df/dlog(l) = l df/dl
-            F[at:at + chunk], G[at:at + chunk] = nll, g
-        return F, G
+            out.append((nll, g))
+        return out[0] if len(out) == 1 else tuple(map(np.concatenate, zip(*out)))
 
     # The searches run in lockstep: each round evaluates, in one stacked
     # call, the next point of every search that is still running. Each

@@ -24,8 +24,8 @@ from mixedgp.gpcore import (
     KernelConfig,
     TrainingSet,
     _kernel,
+    _pair_columns,
     _profile,
-    _standardize,
     build_R,
     concentrated_nll,
     fit,
@@ -163,22 +163,25 @@ def loop_kernel(absdiff, lengthscales):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_stacked_kernel_matches_the_per_dimension_loop(q, n, m, seed):
-    # to the last bit: on the training set's (q, n, n) stack against
-    # freshly built per-dimension arrays, and on a (q, m) stack such as
-    # kernel_at's against its rows
+    # to the last bit: on the training set's packed pair differences,
+    # expanded to every ordered pair as the likelihood expands them,
+    # against freshly built per-dimension (n, n) arrays, and on a (q, m)
+    # stack such as kernel_at's against its rows
     rng = np.random.default_rng(seed)
     ls = np.exp(rng.uniform(math.log(1e-2), math.log(10.0), size=q))
     X = rng.random((n, q))
     train = TrainingSet(X, np.arange(1, n + 1), rng.standard_normal(n))
     fresh = [np.abs(train.X01[:, d, None] - train.X01[None, :, d]) for d in range(q)]
     h = rng.random((q, m)) * rng.choice([0.0, 1.0, 5.0], size=(q, m))
-    for absdiff, per_dim in ((train.pairwise_absdiff(), fresh), (h, list(h))):
+    for absdiff, per_dim, index in ((train.pair_absdiff(), fresh, _pair_columns(n)),
+                                    (h, list(h), np.arange(m))):
         K, D = _kernel(absdiff, ls, dlog=True)
-        ref_K, ref_D = loop_kernel(per_dim, ls)
         assert K.shape == absdiff.shape[1:] and D.shape == absdiff.shape
+        assert np.array_equal(_kernel(absdiff, ls), K)
+        K, D = K.take(index, axis=-1), D.take(index, axis=-1)
+        ref_K, ref_D = loop_kernel(per_dim, ls)
         assert np.array_equal(K, np.broadcast_to(ref_K, K.shape))
         assert all(np.array_equal(d, r) for d, r in zip(D, ref_D, strict=True))
-        assert np.array_equal(_kernel(absdiff, ls), K)
 
 
 def test_compound_corr_cases():
@@ -328,10 +331,35 @@ def test_training_set_rejects_misshaped_bounds(bounds):
 def test_training_set_pairwise_differences_are_contiguous_per_dimension():
     rng = np.random.default_rng(4)
     ts = TrainingSet(rng.random((7, 3)), np.ones(7, int), rng.standard_normal(7))
-    absdiff = ts.pairwise_absdiff()
-    assert absdiff.shape == (3, 7, 7) and absdiff.flags.c_contiguous
+    absdiff = ts.pair_absdiff()
+    assert absdiff.shape == (3, 22) and absdiff.flags.c_contiguous
+    assert not absdiff.flags.writeable and ts.pair_absdiff() is absdiff
     for d in range(3):
-        assert np.array_equal(absdiff[d], np.abs(ts.X01[:, d, None] - ts.X01[None, :, d]))
+        assert np.array_equal(absdiff[d].take(_pair_columns(7)),
+                              np.abs(ts.X01[:, d, None] - ts.X01[None, :, d]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    q=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_packed_pair_differences_expand_to_every_ordered_pair(n, q, seed):
+    # one column per unordered pair and a zero column for the diagonal;
+    # expanded through _pair_columns, each ordered pair's entry is the
+    # difference taken in that pair's own order, to the last bit
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, q)) * rng.choice([1e-3, 1.0], size=(n, q))
+    ts = TrainingSet(X, np.arange(1, n + 1), rng.standard_normal(n))
+    absdiff, columns = ts.pair_absdiff(), _pair_columns(n)
+    assert absdiff.shape == (q, n * (n - 1) // 2 + 1) and not absdiff[:, -1].any()
+    assert columns.shape == (n, n) and np.array_equal(columns, columns.T)
+    assert (np.diag(columns) == n * (n - 1) // 2).all()
+    full = absdiff.take(columns, axis=1)
+    for i in range(n):
+        for j in range(n):
+            assert np.array_equal(full[:, i, j], np.abs(ts.X01[i] - ts.X01[j]))
 
 
 def test_training_set_keeps_its_own_copy_of_the_responses():
@@ -516,20 +544,19 @@ def test_profile_gradient_matches_central_differences(family, s, n, log_nugget, 
     margin = 1e-2 * (hi - lo)
     psi = rng.uniform(lo + margin, hi - margin)
     nugget = 10.0**log_nugget
-    z, _, _ = _standardize(y)
 
     def nll(p):
-        return profile_one(ts, z, p[:2], spec, p[2:], nugget, 1e-8)[0]
+        return profile_one(ts, p[:2], spec, p[2:], nugget, 1e-8)[0]
 
-    grad = profile_one(ts, z, psi[:2], spec, psi[2:], nugget, 1e-8, grad=True)[1]
+    grad = profile_one(ts, psi[:2], spec, psi[2:], nugget, 1e-8, grad=True)[1]
     scale = np.minimum(psi - lo, hi - psi)
     scale[:2] = psi[:2]
     assert gradient_gap(nll, psi, grad, scale) <= 1e-6
 
 
-def profile_one(train, z, lengthscales, spec, cat_params, nugget, corr_nugget, grad=False):
+def profile_one(train, lengthscales, spec, cat_params, nugget, corr_nugget, grad=False):
     """_profile at one point, through a stack of one: (value, gradient or None)."""
-    nll, *_, g = _profile(train, z, np.asarray(lengthscales, dtype=float)[None], spec,
+    nll, *_, g = _profile(train, np.asarray(lengthscales, dtype=float)[None], spec,
                           None if spec is None else np.asarray(cat_params, dtype=float)[None],
                           nugget, corr_nugget, grad=grad)
     return nll[0], None if g is None else g[0]
@@ -611,7 +638,7 @@ def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, k,
     references = [None if i == bad else reference_profile(ts, z, p[:q], spec, p[q:], nugget, 1e-8)
                   for i, p in enumerate(psi)]
     assume(all(ref is not None for i, ref in enumerate(references) if i != bad))
-    nll, ok, *_, g = _profile(ts, z, psi[:, :q], spec, None if spec is None else psi[:, q:],
+    nll, ok, *_, g = _profile(ts, psi[:, :q], spec, None if spec is None else psi[:, q:],
                               nugget, 1e-8, grad=True)
     assert nll.shape == ok.shape == (k,) and g.shape == psi.shape
     for i, ref in enumerate(references):
@@ -627,9 +654,8 @@ def test_profile_value_same_with_and_without_gradient():
     X, levels, y = random_instance(rng, 8)
     ts = TrainingSet(X, levels, y)
     spec = FamilySpec("EC", int(levels.max()))
-    z, _, _ = _standardize(y)
-    plain = profile_one(ts, z, [0.4, 0.6], spec, [0.5], 1e-6, 1e-8)
-    both = profile_one(ts, z, [0.4, 0.6], spec, [0.5], 1e-6, 1e-8, grad=True)
+    plain = profile_one(ts, [0.4, 0.6], spec, [0.5], 1e-6, 1e-8)
+    both = profile_one(ts, [0.4, 0.6], spec, [0.5], 1e-6, 1e-8, grad=True)
     assert plain[1] is None and both[1].shape == (3,)
     assert plain[0] == both[0]
 
@@ -672,13 +698,12 @@ def test_profile_category_gradient_builds_the_loading_once(monkeypatch, label):
     spec = FamilySpec.parse(label, s)
     X, levels, y = random_instance(rng, 14, s=s)
     ts = TrainingSet(X, levels, y, n_levels=s)
-    z, _, _ = _standardize(y)
     lo, hi = psi_box(ts.q, spec, FitOptions())
     for _ in range(5):
         psi = rng.uniform(lo, hi)
         builds.clear()
         weights.clear()
-        g = profile_one(ts, z, psi[:2], spec, psi[2:], 1e-6, 1e-4, grad=True)[1]
+        g = profile_one(ts, psi[:2], spec, psi[2:], 1e-6, 1e-4, grad=True)[1]
         assert len(builds) == (0 if spec.family in ("EC", "MC") else 1)
         assert len(weights) == 1 and weights[0].shape == (1, s, s)
         fresh = [] if spec.family in ("EC", "MC") else real_parts(psi[2:], s, spec.rank or s)
@@ -713,6 +738,33 @@ def test_concentrated_nll_rejects_a_wrong_length_psi(family, psi):
     spec = None if family is None else FamilySpec(family, 3)
     with pytest.raises(ParamArityError):
         concentrated_nll(psi, ts, spec)
+
+
+@pytest.mark.parametrize("lengthscales, cat_params", [
+    ([0.3, np.inf], [0.5, 1.0, 1.0]), ([np.nan, 0.4], [0.5, 1.0, 1.0]),
+    ([0.3, 0.5], [np.inf, 1.0, 1.0]), ([0.3, 0.5], [0.5, np.nan, 1.0]),
+])
+def test_non_finite_kernel_parameters_rejected(tmp_path, lengthscales, cat_params):
+    # an infinite MC parameter is inside the family's domain (phi > 0),
+    # and save_fit would write it as Infinity, which is not JSON
+    rng = np.random.default_rng(2)
+    ts = TrainingSet(*random_instance(rng, 10, q=2, s=3))
+    spec = FamilySpec("MC", 3)
+    message = "lengthscales must be positive and finite|cat_params must be finite"
+    with pytest.raises(ParamDomainError, match=message):
+        KernelConfig(lengthscales, spec, cat_params)
+    with pytest.raises(ParamDomainError, match=message):
+        concentrated_nll([*lengthscales, *cat_params], ts, spec)
+    with pytest.raises(ParamDomainError, match=message):
+        refit_config(ts, KernelConfig(lengthscales, spec, cat_params))
+    path = tmp_path / "fit.json"
+    save_fit(refit_config(ts, KernelConfig([0.3, 0.4], spec, [0.5, 1.0, 1.0])), path)
+    doc = json.loads(path.read_text())
+    doc.update(lengthscales=lengthscales, cat_params=cat_params)
+    path.write_text(json.dumps(doc))  # Infinity and NaN, as Python's json writes them
+    assert "Infinity" in path.read_text() or "NaN" in path.read_text()
+    with pytest.raises(ParamDomainError, match=message):
+        load_fit(path)
 
 
 @pytest.mark.parametrize("family", [None, "EC"])
@@ -754,7 +806,8 @@ def test_fit_recovers_ec_parameter():
         d, _ = cslhd(20, 2, 1, 5000 + rep)
         P = build_correlation(FamilySpec("EC", 2), [0.8]).values
         points = TrainingSet(d.X, d.levels, np.zeros(40), n_levels=2)
-        R = _kernel(points.pairwise_absdiff(), np.array([0.3])) * np.take(P, points.pair_index(2))
+        K = _kernel(points.pair_absdiff(), np.array([0.3])).take(_pair_columns(40))
+        R = K * np.take(P, points.pair_index(2))
         R[np.diag_indices_from(R)] += 1e-10
         y = np.linalg.cholesky(R) @ rng.standard_normal(40)
         ts = TrainingSet(d.X, d.levels, y, n_levels=2)
@@ -796,11 +849,11 @@ def fit_objective(train, spec, options):
     """The objective of fit's searches at one point u alone: (f, g) in u =
     (log lengthscales, family parameters), _FAILED_OBJ and zeros where
     the likelihood fails."""
-    z, q = train.standardized()[0], train.q
+    q = train.q
 
     def objective(u):
         ls = np.exp(u[None, :q])
-        nll, *_, g = _profile(train, z, ls, spec, None if spec is None else u[None, q:],
+        nll, *_, g = _profile(train, ls, spec, None if spec is None else u[None, q:],
                               options.nugget, options.corr_nugget, grad=True)
         g[:, :q] *= ls
         return nll[0], g[0]
@@ -960,10 +1013,10 @@ def test_fit_evaluates_each_start_once(monkeypatch):
     calls = []
     real = gpcore._profile
 
-    def spy(train, z, lengthscales, spec, cat_params, *args, grad=False):
+    def spy(train, lengthscales, spec, cat_params, *args, grad=False):
         if grad:  # the search's evaluations; the finished model's is not one
             calls.extend(np.c_[lengthscales, cat_params].tolist())
-        return real(train, z, lengthscales, spec, cat_params, *args, grad=grad)
+        return real(train, lengthscales, spec, cat_params, *args, grad=grad)
 
     monkeypatch.setattr(gpcore, "_profile", spy)
     searches = spy_on_searches(monkeypatch)
@@ -1010,10 +1063,10 @@ def test_an_exception_at_one_point_ends_only_its_search(monkeypatch):
     monkeypatch.setattr(gpcore, "_lbfgsb_search", real_search)
     real_profile = gpcore._profile
 
-    def raising(train, z, lengthscales, *args, **kwargs):
+    def raising(train, lengthscales, *args, **kwargs):
         if (lengthscales == poisoned).all(axis=1).any():
             raise RuntimeError("boom")
-        return real_profile(train, z, lengthscales, *args, **kwargs)
+        return real_profile(train, lengthscales, *args, **kwargs)
 
     monkeypatch.setattr(gpcore, "_profile", raising)
     hit = spy_on_searches(monkeypatch)
