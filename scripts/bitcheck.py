@@ -42,16 +42,16 @@ Seven sections, one digest per line:
   and a continuous-only model, at stacks of k = 1, 2 and 3 points
   drawn in the search box (lengthscales log-uniform on [0.05, 2]),
   and for one stack of three at N = 48 whose first point lies
-  outside UC's domain and whose second has an R that does not factor
-  (at nugget 0; 1e-8 elsewhere).
-  Each line hashes the value, the domain mask, the GLS mean, the
-  variance and the residuals (the factors too without the gradient,
-  and the gradient with it) of the points where the likelihood is
-  defined. ``desk`` and ``fit`` stop at N = 32, and the desk study's
-  costliest cells are at N = 48.
+  outside UC's domain, which the likelihood does not check, and whose
+  second has an R that does not factor (at nugget 0; 1e-8 elsewhere).
+  Each line hashes the value, the mask of the points whose R factors,
+  the GLS mean, the variance and the residuals (the factors too
+  without the gradient, and the gradient with it) of those points.
+  ``desk`` and ``fit`` stop at N = 32, and the desk study's costliest
+  cells are at N = 48.
 
 The workloads are imported from ``perfbench/`` and only read. BLAS runs
-on one thread. A full run takes about a minute.
+on one thread. A full run takes 20-25 s on a 2-vCPU x86-64 VM.
 """
 
 import hashlib
@@ -180,8 +180,8 @@ def profile_lines(tmp):
                     for grad in (False, True):
                         yield (f"profile N{N} s{fn.s} {label} k{k} grad{int(grad)} "
                                + profile_digest(train, ls, spec, cat, grad))
-    # a stack with a point outside the domain and one whose R does not
-    # factor (lengthscales of 1000 at nugget 0)
+    # a stack with a point outside UC's domain, evaluated as any other,
+    # and one whose R does not factor (lengthscales of 1000 at nugget 0)
     fn = testbed.get_testbed_function("ackley_s4_up13")
     train = workloads.training_set(fn, 12, workloads.derive_seed(SEED, "failing"))
     spec = corrparam.FamilySpec("UC", 4)
@@ -189,7 +189,7 @@ def profile_lines(tmp):
     cat = np.tile(np.linspace(0.5, 2.5, 6), (3, 1))
     cat[0, 0] = -0.5
     ok = gpcore._profile(train, ls, spec, cat, 0.0, 1e-8)[1]
-    assert ok.tolist() == [False, False, True], ok
+    assert ok.tolist() == [True, False, True], ok
     for grad in (False, True):
         yield (f"profile failing grad{int(grad)} "
                + profile_digest(train, ls, spec, cat, grad, nugget=0.0))

@@ -103,8 +103,8 @@ class TestSet:
 
 def make_test_set(fn: SlicedFunction, size: int, seed: int) -> TestSet:
     """Random LHD over the two continuous dimensions, repeated per level."""
-    if size < 2:
-        raise ParamDomainError("test set needs at least 2 points")
+    if not whole(size) or size < 2:
+        raise ParamDomainError(f"test set size must be an integer >= 2, got {size!r}")
     d = design_mod.lhd(size, fn.base.d - 1, seed)
     X = design_mod.to_problem_coords(d.X, fn.rest_bounds)
     Y = np.array([testbed_mod.eval_sliced_batch(fn, i, X) for i in range(1, fn.s + 1)])
@@ -129,8 +129,8 @@ class ExperimentConfig:
     design seed base_seed + r for every family.
 
     Building one checks every field by the rules in ``__post_init__`` (a
-    family label must parse for some s), for the API and config files
-    alike, and raises one ``ConfigError`` listing every rule broken.
+    family label must parse for some s; no function, n or family, as parsed,
+    may repeat), for the API and config files alike; one ``ConfigError`` lists every rule broken.
     """
 
     functions: tuple[str, ...]
@@ -162,23 +162,29 @@ class ExperimentConfig:
             *((name, value, f">= {least}", not whole(value) or value >= least)
               for name, value, least in counts),
             ("timing", self.timing, f"one of {TIMINGS}", self.timing in TIMINGS),
-        ), self._label_issues())
+        ), self._label_issues(n_values))
         object.__setattr__(self, "n_values", tuple(map(int, n_values)))
 
-    def _label_issues(self) -> list[str]:
-        """The issues of the function ids and family labels that are text."""
-        issues = []
+    def _label_issues(self, n_values) -> list[str]:
+        """The issues of the text function ids and family labels, and the repeats."""
+        issues, ids, parsed = [], [], []
         for fid in (fid for fid in self.functions if isinstance(fid, str)):
             try:
-                testbed_mod.parse_fid(fid)
+                name, s, upend = testbed_mod.parse_fid(fid)
+                ids.append((name, s, frozenset(upend)))
             except ValueError as exc:
                 issues.append(f"functions: {exc}")
         labels = () if self.families == ("auto",) else self.families
         for label in (label for label in labels if isinstance(label, str)):
             try:
-                FamilySpec.parse(label)
+                parsed.append(FamilySpec.parse(label).label)
             except ValueError:
                 issues.append(f"families: unknown family label {label!r}")
+        for name, given, values in (("functions", self.functions, ids),
+                                    ("n_values", n_values, [n for n in n_values if whole(n)]),
+                                    ("families", self.families, parsed)):
+            if len(set(values)) < len(values):
+                issues.append(f"{name}: must be without repeats, got {given!r}")
         return issues
 
 

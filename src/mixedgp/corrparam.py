@@ -25,7 +25,8 @@ and within row i the angles theta_{i,1}, ..., theta_{i,min(i,r)-1}
 :func:`corr_values` and :func:`corr_grad` also take a (k, p) stack of k
 parameter vectors, for the likelihood's stacked evaluation: every step
 is elementwise or one small product per matrix, so each row of the
-result is bit for bit that of its vector alone.
+result is bit for bit that of its vector alone. Only one vector is
+checked, by its family's one rule (:func:`check_params`).
 """
 
 import functools
@@ -39,6 +40,7 @@ from .errors import (
     ParamArityError,
     ParamDomainError,
     RankRangeError,
+    whole,
 )
 
 DEFAULT_NUGGET = 1e-8
@@ -47,7 +49,11 @@ DEFAULT_NUGGET = 1e-8
 # optimizers need closed boxes.
 ANGLE_MARGIN = 1e-6
 
-FAMILIES = ("EC", "MC", "UC", "LRC")
+# Each family's open domain (low, high) for every parameter, MC's without
+# an upper end. The angles are kept in (0, pi) only to identify them
+# (Pinheiro & Bates 1996): every real angle vector gives a valid matrix.
+_DOMAIN = {"EC": (0.0, 1.0), "MC": (0.0, None), "UC": (0.0, math.pi), "LRC": (0.0, math.pi)}
+FAMILIES = tuple(_DOMAIN)
 
 
 @dataclass(frozen=True)
@@ -61,15 +67,14 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParamDomainError(f"unknown family {self.family!r}")
-        if self.s < 2:
-            raise ParamDomainError(f"need at least 2 levels, got s={self.s}")
+        if not whole(self.s) or self.s < 2:
+            raise ParamDomainError(f"need an integer number of levels s >= 2, got s={self.s!r}")
         if self.family == "LRC":
             if self.rank is None:
                 raise RankRangeError("LRC requires a rank")
-            if not 2 <= self.rank <= self.s - 1:
-                raise RankRangeError(
-                    f"rank must satisfy 2 <= rank <= s-1, got rank={self.rank} for s={self.s}"
-                )
+            if not whole(self.rank) or not 2 <= self.rank <= self.s - 1:
+                raise RankRangeError(f"rank must be an integer with 2 <= rank <= s-1, "
+                                     f"got rank={self.rank!r} for s={self.s}")
         elif self.rank is not None:
             raise RankRangeError(f"rank is only meaningful for LRC, not {self.family}")
 
@@ -123,19 +128,35 @@ def param_count(spec: FamilySpec) -> int:
 def cat_param_bounds(spec: FamilySpec) -> np.ndarray:
     """Optimizer box for the family, shape (param_count, 2).
 
-    The mathematical domains are open ((0,1), (0,inf), (0,pi)); the
-    boxes shrink them by a small margin so box-constrained optimizers
-    stay strictly inside. MC has no natural upper bound; 10 is used
-    since exp(-20) is already indistinguishable from zero correlation.
+    The family's open domain ((0,1), (0,inf), (0,pi)) shrunk by
+    ``ANGLE_MARGIN`` at each end, so box-constrained optimizers stay
+    strictly inside. MC has no natural upper bound; 10 is used since
+    exp(-20) is already indistinguishable from zero correlation.
     """
-    k = param_count(spec)
-    if spec.family == "EC":
-        lo, hi = ANGLE_MARGIN, 1.0 - ANGLE_MARGIN
-    elif spec.family == "MC":
-        lo, hi = ANGLE_MARGIN, 10.0
-    else:
-        lo, hi = ANGLE_MARGIN, np.pi - ANGLE_MARGIN
-    return np.tile((lo, hi), (k, 1)).astype(float)
+    low, high = _DOMAIN[spec.family]
+    box = (low + ANGLE_MARGIN, 10.0 if high is None else high - ANGLE_MARGIN)
+    return np.tile(box, (param_count(spec), 1))
+
+
+def check_params(spec: FamilySpec, values) -> np.ndarray:
+    """``values`` as one float vector of the family's parameters, after the
+    family's one rule: ``ParamArityError`` unless there are :func:`param_count`
+    of them, ``ParamDomainError`` unless each lies in its open domain (NaN does not).
+    """
+    values = np.asarray(values, dtype=float)
+    s, family, k = spec.s, spec.family, param_count(spec)
+    if values.shape != (k,):
+        raise ParamArityError({
+            "EC": "EC takes a single parameter",
+            "MC": f"MC needs {s} parameters",
+        }.get(family, f"{spec.label} with s={s} needs {k} angles") + f", got shape {values.shape}")
+    low, high = _DOMAIN[family]
+    if not all(low < v and (high is None or v < high) for v in values.tolist()):
+        raise ParamDomainError({
+            "EC": f"EC parameter must lie in (0, 1), got {values[0]}",
+            "MC": "MC parameters must all be positive",
+        }.get(family, f"{spec.label} angles must lie in (0, pi)"))
+    return values
 
 
 @dataclass(frozen=True)
@@ -218,23 +239,14 @@ def _angle_cells(s: int, rank: int):
     return grid_row + 1, later, own, own_sp
 
 
-def _sphere_label(s: int, rank: int) -> str:
-    return "UC" if rank == s else f"LRC{rank}"
+def _checked_angles(theta, s: int, rank: int) -> np.ndarray:
+    """One angle vector, checked as UC's at rank s and as LRC_rank's below."""
+    return check_params(FamilySpec("UC", s) if rank == s else FamilySpec("LRC", s, rank), theta)
 
 
 def _angle_grid(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
-    """The (s-1) x (rank-1) zero-padded grid of ``theta``, after checking its arity and domain.
-
-    A (k, p) stack of angle vectors gives the (k, s-1, rank-1) stack of
-    their grids; its rows are not checked against the domain.
-    """
-    theta = np.asarray(theta, dtype=float)
-    k = lrc_param_count(s, rank)
-    if theta.shape[-1:] != (k,) or theta.ndim > 2:
-        raise ParamArityError(
-            f"{_sphere_label(s, rank)} with s={s} needs {k} angles, got shape {theta.shape}")
-    if theta.ndim == 1 and not (theta.min() > 0.0 and theta.max() < np.pi):  # NaN fails both
-        raise ParamDomainError(f"{_sphere_label(s, rank)} angles must lie in (0, pi)")
+    """The (s-1) x (rank-1) zero-padded grid of the float array ``theta``;
+    a (k, p) stack of angle vectors gives the (k, s-1, rank-1) stack."""
     lead = theta.shape[:-1]
     grid = np.zeros(lead + ((s - 1) * (rank - 1),))
     grid[..., _angle_slots(s, rank)] = theta
@@ -272,9 +284,10 @@ def sphere_loading(theta: np.ndarray, s: int, rank: int) -> np.ndarray:
 
     The rows are built at once on a zero-padded angle grid: cos(0) = 1
     and sin(0) = 0 put the product of all sines at each row's last
-    entry and zeros after it.
+    entry and zeros after it. ``theta`` is one vector, checked by
+    :func:`check_params`.
     """
-    return _sphere_parts(theta, s, rank)[0]
+    return _sphere_parts(_checked_angles(theta, s, rank), s, rank)[0]
 
 
 def sphere_loading_grad(theta: np.ndarray, s: int, rank: int, parts=None):
@@ -288,11 +301,12 @@ def sphere_loading_grad(theta: np.ndarray, s: int, rank: int, parts=None):
     entries do not depend on it.
 
     ``parts`` is the (Q, sp) that :func:`corr_values` built at the same
-    angles; without it they are built (and the angles checked) here. A
-    (k, p) stack of angle vectors gives stacks of Q and dQ.
+    angles, and with it a (k, p) stack of angle vectors gives stacks of
+    Q and dQ; without it ``theta`` is one vector, checked, and they are
+    built here.
     """
-    Q, sp = _sphere_parts(theta, s, rank) if parts is None else parts
     theta = np.asarray(theta, dtype=float)
+    Q, sp = parts or _sphere_parts(_checked_angles(theta, s, rank), s, rank)
     rows, later, own, own_sp = _angle_cells(s, rank)
     sn = np.sin(theta)
     dQ = Q.take(rows, axis=-2) * (later * (np.cos(theta) / sn)[..., None])
@@ -337,7 +351,7 @@ def embed_lrc_in_uc(
     fills the first rank - 1 columns, eps the next and pi/2 the rest.
     """
     grid = np.full((s - 1, s - 1), np.pi / 2.0)
-    grid[:, : rank - 1] = _angle_grid(theta_lrc, s, rank)
+    grid[:, : rank - 1] = _angle_grid(_checked_angles(theta_lrc, s, rank), s, rank)
     grid[:, rank - 1 : rank] = eps
     return grid.ravel()[_angle_slots(s, s)]
 
@@ -345,7 +359,7 @@ def embed_lrc_in_uc(
 def corr_values(
     spec: FamilySpec, values: np.ndarray, nugget: float = DEFAULT_NUGGET, parts=None
 ) -> np.ndarray:
-    """The family's s x s matrix at ``values``, after checking their arity and domain.
+    """The family's s x s matrix at ``values``.
 
     EC and MC are exactly symmetric with unit diagonal as built; UC
     (Q Q^T at rank s) and LRC ((Q Q^T + nugget I) / (1 + nugget)) are
@@ -354,29 +368,14 @@ def corr_values(
     and LRC, a list ``parts`` receives the loading Q and its sine
     products, which :func:`corr_grad` needs at the same parameters.
 
-    A (k, p) stack of parameter vectors gives (P, ok): the (k, s, s)
-    stack of their matrices, and the (k,) mask of the rows inside the
-    domain. A row outside it raises nothing, and its matrix is
-    meaningless. ``parts`` then receives stacks.
+    One vector is checked first (:func:`check_params`). A (k, p) stack,
+    the likelihood's rows, which lie in the family's box, is not: it
+    gives the (k, s, s) stack of their matrices, and ``parts`` stacks.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        values = check_params(spec, values)
     s, family = spec.s, spec.family
-    k = param_count(spec)
-    if values.shape[-1:] != (k,) or values.ndim > 2:
-        raise ParamArityError({
-            "EC": "EC takes a single parameter",
-            "MC": f"MC needs {s} parameters",
-        }.get(family, f"{spec.label} with s={s} needs {k} angles") + f", got shape {values.shape}")
-    # the domain, open intervals: NaN is outside
-    ok = values > 0.0
-    if family != "MC":
-        ok &= values < (1.0 if family == "EC" else np.pi)
-    ok = np.logical_and.reduce(ok, axis=-1)
-    if values.ndim == 1 and not ok:
-        raise ParamDomainError({
-            "EC": f"EC parameter must lie in (0, 1), got {values[0]}",
-            "MC": "MC parameters must all be positive",
-        }.get(family, f"{spec.label} angles must lie in (0, pi)"))
     if family == "EC":
         P = np.empty(values.shape[:-1] + (s, s))
         P[...] = values[..., None]
@@ -393,7 +392,7 @@ def corr_values(
         if family == "LRC":  # (P + nugget I) / (1 + nugget) off the diagonal, in place
             P /= 1.0 + nugget  # _symmetrize sets the diagonal to 1
         P = _symmetrize(P)
-    return P if values.ndim == 1 else (P, ok)
+    return P
 
 
 def corr_grad(

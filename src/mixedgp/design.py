@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignValidationError, ParamArityError, ParamDomainError
+from .errors import DesignValidationError, ParamArityError, ParamDomainError, whole
 
 @dataclass(frozen=True)
 class Design:
@@ -70,8 +70,8 @@ class ClusterMap:
 
 def lhd(n: int, q: int, seed: int, centered: bool = False) -> Design:
     """Latin hypercube: one point per bin [k/n, (k+1)/n) per dimension."""
-    if n < 1 or q < 1:
-        raise ParamDomainError("lhd needs n >= 1 and q >= 1")
+    if not (whole(n) and whole(q)) or n < 1 or q < 1:
+        raise ParamDomainError(f"lhd needs integers n >= 1 and q >= 1, got n={n!r}, q={q!r}")
     rng = np.random.default_rng(seed)
     X = np.empty((n, q))
     for d in range(q):
@@ -88,12 +88,9 @@ def cslhd(n: int, s: int, q: int, seed: int, centered: bool = False):
     Points are ordered slice-major: rows [t*n : (t+1)*n] carry level
     t+1, and within a slice row k belongs to cluster k+1.
     """
-    if n < 1:
-        raise ParamDomainError("cslhd needs n >= 1")
-    if s < 2:
-        raise ParamDomainError("cslhd needs s >= 2")
-    if q < 1:
-        raise ParamDomainError("cslhd needs q >= 1")
+    for name, value, least in (("n", n, 1), ("s", s, 2), ("q", q, 1)):
+        if not whole(value) or value < least:
+            raise ParamDomainError(f"cslhd needs an integer {name} >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     N = n * s
     fine = np.empty((N, q), dtype=int)

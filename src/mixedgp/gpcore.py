@@ -93,9 +93,10 @@ LAPACK or BLAS call per point (``dpotrf``, both ``dtrsm`` solves,
 ``dtrtri``), one small product per matrix, or ``np.vecdot``, which is
 BLAS ``ddot`` on each pair of rows; so each point gets the bits it gets
 alone (a test pins this). ``np.einsum``, or matrix-vector products in
-place of the dot products, did not give the same bits. A point whose
-family parameters lie outside their domain, or whose R does not
-factor, fails alone, with ``_FAILED_OBJ`` and a zero gradient.
+place of the dot products, did not give the same bits. A point whose R
+does not factor fails alone, with ``_FAILED_OBJ`` and a zero gradient.
+No parameter is checked here: every point :func:`fit` evaluates lies in
+``psi_box``, and :class:`KernelConfig` checks the others.
 
 Each search is scipy's L-BFGS-B driven directly (``_lbfgsb_search``), on
 the path of ``scipy.optimize.minimize`` evaluation for evaluation and
@@ -127,6 +128,7 @@ from scipy.optimize._lbfgsb import setulb
 from .corrparam import (
     FamilySpec,
     cat_param_bounds,
+    check_params,
     corr_grad,
     corr_values,
     param_count,
@@ -191,7 +193,8 @@ class KernelConfig:
 
     ``family_spec``/``cat_params`` are None for a continuous-only model.
     The nugget is added to the diagonal of the training correlation
-    matrix (jitter); it is not rescaled away.
+    matrix (jitter); it is not rescaled away. ``cat_params`` must be
+    finite and pass the family's rule (:func:`corrparam.check_params`).
     """
 
     lengthscales: np.ndarray
@@ -222,12 +225,7 @@ class KernelConfig:
         if (self.family_spec is None) != (self.cat_params is None):
             raise ParamDomainError("family_spec and cat_params must be given together")
         if self.family_spec is not None:
-            k = param_count(self.family_spec)
-            if self.cat_params.shape != (k,):
-                raise ParamArityError(
-                    f"{self.family_spec.label} needs {k} parameters, "
-                    f"got shape {self.cat_params.shape}"
-                )
+            check_params(self.family_spec, self.cat_params)
 
     def corr_matrix(self) -> np.ndarray | None:
         if self.family_spec is None:
@@ -534,28 +532,29 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
     """The profiled likelihood at a stack of k parameter points.
 
     ``lengthscales`` is a (k, q) array and ``cat_params`` a (k, p) array
-    (None without a family). Returns (nll, ok, mu, sigma2, L, r, g), each
-    with a leading axis k: the objective n log(sigma2) + log det R, the
-    mask of the points where it is defined, the GLS mean and profiled
+    (None without a family), neither checked. Returns (nll, ok, mu,
+    sigma2, L, r, g), each with a leading axis k: the objective n
+    log(sigma2) + log det R, the mask of the points whose R factors,
+    the GLS mean and profiled
     variance of the standardized responses z (``train.standardized()``),
     the Cholesky factors L of R (lower, each Fortran-ordered), the
     whitened residuals r = L^-1 (z - mu 1), and, with ``grad``, the
     (k, q + p) gradient g of the objective in (lengthscales, cat_params)
     (else None). With ``grad`` the factors' memory receives R^-1's
     triangular factors, and L is None. With a = L^-1 z and b = L^-1 1
-    from one solve, mu = b.a / b.b and r = a - mu b. A point whose family
-    parameters lie outside their domain, or whose R cannot be factored,
-    has nll ``_FAILED_OBJ``, a zero gradient and a False entry in ``ok``;
-    its other entries are meaningless, and the other points are
-    unaffected.
+    from one solve, mu = b.a / b.b and r = a - mu b. A point whose R
+    cannot be factored has nll ``_FAILED_OBJ``, a zero gradient and a
+    False entry in ``ok``; its other entries are meaningless, and the
+    other points are unaffected.
     """
     k, n = len(lengthscales), train.n
     columns = _pair_columns(n)
     parts = [] if grad else None
+    ok = np.ones(k, bool)
     if spec is None:
-        Ppairs, ok = 1.0, np.ones(k, bool)
+        Ppairs = 1.0
     else:
-        P, ok = corr_values(spec, cat_params, corr_nugget, parts=parts)
+        P = corr_values(spec, cat_params, corr_nugget, parts=parts)
         Ppairs = P.reshape(k, -1).take(train.pair_index(spec.s), axis=1)
     # the Matern factors of each unordered pair, expanded to every
     # ordered pair by one gather
@@ -629,17 +628,16 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
 
 
 def _profile_one(train: TrainingSet, config: KernelConfig):
-    """:func:`_profile` at one checked model, unstacked: (nll, mu, sigma2, L, r).
+    """:func:`_profile` at one model, unstacked: (nll, mu, sigma2, L, r).
 
-    Raises ``ParamDomainError`` for family parameters outside their
-    domain, and ``IllConditionedError`` when R cannot be factored.
+    Raises as :func:`_check_config` does; ``IllConditionedError`` if R does not factor.
     """
+    _check_config(train, config.family_spec, config.lengthscales.size)
     spec, cat = config.family_spec, config.cat_params
     nll, ok, mu, sigma2, L, r, _ = _profile(
         train, config.lengthscales[None], spec, None if cat is None else cat[None],
         config.nugget, config.corr_nugget)
     if not ok[0]:
-        config.corr_matrix()  # raises for parameters outside the domain
         raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
     return float(nll[0]), float(mu[0]), float(sigma2[0]), L[0], r[0]
 
@@ -665,7 +663,6 @@ def concentrated_nll(
     if psi.size != k:
         raise ParamArityError(f"psi must have length {k}, got {psi.size}")
     config = KernelConfig(psi[:q], spec, None if spec is None else psi[q:], nugget, corr_nugget)
-    _check_config(train, spec, config.lengthscales.size)
     return _profile_one(train, config)[0]
 
 
@@ -968,7 +965,6 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
     per continuous dimension, and ``ParamDomainError`` when the family has
     fewer levels than the training set's ``n_levels``.
     """
-    _check_config(train, config.family_spec, config.lengthscales.size)
     _, y_mean, y_std = train.standardized()
     nll, mu_z, sigma2_z, L, r = _profile_one(train, config)
     alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .design import check_bounds
-from .errors import ParamArityError, ParamDomainError
+from .errors import ParamArityError, ParamDomainError, whole
 
 UPEND_RATE = 0.5  # exponential cdf rate in the reflection smoothing
 _SLICE_MAX_RESOLUTION = 100  # _slice_max's grid points per non-sliced dimension
@@ -112,8 +112,8 @@ def get_function(name: str) -> ContinuousFunction:
 
 def slice_positions(l: float, u: float, s: int) -> np.ndarray:
     """Equidistant positions pos_i = l + (i-1)(u-l)/(s-1), i = 1..s."""
-    if s < 2:
-        raise ParamDomainError(f"need at least 2 slices, got s={s}")
+    if not whole(s) or s < 2:
+        raise ParamDomainError(f"need an integer number of slices s >= 2, got s={s!r}")
     if not l < u:
         raise ParamDomainError(f"need l < u, got ({l}, {u})")
     i = np.arange(1, s + 1)
@@ -279,10 +279,11 @@ def make_sliced(base: ContinuousFunction, s: int, upend=()) -> SlicedFunction:
     maxima of the ``upend`` slices; the id is ``<name>_s<s>[_up<slices>]``."""
     l, u = base.bounds[0]
     positions = swap_optimum(slice_positions(l, u, s), base.global_opt_pos[0])
-    upend = frozenset(int(i) for i in upend)
+    upend = tuple(upend)
     for i in upend:
-        if not 1 <= i <= s:
-            raise ParamDomainError(f"upended slice index {i} outside 1..{s}")
+        if not whole(i) or not 1 <= i <= s:
+            raise ParamDomainError(f"upended slice index {i!r} is not an integer in 1..{s}")
+    upend = frozenset(map(int, upend))
     y_max = {i: _slice_max(base, positions[i - 1]) for i in sorted(upend)}
     fid = f"{base.name}_s{s}"
     if upend:
@@ -316,8 +317,8 @@ def empirical_cross_corr(fn: SlicedFunction, resolution: int = 100) -> CrossCorr
             "empirical cross-correlation needs exactly 2 non-sliced dimensions, "
             f"got {fn.base.d - 1}"
         )
-    if resolution < 2:
-        raise ParamDomainError("grid resolution must be at least 2")
+    if not whole(resolution) or resolution < 2:
+        raise ParamDomainError(f"grid resolution must be an integer >= 2, got {resolution!r}")
     rb = fn.rest_bounds
     g1 = np.linspace(rb[0, 0], rb[0, 1], resolution)
     g2 = np.linspace(rb[1, 0], rb[1, 1], resolution)

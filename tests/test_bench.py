@@ -496,6 +496,11 @@ def test_config_all_functions(tmp_path):
         ("functions = ackley_s4\nreplications = 3.0", "replications: must be an integer, got 3.0"),
         ("functions = ackley_s4\n[fit]\nnugget = abc", "nugget: must be a real number"),
         ("functions = 1", "bad function id '1'"),
+        # a repeat would fit its cells twice and write each record twice
+        ("functions = ackley_s4, ackley_s4", "functions: must be without repeats"),
+        ("functions = ackley_s4_up13, ackley_s4_up31", "functions: must be without repeats"),
+        ("functions = ackley_s4\nn_values = 4, 4", "n_values: must be without repeats"),
+        ("functions = ackley_s4\nfamilies = EC, ec", "families: must be without repeats"),
     ],
 )
 def test_validate_config_reports_issues(tmp_path, mutation, needle):

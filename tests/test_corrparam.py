@@ -83,6 +83,20 @@ def test_family_label_parsing():
     assert FamilySpec("LRC", 6, 4).label == "LRC4"
 
 
+@pytest.mark.parametrize("args,error", [
+    (("MC", 3.0), ParamDomainError),
+    (("UC", 3.5), ParamDomainError),
+    (("EC", "4"), ParamDomainError),
+    (("LRC", 4, 2.0), RankRangeError),
+    (("LRC", 4, "2"), RankRangeError),
+])
+def test_family_spec_needs_integer_levels_and_rank(args, error):
+    # 3.0 levels or a rank of 2.0 would fail later, in cat_param_bounds
+    with pytest.raises(error, match="integer"):
+        FamilySpec(*args)
+    assert FamilySpec("LRC", np.int64(4), np.int64(2)) == FamilySpec("LRC", 4, 2)
+
+
 # ---------------------------------------------------------------------------
 # EC
 
@@ -383,14 +397,19 @@ def test_corr_values_and_grad_match_the_straightforward_build_bitwise(label, s, 
     g = corr_grad(spec, theta, G, parts, nugget)
     assert np.array_equal(G, kept)
     assert np.array_equal(g, corr_grad(spec, theta, off_diagonal, parts, nugget))
-    # in a stack, each row gives the bits it gives alone, and a row
-    # outside the domain is masked, not raised
+    # in a stack, each row gives the bits it gives alone; a stack is not
+    # checked, so a row outside the domain raises nothing and changes no
+    # other row
     stack = np.array([random_params(spec, rng), theta, -theta])
     stack_parts = []
-    P_stack, ok = corr_values(spec, stack, nugget, parts=stack_parts)
+    P_stack = corr_values(spec, stack, nugget, parts=stack_parts)
     g_stack = corr_grad(spec, stack, np.stack([G] * 3), stack_parts, nugget)
-    assert ok.tolist() == [True, True, False]
+    assert P_stack.shape == (3, s, s)
     assert np.array_equal(P_stack[1], P) and np.array_equal(g_stack[1], g)
+    alone_parts = []
+    P_alone = corr_values(spec, stack[0], nugget, parts=alone_parts)
+    assert np.array_equal(P_stack[0], P_alone)
+    assert np.array_equal(g_stack[0], corr_grad(spec, stack[0], G, alone_parts, nugget))
 
 
 def test_lrc_rank_before_regularization():

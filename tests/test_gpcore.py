@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+import re
 import sys
 import threading
 import tracemalloc
@@ -620,9 +621,10 @@ def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, k,
     # give the value and gradient of the per-dimension computation to
     # the last bit; strided per-dimension slices would round differently.
     # Each of the k stacked points must give its own bits, whatever the
-    # others are: row ``bad`` (if there is one and the model has a
-    # family) has its first family parameter negated, outside the
-    # domain, and must come out as a failed point
+    # others are: row ``bad`` (if there is one) has lengthscales of
+    # -0.05, whose Matern factors grow with distance, so that its R is
+    # far from positive definite and does not factor; it must come out
+    # as a failed point
     rng = np.random.default_rng(seed)
     X, levels, y = random_instance(rng, n, q=q, s=s)
     ts = TrainingSet(X, levels, y, n_levels=s)
@@ -630,19 +632,19 @@ def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, k,
     spec = None if family is None else FamilySpec(family, s, rank)
     lo, hi = psi_box(ts.q, spec, FitOptions())
     psi = rng.uniform(lo, hi, size=(k, lo.size))
-    bad = bad if bad < k and spec is not None else None
+    bad = bad if bad < k else None
     if bad is not None:
-        psi[bad, q] *= -1.0
+        psi[bad, :q] = -0.05
     z = ts.standardized()[0]
     nugget = 1e-6
-    references = [None if i == bad else reference_profile(ts, z, p[:q], spec, p[q:], nugget, 1e-8)
-                  for i, p in enumerate(psi)]
+    references = [reference_profile(ts, z, p[:q], spec, p[q:], nugget, 1e-8) for p in psi]
     assume(all(ref is not None for i, ref in enumerate(references) if i != bad))
     nll, ok, *_, g = _profile(ts, psi[:, :q], spec, None if spec is None else psi[:, q:],
                               nugget, 1e-8, grad=True)
     assert nll.shape == ok.shape == (k,) and g.shape == psi.shape
     for i, ref in enumerate(references):
         if i == bad:
+            assert ref is None
             assert not ok[i] and nll[i] == gpcore._FAILED_OBJ and not g[i].any()
         else:
             assert ok[i] and nll[i] == ref[0]
@@ -765,6 +767,75 @@ def test_non_finite_kernel_parameters_rejected(tmp_path, lengthscales, cat_param
     assert "Infinity" in path.read_text() or "NaN" in path.read_text()
     with pytest.raises(ParamDomainError, match=message):
         load_fit(path)
+
+
+@pytest.mark.parametrize("label,values,message", [
+    ("EC", [1.0], "EC parameter must lie in (0, 1), got 1.0"),
+    ("EC", [np.nan], "EC parameter must lie in (0, 1), got nan"),
+    ("MC", [0.5, -0.1, 0.2], "MC parameters must all be positive"),
+    ("MC", [0.5, np.nan, 0.2], "MC parameters must all be positive"),
+    ("LRC2", [1.0, 3.5], "LRC2 angles must lie in (0, pi)"),
+    ("UC", [1.0, 1.0, 0.0], "UC angles must lie in (0, pi)"),
+    ("UC", [1.0, np.nan, 1.0], "UC angles must lie in (0, pi)"),
+])
+def test_family_parameters_outside_the_domain_rejected_where_they_enter(tmp_path, label, values,
+                                                                         message):
+    # one rule and one text per family (corrparam.check_params), at every
+    # entry of one parameter vector; a model meets NaN first in its own
+    # finiteness check
+    spec = FamilySpec.parse(label, 3)
+    rank = spec.rank or 3
+    builders = [lambda: corr_values(spec, values), lambda: build_correlation(spec, values)]
+    if spec.family in ("UC", "LRC"):
+        builders.append(lambda: corrparam.sphere_loading(values, 3, rank))
+    if spec.family == "LRC":
+        builders.append(lambda: corrparam.embed_lrc_in_uc(values, 3, rank))
+    for build in builders:
+        with pytest.raises(ParamDomainError, match=re.escape(message)):
+            build()
+    rng = np.random.default_rng(8)
+    ts = TrainingSet(*random_instance(rng, 9, s=3))
+    path = tmp_path / "fit.json"
+    inside = corrparam.cat_param_bounds(spec).mean(axis=1)
+    save_fit(refit_config(ts, KernelConfig([0.3, 0.4], spec, inside)), path)
+    doc = json.loads(path.read_text())
+    doc["cat_params"] = values
+    path.write_text(json.dumps(doc))
+    message = "cat_params must be finite" if np.isnan(values).any() else message
+    for build in (lambda: KernelConfig([0.3, 0.4], spec, values),
+                  lambda: concentrated_nll([0.3, 0.4, *values], ts, spec),
+                  lambda: load_fit(path)):
+        with pytest.raises(ParamDomainError, match=re.escape(message)):
+            build()
+
+
+def test_fit_evaluates_only_points_inside_the_parameter_box(monkeypatch):
+    # _profile checks no parameter: every family row that fit hands it
+    # lies in the family's box, inside the domain, and every lengthscale
+    # row in lengthscale_bounds as the search's log box maps back to it
+    # (exp(log(10)) is 10.000000000000002). The searches reach the box
+    # faces, and rows there are in the box too.
+    rows = []
+
+    def spy(train, lengthscales, spec, cat_params, *args, **kwargs):
+        rows.append((lengthscales.copy(), cat_params.copy()))
+        return real_profile(train, lengthscales, spec, cat_params, *args, **kwargs)
+
+    real_profile = gpcore._profile
+    monkeypatch.setattr(gpcore, "_profile", spy)
+    rng = np.random.default_rng(12)
+    ts = TrainingSet(*random_instance(rng, 16, s=4), n_levels=4)
+    options = FitOptions(n_starts=6)
+    ls_lo, ls_hi = np.exp(np.log(options.lengthscale_bounds))
+    for label in ("EC", "MC", "LRC3", "UC"):
+        spec = FamilySpec.parse(label, 4)
+        rows.clear()
+        fit(ts, spec, options)
+        ls, cat = (np.concatenate(part) for part in zip(*rows))
+        lo, hi = corrparam.cat_param_bounds(spec).T
+        assert ((lo <= cat) & (cat <= hi)).all(), label
+        assert ((ls_lo <= ls) & (ls <= ls_hi)).all(), label
+        assert ((cat == lo) | (cat == hi)).any(), label
 
 
 @pytest.mark.parametrize("family", [None, "EC"])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from mixedgp.bench import make_test_set
+from mixedgp.design import cslhd, lhd
 from mixedgp.errors import ParamArityError, ParamDomainError
 from mixedgp.testbed import (
     ContinuousFunction,
@@ -45,6 +47,23 @@ def test_slice_positions_basic():
 def test_slice_positions_ackley_six():
     got = slice_positions(-32.77, 32.77, 6)
     assert np.allclose(got, [-32.77, -19.662, -6.554, 6.554, 19.662, 32.77], atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    # int() would upend slice 1, and a float s would name ackley_s3.0
+    lambda: make_sliced(get_function("ackley"), 4, upend=(1.5,)),
+    lambda: make_sliced(get_function("ackley"), 3.0),
+    lambda: slice_positions(0, 1, 2.5),
+    lambda: lhd(10.5, 2, 0),
+    lambda: lhd(10, 2.0, 0),
+    lambda: cslhd(4, 3.0, 2, 0),
+    lambda: empirical_cross_corr(get_testbed_function("ackley_s4"), resolution=10.5),
+    lambda: make_test_set(get_testbed_function("ackley_s4"), size=10.5, seed=0),
+], ids=["make_sliced-upend", "make_sliced-s", "slice_positions", "lhd-n", "lhd-q", "cslhd-s",
+        "empirical_cross_corr", "make_test_set"])
+def test_integer_arguments_must_be_integers(call):
+    with pytest.raises(ParamDomainError, match="integer"):
+        call()
 
 
 def test_slice_positions_errors():
