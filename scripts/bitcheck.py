@@ -7,6 +7,11 @@ checkouts to see whether a change keeps every bit:
     python3 scripts/bitcheck.py > bits_after.txt
     diff bits_before.txt bits_after.txt
 
+Name sections to print only those, in the order below whatever the
+order named (an unknown name exits with status 2):
+
+    python3 scripts/bitcheck.py [config|gate|grid|scatter|desk|profile|fit ...]
+
 Seven sections, one digest per line:
 
 * ``config``: ``repr`` of ``load_config`` of each study config in
@@ -195,15 +200,25 @@ def profile_lines(tmp):
                + profile_digest(train, ls, spec, cat, grad, nugget=0.0))
 
 
-def main() -> int:
+# in print order; fit_lines last: the study workload wraps bench.fit for good
+SECTIONS = {section.__name__.removesuffix("_lines"): section
+            for section in (config_lines, gate_lines, grid_lines, scatter_lines, desk_lines,
+                            profile_lines, fit_lines)}
+
+
+def main(names) -> int:
+    unknown = [name for name in names if name not in SECTIONS]
+    if unknown:
+        print(f"unknown section {', '.join(unknown)}; valid sections: {' '.join(SECTIONS)}",
+              file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
-        # fit_lines last: the study workload wraps bench.fit for good
-        for section in (config_lines, gate_lines, grid_lines, scatter_lines, desk_lines,
-                        profile_lines, fit_lines):
-            for line in section(os.path.join(tmp, section.__name__)):
-                print(line, flush=True)
+        for name, section in SECTIONS.items():
+            if not names or name in names:
+                for line in section(os.path.join(tmp, section.__name__)):
+                    print(line, flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

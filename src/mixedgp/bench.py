@@ -171,7 +171,7 @@ class ExperimentConfig:
         for fid in (fid for fid in self.functions if isinstance(fid, str)):
             try:
                 name, s, upend = testbed_mod.parse_fid(fid)
-                ids.append((name, s, frozenset(upend)))
+                ids.append((name, s, upend))
             except ValueError as exc:
                 issues.append(f"functions: {exc}")
         labels = () if self.families == ("auto",) else self.families

@@ -76,6 +76,7 @@ class ConfigError(MixedGPError, ValueError):
 
 
 def whole(value) -> bool:
-    """Whether ``value`` is an integer (a Python or numpy int, not 2.0):
-    the rule of every integer field of a configuration."""
-    return isinstance(value, numbers.Integral)
+    """Whether ``value`` is an integer (a Python or numpy int, not 2.0 and
+    not True): the rule of every integer field of a configuration. numpy's
+    ``bool_`` is no ``numbers.Integral``; Python's ``bool`` is one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

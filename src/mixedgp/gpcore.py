@@ -21,9 +21,14 @@ derivatives, to every ordered pair. Prediction applies
 it to query-to-training differences one block of query rows and one
 dimension at a time: |x_d - x'_d| is built in one fresh (block, n)
 array, made absolute and scaled in place, its Matern factor multiplies
-the block's product in place, and the level factor is one broadcast
-row of P (a row gather from the (s, n) table of P at the training
-levels when each query row has its own level). Memory is then
+the block's product in place, and the level factor multiplies it last:
+with one level for every row, the head of the level block, a
+(block + 1, n) array filled with P[level, training levels] once per
+call; with a level per row, a row gather from the (s, n) table of P at
+the training levels. P's (n,) row broadcast over the block would do the
+same multiplications, but numpy runs a broadcast's inner loop once per
+row of n = 16-48 entries: 25 us on a 1024 x 32 block against 10-12 us
+for two arrays of the same shape (2-vCPU x86-64 VM). Memory is then
 O(block * n) for any number of rows, and within a call the allocator
 reuses a block's memory for the next. Between calls it need not: a
 call's arrays above glibc's mmap threshold (unit coordinates, index
@@ -246,13 +251,13 @@ def _outside(X: np.ndarray, bounds: np.ndarray) -> bool:
 def _as_levels(levels, what: str = "levels") -> np.ndarray:
     """A new int array of ``levels``; ``ParamDomainError`` unless integral.
 
-    Integral floats such as 2.0 are accepted; 1.9 is no level. ``what``
-    names the argument in the error.
+    Integral floats such as 2.0 are accepted; 1.9 is no level, and nor
+    is True. ``what`` names the argument in the error.
     """
     raw = np.asarray(levels)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
         ints = raw.astype(int)
-    if raw.dtype.kind not in "biu" and not np.array_equal(ints, raw):
+    if raw.dtype.kind == "b" or (raw.dtype.kind not in "iu" and not np.array_equal(ints, raw)):
         raise ParamDomainError(f"{what} must be integers")
     return ints
 
@@ -1077,16 +1082,20 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     if np.any(levels < 1) or np.any(levels > query.s):
         raise ParamDomainError(f"query level outside 1..{query.s}")
     level_table = query.level_table
-    # gathers go into arrays that every block reuses: a block's first
-    # factor into ``first``, later ones and per-row level factors into
-    # ``spare``
+    # every block reuses (width, n) arrays, slices of one allocation: a
+    # block's first table gather goes into ``first``, later gathers and
+    # per-row level factors into ``spare``, and a single level's factor
+    # is filled into ``level_block`` once. As three separate arrays they
+    # faulted in about 160 fresh pages a 10,000-row grid call (N = 16-48),
+    # their freeing at the end of a call being trimmed from the heap
     width = min(rows, block + 1)
     tables = any(table is not None for _, table in query.parts)
-    first = np.empty((width, n)) if tables else None
-    spare = (np.empty((width, n))
-             if tables or (level_table is not None and levels.size != 1) else None)
-    if level_table is not None and levels.size == 1:
-        level_row = level_table[levels.item() - 1]
+    single = level_table is not None and levels.size == 1
+    wanted = (tables, tables or (level_table is not None and not single), single)
+    work = iter(np.empty((sum(wanted), width, n)))
+    first, spare, level_block = (next(work) if w else None for w in wanted)
+    if single:
+        level_block[...] = level_table[levels.item() - 1]
     else:
         levels = levels.reshape(-1) - 1
     out = np.empty(rows)
@@ -1100,10 +1109,11 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
                            None if first is None else first[:size], spare)
         if r is None:  # no continuous inputs
             r = np.ones((size, n))
-        # the level factor: one broadcast row of P, or a row gather per row
+        # the level factor: the head of the level block, a same-shape
+        # multiply (see the module docstring), or a row gather per row
         if level_table is not None:
-            if levels.size == 1:
-                r *= level_row
+            if single:
+                r *= level_block[:size]
             else:
                 r *= np.take(level_table, levels[start:stop], axis=0, mode="clip",
                              out=spare[:size])

@@ -285,10 +285,15 @@ def make_sliced(base: ContinuousFunction, s: int, upend=()) -> SlicedFunction:
             raise ParamDomainError(f"upended slice index {i!r} is not an integer in 1..{s}")
     upend = frozenset(map(int, upend))
     y_max = {i: _slice_max(base, positions[i - 1]) for i in sorted(upend)}
-    fid = f"{base.name}_s{s}"
+    return SlicedFunction(function_id(base.name, s, upend), base, positions, upend, y_max)
+
+
+def function_id(name: str, s: int, upend=()) -> str:
+    """The id ``<name>_s<s>[_up<slices>]``, the upended slices in increasing order."""
+    fid = f"{name}_s{s}"
     if upend:
         fid += "_up" + "".join(str(i) for i in sorted(upend))
-    return SlicedFunction(fid, base, positions, upend, y_max)
+    return fid
 
 
 @dataclass(frozen=True)
@@ -355,8 +360,7 @@ def testbed_ids() -> list[str]:
         for name in ("ackley", "alpine1", "dcs", "doublesum"):
             out.append(f"{name}_s{s}")
         for name in ("ackley", "alpine1", "dcs"):
-            up = "".join(str(i) for i in _SUITE_UPENDS[s])
-            out.append(f"{name}_s{s}_up{up}")
+            out.append(function_id(name, s, _SUITE_UPENDS[s]))
     return out
 
 
@@ -365,17 +369,19 @@ def parse_fid(fid: str) -> tuple[str, int, tuple[int, ...]]:
 
     Raises ``ParamDomainError`` for an id the testbed cannot build: a
     bad form, an unknown function, fewer than 2 slices, or an upended
-    slice outside 1..s.
+    slice outside 1..s; and for an id other than the function's own
+    (:func:`function_id`), such as ``ackley_s4_up31`` or ``ackley_s04``,
+    so that one function has one id in every record.
     """
     parts = fid.split("_")
     upend: tuple[int, ...] = ()
     if parts and parts[-1].startswith("up"):
         digits = parts[-1][2:]
-        if not digits.isdigit():
+        if not digits.isdecimal():
             raise ParamDomainError(f"bad upend suffix in function id {fid!r}")
         upend = tuple(int(ch) for ch in digits)
         parts = parts[:-1]
-    if len(parts) < 2 or not parts[-1].startswith("s") or not parts[-1][1:].isdigit():
+    if len(parts) < 2 or not parts[-1].startswith("s") or not parts[-1][1:].isdecimal():
         raise ParamDomainError(f"bad function id {fid!r}; expected <name>_s<levels>[_up<slices>]")
     s = int(parts[-1][1:])
     name = "_".join(parts[:-1])
@@ -386,6 +392,10 @@ def parse_fid(fid: str) -> tuple[str, int, tuple[int, ...]]:
     bad = [i for i in upend if not 1 <= i <= s]
     if bad:
         raise ParamDomainError(f"function id {fid!r} upends slice {bad[0]} outside 1..{s}")
+    own = function_id(name, s, set(upend))
+    if fid != own:
+        raise ParamDomainError(
+            f"function id {fid!r} is not canonical; the function's id is {own!r}")
     return name, s, upend
 
 

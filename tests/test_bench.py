@@ -498,7 +498,9 @@ def test_config_all_functions(tmp_path):
         ("functions = 1", "bad function id '1'"),
         # a repeat would fit its cells twice and write each record twice
         ("functions = ackley_s4, ackley_s4", "functions: must be without repeats"),
-        ("functions = ackley_s4_up13, ackley_s4_up31", "functions: must be without repeats"),
+        ("functions = ackley_s4_up13, ackley_s4_up31",
+         "functions: function id 'ackley_s4_up31' is not canonical; "
+         "the function's id is 'ackley_s4_up13'"),
         ("functions = ackley_s4\nn_values = 4, 4", "n_values: must be without repeats"),
         ("functions = ackley_s4\nfamilies = EC, ec", "families: must be without repeats"),
     ],

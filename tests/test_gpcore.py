@@ -18,8 +18,17 @@ from scipy.optimize import minimize
 
 import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
+from mixedgp.bench import ExperimentConfig
 from mixedgp.corrparam import FamilySpec, build_correlation, corr_values
-from mixedgp.errors import IllConditionedError, MixedGPError, ParamArityError, ParamDomainError
+from mixedgp.design import lhd
+from mixedgp.errors import (
+    ConfigError,
+    IllConditionedError,
+    MixedGPError,
+    ParamArityError,
+    ParamDomainError,
+    whole,
+)
 from mixedgp.gpcore import (
     FitOptions,
     KernelConfig,
@@ -1325,6 +1334,41 @@ def test_non_integral_levels_rejected():
             predict_batch(gp, X, bad)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda X, levels, y, gp: FitOptions(n_starts=True), ConfigError,
+                 "n_starts: must be an integer", id="FitOptions-n_starts"),
+    pytest.param(lambda X, levels, y, gp: FitOptions(seed=np.True_), ConfigError,
+                 "seed: must be an integer", id="FitOptions-seed"),
+    pytest.param(lambda X, levels, y, gp: ExperimentConfig(("ackley_s4",), n_values=(True,)),
+                 ConfigError, "n_values: must be integers", id="ExperimentConfig-n_values"),
+    pytest.param(lambda X, levels, y, gp: TrainingSet(X, levels > 0, y), ParamDomainError,
+                 "levels must be integers", id="TrainingSet-levels"),
+    pytest.param(lambda X, levels, y, gp: TrainingSet(X, levels, y, n_levels=True),
+                 ParamDomainError, "n_levels must be integers", id="TrainingSet-n_levels"),
+    pytest.param(lambda X, levels, y, gp: predict_batch(gp, X, True), ParamDomainError,
+                 "levels must be integers", id="predict_batch-level"),
+    pytest.param(lambda X, levels, y, gp: predict_batch(gp, X, levels > 0), ParamDomainError,
+                 "levels must be integers", id="predict_batch-per-row"),
+    pytest.param(lambda X, levels, y, gp: lhd(True, 2, 0), ParamDomainError,
+                 "lhd needs integers", id="lhd"),
+    pytest.param(lambda X, levels, y, gp: lhd(np.True_, 2, 0), ParamDomainError,
+                 "lhd needs integers", id="lhd-numpy-bool"),
+])
+def test_booleans_are_not_integers_at_the_api_boundary(call, error, message):
+    # True == 1, but no count, seed or level is written as a boolean
+    X, levels, y = random_instance(np.random.default_rng(6), 8, s=2)
+    gp = refit_config(TrainingSet(X, levels, y),
+                      KernelConfig([0.5, 0.5], FamilySpec("EC", 2), [0.5]))
+    with pytest.raises(error, match=message):
+        call(X, levels, y, gp)
+
+
+def test_whole_rejects_booleans_and_non_integral_numbers():
+    assert whole(3) and whole(np.int64(3)) and whole(np.uint8(0))
+    for value in (True, False, np.True_, np.False_, 2.0, np.float64(2.0), "2", None):
+        assert not whole(value), value
+
+
 def test_continuous_only_model_rejects_levels_outside_the_training_set():
     rng = np.random.default_rng(6)
     X_train, train_levels, y = random_instance(rng, 8, s=2)
@@ -1385,6 +1429,35 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
         for lv in (s, rng.integers(1, s + 1, size=len(Xq)), 1,
                    rng.integers(1, s + 1, size=len(Xq))):
             assert np.array_equal(predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv))
+
+
+@pytest.mark.parametrize("q", [0, 2])
+def test_single_level_and_per_row_routes_agree(q):
+    # a single level's factor comes from the level block, a per-row
+    # level's from a row gather; with every row at one level the two
+    # give the same bits, around the block boundaries and on a grid,
+    # whose columns take the factor-table path
+    s = 4
+    rng = np.random.default_rng(41 + q)
+    if q == 0:  # one point per level
+        X, levels, y = np.empty((s, 0)), np.arange(1, s + 1), rng.standard_normal(s)
+    else:
+        X, levels, y = random_instance(rng, 24, q=q, s=s)
+    train = TrainingSet(X, levels, y, n_levels=s)
+    gp = refit_config(train, KernelConfig([0.3, 0.6][:q], FamilySpec("UC", s),
+                                          [1.0, 2.0, 1.5, 0.5, 2.5, 1.2]))
+    block = max(8, gpcore._BLOCK_ELEMENTS // train.n // 8 * 8)
+    for rows in (block - 1, block, block + 1, 3 * block + 5):
+        sets = [rng.random((rows, q))]
+        if q:
+            side = math.ceil(math.sqrt(rows))
+            g = np.linspace(0.0, 1.0, side)
+            grid = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
+            sets.append(grid[:rows])
+        for Xq in sets:
+            for lv in range(1, s + 1):
+                assert np.array_equal(predict_batch(gp, Xq, lv),
+                                      predict_batch(gp, Xq, np.full(rows, lv)))
 
 
 def query_sets(rng, rows, q, block):

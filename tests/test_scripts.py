@@ -1,22 +1,29 @@
 """The gate script ``scripts/bitcheck.py``, imported and run in part."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bitcheck.py"
 
 
-def test_bitcheck_config_and_profile_sections_run(monkeypatch, tmp_path):
-    # the script reads the shipped configs and unpacks _profile's return;
-    # a change to either must not break it unseen. Importing it sets the
-    # BLAS thread variables and sys.path, which are restored afterwards.
+def load_bitcheck(monkeypatch):
+    """The script as a module. Importing it sets the BLAS thread
+    variables and sys.path, which are restored after the test."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("bitcheck", SCRIPT)
     bitcheck = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bitcheck)
+    return bitcheck
+
+
+def test_bitcheck_config_and_profile_sections_run(monkeypatch, tmp_path):
+    # the script reads the shipped configs and unpacks _profile's return;
+    # a change to either must not break it unseen
+    bitcheck = load_bitcheck(monkeypatch)
     lines = [line.split() for line in bitcheck.config_lines(str(tmp_path))]
     assert [line[:2] for line in lines] == [
         ["config", name] for name in ("desk_study.ini", "full_study.ini", "refactor_gate.ini")]
@@ -24,3 +31,27 @@ def test_bitcheck_config_and_profile_sections_run(monkeypatch, tmp_path):
     lines = [line.split() for line in bitcheck.profile_lines(str(tmp_path))]
     assert [line[:3] for line in lines[-2:]] == [["profile", "failing", f"grad{g}"] for g in (0, 1)]
     assert all(len(line[-1]) == 64 for line in lines)
+
+
+def test_bitcheck_prints_the_named_sections_in_order(monkeypatch, capsys):
+    bitcheck = load_bitcheck(monkeypatch)
+    assert list(bitcheck.SECTIONS) == ["config", "gate", "grid", "scatter", "desk", "profile",
+                                       "fit"]
+    for name in bitcheck.SECTIONS:
+        monkeypatch.setitem(bitcheck.SECTIONS, name, lambda tmp, name=name: [f"{name} line"])
+    assert bitcheck.main(["fit", "grid", "scatter"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["grid line", "scatter line", "fit line"]
+    assert bitcheck.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{name} line" for name in bitcheck.SECTIONS]
+
+
+def test_bitcheck_rejects_an_unknown_section():
+    # run as a script: the config section alone, then a misspelt name
+    run = [sys.executable, str(SCRIPT)]
+    done = subprocess.run(run + ["config"], capture_output=True, text=True, check=True)
+    assert [line.split()[:2] for line in done.stdout.splitlines()] == [
+        ["config", name] for name in ("desk_study.ini", "full_study.ini", "refactor_gate.ini")]
+    done = subprocess.run(run + ["grid", "scater"], capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "scater" in done.stderr
+    assert "config gate grid scatter desk profile fit" in done.stderr

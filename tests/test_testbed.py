@@ -10,13 +10,16 @@ from mixedgp.testbed import (
     ContinuousFunction,
     empirical_cross_corr,
     eval_sliced_batch,
+    function_id,
     get_function,
     get_testbed_function,
     make_benchmark_suite,
     make_sliced,
+    parse_fid,
     slice_positions,
     standard_functions,
     swap_optimum,
+    testbed_ids as suite_ids,
 )
 
 # printed slice positions, two decimals (rows keyed by function id and s)
@@ -321,6 +324,27 @@ def test_testbed_upended_sets():
         assert by_id[f"{name}_s6_up124"].upended == frozenset({1, 2, 4})
     assert by_id["ackley_s4"].upended == frozenset()
     assert "doublesum_s4_up13" not in by_id
+
+
+def test_every_testbed_id_parses_to_its_own_function():
+    for fid in suite_ids():
+        assert function_id(*parse_fid(fid)) == fid
+
+
+@pytest.mark.parametrize("fid, own", [
+    ("ackley_s4_up31", "ackley_s4_up13"),
+    ("ackley_s4_up113", "ackley_s4_up13"),
+    ("ackley_s4_up11", "ackley_s4_up1"),
+    ("alpine1_s6_up421", "alpine1_s6_up124"),
+    ("ackley_s04", "ackley_s4"),
+])
+def test_parse_fid_accepts_only_a_functions_own_id(fid, own):
+    # one function, one id: records carry the id as written
+    with pytest.raises(ParamDomainError, match=f"the function's id is '{own}'"):
+        parse_fid(fid)
+    parse_fid(own)
+    with pytest.raises(ParamDomainError):
+        get_testbed_function(fid)
 
 
 def test_testbed_upends_never_touch_optimum():
