@@ -24,13 +24,14 @@ Seven sections, one digest per line:
   ``perfbench/workloads.py`` on their 100 x 100 grid, reloaded with
   ``load_fit``: every level in ascending order and then per-row levels
   on one model, per-row levels and then every level in descending
-  order on a second;
+  order on a second. Each grid is a product grid, which
+  ``predict_batch`` predicts by one matrix product per call;
 * ``scatter``: predictions of the same 168 models on one 10,000-row
   query drawn uniformly from the unit square and mapped to each model's
   bounds, reloaded with ``load_fit``: every level in ascending order,
   then per-row levels. At 16 to 48 training points that query spans 5
-  to 15 of ``predict_batch``'s blocks, and its columns have too many
-  distinct values for factor tables;
+  to 15 of ``predict_batch``'s blocks: its columns have all-distinct
+  values, so it is no product grid;
 * ``fit``: the 8 fits of the ``study_upended`` workload (NLL,
   lengthscales, family parameters and ``start_objectives``);
 * ``desk``: ``records.csv`` below its header line for each of the six

@@ -17,56 +17,59 @@ and multiplies the q factors along the first axis (``_kernel``), so
 each numpy operation runs once for all dimensions and once per pair.
 One gather through an (n, n) index of the columns
 (``_pair_columns``) expands the product, and the lengthscale
-derivatives, to every ordered pair. Prediction applies
-it to query-to-training differences one block of query rows and one
-dimension at a time: |x_d - x'_d| is built in one fresh (block, n)
-array, made absolute and scaled in place, its Matern factor multiplies
-the block's product in place, and the level factor multiplies it last:
-with one level for every row, the head of the level block, a
-(block + 1, n) array filled with P[level, training levels] once per
-call; with a level per row, a row gather from the (s, n) table of P at
-the training levels. P's (n,) row broadcast over the block would do the
-same multiplications, but numpy runs a broadcast's inner loop once per
-row of n = 16-48 entries: 25 us on a 1024 x 32 block against 10-12 us
-for two arrays of the same shape (2-vCPU x86-64 VM). Memory is then
-O(block * n) for any number of rows, and within a call the allocator
-reuses a block's memory for the next. Between calls it need not: a
-call's arrays above glibc's mmap threshold (unit coordinates, index
-arrays) may be mapped afresh each time. Blocks have a
-multiple of 8 rows, about ``_BLOCK_ELEMENTS`` entries per array: the
-OpenBLAS gemv kernel takes rows in groups (of 4 on x86-64 Haswell) and
-rounds its leftover rows differently, so a block that starts at a
-multiple of 8 puts every row in the group and path it has in one
-product over all rows, and each prediction is bit for bit that of the
-one-array expression. The expanded lengthscale derivatives are
-C-contiguous in (k, q, n, n) order, so each dimension's (n, n) slice
-is contiguous: BLAS dot products then accumulate exactly as on arrays
-built for one dimension, while strided slices round differently in the
-last bits.
+derivatives, to every ordered pair. The expanded lengthscale
+derivatives are C-contiguous in (k, q, n, n) order, so each dimension's
+(n, n) slice is contiguous: BLAS dot products then accumulate exactly
+as on arrays built for one dimension, while strided slices round
+differently in the last bits.
 
-A query column with few distinct values, as each column of a grid has,
-gets a table in place of per-block differences: the Matern factors of
-its distinct values against the training set, a (distinct, n) array
-built by the same steps, from which each block gathers its rows
-through the column's inverse index (from ``np.unique``). On a 100 x 100
-grid that evaluates 100 rows of factors per dimension instead of
-10,000: the per-dimension factorization of a product kernel on a grid
-(Gilboa, Saatci & Cunningham 2015). Every entry is the same operation
-on the same operands, so predictions are bit for bit those of the
-direct path. A column qualifies with at most ``_TABLE_SHARE`` of its
-rows distinct, and at most a block's rows, so a table is no larger
-than a block's array.
+Prediction takes one of two paths. On a product grid, where query
+column d takes m_d distinct values u_d (``np.unique``), r0 @ alpha at
+grid point (u_1[i_1], ..., u_q[i_q]) and level l is the contraction
+sum_j T_1[i_1, j] ... T_q[i_q, j] P[l, l_j] alpha_j, T_d the (m_d, n)
+Matern factors of u_d against the training set: the per-dimension
+factorization of a product kernel on a grid (Gilboa, Saatci &
+Cunningham 2015). The levels a call names are one more dimension,
+whose table holds the rows P[l, training levels] * alpha (alpha alone
+without a family). Row-wise Khatri-Rao products fold it into every
+table but the largest, one BLAS-3 product with the largest gives the
+whole grid, and each query row is gathered through its flat index: on
+a 100 x 100 grid, 80-90 us a level at N = 16-48, 20 us of it the product.
+A query is a grid when a column has fewer distinct values than rows
+and the m_d multiply to at most the row count, which rules out a single
+row, columns of distinct values and the study's random test sets. The
+product sums in another order than the blocks, so grid predictions
+differ from theirs in the last bits; both lie within the dot product's
+rounding bound of the exact sum of the same doubles (a test checks).
+
+Any other query is predicted one block of rows and one dimension at a
+time, in (block, n) work arrays, slices of one allocation per call:
+|x_d - x'_d| is built, made absolute and scaled in one, its Matern
+factor goes into another and multiplies the block's product in place,
+and the level factor multiplies it last: for one level for every row,
+the head of a (block + 1, n) level block filled with P[level, training
+levels] once per call (a broadcast (n,) row costs numpy an inner loop
+per row of n = 16-48 entries: 25 us on a 1024 x 32 block against 10-12
+us for same-shape arrays, 2-vCPU x86-64 VM); for a level per row, a
+row gather from P at the training levels. Memory is O(block * n) for
+any number of rows, and a call faults in no fresh pages (fresh arrays
+per block faulted in 224 a 10,000-row call). Blocks have a multiple of
+8 rows, about ``_BLOCK_ELEMENTS`` entries per array: the OpenBLAS gemv
+kernel takes rows in groups (of 4 on x86-64 Haswell) and rounds its
+leftover rows differently, so a block that starts at a multiple of 8
+puts every row in the group and path it has in one product over all
+rows, and each prediction is bit for bit that of the one-array
+expression.
 
 Of the factors of a query row's r0 only the last, P[level, .], depends
 on the level (Rasmussen & Williams 2006, eq. 2.25), and callers predict
 every level of one query in turn. So a model keeps the level-free part
 of its last query (``GPFit._query``): a private copy of the query as
-its key, P at the training levels, and the unit columns and factor
-tables. A call whose X equals the kept one (``np.array_equal``, about
-15 us at 10,000 x 2) skips the checks, the mapping and the tables, and
-builds each block's product of continuous factors from the kept parts
-as a first call does. The kept part is published once complete, so a
-concurrent call reads a finished one or none.
+its key, P at the training levels, and the unit columns, or on a grid
+the tables and each row's flat index. A call whose X equals the kept
+one (``np.array_equal``, about 15 us at 10,000 x 2) skips the checks,
+the mapping and the tables. The kept part is published once complete,
+so a concurrent call reads a finished one or none.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model, at a stack of
@@ -161,16 +164,6 @@ _FAILED_OBJ = 1e30
 # about a million pages from the OS and run 1.5 times slower (2-vCPU
 # x86-64 VM, 2 MB L2 per core); this many, about a hundred.
 _BLOCK_ELEMENTS = 1 << 15
-
-# A query column with at most this share of its rows distinct (and at
-# most a block's rows) gets a table of Matern factors, one row per
-# distinct value, which each block gathers from (see the module
-# docstring). On one block of rows in random order, at N = 16, 32 and
-# 48 (three runs, 2-vCPU x86-64 VM), the table path took 0.68-0.89 of
-# the direct path's time with a tenth of the values distinct,
-# 0.81-0.99 with a quarter, 1.02-1.17 with a half and 1.15-2.10 with
-# three quarters.
-_TABLE_SHARE = 0.25
 
 # fit evaluates its searches' points together, in stacked likelihood
 # calls of at most this many entries in each (points, q, n, n) array
@@ -422,12 +415,13 @@ def _pair_columns(n: int) -> np.ndarray:
     return index
 
 
-def _matern(t, dlog=False):
+def _matern(t, dlog=False, out=None):
     """The Matern(5/2) factor k(t) = exp(-t) (1 + t + t^2/3), elementwise.
 
     ``t`` holds scaled distances sqrt(5) |x_d - x'_d| / lengthscale_d,
-    in a fresh array of any shape, which this overwrites. With ``dlog``
-    returns (k, lengthscale_d * d log k / d lengthscale_d), the latter
+    in an array of any shape that this overwrites; k goes into ``out``,
+    an array of t's shape, or a fresh one. With ``dlog`` returns (k,
+    lengthscale_d * d log k / d lengthscale_d), the latter
     t^2 (1 + t) / (t^2 + 3t + 3).
     """
     # In place: every product and sum has the operands of the plain
@@ -436,7 +430,7 @@ def _matern(t, dlog=False):
     # matters on prediction grids and large training sets, where each
     # is fresh memory from the OS and page faults cost more than the
     # arithmetic.
-    tt = t * t
+    tt = np.multiply(t, t, out=out)
     if dlog:
         dl = 1.0 + t
         dl *= tt
@@ -451,34 +445,16 @@ def _matern(t, dlog=False):
     return (tt, dl) if dlog else tt
 
 
-def _matern_factor(x, x_train, scale):
+def _matern_factor(x, x_train, scale, t=None, out=None):
     """The (len(x), n) Matern factors of query coordinates ``x`` against
     the n training coordinates ``x_train`` of one dimension (normalized),
-    ``scale`` being sqrt(5) / lengthscale_d."""
-    t = np.subtract(x[:, None], x_train[None, :])
+    ``scale`` being sqrt(5) / lengthscale_d. The scaled distances are
+    built in ``t`` and the factors in ``out``, (len(x), n) arrays, or
+    fresh ones."""
+    t = np.subtract(x[:, None], x_train[None, :], out=t)
     np.abs(t, out=t)
     t *= scale
-    return _matern(t)
-
-
-def _factor_table(x, x_train, scale, most: int):
-    """(table, index): the Matern factors of a query column's distinct values.
-
-    ``table[index]`` is ``_matern_factor(x, x_train, scale)``, bit for
-    bit: each entry is the same operation on the same operands. A
-    column qualifies if at most ``_TABLE_SHARE`` of its values, and at
-    most ``most``, are distinct; None otherwise.
-    """
-    limit = min(most, int(_TABLE_SHARE * x.size))
-    # the first limit + 1 values, when all distinct, rule the column out
-    # at a fraction of the cost of sorting it
-    head = np.sort(x[:limit + 1])
-    if np.count_nonzero(head[1:] != head[:-1]) >= limit:
-        return None
-    values, index = np.unique(x, return_inverse=True)
-    if values.size > limit:
-        return None
-    return _matern_factor(values, x_train, scale), index
+    return _matern(t, out=out)
 
 
 def _kernel(absdiff, lengthscales, dlog=False):
@@ -989,41 +965,31 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
 class _Query(NamedTuple):
     """The level-free part of a :func:`predict_batch` query, kept on the model.
 
-    ``parts`` holds the unit columns and factor tables each block
-    builds the product of the continuous Matern factors from.
+    A product grid keeps ``tables`` and ``index``, any other query
+    ``columns``; the other fields are None.
     """
 
     X: np.ndarray                   # a private copy of the query
     level_table: np.ndarray | None  # P at (level, training level), (s, n)
     s: int                          # the levels a query may name
-    parts: list                     # ((x, x_train, scale), table) per column
+    columns: list | None            # (unit column, training column, scale) per dimension
+    tables: list | None             # (m_d, n) factors of each column's values, largest first
+    index: np.ndarray | None        # each row's flat index in the tables' product grid
 
 
-def _block_product(parts, start: int, stop: int, first: np.ndarray, gathered):
-    """The product of the continuous factors of query rows start..stop.
-
-    A table gather goes straight into ``first``, a (stop - start, n)
-    array, when it is the block's first factor, else into the head of
-    ``gathered``; the product is formed in place in the first factor,
-    which is ``first`` or a fresh array. None without continuous inputs.
-    """
-    r = None
-    for (x, x_train, scale), table in parts:
-        if table is None:
-            factor = _matern_factor(x[start:stop], x_train, scale)
-        else:
-            # mode="clip" (the indices are in range) lets numpy write
-            # straight into ``out`` instead of through a buffer
-            factor = np.take(table[0], table[1][start:stop], axis=0, mode="clip",
-                             out=first if r is None else gathered[:stop - start])
-        if r is None:
-            r = factor
-        else:
-            r *= factor
-    return r
+def _product_grid(U: np.ndarray):
+    """Each column's (distinct values, inverse index) if the rows of ``U``
+    lie on a product grid (see the module docstring), else None."""
+    rows, columns, points = len(U), [], 1
+    for x in U.T:
+        columns.append(np.unique(x, return_inverse=True))
+        points *= columns[-1][0].size
+        if points > rows:  # the first column that rules the query out
+            return None
+    return columns if any(values.size < rows for values, _ in columns) else None
 
 
-def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
+def _level_free(fit: GPFit, X: np.ndarray) -> _Query:
     """The checks and level-free parts of a query ``X`` of the right shape.
 
     Raises ``ParamDomainError`` for non-finite or out-of-bounds
@@ -1036,11 +1002,77 @@ def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
         raise ParamDomainError("query point outside the model's declared bounds")
     X = X.copy()  # the key: the caller may change its array
     X.setflags(write=False)
-    columns = zip(to_unit_coords(X, train.bounds).T, train.X01.T, SQRT5 / fit.config.lengthscales)
-    parts = [(column, _factor_table(*column, block)) for column in columns]
+    U = to_unit_coords(X, train.bounds)
+    scales = SQRT5 / fit.config.lengthscales
     P = fit.config.corr_matrix()
-    return _Query(X, None if P is None else P[:, train.levels - 1],
-                  train.n_levels if P is None else P.shape[0], parts)
+    level_table, s = (None, train.n_levels) if P is None else (P[:, train.levels - 1], P.shape[0])
+    grid = _product_grid(U)
+    if grid is None:
+        return _Query(X, level_table, s, list(zip(U.T, train.X01.T, scales)), None, None)
+    order = sorted(range(len(grid)), key=lambda d: -grid[d][0].size)  # largest first
+    index = 0
+    for d in order:
+        index = index * grid[d][0].size + grid[d][1]
+    tables = [_matern_factor(grid[d][0], train.X01[:, d], scales[d]) for d in order]
+    return _Query(X, level_table, s, None, tables, index)
+
+
+def _grid_product(fit: GPFit, query: _Query, levels: np.ndarray) -> np.ndarray:
+    """r0 @ alpha at every row of a product grid, by one matrix product
+    (see the module docstring)."""
+    index = query.index
+    if query.level_table is None:
+        level = fit.alpha[None]
+    else:
+        named = levels.reshape(-1)
+        if named.size > 1:
+            named, at = np.unique(named, return_inverse=True)
+            index = index * named.size + at
+        level = query.level_table[named - 1] * fit.alpha
+    folded = level
+    for table in reversed(query.tables[1:]):
+        folded = (table[:, None] * folded).reshape(-1, folded.shape[1])
+    return (query.tables[0] @ folded.T).take(index)
+
+
+def _block_product(fit: GPFit, query: _Query, levels: np.ndarray, block: int) -> np.ndarray:
+    """r0 @ alpha at every query row, block by block (see the module docstring)."""
+    n, rows = fit.train.n, len(query.X)
+    level_table = query.level_table
+    single = level_table is not None and levels.size == 1
+    # every block reuses four (width, n) work arrays: the scaled
+    # distances, the product, the next factor (or per-row level factor)
+    # and a single level's factor, filled once
+    width = min(rows, block + 1)
+    t, product, factor, level = np.empty((4, width, n))
+    if single:
+        level[...] = level_table[levels.item() - 1]
+    else:
+        levels = levels.reshape(-1) - 1
+    out = np.empty(rows)
+    # numpy sends a one-row product to BLAS ddot, which sums in another
+    # order than gemv does for the other rows: a lone last row joins the
+    # block before it
+    starts = range(0, max(rows - 1, 1), block)
+    for start, stop in zip(starts, [*starts[1:], rows]):
+        size = stop - start
+        r = product[:size]
+        for d, (x, x_train, scale) in enumerate(query.columns):
+            _matern_factor(x[start:stop], x_train, scale, t[:size], factor[:size] if d else r)
+            if d:
+                r *= factor[:size]
+        if not query.columns:
+            r.fill(1.0)
+        # the level factor: the head of the level block, a same-shape
+        # multiply (see the module docstring), or a row gather per row
+        if level_table is not None:
+            if single:
+                r *= level[:size]
+            else:
+                r *= np.take(level_table, levels[start:stop], axis=0, mode="clip",
+                             out=factor[:size])
+        np.matmul(r, fit.alpha, out=out[start:stop])
+    return out
 
 
 def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
@@ -1053,11 +1085,11 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     not integers in 1..s (s the family's level count, or the training
     set's ``n_levels`` for a continuous-only model).
 
-    Works through the rows in blocks (see the module docstring). The
-    model keeps the level-free part of its last query: the checks, unit
-    columns and factor tables that a call with an equal ``X``
-    (``np.array_equal``) skips. Every prediction is bit for bit a fresh
-    model's.
+    A product grid is predicted by one matrix product, any other query
+    block by block (see the module docstring). The model keeps the
+    level-free part of its last query: the checks, unit columns or grid
+    tables that a call with an equal ``X`` (``np.array_equal``) skips.
+    Every prediction is bit for bit a fresh model's.
     """
     train = fit.train
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -1068,8 +1100,6 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     if levels.ndim > 1 or levels.size not in (1, rows):
         raise ParamArityError(f"levels must be a scalar or have {rows} entries, "
                               f"got shape {levels.shape}")
-    n = train.n
-    block = max(8, _BLOCK_ELEMENTS // n // 8 * 8)
     query = fit._query
     if query is None or not np.array_equal(X, query.X):
         # the last query's part is freed before this one's is built, and
@@ -1077,47 +1107,14 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
         # either a finished query or none
         del query
         object.__setattr__(fit, "_query", None)
-        query = _level_free(fit, X, block)
+        query = _level_free(fit, X)
         object.__setattr__(fit, "_query", query)
     if np.any(levels < 1) or np.any(levels > query.s):
         raise ParamDomainError(f"query level outside 1..{query.s}")
-    level_table = query.level_table
-    # every block reuses (width, n) arrays, slices of one allocation: a
-    # block's first table gather goes into ``first``, later gathers and
-    # per-row level factors into ``spare``, and a single level's factor
-    # is filled into ``level_block`` once. As three separate arrays they
-    # faulted in about 160 fresh pages a 10,000-row grid call (N = 16-48),
-    # their freeing at the end of a call being trimmed from the heap
-    width = min(rows, block + 1)
-    tables = any(table is not None for _, table in query.parts)
-    single = level_table is not None and levels.size == 1
-    wanted = (tables, tables or (level_table is not None and not single), single)
-    work = iter(np.empty((sum(wanted), width, n)))
-    first, spare, level_block = (next(work) if w else None for w in wanted)
-    if single:
-        level_block[...] = level_table[levels.item() - 1]
+    if query.tables is None:
+        out = _block_product(fit, query, levels, max(8, _BLOCK_ELEMENTS // train.n // 8 * 8))
     else:
-        levels = levels.reshape(-1) - 1
-    out = np.empty(rows)
-    # numpy sends a one-row product to BLAS ddot, which sums in another
-    # order than gemv does for the other rows: a lone last row joins the
-    # block before it
-    starts = range(0, max(rows - 1, 1), block)
-    for start, stop in zip(starts, [*starts[1:], rows]):
-        size = stop - start
-        r = _block_product(query.parts, start, stop,
-                           None if first is None else first[:size], spare)
-        if r is None:  # no continuous inputs
-            r = np.ones((size, n))
-        # the level factor: the head of the level block, a same-shape
-        # multiply (see the module docstring), or a row gather per row
-        if level_table is not None:
-            if single:
-                r *= level_block[:size]
-            else:
-                r *= np.take(level_table, levels[start:stop], axis=0, mode="clip",
-                             out=spare[:size])
-        np.matmul(r, fit.alpha, out=out[start:stop])
+        out = _grid_product(fit, query, levels)
     out += fit.mu_z
     out *= fit.y_std
     out += fit.y_mean

@@ -9,6 +9,7 @@ assert them.
 import time
 import zlib
 
+import mpmath
 import numpy as np
 
 from mixedgp.bench import ExperimentConfig, run_experiment, summarize
@@ -199,9 +200,39 @@ def test_criterion_06_closed_form_maps_to_uc():
     assert worst < 1e-10
 
 
+def exact_predict(X01, levels, y, ls, P, nugget, x0_01, lv0):
+    """The predictor at one point by a 50-digit solve from the same doubles.
+
+    The BLUP mu + r0^T R^-1 (y - mu 1), mu the GLS mean, does not depend
+    on how the responses are standardized, so y enters unscaled.
+    """
+    with mpmath.workdps(50):
+        def kernel(a, b, la, lb):
+            k = mpmath.mpf(1.0 if P is None else P[la - 1, lb - 1])
+            for ad, bd, l in zip(a.tolist(), b.tolist(), ls.tolist()):
+                t = mpmath.sqrt(5) * abs(mpmath.mpf(ad) - mpmath.mpf(bd)) / mpmath.mpf(l)
+                k *= mpmath.exp(-t) * (1 + t + t * t / 3)
+            return k
+
+        n = len(y)
+        R = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                R[i, j] = kernel(X01[i], X01[j], levels[i], levels[j])
+            R[i, i] += mpmath.mpf(nugget)
+        ones = mpmath.matrix([1] * n)
+        Ri_y = mpmath.lu_solve(R, mpmath.matrix(y.tolist()))
+        Ri_1 = mpmath.lu_solve(R, ones)
+        mu = sum(Ri_y) / sum(Ri_1)
+        Ri_res = Ri_y - mu * Ri_1
+        return mu + sum(kernel(x0_01, X01[i], lv0, levels[i]) * Ri_res[i] for i in range(n))
+
+
 def test_criterion_07_gp_oracle_equivalence():
     rng = np.random.default_rng(77)
     worst_nll = worst_pred = worst_interp = 0.0
+    # beside the gate: how far each side lies from the exact predictor
+    worst_ours = worst_oracle = 0.0
     families = ["EC", "MC", "UC", "LRC2"]
     for i in range(30):
         n = int(rng.integers(4, 9))
@@ -227,6 +258,9 @@ def test_criterion_07_gp_oracle_equivalence():
         p_ours = float(predict_batch(gp, x0[None, :], lv0)[0])
         p_naive = naive_predict(train.X01, levels, y, ls, P, 1e-8, x0, lv0)
         worst_pred = max(worst_pred, abs(p_ours - p_naive))
+        exact = exact_predict(train.X01, levels, y, ls, P, 1e-8, x0, lv0)
+        worst_ours = max(worst_ours, float(abs(p_ours - exact)))
+        worst_oracle = max(worst_oracle, float(abs(p_naive - exact)))
 
         # interpolation with zero nugget on smooth responses
         y_smooth = np.sin(3 * X[:, 0]) + 0.2 * levels
@@ -236,7 +270,8 @@ def test_criterion_07_gp_oracle_equivalence():
         worst_interp = max(worst_interp, float(errs.max()))
     ok = worst_nll < 1e-8 and worst_pred < 1e-8 and worst_interp < 1e-6
     report(7, "likelihood and prediction match the explicit-inverse oracle", ok,
-           f"nll {worst_nll:.1e}, pred {worst_pred:.1e}, interp {worst_interp:.1e}")
+           f"nll {worst_nll:.1e}, pred {worst_pred:.1e} (ours - exact {worst_ours:.1e}, "
+           f"oracle - exact {worst_oracle:.1e}), interp {worst_interp:.1e}")
     assert worst_nll < 1e-8
     assert worst_pred < 1e-8
     assert worst_interp < 1e-6

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1383,19 +1384,85 @@ def test_continuous_only_model_rejects_levels_outside_the_training_set():
             predict_batch(gp, X, lv)
 
 
-def reference_predict(fit, X, levels):
-    """predict_batch as one (rows, n) array per step, without row blocks."""
+def continuous_factors(fit, X):
+    """The Matern factors of the query rows against the training points,
+    one (rows, n) array per dimension: the doubles predict_batch uses."""
     train = fit.train
     X01 = gpcore.to_unit_coords(X, train.bounds)
-    levels = np.broadcast_to(np.asarray(levels, dtype=int), (X.shape[0],))
     absdiff = (np.abs(X01[:, d, None] - train.X01[None, :, d]) for d in range(train.q))
-    r0 = 1.0
-    for t in map(operator.mul, gpcore.SQRT5 / fit.config.lengthscales, absdiff):
-        r0 *= gpcore._matern(t)
+    return [gpcore._matern(t)
+            for t in map(operator.mul, gpcore.SQRT5 / fit.config.lengthscales, absdiff)]
+
+
+def level_factors(fit, X, levels):
+    """P[level, training level] per query row, (rows, n); None without a family."""
     P = fit.config.corr_matrix()
+    levels = np.broadcast_to(np.asarray(levels, dtype=int), (X.shape[0],))
+    return None if P is None else P[np.ix_(levels - 1, fit.train.levels - 1)]
+
+
+def reference_predict(fit, X, levels):
+    """predict_batch as one (rows, n) array per step, without row blocks."""
+    r0 = 1.0
+    for factor in continuous_factors(fit, X):
+        r0 *= factor
+    P = level_factors(fit, X, levels)
     if P is not None:
-        r0 *= P[np.ix_(levels - 1, train.levels - 1)]
+        r0 *= P
     return fit.y_mean + fit.y_std * (fit.mu_z + r0 @ fit.alpha)
+
+
+def on_product_grid(X):
+    """predict_batch's rule for the one-product path: a column with fewer
+    distinct values than rows, and at most as many grid points as rows."""
+    counts = [np.unique(column).size for column in X.T]
+    return any(c < len(X) for c in counts) and math.prod(counts) <= len(X)
+
+
+def exact_sum(*factors):
+    """sum_j prod_k factors[k][j] of lists of doubles, exactly, and the sum
+    of the terms' magnitudes, both Fractions. Every double is an integer
+    over a power of two, so one power of two is a common denominator."""
+    terms = []
+    for xs in zip(*factors):
+        num, den = 1, 1
+        for x in xs:
+            a, b = x.as_integer_ratio()
+            num *= a
+            den *= b
+        terms.append((num, den))
+    common = max(den for _, den in terms)
+    scaled = [num * (common // den) for num, den in terms]
+    return Fraction(sum(scaled), common), Fraction(sum(map(abs, scaled)), common)
+
+
+def assert_within_rounding(fit, X, levels, rng, *predictions, rows=16):
+    """Each prediction lies within the rounding bound of the exact value
+    of the same doubles, on a sample of rows.
+
+    The exact value is y_mean + y_std (mu_z + sum_j r0_j P_lj alpha_j),
+    r0_j the product of the q Matern factors. A term takes q + 1
+    roundings (q without a family) and the sum n - 1, so the dot
+    product errs by at most gamma(n + q) sum_j |r0_j P_lj alpha_j|
+    (Higham 2002, sec. 3.1); the three steps after it add a few ulps of
+    |y_mean| and of the prediction.
+    """
+    u = np.finfo(float).eps / 2
+    k = fit.train.n + fit.train.q
+    gamma = k * u / (1 - k * u)
+    sample = rng.choice(len(X), size=min(rows, len(X)), replace=False)
+    factors = continuous_factors(fit, X[sample])
+    P = level_factors(fit, X[sample], np.broadcast_to(levels, len(X))[sample])
+    if P is not None:
+        factors.append(P)
+    alpha = fit.alpha.tolist()
+    y_mean, y_std, mu_z = map(Fraction, (fit.y_mean, fit.y_std, fit.mu_z))
+    for i, row in enumerate(sample.tolist()):
+        total, size = exact_sum(*(f[i].tolist() for f in factors), alpha)
+        exact = y_mean + y_std * (mu_z + total)
+        for pred in predictions:
+            bound = gamma * fit.y_std * float(size) + 4 * u * (abs(fit.y_mean) + abs(pred[row]))
+            assert abs(float(Fraction(pred[row]) - exact)) <= bound, (row, pred[row], exact)
 
 
 @pytest.mark.parametrize(
@@ -1420,15 +1487,27 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
     # Each query is predicted four times: the model builds its level-free
     # part on the first call, and the others reuse it.
     sets = [Xq for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5)
-            for Xq in query_sets(rng, rows, q, block)]
-    if q:  # a full tensor grid of about three blocks
+            for Xq in query_sets(rng, rows, q)]
+    if q:  # a full tensor grid of about three blocks: in order, permuted, a row repeated
         side = math.ceil((3 * block) ** (1 / q))
         axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * q, indexing="ij")
-        sets.append(np.column_stack([a.ravel() for a in axes]))
+        grid = np.column_stack([a.ravel() for a in axes])
+        sets += [grid, rng.permutation(grid), np.insert(grid, 7, grid[3], axis=0)]
+    on_grid = 0
     for Xq in sets:
         for lv in (s, rng.integers(1, s + 1, size=len(Xq)), 1,
                    rng.integers(1, s + 1, size=len(Xq))):
-            assert np.array_equal(predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv))
+            got, want = predict_batch(gp, Xq, lv), reference_predict(gp, Xq, lv)
+            # a product grid is one matrix product, which sums in another
+            # order: both lie within the rounding bound of the exact value.
+            # Any other query keeps the reference's bits.
+            assert (gp._query.tables is not None) == on_product_grid(Xq)
+            if on_product_grid(Xq):
+                on_grid += 1
+                assert_within_rounding(gp, Xq, lv, rng, got, want)
+            else:
+                assert np.array_equal(got, want)
+    assert on_grid >= (0 if q == 0 else 40)
 
 
 @pytest.mark.parametrize("q", [0, 2])
@@ -1436,7 +1515,7 @@ def test_single_level_and_per_row_routes_agree(q):
     # a single level's factor comes from the level block, a per-row
     # level's from a row gather; with every row at one level the two
     # give the same bits, around the block boundaries and on a grid,
-    # whose columns take the factor-table path
+    # cut after a whole line (a product grid) or within one
     s = 4
     rng = np.random.default_rng(41 + q)
     if q == 0:  # one point per level
@@ -1453,19 +1532,20 @@ def test_single_level_and_per_row_routes_agree(q):
             side = math.ceil(math.sqrt(rows))
             g = np.linspace(0.0, 1.0, side)
             grid = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
-            sets.append(grid[:rows])
+            sets += [grid[:rows], grid[:rows // side * side]]
         for Xq in sets:
             for lv in range(1, s + 1):
                 assert np.array_equal(predict_batch(gp, Xq, lv),
-                                      predict_batch(gp, Xq, np.full(rows, lv)))
+                                      predict_batch(gp, Xq, np.full(len(Xq), lv)))
 
 
-def query_sets(rng, rows, q, block):
+def query_sets(rng, rows, q):
     """Query sets of ``rows`` rows: scattered, then with repeated coordinates.
 
     Those are a grid in the first dimension only, all rows equal, and
-    columns with exactly as many distinct values as predict_batch's
-    factor tables admit, and one more.
+    columns whose distinct counts multiply to the row count, which
+    predict_batch predicts as a product grid, and to one more, which it
+    does not (where the rows can hold such counts).
     """
     yield rng.random((rows, q))
     if not (q and rows):
@@ -1474,10 +1554,14 @@ def query_sets(rng, rows, q, block):
     Xq[:, 0] = np.linspace(0.0, 1.0, 7)[rng.integers(0, 7, size=rows)]
     yield Xq
     yield np.tile(rng.random(q), (rows, 1))
-    limit = min(block, int(gpcore._TABLE_SHARE * rows))
-    for distinct in (limit, limit + 1) if limit else ():
-        yield np.column_stack([rng.permutation(np.resize(rng.random(distinct), rows))
-                               for _ in range(q)])
+    for points in (rows, rows + 1):
+        # the largest divisor up to the square root splits the points over
+        # two columns; further columns are constant
+        split = max(d for d in range(1, math.isqrt(points) + 1) if points % d == 0)
+        counts = [points // split, split, 1, 1][:q]
+        if math.prod(counts) == points and max(counts) <= rows:
+            yield np.column_stack([rng.permutation(np.resize(rng.random(m), rows))
+                                   for m in counts])
 
 
 def test_predict_batch_memory_is_a_few_blocks():
@@ -1491,7 +1575,7 @@ def test_predict_batch_memory_is_a_few_blocks():
     scattered = rng.random((rows, 2))
     grid = np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 400),
                                                             np.linspace(0.0, 1.0, 250))])
-    # the first column has as many distinct values as a factor table admits
+    # a block's worth of distinct values in the first column, off a product grid
     under = scattered.copy()
     under[:, 0] = np.resize(rng.random(block), rows)
     # a query of 2^20 entries, one (rows, n) array of 8 MB
@@ -1521,7 +1605,7 @@ def arrays_in(value):
 @pytest.mark.parametrize("kind", ["scattered", "grid"])
 def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
     # however often a 100,000-row query is predicted, the model keeps
-    # its copy, unit columns, per-row table indices and small tables:
+    # its copy, and its unit columns or flat index and small tables:
     # O(rows * q + block * n) entries, never a (rows, n) array (6.4 MB
     # here, 2^20 entries or fewer at n = 8)
     rng = np.random.default_rng(15)
@@ -1537,7 +1621,7 @@ def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
         predict_batch(gp, X, lv)
     kept = list(arrays_in(gp._query))
     assert kept and all(a.size < rows * n for a in kept)
-    # the copy and the unit columns (X.nbytes each), and an index per column
+    # the copy and the unit columns (X.nbytes each), or a flat index
     assert sum(a.nbytes for a in kept) < 2 * X.nbytes + 2 * 8 * rows + 1e6
 
 
@@ -1552,9 +1636,9 @@ def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch)
     grid = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
     sizes = []
 
-    def counted(t, dlog=False):
+    def counted(t, *args, **kwargs):
         sizes.append(t.size)
-        return matern(t, dlog)
+        return matern(t, *args, **kwargs)
 
     matern = gpcore._matern
     monkeypatch.setattr(gpcore, "_matern", counted)

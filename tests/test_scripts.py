@@ -1,6 +1,7 @@
 """The gate script ``scripts/bitcheck.py``, imported and run in part."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,16 @@ def test_bitcheck_config_and_profile_sections_run(monkeypatch, tmp_path):
     lines = [line.split() for line in bitcheck.profile_lines(str(tmp_path))]
     assert [line[:3] for line in lines[-2:]] == [["profile", "failing", f"grad{g}"] for g in (0, 1)]
     assert all(len(line[-1]) == 64 for line in lines)
+
+
+def test_bitcheck_grid_section_digests_every_model(monkeypatch, tmp_path):
+    # one sha256 digest per predict_grid model: the section reads the
+    # workload's models and grids, and predict_batch's kept query
+    bitcheck = load_bitcheck(monkeypatch)
+    lines = [line.split() for line in bitcheck.grid_lines(str(tmp_path))]
+    assert len(lines) == 168 and len({line[1] for line in lines}) == 168
+    assert all(line[0] == "grid" and line[1].endswith(".json")
+               and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
 
 
 def test_bitcheck_prints_the_named_sections_in_order(monkeypatch, capsys):
