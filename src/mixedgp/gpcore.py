@@ -33,43 +33,41 @@ Cunningham 2015). The levels a call names are one more dimension,
 whose table holds the rows P[l, training levels] * alpha (alpha alone
 without a family). Row-wise Khatri-Rao products fold it into every
 table but the largest, one BLAS-3 product with the largest gives the
-whole grid, and each query row is gathered through its flat index: on
-a 100 x 100 grid, 80-90 us a level at N = 16-48, 20 us of it the product.
-A query is a grid when a column has fewer distinct values than rows
-and the m_d multiply to at most the row count, which rules out a single
-row, columns of distinct values and the study's random test sets. The
-product sums in another order than the blocks, so grid predictions
-differ from theirs in the last bits; both lie within the dot product's
-rounding bound of the exact sum of the same doubles (a test checks).
+whole grid, and each query row is gathered through its flat index.
+A query is a grid when a column has fewer distinct values than rows,
+the m_d multiply to at most the row count, and no table, nor the fold
+of all but the largest (per level), has more than a block of rows; a
+single row, columns of distinct values and the study's random test
+sets are no grids. The product sums in another order than the blocks,
+so grid predictions differ from theirs in the last bits; both lie
+within the dot product's rounding bound of the exact sum of the same
+doubles (a test checks).
 
 Any other query is predicted one block of rows and one dimension at a
 time, in (block, n) work arrays, slices of one allocation per call:
 |x_d - x'_d| is built, made absolute and scaled in one, its Matern
 factor goes into another and multiplies the block's product in place,
-and the level factor multiplies it last: for one level for every row,
-the head of a (block + 1, n) level block filled with P[level, training
-levels] once per call (a broadcast (n,) row costs numpy an inner loop
-per row of n = 16-48 entries: 25 us on a 1024 x 32 block against 10-12
-us for same-shape arrays, 2-vCPU x86-64 VM); for a level per row, a
-row gather from P at the training levels. Memory is O(block * n) for
-any number of rows, and a call faults in no fresh pages (fresh arrays
-per block faulted in 224 a 10,000-row call). Blocks have a multiple of
-8 rows, about ``_BLOCK_ELEMENTS`` entries per array: the OpenBLAS gemv
-kernel takes rows in groups (of 4 on x86-64 Haswell) and rounds its
-leftover rows differently, so a block that starts at a multiple of 8
-puts every row in the group and path it has in one product over all
-rows, and each prediction is bit for bit that of the one-array
-expression.
+and the level factor multiplies it last: for one level, the head of a
+(block + 1, n) array filled with P[level, training levels] once per
+call (numpy multiplies same-shape arrays 2 times faster than a
+broadcast row of n entries); for a level per row, a row gather from P
+at the training levels. Memory is O(block * n) for any number of rows,
+and a call faults in no fresh pages. Blocks have a multiple of 8 rows,
+about ``_BLOCK_ELEMENTS`` entries per array: the OpenBLAS gemv kernel
+takes rows in groups (of 4 on x86-64 Haswell) and rounds its leftover
+rows differently, so a block that starts at a multiple of 8 puts every
+row in the group and path it has in one product over all rows, and
+each prediction is bit for bit that of the one-array expression.
 
-Of the factors of a query row's r0 only the last, P[level, .], depends
-on the level (Rasmussen & Williams 2006, eq. 2.25), and callers predict
-every level of one query in turn. So a model keeps the level-free part
-of its last query (``GPFit._query``): a private copy of the query as
-its key, P at the training levels, and the unit columns, or on a grid
-the tables and each row's flat index. A call whose X equals the kept
-one (``np.array_equal``, about 15 us at 10,000 x 2) skips the checks,
-the mapping and the tables. The kept part is published once complete,
-so a concurrent call reads a finished one or none.
+Only the level factor P[level, .] of a row's r0 depends on the level
+(Rasmussen & Williams 2006, eq. 2.25), and callers predict every level
+of one query in turn. So a model keeps the level-free part of its last
+query (``GPFit._query``): a private copy of the query as its key, P at
+the training levels, and the unit columns, or on a grid the tables and
+each row's flat index. A call whose X equals the key
+(``np.array_equal``, about 15 us at 10,000 x 2) skips the checks, the
+mapping and the tables. The kept part is published once complete, so
+a concurrent call reads a finished one or none.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model, at a stack of
@@ -963,11 +961,9 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
 
 
 class _Query(NamedTuple):
-    """The level-free part of a :func:`predict_batch` query, kept on the model.
-
-    A product grid keeps ``tables`` and ``index``, any other query
-    ``columns``; the other fields are None.
-    """
+    """The level-free part of a :func:`predict_batch` query, kept on the
+    model: a product grid sets ``tables`` and ``index``, any other query
+    ``columns``, and the other fields are None."""
 
     X: np.ndarray                   # a private copy of the query
     level_table: np.ndarray | None  # P at (level, training level), (s, n)
@@ -977,19 +973,29 @@ class _Query(NamedTuple):
     index: np.ndarray | None        # each row's flat index in the tables' product grid
 
 
-def _product_grid(U: np.ndarray):
+def _product_grid(U: np.ndarray, block: int):
     """Each column's (distinct values, inverse index) if the rows of ``U``
     lie on a product grid (see the module docstring), else None."""
     rows, columns, points = len(U), [], 1
     for x in U.T:
-        columns.append(np.unique(x, return_inverse=True))
-        points *= columns[-1][0].size
-        if points > rows:  # the first column that rules the query out
+        # at most ``most`` distinct values fit: a head of most + 1 distinct
+        # ones rules the column out without sorting it all
+        most = min(block, rows // points)
+        head = np.sort(x[:most + 1])
+        if np.count_nonzero(head[1:] != head[:-1]) >= most:
             return None
-    return columns if any(values.size < rows for values, _ in columns) else None
+        values, index = np.unique(x, return_inverse=True)
+        if values.size > most:
+            return None
+        points *= values.size
+        columns.append((values, index))
+    sizes = [values.size for values, _ in columns]
+    # some column repeats a value, and the tables folded into the
+    # largest hold at most a block of rows
+    return columns if min(sizes, default=rows) < rows and points // max(sizes) <= block else None
 
 
-def _level_free(fit: GPFit, X: np.ndarray) -> _Query:
+def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
     """The checks and level-free parts of a query ``X`` of the right shape.
 
     Raises ``ParamDomainError`` for non-finite or out-of-bounds
@@ -1006,14 +1012,13 @@ def _level_free(fit: GPFit, X: np.ndarray) -> _Query:
     scales = SQRT5 / fit.config.lengthscales
     P = fit.config.corr_matrix()
     level_table, s = (None, train.n_levels) if P is None else (P[:, train.levels - 1], P.shape[0])
-    grid = _product_grid(U)
+    grid = _product_grid(U, block)
     if grid is None:
         return _Query(X, level_table, s, list(zip(U.T, train.X01.T, scales)), None, None)
-    order = sorted(range(len(grid)), key=lambda d: -grid[d][0].size)  # largest first
-    index = 0
-    for d in order:
+    index, tables = 0, []
+    for d in sorted(range(len(grid)), key=lambda d: -grid[d][0].size):  # largest first
         index = index * grid[d][0].size + grid[d][1]
-    tables = [_matern_factor(grid[d][0], train.X01[:, d], scales[d]) for d in order]
+        tables.append(_matern_factor(grid[d][0], train.X01[:, d], scales[d]))
     return _Query(X, level_table, s, None, tables, index)
 
 
@@ -1063,8 +1068,7 @@ def _block_product(fit: GPFit, query: _Query, levels: np.ndarray, block: int) ->
                 r *= factor[:size]
         if not query.columns:
             r.fill(1.0)
-        # the level factor: the head of the level block, a same-shape
-        # multiply (see the module docstring), or a row gather per row
+        # the level factor, last (see the module docstring)
         if level_table is not None:
             if single:
                 r *= level[:size]
@@ -1085,11 +1089,9 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     not integers in 1..s (s the family's level count, or the training
     set's ``n_levels`` for a continuous-only model).
 
-    A product grid is predicted by one matrix product, any other query
-    block by block (see the module docstring). The model keeps the
-    level-free part of its last query: the checks, unit columns or grid
-    tables that a call with an equal ``X`` (``np.array_equal``) skips.
-    Every prediction is bit for bit a fresh model's.
+    A product grid takes one matrix product, any other query blocks of
+    rows (see the module docstring). A call with the model's last ``X``
+    reuses its level-free part, with a fresh model's bits.
     """
     train = fit.train
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -1101,18 +1103,19 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
         raise ParamArityError(f"levels must be a scalar or have {rows} entries, "
                               f"got shape {levels.shape}")
     query = fit._query
+    block = max(8, _BLOCK_ELEMENTS // train.n // 8 * 8)
     if query is None or not np.array_equal(X, query.X):
         # the last query's part is freed before this one's is built, and
         # this one's is published complete: a concurrent call reads
         # either a finished query or none
         del query
         object.__setattr__(fit, "_query", None)
-        query = _level_free(fit, X)
+        query = _level_free(fit, X, block)
         object.__setattr__(fit, "_query", query)
     if np.any(levels < 1) or np.any(levels > query.s):
         raise ParamDomainError(f"query level outside 1..{query.s}")
     if query.tables is None:
-        out = _block_product(fit, query, levels, max(8, _BLOCK_ELEMENTS // train.n // 8 * 8))
+        out = _block_product(fit, query, levels, block)
     else:
         out = _grid_product(fit, query, levels)
     out += fit.mu_z

@@ -9,7 +9,6 @@ assert them.
 import time
 import zlib
 
-import mpmath
 import numpy as np
 
 from mixedgp.bench import ExperimentConfig, run_experiment, summarize
@@ -206,6 +205,8 @@ def exact_predict(X01, levels, y, ls, P, nugget, x0_01, lv0):
     The BLUP mu + r0^T R^-1 (y - mu 1), mu the GLS mean, does not depend
     on how the responses are standardized, so y enters unscaled.
     """
+    import mpmath  # only this report needs it
+
     with mpmath.workdps(50):
         def kernel(a, b, la, lb):
             k = mpmath.mpf(1.0 if P is None else P[la - 1, lb - 1])

@@ -1412,11 +1412,14 @@ def reference_predict(fit, X, levels):
     return fit.y_mean + fit.y_std * (fit.mu_z + r0 @ fit.alpha)
 
 
-def on_product_grid(X):
+def on_product_grid(X, block):
     """predict_batch's rule for the one-product path: a column with fewer
-    distinct values than rows, and at most as many grid points as rows."""
+    distinct values than rows, at most as many grid points as rows, and
+    at most ``block`` rows in each table and in the product of all but
+    the largest."""
     counts = [np.unique(column).size for column in X.T]
-    return any(c < len(X) for c in counts) and math.prod(counts) <= len(X)
+    return (any(c < len(X) for c in counts) and math.prod(counts) <= len(X)
+            and max(counts) <= block and math.prod(counts) // max(counts) <= block)
 
 
 def exact_sum(*factors):
@@ -1438,7 +1441,9 @@ def exact_sum(*factors):
 
 def assert_within_rounding(fit, X, levels, rng, *predictions, rows=16):
     """Each prediction lies within the rounding bound of the exact value
-    of the same doubles, on a sample of rows.
+    of the same doubles: exactly, on the first and last rows, rows 3 and
+    7 (a test grid repeats row 3 at 7) and a sample of others; and on
+    every row, within the sum of the two bounds of the first prediction.
 
     The exact value is y_mean + y_std (mu_z + sum_j r0_j P_lj alpha_j),
     r0_j the product of the q Matern factors. A term takes q + 1
@@ -1450,15 +1455,24 @@ def assert_within_rounding(fit, X, levels, rng, *predictions, rows=16):
     u = np.finfo(float).eps / 2
     k = fit.train.n + fit.train.q
     gamma = k * u / (1 - k * u)
-    sample = rng.choice(len(X), size=min(rows, len(X)), replace=False)
-    factors = continuous_factors(fit, X[sample])
-    P = level_factors(fit, X[sample], np.broadcast_to(levels, len(X))[sample])
+    factors = continuous_factors(fit, X)
+    P = level_factors(fit, X, levels)
     if P is not None:
         factors.append(P)
+    # the magnitudes' sum in doubles, scaled up by its own rounding bound
+    size = (np.abs(math.prod(factors, start=np.ones((len(X), fit.train.n))))
+            @ np.abs(fit.alpha)) * (1 + 2 * gamma)
+    first = predictions[0]
+    for pred in predictions[1:]:
+        slack = (2 * gamma * fit.y_std * size
+                 + 4 * u * (2 * abs(fit.y_mean) + np.abs(first) + np.abs(pred)))
+        assert (np.abs(pred - first) <= slack).all(), np.flatnonzero(np.abs(pred - first) > slack)
+    marked = [i for i in (0, 3, 7, len(X) - 1) if 0 <= i < len(X)]
+    sample = np.union1d(rng.choice(len(X), size=min(rows, len(X)), replace=False), marked)
     alpha = fit.alpha.tolist()
     y_mean, y_std, mu_z = map(Fraction, (fit.y_mean, fit.y_std, fit.mu_z))
-    for i, row in enumerate(sample.tolist()):
-        total, size = exact_sum(*(f[i].tolist() for f in factors), alpha)
+    for row in sample.tolist():
+        total, size = exact_sum(*(f[row].tolist() for f in factors), alpha)
         exact = y_mean + y_std * (mu_z + total)
         for pred in predictions:
             bound = gamma * fit.y_std * float(size) + 4 * u * (abs(fit.y_mean) + abs(pred[row]))
@@ -1489,7 +1503,8 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
     sets = [Xq for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5)
             for Xq in query_sets(rng, rows, q)]
     if q:  # a full tensor grid of about three blocks: in order, permuted, a row repeated
-        side = math.ceil((3 * block) ** (1 / q))
+        # (at q = 1 one block, the most values a grid's table holds)
+        side = min(block, math.ceil((3 * block) ** (1 / q)))
         axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * q, indexing="ij")
         grid = np.column_stack([a.ravel() for a in axes])
         sets += [grid, rng.permutation(grid), np.insert(grid, 7, grid[3], axis=0)]
@@ -1501,8 +1516,8 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
             # a product grid is one matrix product, which sums in another
             # order: both lie within the rounding bound of the exact value.
             # Any other query keeps the reference's bits.
-            assert (gp._query.tables is not None) == on_product_grid(Xq)
-            if on_product_grid(Xq):
+            assert (gp._query.tables is not None) == on_product_grid(Xq, block)
+            if on_product_grid(Xq, block):
                 on_grid += 1
                 assert_within_rounding(gp, Xq, lv, rng, got, want)
             else:
@@ -1542,10 +1557,12 @@ def test_single_level_and_per_row_routes_agree(q):
 def query_sets(rng, rows, q):
     """Query sets of ``rows`` rows: scattered, then with repeated coordinates.
 
-    Those are a grid in the first dimension only, all rows equal, and
-    columns whose distinct counts multiply to the row count, which
-    predict_batch predicts as a product grid, and to one more, which it
-    does not (where the rows can hold such counts).
+    Those are a grid in the first dimension only, all rows equal, a line
+    (distinct values in the first column, further columns constant),
+    which is a product grid up to a block of rows, and columns whose
+    distinct counts multiply to the row count, which predict_batch
+    predicts as a product grid, and to one more, which it does not
+    (where the rows can hold such counts).
     """
     yield rng.random((rows, q))
     if not (q and rows):
@@ -1554,6 +1571,8 @@ def query_sets(rng, rows, q):
     Xq[:, 0] = np.linspace(0.0, 1.0, 7)[rng.integers(0, 7, size=rows)]
     yield Xq
     yield np.tile(rng.random(q), (rows, 1))
+    if q > 1:
+        yield np.column_stack([rng.random(rows), np.tile(rng.random(q - 1), (rows, 1))])
     for points in (rows, rows + 1):
         # the largest divisor up to the square root splits the points over
         # two columns; further columns are constant
@@ -1562,6 +1581,21 @@ def query_sets(rng, rows, q):
         if math.prod(counts) == points and max(counts) <= rows:
             yield np.column_stack([rng.permutation(np.resize(rng.random(m), rows))
                                    for m in counts])
+
+
+def test_product_grid_rule_caps_tables_at_a_block():
+    # every table, and the product of all but the largest, has at most a
+    # block of rows; the query's rows bound the grid points
+    line = np.column_stack([np.linspace(0.0, 1.0, 10), np.full(10, 0.5)])
+    assert gpcore._product_grid(line, 10) is not None
+    assert gpcore._product_grid(line, 9) is None
+    g = np.linspace(0.0, 1.0, 3)
+    cube = np.column_stack([a.ravel() for a in np.meshgrid(g, g, g, indexing="ij")])
+    assert gpcore._product_grid(cube, 9) is not None
+    assert gpcore._product_grid(cube, 8) is None  # a fold of 3 x 3 rows
+    assert gpcore._product_grid(cube[1:], 9) is None  # 27 points on 26 rows
+    for rows in (0, 1):
+        assert gpcore._product_grid(np.zeros((rows, 2)), 8) is None
 
 
 def test_predict_batch_memory_is_a_few_blocks():
@@ -1580,9 +1614,11 @@ def test_predict_batch_memory_is_a_few_blocks():
     under[:, 0] = np.resize(rng.random(block), rows)
     # a query of 2^20 entries, one (rows, n) array of 8 MB
     large = rng.random(((1 << 20) // gp.train.n, 2))
+    # a line: one distinct value per row in the first column, off a product grid
+    line = np.column_stack([np.linspace(0.0, 1.0, rows), np.full(rows, 0.5)])
     tracemalloc.start()
     try:
-        for X in (scattered, grid, under, large):
+        for X in (scattered, grid, under, large, line):
             for lv in (2, rng.integers(1, 4, size=len(X)), 1):
                 tracemalloc.reset_peak()
                 out = predict_batch(gp, X, lv)
@@ -1602,7 +1638,7 @@ def arrays_in(value):
             yield from arrays_in(item)
 
 
-@pytest.mark.parametrize("kind", ["scattered", "grid"])
+@pytest.mark.parametrize("kind", ["scattered", "grid", "line"])
 def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
     # however often a 100,000-row query is predicted, the model keeps
     # its copy, and its unit columns or flat index and small tables:
@@ -1614,6 +1650,8 @@ def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
     rows, n = 100_000, train.n
     if kind == "scattered":
         X = rng.random((rows, 2))
+    elif kind == "line":
+        X = np.column_stack([np.linspace(0.0, 1.0, rows), np.full(rows, 0.5)])
     else:
         X = np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 400),
                                                             np.linspace(0.0, 1.0, 250))])
