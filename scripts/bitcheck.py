@@ -24,8 +24,11 @@ Seven sections, one digest per line:
   ``perfbench/workloads.py`` on their 100 x 100 grid, reloaded with
   ``load_fit``: every level in ascending order and then per-row levels
   on one model, per-row levels and then every level in descending
-  order on a second. Each grid is a product grid, which
-  ``predict_batch`` predicts by one matrix product per call;
+  order on a second. Each grid lists its rows in ``"ij"`` order, a
+  product grid in nested order, which ``predict_batch`` predicts by
+  one matrix product per call, with no gather at one level; the
+  section fails if a model's kept query after its first call is no
+  grid;
 * ``scatter``: predictions of the same 168 models on one 10,000-row
   query drawn uniformly from the unit square and mapped to each model's
   bounds, reloaded with ``load_fit``: every level in ascending order,
@@ -117,6 +120,8 @@ def grid_lines(tmp):
         preds = [gpcore.predict_batch(up, X, lv) for lv in range(1, s + 1)]
         preds.append(gpcore.predict_batch(up, X, per_row))
         preds.append(gpcore.predict_batch(down, X, per_row))
+        # a rule change that sends these grids to the block path fails here
+        assert up._query.tables is not None and down._query.tables is not None, name
         preds += [gpcore.predict_batch(down, X, lv) for lv in range(s, 0, -1)]
         yield f"grid {name} {digest(*preds)}"
 

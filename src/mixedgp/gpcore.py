@@ -23,25 +23,26 @@ derivatives are C-contiguous in (k, q, n, n) order, so each dimension's
 as on arrays built for one dimension, while strided slices round
 differently in the last bits.
 
-Prediction takes one of two paths. On a product grid, where query
-column d takes m_d distinct values u_d (``np.unique``), r0 @ alpha at
-grid point (u_1[i_1], ..., u_q[i_q]) and level l is the contraction
-sum_j T_1[i_1, j] ... T_q[i_q, j] P[l, l_j] alpha_j, T_d the (m_d, n)
-Matern factors of u_d against the training set: the per-dimension
-factorization of a product kernel on a grid (Gilboa, Saatci &
-Cunningham 2015). The levels a call names are one more dimension,
-whose table holds the rows P[l, training levels] * alpha (alpha alone
-without a family). Row-wise Khatri-Rao products fold it into every
-table but the largest, one BLAS-3 product with the largest gives the
-whole grid, and each query row is gathered through its flat index.
-A query is a grid when a column has fewer distinct values than rows,
-the m_d multiply to at most the row count, and no table, nor the fold
-of all but the largest (per level), has more than a block of rows; a
-single row, columns of distinct values and the study's random test
-sets are no grids. The product sums in another order than the blocks,
-so grid predictions differ from theirs in the last bits; both lie
-within the dot product's rounding bound of the exact sum of the same
-doubles (a test checks).
+Prediction takes one of two paths. A query is a product grid when its
+rows list every combination of its columns' distinct values once, in
+nested order over some order of the columns (``np.meshgrid`` raveled,
+"ij" or "xy"): each column takes its m_d values over runs of rows, the
+same within every run of the column outside it, down to runs of one
+row. The rule reads each column's run of its first value and checks
+the pattern by one reshape; it sorts no row. Some column must repeat a
+value, and no table, nor the fold of the tables inside the outermost
+(per level), may have more than a block of rows. On a grid, r0 @ alpha
+at (u_1[i_1], ..., u_q[i_q]) and level l is the contraction sum_j
+T_1[i_1, j] ... T_q[i_q, j] P[l, l_j] alpha_j, T_d the (m_d, n) Matern
+factors of column d's values u_d, in row order, against the training
+set (Gilboa, Saatci & Cunningham 2015). The levels a call names are one
+more, innermost dimension, with rows P[l, training levels] * alpha
+(alpha alone without a family). Row-wise Khatri-Rao products fold it
+into the tables inside the outermost, and one BLAS-3 product with the
+outermost gives the grid in the query's row order: one level gathers
+nothing, per-row levels each row at its level. Its sums run in another
+order than the blocks', within the dot product's rounding bound of the
+exact sum of the same doubles (a test checks).
 
 Any other query is predicted one block of rows and one dimension at a
 time, in (block, n) work arrays, slices of one allocation per call:
@@ -63,8 +64,8 @@ Only the level factor P[level, .] of a row's r0 depends on the level
 (Rasmussen & Williams 2006, eq. 2.25), and callers predict every level
 of one query in turn. So a model keeps the level-free part of its last
 query (``GPFit._query``): a private copy of the query as its key, P at
-the training levels, and the unit columns, or on a grid the tables and
-each row's flat index. A call whose X equals the key
+the training levels, and the unit columns, or on a grid the tables.
+A call whose X equals the key
 (``np.array_equal``, about 15 us at 10,000 x 2) skips the checks, the
 mapping and the tables. The kept part is published once complete, so
 a concurrent call reads a finished one or none.
@@ -962,37 +963,41 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
 
 class _Query(NamedTuple):
     """The level-free part of a :func:`predict_batch` query, kept on the
-    model: a product grid sets ``tables`` and ``index``, any other query
-    ``columns``, and the other fields are None."""
+    model: ``tables`` on a product grid, else ``columns``; the other is None."""
 
     X: np.ndarray                   # a private copy of the query
     level_table: np.ndarray | None  # P at (level, training level), (s, n)
     s: int                          # the levels a query may name
     columns: list | None            # (unit column, training column, scale) per dimension
-    tables: list | None             # (m_d, n) factors of each column's values, largest first
-    index: np.ndarray | None        # each row's flat index in the tables' product grid
+    tables: list | None             # (m_d, n) factors of each column's values, outermost first
 
 
 def _product_grid(U: np.ndarray, block: int):
-    """Each column's (distinct values, inverse index) if the rows of ``U``
-    lie on a product grid (see the module docstring), else None."""
-    rows, columns, points = len(U), [], 1
-    for x in U.T:
-        # at most ``most`` distinct values fit: a head of most + 1 distinct
-        # ones rules the column out without sorting it all
-        most = min(block, rows // points)
-        head = np.sort(x[:most + 1])
-        if np.count_nonzero(head[1:] != head[:-1]) >= most:
+    """(column, its values in row order) per column, outermost first, if
+    the rows of ``U`` list a product grid in nested order (see the module
+    docstring), else None."""
+    rows = len(U)
+    # each column's run of its first value (the rows for a constant one,
+    # none under two rows); the others nest by their runs, each taking
+    # m >= 2 values within a run of the column outside it, down to a run
+    # of one row
+    runs = [1 if x[1] != x[0] else int(np.argmax(x != x[0])) or rows for x in U.T if rows > 1]
+    nested = sorted((d for d, run in enumerate(runs) if run < rows), key=lambda d: -runs[d])
+    periods = [rows] + [runs[d] for d in nested]
+    sizes = [p // r for p, r in zip(periods, periods[1:])]
+    # one column of distinct values is no grid (some column must repeat a
+    # value), and no table, nor the fold inside the outermost, exceeds a block
+    if (periods[-1] != 1 or len(runs) < 2 or any(p % r for p, r in zip(periods, periods[1:]))
+            or min(sizes) < 2 or max(sizes) > block or rows // sizes[0] > block):
+        return None
+    grid = []
+    for d, run, m in zip(nested, periods[1:], sizes):
+        x = U[:, d]
+        values = x[:m * run:run]
+        if np.unique(values).size < m or (x.reshape(-1, m, run) != values[:, None]).any():
             return None
-        values, index = np.unique(x, return_inverse=True)
-        if values.size > most:
-            return None
-        points *= values.size
-        columns.append((values, index))
-    sizes = [values.size for values, _ in columns]
-    # some column repeats a value, and the tables folded into the
-    # largest hold at most a block of rows
-    return columns if min(sizes, default=rows) < rows and points // max(sizes) <= block else None
+        grid.append((d, values))
+    return grid + [(d, U[:1, d]) for d, run in enumerate(runs) if run == rows]
 
 
 def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
@@ -1014,30 +1019,21 @@ def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
     level_table, s = (None, train.n_levels) if P is None else (P[:, train.levels - 1], P.shape[0])
     grid = _product_grid(U, block)
     if grid is None:
-        return _Query(X, level_table, s, list(zip(U.T, train.X01.T, scales)), None, None)
-    index, tables = 0, []
-    for d in sorted(range(len(grid)), key=lambda d: -grid[d][0].size):  # largest first
-        index = index * grid[d][0].size + grid[d][1]
-        tables.append(_matern_factor(grid[d][0], train.X01[:, d], scales[d]))
-    return _Query(X, level_table, s, None, tables, index)
+        return _Query(X, level_table, s, list(zip(U.T, train.X01.T, scales)), None)
+    tables = [_matern_factor(values, train.X01[:, d], scales[d]) for d, values in grid]
+    return _Query(X, level_table, s, None, tables)
 
 
 def _grid_product(fit: GPFit, query: _Query, levels: np.ndarray) -> np.ndarray:
-    """r0 @ alpha at every row of a product grid, by one matrix product
-    (see the module docstring)."""
-    index = query.index
-    if query.level_table is None:
-        level = fit.alpha[None]
-    else:
-        named = levels.reshape(-1)
-        if named.size > 1:
-            named, at = np.unique(named, return_inverse=True)
-            index = index * named.size + at
-        level = query.level_table[named - 1] * fit.alpha
-    folded = level
+    """r0 @ alpha at every row of a product grid (see the module docstring)."""
+    level_table, named, at = query.level_table, levels.reshape(-1), None
+    if level_table is not None and named.size > 1:
+        named, at = np.unique(named, return_inverse=True)
+    folded = fit.alpha[None] if level_table is None else level_table[named - 1] * fit.alpha
     for table in reversed(query.tables[1:]):
         folded = (table[:, None] * folded).reshape(-1, folded.shape[1])
-    return (query.tables[0] @ folded.T).take(index)
+    out = (query.tables[0] @ folded.T).reshape(-1)
+    return out if at is None else out.take(np.arange(0, out.size, named.size) + at)
 
 
 def _block_product(fit: GPFit, query: _Query, levels: np.ndarray, block: int) -> np.ndarray:
@@ -1112,7 +1108,10 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
         object.__setattr__(fit, "_query", None)
         query = _level_free(fit, X, block)
         object.__setattr__(fit, "_query", query)
-    if np.any(levels < 1) or np.any(levels > query.s):
+    # item() reads a lone level in well under a microsecond; rows = 0 may name none
+    low, high = ((levels.item(),) * 2 if levels.size == 1
+                 else (levels.min(initial=1), levels.max(initial=1)))
+    if low < 1 or high > query.s:
         raise ParamDomainError(f"query level outside 1..{query.s}")
     if query.tables is None:
         out = _block_product(fit, query, levels, block)

@@ -1,5 +1,6 @@
 """Tests for the mixed-input Gaussian process core."""
 
+import itertools
 import json
 import math
 import operator
@@ -1412,14 +1413,29 @@ def reference_predict(fit, X, levels):
     return fit.y_mean + fit.y_std * (fit.mu_z + r0 @ fit.alpha)
 
 
+def mesh(axes, indexing="ij"):
+    """The rows of np.meshgrid over ``axes``, one column per axis."""
+    return np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing=indexing)])
+
+
 def on_product_grid(X, block):
-    """predict_batch's rule for the one-product path: a column with fewer
-    distinct values than rows, at most as many grid points as rows, and
-    at most ``block`` rows in each table and in the product of all but
-    the largest."""
-    counts = [np.unique(column).size for column in X.T]
-    return (any(c < len(X) for c in counts) and math.prod(counts) <= len(X)
-            and max(counts) <= block and math.prod(counts) // max(counts) <= block)
+    """predict_batch's rule for the one-product path: the rows list every
+    combination of the columns' distinct values once, in nested order
+    over some order of the columns; some column repeats a value; and no
+    table, nor the product of the tables inside the outermost (constant
+    columns nest anywhere), has more than ``block`` rows."""
+    rows, q = X.shape
+    # each column's distinct values, in the order they first occur
+    values = [x[np.sort(np.unique(x, return_index=True)[1])] for x in X.T]
+    counts = [v.size for v in values]
+    if (math.prod(counts) != rows or not any(c < rows for c in counts)
+            or max(counts) > block):
+        return False
+    for order in itertools.permutations(range(q)):
+        if np.array_equal(mesh([values[d] for d in order]), X[:, order]):
+            outer = next(counts[d] for d in order if counts[d] > 1)
+            return rows // outer <= block
+    return False
 
 
 def exact_sum(*factors):
@@ -1502,12 +1518,26 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
     # part on the first call, and the others reuse it.
     sets = [Xq for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5)
             for Xq in query_sets(rng, rows, q)]
-    if q:  # a full tensor grid of about three blocks: in order, permuted, a row repeated
-        # (at q = 1 one block, the most values a grid's table holds)
+    if q:
+        # full tensor grids of about three blocks (at q = 1 one block, a
+        # line of distinct values, which is no grid): in "ij" and "xy"
+        # order, with descending values and with a constant column
         side = min(block, math.ceil((3 * block) ** (1 / q)))
-        axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * q, indexing="ij")
-        grid = np.column_stack([a.ravel() for a in axes])
-        sets += [grid, rng.permutation(grid), np.insert(grid, 7, grid[3], axis=0)]
+        axes = [np.linspace(0.0, 1.0, side + d) for d in range(q)]
+        grids = [mesh(axes), mesh(axes, "xy"), mesh(axes)[::-1]]
+        if q > 1:
+            grids.append(np.insert(mesh(axes[1:]), q // 2, 0.37, axis=1))
+        # the caps, on either side: the outermost table, and the fold
+        # of the tables inside it, of a block of rows and of one more
+        for size in (block, block + 1):
+            grids += [mesh([np.linspace(0.0, 1.0, m) for m in (size, 2, 1)[:q]]),
+                      mesh([np.linspace(0.0, 1.0, m) for m in (2, size, 1)[:q]])]
+        # permuted, a row repeated: no grids (query_sets has all rows equal)
+        others = [rng.permutation(grids[0]), np.insert(grids[0], 7, grids[0][3], axis=0)]
+        assert [on_product_grid(Xq, block) for Xq in grids] == (
+            [q > 1] * (len(grids) - 2) + [False, False])
+        assert not any(on_product_grid(Xq, block) for Xq in others)
+        sets += grids + others
     on_grid = 0
     for Xq in sets:
         for lv in (s, rng.integers(1, s + 1, size=len(Xq)), 1,
@@ -1522,7 +1552,7 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
                 assert_within_rounding(gp, Xq, lv, rng, got, want)
             else:
                 assert np.array_equal(got, want)
-    assert on_grid >= (0 if q == 0 else 40)
+    assert on_grid >= (40 if q > 1 else 0)
 
 
 @pytest.mark.parametrize("q", [0, 2])
@@ -1559,10 +1589,10 @@ def query_sets(rng, rows, q):
 
     Those are a grid in the first dimension only, all rows equal, a line
     (distinct values in the first column, further columns constant),
-    which is a product grid up to a block of rows, and columns whose
-    distinct counts multiply to the row count, which predict_batch
-    predicts as a product grid, and to one more, which it does not
-    (where the rows can hold such counts).
+    which is a product grid up to a block of rows, and a nested grid of
+    random values whose distinct counts multiply to the row count, which
+    predict_batch predicts as a product grid while its tables hold at
+    most a block of rows, and the same rows permuted, which it does not.
     """
     yield rng.random((rows, q))
     if not (q and rows):
@@ -1573,27 +1603,57 @@ def query_sets(rng, rows, q):
     yield np.tile(rng.random(q), (rows, 1))
     if q > 1:
         yield np.column_stack([rng.random(rows), np.tile(rng.random(q - 1), (rows, 1))])
-    for points in (rows, rows + 1):
-        # the largest divisor up to the square root splits the points over
+        # the largest divisor up to the square root splits the rows over
         # two columns; further columns are constant
-        split = max(d for d in range(1, math.isqrt(points) + 1) if points % d == 0)
-        counts = [points // split, split, 1, 1][:q]
-        if math.prod(counts) == points and max(counts) <= rows:
-            yield np.column_stack([rng.permutation(np.resize(rng.random(m), rows))
-                                   for m in counts])
+        split = max(d for d in range(1, math.isqrt(rows) + 1) if rows % d == 0)
+        grid = mesh([rng.random(m) for m in [rows // split, split, 1][:q]])
+        yield grid
+        yield rng.permutation(grid)
+
+
+def test_product_grid_rule_reads_the_nested_order():
+    # the columns nest by the runs of their first values, outermost
+    # first; each column's values come in row order, and a constant
+    # column nests innermost
+    g = np.linspace(0.0, 1.0, 3)
+    h = np.array([0.9, 0.2, 0.5, 0.1, 0.7])
+    for X, order in [(mesh([g, h]), [0, 1]), (mesh([g, h], "xy"), [1, 0]),
+                     (mesh([h, g, h]), [0, 1, 2]), (mesh([h, g, h], "xy"), [1, 0, 2]),
+                     (mesh([g, [0.4], h]), [0, 2, 1]), (mesh([g, h])[::-1], [0, 1])]:
+        grid = gpcore._product_grid(X, 25)
+        assert [d for d, _ in grid] == order
+        for d, values in grid:
+            assert np.array_equal(values, X[np.sort(np.unique(X[:, d], return_index=True)[1]), d])
+    # rows out of nested order (two swapped; each combination once, but
+    # the inner column rotated in each run), a repeated row, a nested
+    # pattern that repeats a value, all rows equal, one column,
+    # scattered 100-row queries: no grids
+    rng = np.random.default_rng(16)
+    X = mesh([g, h])
+    rotated = np.column_stack([X[:, 0], np.concatenate([np.roll(h, k) for k in range(3)])])
+    for other in (X[[1, 0, *range(2, 15)]], rotated, np.insert(X, 4, X[2], axis=0),
+                  mesh([g, np.tile(h, 2)]), X[:1].repeat(6, 0), mesh([h]),
+                  rng.random((100, 2)), rng.random((100, 3))):
+        assert gpcore._product_grid(other, 15) is None
+        assert not on_product_grid(other, 15)
 
 
 def test_product_grid_rule_caps_tables_at_a_block():
-    # every table, and the product of all but the largest, has at most a
-    # block of rows; the query's rows bound the grid points
+    # every table, and the fold of the tables inside the outermost, has
+    # at most a block of rows; the rows list every grid point once
     line = np.column_stack([np.linspace(0.0, 1.0, 10), np.full(10, 0.5)])
     assert gpcore._product_grid(line, 10) is not None
     assert gpcore._product_grid(line, 9) is None
     g = np.linspace(0.0, 1.0, 3)
-    cube = np.column_stack([a.ravel() for a in np.meshgrid(g, g, g, indexing="ij")])
+    cube = mesh([g, g, g])
     assert gpcore._product_grid(cube, 9) is not None
     assert gpcore._product_grid(cube, 8) is None  # a fold of 3 x 3 rows
     assert gpcore._product_grid(cube[1:], 9) is None  # 27 points on 26 rows
+    assert gpcore._product_grid(cube[:18], 9) is not None  # a grid of 2 x 3 x 3
+    # the outermost table may be the largest or the smallest
+    wide, tall = mesh([np.arange(8.0), g]), mesh([g, np.arange(8.0)])
+    assert gpcore._product_grid(wide, 8) is not None and gpcore._product_grid(wide, 7) is None
+    assert gpcore._product_grid(tall, 8) is not None and gpcore._product_grid(tall, 7) is None
     for rows in (0, 1):
         assert gpcore._product_grid(np.zeros((rows, 2)), 8) is None
 
@@ -1641,7 +1701,7 @@ def arrays_in(value):
 @pytest.mark.parametrize("kind", ["scattered", "grid", "line"])
 def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
     # however often a 100,000-row query is predicted, the model keeps
-    # its copy, and its unit columns or flat index and small tables:
+    # its copy, and its unit columns or (on a grid) small tables:
     # O(rows * q + block * n) entries, never a (rows, n) array (6.4 MB
     # here, 2^20 entries or fewer at n = 8)
     rng = np.random.default_rng(15)
@@ -1659,8 +1719,9 @@ def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
         predict_batch(gp, X, lv)
     kept = list(arrays_in(gp._query))
     assert kept and all(a.size < rows * n for a in kept)
-    # the copy and the unit columns (X.nbytes each), or a flat index
-    assert sum(a.nbytes for a in kept) < 2 * X.nbytes + 2 * 8 * rows + 1e6
+    # the copy and the unit columns (X.nbytes each); a grid keeps no
+    # array of rows but its copy
+    assert sum(a.nbytes for a in kept) < (1 if kind == "grid" else 2) * X.nbytes + 1e6
 
 
 def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch):

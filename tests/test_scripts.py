@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bitcheck.py"
 
 
@@ -42,6 +44,10 @@ def test_bitcheck_grid_section_digests_every_model(monkeypatch, tmp_path):
     assert len(lines) == 168 and len({line[1] for line in lines}) == 168
     assert all(line[0] == "grid" and line[1].endswith(".json")
                and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
+    # a product-grid rule that rules the grids out fails the section
+    monkeypatch.setattr(bitcheck.gpcore, "_product_grid", lambda U, block: None)
+    with pytest.raises(AssertionError, match=r"\.json"):
+        next(bitcheck.grid_lines(str(tmp_path / "blocks")))
 
 
 def test_bitcheck_prints_the_named_sections_in_order(monkeypatch, capsys):
