@@ -32,8 +32,8 @@ Seven sections, one digest per line:
 * ``scatter``: predictions of the same 168 models on one 10,000-row
   query drawn uniformly from the unit square and mapped to each model's
   bounds, reloaded with ``load_fit``: every level in ascending order,
-  then per-row levels. At 16 to 48 training points that query spans 5
-  to 15 of ``predict_batch``'s blocks: its columns have all-distinct
+  then per-row levels. At 16 to 48 training points that query spans 10
+  to 30 of ``predict_batch``'s blocks: its columns have all-distinct
   values, so it is no product grid;
 * ``fit``: the 8 fits of the ``study_upended`` workload (NLL,
   lengthscales, family parameters and ``start_objectives``);

@@ -30,45 +30,46 @@ nested order over some order of the columns (``np.meshgrid`` raveled,
 same within every run of the column outside it, down to runs of one
 row. The rule reads each column's run of its first value and checks
 the pattern by one reshape; it sorts no row. Some column must repeat a
-value, and no table, nor the fold of the tables inside the outermost
-(per level), may have more than a block of rows. On a grid, r0 @ alpha
-at (u_1[i_1], ..., u_q[i_q]) and level l is the contraction sum_j
-T_1[i_1, j] ... T_q[i_q, j] P[l, l_j] alpha_j, T_d the (m_d, n) Matern
-factors of column d's values u_d, in row order, against the training
-set (Gilboa, Saatci & Cunningham 2015). The levels a call names are one
-more, innermost dimension, with rows P[l, training levels] * alpha
-(alpha alone without a family). Row-wise Khatri-Rao products fold it
-into the tables inside the outermost, and one BLAS-3 product with the
-outermost gives the grid in the query's row order: one level gathers
-nothing, per-row levels each row at its level. Its sums run in another
-order than the blocks', within the dot product's rounding bound of the
-exact sum of the same doubles (a test checks).
+value, and no table, nor the fold of the tables inside the outermost,
+may have more than ``_rows(_GRID_ELEMENTS, n)`` rows. On a grid,
+r0 @ alpha at (u_1[i_1], ..., u_q[i_q]) and level l is the contraction
+sum_j T_1[i_1, j] ... T_q[i_q, j] P[l, l_j] alpha_j, T_d the (m_d, n)
+Matern factors of column d's values u_d, in row order, against the
+training set (Gilboa, Saatci & Cunningham 2015). The level is one
+more, innermost dimension, of one row P[l, training levels] * alpha.
+Row-wise Khatri-Rao products fold it into the tables inside the
+outermost, and one BLAS-3 product with the outermost gives the grid in
+the query's row order. Per-row levels take each row from its level's
+product, with the bits of that level named alone (one product over all
+levels would be a gemm where one level's, on a line, is a gemv). The
+sums run in another order than the blocks', within the dot product's
+rounding bound of the exact sum of the same doubles (a test checks).
 
-Any other query is predicted one block of rows and one dimension at a
-time, in (block, n) work arrays, slices of one allocation per call:
-|x_d - x'_d| is built, made absolute and scaled in one, its Matern
-factor goes into another and multiplies the block's product in place,
-and the level factor multiplies it last: for one level, the head of a
-(block + 1, n) array filled with P[level, training levels] once per
-call (numpy multiplies same-shape arrays 2 times faster than a
-broadcast row of n entries); for a level per row, a row gather from P
-at the training levels. Memory is O(block * n) for any number of rows,
-and a call faults in no fresh pages. Blocks have a multiple of 8 rows,
-about ``_BLOCK_ELEMENTS`` entries per array: the OpenBLAS gemv kernel
-takes rows in groups (of 4 on x86-64 Haswell) and rounds its leftover
-rows differently, so a block that starts at a multiple of 8 puts every
-row in the group and path it has in one product over all rows, and
-each prediction is bit for bit that of the one-array expression.
+Any other query is predicted one block of rows at a time, in fresh
+arrays of at most ``_STACK_ELEMENTS`` entries, under glibc's mmap
+threshold (blocks keep at least 8 rows): the Matern factor of each
+dimension, multiplied into the block's product in dimension order, and
+the level factor last, a row gather from the level table. A block's
+arrays are freed before the next block's are made, so once the heap
+has grown a call faults in no fresh pages, and memory is O(block * n)
+for any number of rows. A block has a multiple of 8 rows, one spare
+for a lone last row, which joins the block before it (numpy would send
+a one-row product to BLAS ddot): the OpenBLAS gemv kernel takes rows in
+groups (of 4 on x86-64 Haswell) and rounds its leftover rows
+differently, so a block that starts at a multiple of 8 puts every row
+in the group and path it has in one product over all rows, and each
+prediction is bit for bit that of the one-array expression.
 
 Only the level factor P[level, .] of a row's r0 depends on the level
 (Rasmussen & Williams 2006, eq. 2.25), and callers predict every level
 of one query in turn. So a model keeps the level-free part of its last
-query (``GPFit._query``): a private copy of the query as its key, P at
-the training levels, and the unit columns, or on a grid the tables.
-A call whose X equals the key
-(``np.array_equal``, about 15 us at 10,000 x 2) skips the checks, the
-mapping and the tables. The kept part is published once complete, so
-a concurrent call reads a finished one or none.
+query (``GPFit._query``): a private copy of the query as its key, the
+(s, n) level table of P at (level, training level), and the unit
+columns, or on a grid the tables; a model without a family has a table
+of ones, which changes no bit (x * 1.0 is x). A call whose X equals
+the key (``np.array_equal``, about 15 us at 10,000 x 2) skips the
+checks, the mapping and the tables. The kept part is published once
+complete, so a concurrent call reads a finished one or none.
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model, at a stack of
@@ -123,6 +124,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -157,21 +159,23 @@ SIGMA2_FLOOR = 1e-12
 _YSTD_FLOOR = 1e-300
 _FAILED_OBJ = 1e30
 
-# predict_batch works through the query rows in blocks of a multiple of
-# 8 rows with about this many entries in each (block, n) array (256 KB).
-# Twice as many made a pass over 168 models' 100 x 100 grids fault in
-# about a million pages from the OS and run 1.5 times slower (2-vCPU
-# x86-64 VM, 2 MB L2 per core); this many, about a hundred.
-_BLOCK_ELEMENTS = 1 << 15
+# predict_batch takes a query as a product grid only while each of its
+# tables, and the fold of the tables inside the outermost, has at most
+# _rows(_GRID_ELEMENTS, n) rows (256 KB at most per table)
+_GRID_ELEMENTS = 1 << 15
 
-# fit evaluates its searches' points together, in stacked likelihood
-# calls of at most this many entries in each (points, q, n, n) array
-# (128 KB; see fit). Per point of a 16-point round at q = 2 (UC, s = 4;
-# BLAS on one thread, 2-vCPU x86-64 VM), calls of 18,432 entries or
-# fewer page-faulted no memory from the OS, and larger ones 200-2,300
-# pages a round, glibc's mmap threshold being 128 KB: at N = 32, 8
-# points a call took 50 us a point and 16 took 68; at N = 48, 4 took
-# 110 and 8 took 184; at N = 96, 1 took 435 and 2 took 548.
+# fit's stacked likelihood calls and predict_batch's blocks allocate
+# arrays of at most this many entries (128 KB, glibc's mmap threshold;
+# a call takes at least one point, a block at least 8 rows): larger
+# ones come fresh from the OS and fault in their pages each call. Per
+# point of a 16-point round at q = 2 (UC, s = 4; BLAS on one thread,
+# 2-vCPU x86-64 VM), stacked likelihood calls of 18,432 entries or fewer
+# page-faulted no memory, and larger ones 200-2,300 pages a round: at
+# N = 32, 8 points a call took 50 us a point and 16 took 68; at N = 48,
+# 4 took 110 and 8 took 184; at N = 96, 1 took 435 and 2 took 548.
+# Prediction blocks of 2^15 entries per array faulted in 156-2,240
+# pages a call on scattered 1,000- and 10,000-row queries (N = 32 and
+# 48, each in a fresh interpreter), and blocks of this many none.
 _STACK_ELEMENTS = 1 << 14
 
 # scipy.optimize.minimize's L-BFGS-B defaults: corrections kept, factr
@@ -208,11 +212,8 @@ class KernelConfig:
         object.__setattr__(self, "lengthscales", ls)
         if not ((ls > 0) & (ls < math.inf)).all():  # NaN fails both
             raise ParamDomainError("lengthscales must be positive and finite")
-        nugget, corr_nugget = self.nugget, self.corr_nugget
-        if not (isinstance(nugget, numbers.Real) and 0 <= nugget < math.inf):
-            raise ParamDomainError(f"nugget must be finite and nonnegative, got {nugget!r}")
-        if not (isinstance(corr_nugget, numbers.Real) and 0 < corr_nugget < math.inf):
-            raise ParamDomainError(f"corr_nugget must be finite and positive, got {corr_nugget!r}")
+        _nugget("nugget", self.nugget)
+        _nugget("corr_nugget", self.corr_nugget)
         if self.cat_params is not None:
             cat = np.array(self.cat_params, dtype=float).ravel()
             cat.setflags(write=False)
@@ -228,6 +229,14 @@ class KernelConfig:
         if self.family_spec is None:
             return None
         return corr_values(self.family_spec, self.cat_params, self.corr_nugget)
+
+
+def _nugget(name: str, value):
+    """``value``, a finite real number, >= 0 for ``nugget`` and > 0 for ``corr_nugget``."""
+    words, above = ("nonnegative", operator.le) if name == "nugget" else ("positive", operator.lt)
+    if not (isinstance(value, numbers.Real) and above(0, value) and value < math.inf):
+        raise ParamDomainError(f"{name} must be finite and {words}, got {value!r}")
+    return value
 
 
 def _outside(X: np.ndarray, bounds: np.ndarray) -> bool:
@@ -414,22 +423,18 @@ def _pair_columns(n: int) -> np.ndarray:
     return index
 
 
-def _matern(t, dlog=False, out=None):
+def _matern(t, dlog=False):
     """The Matern(5/2) factor k(t) = exp(-t) (1 + t + t^2/3), elementwise.
 
     ``t`` holds scaled distances sqrt(5) |x_d - x'_d| / lengthscale_d,
-    in an array of any shape that this overwrites; k goes into ``out``,
-    an array of t's shape, or a fresh one. With ``dlog`` returns (k,
-    lengthscale_d * d log k / d lengthscale_d), the latter
+    in an array of any shape that this overwrites. With ``dlog`` returns
+    (k, lengthscale_d * d log k / d lengthscale_d), the latter
     t^2 (1 + t) / (t^2 + 3t + 3).
     """
     # In place: every product and sum has the operands of the plain
     # expression, at most swapped, which leaves each result bit for bit
-    # the same. Fewer t-sized arrays are then allocated and alive, which
-    # matters on prediction grids and large training sets, where each
-    # is fresh memory from the OS and page faults cost more than the
-    # arithmetic.
-    tt = np.multiply(t, t, out=out)
+    # the same, and fewer t-sized arrays are allocated and alive.
+    tt = t * t
     if dlog:
         dl = 1.0 + t
         dl *= tt
@@ -444,16 +449,14 @@ def _matern(t, dlog=False, out=None):
     return (tt, dl) if dlog else tt
 
 
-def _matern_factor(x, x_train, scale, t=None, out=None):
+def _matern_factor(x, x_train, scale):
     """The (len(x), n) Matern factors of query coordinates ``x`` against
     the n training coordinates ``x_train`` of one dimension (normalized),
-    ``scale`` being sqrt(5) / lengthscale_d. The scaled distances are
-    built in ``t`` and the factors in ``out``, (len(x), n) arrays, or
-    fresh ones."""
-    t = np.subtract(x[:, None], x_train[None, :], out=t)
+    ``scale`` being sqrt(5) / lengthscale_d."""
+    t = np.subtract(x[:, None], x_train[None, :])
     np.abs(t, out=t)
     t *= scale
-    return _matern(t, out=out)
+    return _matern(t)
 
 
 def _kernel(absdiff, lengthscales, dlog=False):
@@ -965,17 +968,22 @@ class _Query(NamedTuple):
     """The level-free part of a :func:`predict_batch` query, kept on the
     model: ``tables`` on a product grid, else ``columns``; the other is None."""
 
-    X: np.ndarray                   # a private copy of the query
-    level_table: np.ndarray | None  # P at (level, training level), (s, n)
-    s: int                          # the levels a query may name
-    columns: list | None            # (unit column, training column, scale) per dimension
-    tables: list | None             # (m_d, n) factors of each column's values, outermost first
+    X: np.ndarray            # a private copy of the query
+    level_table: np.ndarray  # (s, n): P at (level, training level), ones without a family
+    columns: list | None     # (unit column, training column, scale) per dimension
+    tables: list | None      # (m_d, n) factors of each column's values, outermost first
 
 
-def _product_grid(U: np.ndarray, block: int):
+def _rows(elements: int, n: int) -> int:
+    """Rows of n entries within ``elements`` entries: a multiple of 8, at least 8."""
+    return max(8, elements // n // 8 * 8)
+
+
+def _product_grid(U: np.ndarray, cap: int):
     """(column, its values in row order) per column, outermost first, if
-    the rows of ``U`` list a product grid in nested order (see the module
-    docstring), else None."""
+    the rows of ``U`` list a product grid in nested order whose tables,
+    and the fold of the tables inside the outermost, have at most ``cap``
+    rows (see the module docstring), else None."""
     rows = len(U)
     # each column's run of its first value (the rows for a constant one,
     # none under two rows); the others nest by their runs, each taking
@@ -985,10 +993,9 @@ def _product_grid(U: np.ndarray, block: int):
     nested = sorted((d for d, run in enumerate(runs) if run < rows), key=lambda d: -runs[d])
     periods = [rows] + [runs[d] for d in nested]
     sizes = [p // r for p, r in zip(periods, periods[1:])]
-    # one column of distinct values is no grid (some column must repeat a
-    # value), and no table, nor the fold inside the outermost, exceeds a block
+    # one column of distinct values is no grid (some column must repeat a value)
     if (periods[-1] != 1 or len(runs) < 2 or any(p % r for p, r in zip(periods, periods[1:]))
-            or min(sizes) < 2 or max(sizes) > block or rows // sizes[0] > block):
+            or min(sizes) < 2 or max(sizes) > cap or rows // sizes[0] > cap):
         return None
     grid = []
     for d, run, m in zip(nested, periods[1:], sizes):
@@ -1000,7 +1007,7 @@ def _product_grid(U: np.ndarray, block: int):
     return grid + [(d, U[:1, d]) for d, run in enumerate(runs) if run == rows]
 
 
-def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
+def _level_free(fit: GPFit, X: np.ndarray, cap: int) -> _Query:
     """The checks and level-free parts of a query ``X`` of the right shape.
 
     Raises ``ParamDomainError`` for non-finite or out-of-bounds
@@ -1016,62 +1023,47 @@ def _level_free(fit: GPFit, X: np.ndarray, block: int) -> _Query:
     U = to_unit_coords(X, train.bounds)
     scales = SQRT5 / fit.config.lengthscales
     P = fit.config.corr_matrix()
-    level_table, s = (None, train.n_levels) if P is None else (P[:, train.levels - 1], P.shape[0])
-    grid = _product_grid(U, block)
+    level_table = np.ones((train.n_levels, train.n)) if P is None else P[:, train.levels - 1]
+    grid = _product_grid(U, cap)
     if grid is None:
-        return _Query(X, level_table, s, list(zip(U.T, train.X01.T, scales)), None)
+        return _Query(X, level_table, list(zip(U.T, train.X01.T, scales)), None)
     tables = [_matern_factor(values, train.X01[:, d], scales[d]) for d, values in grid]
-    return _Query(X, level_table, s, None, tables)
+    return _Query(X, level_table, None, tables)
 
 
-def _grid_product(fit: GPFit, query: _Query, levels: np.ndarray) -> np.ndarray:
-    """r0 @ alpha at every row of a product grid (see the module docstring)."""
-    level_table, named, at = query.level_table, levels.reshape(-1), None
-    if level_table is not None and named.size > 1:
-        named, at = np.unique(named, return_inverse=True)
-    folded = fit.alpha[None] if level_table is None else level_table[named - 1] * fit.alpha
+def _grid_product(fit: GPFit, query: _Query, at: np.ndarray) -> np.ndarray:
+    """r0 @ alpha at every row of a product grid, at the 0-based levels
+    ``at``, one or one per row (see the module docstring)."""
+    if at.size > 1:  # each row from its level's one-level product
+        out = np.empty(at.size)
+        for level in range(len(query.level_table)):
+            rows = np.flatnonzero(at == level)
+            out[rows] = _grid_product(fit, query, np.array([level])).take(rows)
+        return out
+    folded = query.level_table[at] * fit.alpha
     for table in reversed(query.tables[1:]):
         folded = (table[:, None] * folded).reshape(-1, folded.shape[1])
-    out = (query.tables[0] @ folded.T).reshape(-1)
-    return out if at is None else out.take(np.arange(0, out.size, named.size) + at)
+    return (query.tables[0] @ folded.T).reshape(-1)
 
 
-def _block_product(fit: GPFit, query: _Query, levels: np.ndarray, block: int) -> np.ndarray:
-    """r0 @ alpha at every query row, block by block (see the module docstring)."""
-    n, rows = fit.train.n, len(query.X)
-    level_table = query.level_table
-    single = level_table is not None and levels.size == 1
-    # every block reuses four (width, n) work arrays: the scaled
-    # distances, the product, the next factor (or per-row level factor)
-    # and a single level's factor, filled once
-    width = min(rows, block + 1)
-    t, product, factor, level = np.empty((4, width, n))
-    if single:
-        level[...] = level_table[levels.item() - 1]
-    else:
-        levels = levels.reshape(-1) - 1
+def _block_product(fit: GPFit, query: _Query, at: np.ndarray, block: int) -> np.ndarray:
+    """r0 @ alpha at every query row, at the 0-based levels ``at``, one or
+    one per row, block by block (see the module docstring)."""
+    rows = len(query.X)
+    at = np.broadcast_to(at, (rows,))
     out = np.empty(rows)
     # numpy sends a one-row product to BLAS ddot, which sums in another
     # order than gemv does for the other rows: a lone last row joins the
     # block before it
     starts = range(0, max(rows - 1, 1), block)
     for start, stop in zip(starts, [*starts[1:], rows]):
-        size = stop - start
-        r = product[:size]
-        for d, (x, x_train, scale) in enumerate(query.columns):
-            _matern_factor(x[start:stop], x_train, scale, t[:size], factor[:size] if d else r)
-            if d:
-                r *= factor[:size]
-        if not query.columns:
-            r.fill(1.0)
-        # the level factor, last (see the module docstring)
-        if level_table is not None:
-            if single:
-                r *= level[:size]
-            else:
-                r *= np.take(level_table, levels[start:stop], axis=0, mode="clip",
-                             out=factor[:size])
-        np.matmul(r, fit.alpha, out=out[start:stop])
+        # the Matern factors in dimension order, then the level factor,
+        # freed before the next block's are made (see the module docstring)
+        factors = [*(_matern_factor(x[start:stop], x_train, scale)
+                     for x, x_train, scale in query.columns),
+                   query.level_table.take(at[start:stop], axis=0)]
+        np.matmul(functools.reduce(operator.imul, factors), fit.alpha, out=out[start:stop])
+        del factors
     return out
 
 
@@ -1093,30 +1085,32 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != train.q:
         raise ParamArityError(f"X must have shape (rows, {train.q}), got {X.shape}")
-    rows = X.shape[0]
+    rows, n = X.shape[0], train.n
     levels = _as_levels(levels)
     if levels.ndim > 1 or levels.size not in (1, rows):
         raise ParamArityError(f"levels must be a scalar or have {rows} entries, "
                               f"got shape {levels.shape}")
     query = fit._query
-    block = max(8, _BLOCK_ELEMENTS // train.n // 8 * 8)
     if query is None or not np.array_equal(X, query.X):
         # the last query's part is freed before this one's is built, and
         # this one's is published complete: a concurrent call reads
         # either a finished query or none
         del query
         object.__setattr__(fit, "_query", None)
-        query = _level_free(fit, X, block)
+        query = _level_free(fit, X, _rows(_GRID_ELEMENTS, n))
         object.__setattr__(fit, "_query", query)
     # item() reads a lone level in well under a microsecond; rows = 0 may name none
     low, high = ((levels.item(),) * 2 if levels.size == 1
                  else (levels.min(initial=1), levels.max(initial=1)))
-    if low < 1 or high > query.s:
-        raise ParamDomainError(f"query level outside 1..{query.s}")
+    s = len(query.level_table)
+    if low < 1 or high > s:
+        raise ParamDomainError(f"query level outside 1..{s}")
+    at = levels.reshape(-1) - 1
     if query.tables is None:
-        out = _block_product(fit, query, levels, block)
+        # a lone last row joins the block before it, so a block leaves one row spare
+        out = _block_product(fit, query, at, _rows(_STACK_ELEMENTS - n, n))
     else:
-        out = _grid_product(fit, query, levels)
+        out = _grid_product(fit, query, at)
     out += fit.mu_z
     out *= fit.y_std
     out += fit.y_mean
@@ -1171,9 +1165,9 @@ def _numbers(value) -> np.ndarray:
 
 
 def _integer(value):
-    """``value``, an integer or None (JSON null)."""
-    if value is not None and not whole(value):
-        raise TypeError(f"must be an integer or null, got {value!r}")
+    """``value``, an integer."""
+    if not whole(value):
+        raise TypeError(f"must be an integer, got {value!r}")
     return value
 
 
@@ -1181,9 +1175,10 @@ def load_fit(path) -> GPFit:
     """Reconstruct a fitted model saved by :func:`save_fit`.
 
     Raises ``ParamDomainError`` for a file that is not valid JSON, not a
-    version-1 mixedgp fit, lacks a field the model is rebuilt from, or
-    has a field of the wrong type (the error names the file and the
-    field); the model's own checks apply to the values.
+    version-1 mixedgp fit, lacks a field the model is rebuilt from, has a
+    field of the wrong type, or a family or nugget that is not valid (the
+    error names the file and the field); the model's own checks apply to
+    the other values.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -1196,7 +1191,10 @@ def load_fit(path) -> GPFit:
     if missing:
         raise ParamDomainError(f"{path}: missing fields {', '.join(missing)}")
 
-    def read(key, convert):
+    def read(key, convert, null=False):
+        """``convert`` of field ``key``; None for null where ``null`` allows it."""
+        if null and doc[key] is None:
+            return None
         try:
             return convert(doc[key])
         except (TypeError, ValueError) as exc:  # ParamDomainError included
@@ -1207,16 +1205,14 @@ def load_fit(path) -> GPFit:
         read("train_levels", _as_levels),  # rejects 1.5, which int() would truncate
         read("train_y", _numbers),
         bounds=read("bounds", _numbers),
-        n_levels=doc["n_levels"],
+        n_levels=read("n_levels", _integer),
     )
-    spec = None
-    if doc["family"] is not None:
-        spec = FamilySpec(doc["family"], read("s", _integer), read("rank", _integer))
+    s, rank = read("s", _integer, null=True), read("rank", _integer, null=True)
     config = KernelConfig(
         read("lengthscales", _numbers),
-        spec,
-        read("cat_params", lambda value: None if value is None else _numbers(value)),
-        nugget=doc["nugget"],
-        corr_nugget=doc["corr_nugget"],
+        read("family", lambda family: FamilySpec(family, s, rank), null=True),
+        read("cat_params", _numbers, null=True),
+        nugget=read("nugget", functools.partial(_nugget, "nugget")),
+        corr_nugget=read("corr_nugget", functools.partial(_nugget, "corr_nugget")),
     )
     return refit_config(train, config)

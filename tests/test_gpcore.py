@@ -4,11 +4,19 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -1418,23 +1426,30 @@ def mesh(axes, indexing="ij"):
     return np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing=indexing)])
 
 
-def on_product_grid(X, block):
+def block_and_cap(n):
+    """predict_batch's rows per block off a grid, at n training points
+    (one row spare for a lone last row), and the rows to which it caps a
+    product grid's tables."""
+    return gpcore._rows(gpcore._STACK_ELEMENTS - n, n), gpcore._rows(gpcore._GRID_ELEMENTS, n)
+
+
+def on_product_grid(X, cap):
     """predict_batch's rule for the one-product path: the rows list every
     combination of the columns' distinct values once, in nested order
     over some order of the columns; some column repeats a value; and no
     table, nor the product of the tables inside the outermost (constant
-    columns nest anywhere), has more than ``block`` rows."""
+    columns nest anywhere), has more than ``cap`` rows."""
     rows, q = X.shape
     # each column's distinct values, in the order they first occur
     values = [x[np.sort(np.unique(x, return_index=True)[1])] for x in X.T]
     counts = [v.size for v in values]
     if (math.prod(counts) != rows or not any(c < rows for c in counts)
-            or max(counts) > block):
+            or max(counts) > cap):
         return False
     for order in itertools.permutations(range(q)):
         if np.array_equal(mesh([values[d] for d in order]), X[:, order]):
             outer = next(counts[d] for d in order if counts[d] > 1)
-            return rows // outer <= block
+            return rows // outer <= cap
     return False
 
 
@@ -1513,10 +1528,12 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
     config = KernelConfig(np.exp(rng.uniform(np.log(0.1), np.log(2.0), q)), spec,
                           None if spec is None else rng.uniform(lo[q:], hi[q:]))
     gp = refit_config(train, config)
-    block = max(8, gpcore._BLOCK_ELEMENTS // train.n // 8 * 8)
+    block, cap = block_and_cap(train.n)
     # Each query is predicted four times: the model builds its level-free
-    # part on the first call, and the others reuse it.
-    sets = [Xq for rows in (0, 1, 3, block - 1, block, block + 1, 3 * block + 5)
+    # part on the first call, and the others reuse it. Row counts around
+    # a block (a lone last row joins the block before it) and around the
+    # cap (a line of distinct values is a product grid up to it)
+    sets = [Xq for rows in (0, 1, 3, block - 1, block, block + 1, cap, cap + 1, 3 * block + 5)
             for Xq in query_sets(rng, rows, q)]
     if q:
         # full tensor grids of about three blocks (at q = 1 one block, a
@@ -1527,16 +1544,16 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
         grids = [mesh(axes), mesh(axes, "xy"), mesh(axes)[::-1]]
         if q > 1:
             grids.append(np.insert(mesh(axes[1:]), q // 2, 0.37, axis=1))
-        # the caps, on either side: the outermost table, and the fold
-        # of the tables inside it, of a block of rows and of one more
-        for size in (block, block + 1):
+        # the cap, on either side: the outermost table, and the fold of
+        # the tables inside it, of the cap's rows and of one more
+        for size in (cap, cap + 1):
             grids += [mesh([np.linspace(0.0, 1.0, m) for m in (size, 2, 1)[:q]]),
                       mesh([np.linspace(0.0, 1.0, m) for m in (2, size, 1)[:q]])]
         # permuted, a row repeated: no grids (query_sets has all rows equal)
         others = [rng.permutation(grids[0]), np.insert(grids[0], 7, grids[0][3], axis=0)]
-        assert [on_product_grid(Xq, block) for Xq in grids] == (
+        assert [on_product_grid(Xq, cap) for Xq in grids] == (
             [q > 1] * (len(grids) - 2) + [False, False])
-        assert not any(on_product_grid(Xq, block) for Xq in others)
+        assert not any(on_product_grid(Xq, cap) for Xq in others)
         sets += grids + others
     on_grid = 0
     for Xq in sets:
@@ -1546,8 +1563,8 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
             # a product grid is one matrix product, which sums in another
             # order: both lie within the rounding bound of the exact value.
             # Any other query keeps the reference's bits.
-            assert (gp._query.tables is not None) == on_product_grid(Xq, block)
-            if on_product_grid(Xq, block):
+            assert (gp._query.tables is not None) == on_product_grid(Xq, cap)
+            if on_product_grid(Xq, cap):
                 on_grid += 1
                 assert_within_rounding(gp, Xq, lv, rng, got, want)
             else:
@@ -1557,10 +1574,12 @@ def test_predict_batch_blocks_match_one_array_reference(label, q):
 
 @pytest.mark.parametrize("q", [0, 2])
 def test_single_level_and_per_row_routes_agree(q):
-    # a single level's factor comes from the level block, a per-row
-    # level's from a row gather; with every row at one level the two
-    # give the same bits, around the block boundaries and on a grid,
-    # cut after a whole line (a product grid) or within one
+    # a single level multiplies every row by one row of the level table,
+    # per-row levels each row by its own; with every row at one level the
+    # two give the same bits, and with mixed levels each row that of its
+    # level: around the block boundaries, on a grid cut after a whole line
+    # (a product grid) or within one, and on lines of distinct values on
+    # either side of the grid cap
     s = 4
     rng = np.random.default_rng(41 + q)
     if q == 0:  # one point per level
@@ -1570,18 +1589,29 @@ def test_single_level_and_per_row_routes_agree(q):
     train = TrainingSet(X, levels, y, n_levels=s)
     gp = refit_config(train, KernelConfig([0.3, 0.6][:q], FamilySpec("UC", s),
                                           [1.0, 2.0, 1.5, 0.5, 2.5, 1.2]))
-    block = max(8, gpcore._BLOCK_ELEMENTS // train.n // 8 * 8)
+    block, cap = block_and_cap(train.n)
+    sets = []
     for rows in (block - 1, block, block + 1, 3 * block + 5):
-        sets = [rng.random((rows, q))]
+        sets.append(rng.random((rows, q)))
         if q:
             side = math.ceil(math.sqrt(rows))
             g = np.linspace(0.0, 1.0, side)
             grid = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
             sets += [grid[:rows], grid[:rows // side * side]]
-        for Xq in sets:
-            for lv in range(1, s + 1):
-                assert np.array_equal(predict_batch(gp, Xq, lv),
-                                      predict_batch(gp, Xq, np.full(len(Xq), lv)))
+    if q:
+        sets += [np.column_stack([np.linspace(0.0, 1.0, rows), np.full(rows, 0.5)])
+                 for rows in (cap, cap + 1)]
+    for Xq in sets:
+        each = [predict_batch(gp, Xq, lv) for lv in range(1, s + 1)]
+        for lv in range(1, s + 1):
+            assert np.array_equal(each[lv - 1], predict_batch(gp, Xq, np.full(len(Xq), lv)))
+        # and with mixed levels, each row has its level's bits
+        mixed = rng.integers(1, s + 1, size=len(Xq))
+        assert np.array_equal(predict_batch(gp, Xq, mixed), np.choose(mixed - 1, each))
+    if q:  # the lines: a grid up to the cap
+        assert gp._query.tables is None
+        predict_batch(gp, sets[-2], 1)
+        assert gp._query.tables is not None
 
 
 def query_sets(rng, rows, q):
@@ -1589,10 +1619,10 @@ def query_sets(rng, rows, q):
 
     Those are a grid in the first dimension only, all rows equal, a line
     (distinct values in the first column, further columns constant),
-    which is a product grid up to a block of rows, and a nested grid of
+    which is a product grid up to the grid cap, and a nested grid of
     random values whose distinct counts multiply to the row count, which
     predict_batch predicts as a product grid while its tables hold at
-    most a block of rows, and the same rows permuted, which it does not.
+    most the cap's rows, and the same rows permuted, which it does not.
     """
     yield rng.random((rows, q))
     if not (q and rows):
@@ -1638,9 +1668,9 @@ def test_product_grid_rule_reads_the_nested_order():
         assert not on_product_grid(other, 15)
 
 
-def test_product_grid_rule_caps_tables_at_a_block():
+def test_product_grid_rule_caps_tables():
     # every table, and the fold of the tables inside the outermost, has
-    # at most a block of rows; the rows list every grid point once
+    # at most the cap's rows; the rows list every grid point once
     line = np.column_stack([np.linspace(0.0, 1.0, 10), np.full(10, 0.5)])
     assert gpcore._product_grid(line, 10) is not None
     assert gpcore._product_grid(line, 9) is None
@@ -1658,6 +1688,47 @@ def test_product_grid_rule_caps_tables_at_a_block():
         assert gpcore._product_grid(np.zeros((rows, 2)), 8) is None
 
 
+FRESH_PAGES = """
+import resource
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from mixedgp.corrparam import FamilySpec
+from mixedgp.gpcore import KernelConfig, TrainingSet, predict_batch, refit_config
+
+n, rows = int(sys.argv[2]), int(sys.argv[3])
+rng = np.random.default_rng(17)
+train = TrainingSet(rng.random((n, 2)), np.arange(n) % 4 + 1, rng.standard_normal(n))
+gp = refit_config(train, KernelConfig([0.3, 0.6], FamilySpec("UC", 4),
+                                      [1.0, 2.0, 1.5, 0.5, 2.5, 1.2]))
+X = rng.random((rows, 2))
+levels = [1, 2, 3, 4, rng.integers(1, 5, size=rows)]
+for lv in levels:
+    predict_batch(gp, X, lv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for call in range(20):
+    predict_batch(gp, X, levels[call % len(levels)])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("n, rows", [(32, 1_000), (32, 10_000), (48, 1_000), (48, 10_000)])
+def test_predict_batch_faults_in_no_fresh_pages(n, rows):
+    # once warm, a scattered query's blocks come from the heap: each of
+    # their arrays stays under glibc's mmap threshold, and is freed before
+    # the next block's are made. Each case runs in a fresh interpreter:
+    # glibc raises the threshold to the size of each mapped array it
+    # frees, so a process that has freed large arrays hides larger blocks
+    src = str(Path(gpcore.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", FRESH_PAGES, src, str(n), str(rows)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    faults = int(done.stdout)
+    assert faults < 20, f"{faults} page faults in 20 calls"  # fewer than one a call
+
+
 def test_predict_batch_memory_is_a_few_blocks():
     # O(block * n), not O(rows * n): one (rows, n) array here is 19 MB
     rng = np.random.default_rng(8)
@@ -1665,7 +1736,7 @@ def test_predict_batch_memory_is_a_few_blocks():
     gp = refit_config(TrainingSet(X_train, levels, y),
                       KernelConfig(np.array([0.3, 0.6]), FamilySpec("EC", 3), np.array([0.4])))
     rows = 100_000
-    block = max(8, gpcore._BLOCK_ELEMENTS // gp.train.n // 8 * 8)
+    block, _ = block_and_cap(gp.train.n)
     scattered = rng.random((rows, 2))
     grid = np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 400),
                                                             np.linspace(0.0, 1.0, 250))])
@@ -1759,7 +1830,7 @@ def test_predict_batch_keeps_no_stale_query():
     uc = refit_config(train, KernelConfig([0.5, 0.2], FamilySpec("UC", 3), [1.0, 2.0, 1.5]))
     g = np.linspace(0.0, 1.0, 60)
     Xq = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
-    assert len(Xq) > gpcore._BLOCK_ELEMENTS // train.n  # more than a block
+    assert len(Xq) > block_and_cap(train.n)[0]  # more than a block
 
     def check(model, lv):
         fresh = refit_config(train, model.config)
@@ -1912,6 +1983,13 @@ def _saved_fit(tmp_path):
         (lambda doc: doc["train_X"][0].append(0.5), "model.json: field train_X"),
         (lambda doc: doc.update(bounds=None), "model.json: field bounds"),
         (lambda doc: doc.update(s="4"), "model.json: field s"),
+        (lambda doc: doc.update(nugget="a"),
+         "model.json: field nugget: nugget must be finite and nonnegative, got 'a'"),
+        (lambda doc: doc.update(corr_nugget=-1.0), "model.json: field corr_nugget"),
+        (lambda doc: doc.update(n_levels="4"), "model.json: field n_levels"),
+        (lambda doc: doc.update(n_levels=2.5), "model.json: field n_levels"),
+        (lambda doc: doc.update(n_levels=None), "model.json: field n_levels"),  # save_fit writes one
+        (lambda doc: doc.update(family="ZZ"), "model.json: field family: unknown family 'ZZ'"),
     ],
 )
 def test_load_fit_rejects_incomplete_document(tmp_path, edit, message):

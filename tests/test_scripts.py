@@ -1,6 +1,7 @@
 """The gate script ``scripts/bitcheck.py``, imported and run in part."""
 
 import importlib.util
+import itertools
 import re
 import subprocess
 import sys
@@ -48,6 +49,17 @@ def test_bitcheck_grid_section_digests_every_model(monkeypatch, tmp_path):
     monkeypatch.setattr(bitcheck.gpcore, "_product_grid", lambda U, block: None)
     with pytest.raises(AssertionError, match=r"\.json"):
         next(bitcheck.grid_lines(str(tmp_path / "blocks")))
+
+
+def test_bitcheck_scatter_section_digests_models(monkeypatch, tmp_path):
+    # the block path's section: its first lines, one sha256 digest per
+    # predict_grid model on the scattered query
+    bitcheck = load_bitcheck(monkeypatch)
+    lines = [line.split() for line in
+             itertools.islice(bitcheck.scatter_lines(str(tmp_path)), 8)]
+    assert len(lines) == 8 and len({line[1] for line in lines}) == 8
+    assert all(line[0] == "scatter" and line[1].endswith(".json")
+               and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
 
 
 def test_bitcheck_prints_the_named_sections_in_order(monkeypatch, capsys):
