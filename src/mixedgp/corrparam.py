@@ -31,6 +31,8 @@ checked, by its family's one rule (:func:`check_params`).
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +159,15 @@ def check_params(spec: FamilySpec, values) -> np.ndarray:
             "MC": "MC parameters must all be positive",
         }.get(family, f"{spec.label} angles must lie in (0, pi)"))
     return values
+
+
+def check_nugget(name: str, value, zero: bool = False):
+    """``value``, a finite real number > 0 (>= 0 with ``zero``), else
+    ``ParamDomainError`` naming ``name``: the rule of every nugget."""
+    words, above = ("nonnegative", operator.le) if zero else ("positive", operator.lt)
+    if not (isinstance(value, numbers.Real) and above(0, value) and value < math.inf):
+        raise ParamDomainError(f"{name} must be finite and {words}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -320,9 +331,9 @@ def regularize(P: np.ndarray, nugget: float = DEFAULT_NUGGET) -> CorrMatrix:
 
     (P + nugget I) / (1 + nugget) keeps entries in [-1, 1] and lifts the
     smallest eigenvalue to at least nugget / (1 + nugget) for psd P.
+    The nugget must be finite and positive (:func:`check_nugget`).
     """
-    if nugget <= 0.0:
-        raise ParamDomainError(f"nugget must be positive, got {nugget}")
+    check_nugget("nugget", nugget)
     P = np.asarray(P, dtype=float)
     s = P.shape[0]
     if np.abs(P - P.T).max() > 1e-12:
@@ -430,12 +441,13 @@ def build_correlation(
 ) -> CorrMatrix:
     """Validated correlation matrix for any family: :func:`corr_values` as a CorrMatrix.
 
-    LRC's nugget must be positive, and its regularized matrix must
-    factor (``NumericalRankError`` otherwise); EC, MC and UC are
-    positive definite for every valid parameter vector.
+    LRC's nugget must be finite and positive (:func:`check_nugget`), and
+    its regularized matrix must factor (``NumericalRankError``
+    otherwise); EC, MC and UC use no nugget, and are positive definite
+    for every valid parameter vector.
     """
-    if spec.family == "LRC" and nugget <= 0.0:
-        raise ParamDomainError(f"nugget must be positive, got {nugget}")
+    if spec.family == "LRC":
+        check_nugget("nugget", nugget)
     result = CorrMatrix(corr_values(spec, values, nugget), spec.s)
     if spec.family == "LRC":
         result.cholesky()

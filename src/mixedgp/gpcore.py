@@ -10,7 +10,7 @@ Prediction is the plug-in best linear unbiased predictor.
 
 One expression, ``_matern``, evaluates the Matern(5/2) factor of scaled
 distances of any shape. The likelihood applies it once to the whole
-(q, n(n-1)/2 + 1) stack of the training set's memoized differences,
+(q, n(n-1)/2 + 1) stack of the differences that the training set holds,
 one column per unordered pair and one zero column for the diagonal
 (R is symmetric, and |x_i - x_j| and |x_j - x_i| are the same double),
 and multiplies the q factors along the first axis (``_kernel``), so
@@ -89,9 +89,9 @@ one call, but OpenBLAS runs it on a second thread at every size the
 study fits, N = 16 to 48: 74 us CPU for 44 us wall at N = 32, against
 17 us for ``dtrtri`` and the product.) An evaluation builds the UC/LRC
 loading once, in ``corr_values``, and hands it to ``corr_grad``; P is
-gathered at the level pairs through a flat index memoized on the
-training set, and the standardized responses are memoized there too,
-with the [z, 1] array that each solve starts from a copy of.
+gathered at the level pairs through a flat index that the training set
+builds once, as it does the standardized responses and the [z, 1] array
+that each solve starts from a copy of.
 None of this changes a floating-point operation or its order, so the
 searches, and every fitted number, are those of the straightforward
 evaluation.
@@ -137,6 +137,7 @@ from scipy.optimize._lbfgsb import setulb
 from .corrparam import (
     FamilySpec,
     cat_param_bounds,
+    check_nugget,
     check_params,
     corr_grad,
     corr_values,
@@ -212,8 +213,8 @@ class KernelConfig:
         object.__setattr__(self, "lengthscales", ls)
         if not ((ls > 0) & (ls < math.inf)).all():  # NaN fails both
             raise ParamDomainError("lengthscales must be positive and finite")
-        _nugget("nugget", self.nugget)
-        _nugget("corr_nugget", self.corr_nugget)
+        check_nugget("nugget", self.nugget, zero=True)
+        check_nugget("corr_nugget", self.corr_nugget)
         if self.cat_params is not None:
             cat = np.array(self.cat_params, dtype=float).ravel()
             cat.setflags(write=False)
@@ -229,14 +230,6 @@ class KernelConfig:
         if self.family_spec is None:
             return None
         return corr_values(self.family_spec, self.cat_params, self.corr_nugget)
-
-
-def _nugget(name: str, value):
-    """``value``, a finite real number, >= 0 for ``nugget`` and > 0 for ``corr_nugget``."""
-    words, above = ("nonnegative", operator.le) if name == "nugget" else ("positive", operator.lt)
-    if not (isinstance(value, numbers.Real) and above(0, value) and value < math.inf):
-        raise ParamDomainError(f"{name} must be finite and {words}, got {value!r}")
-    return value
 
 
 def _outside(X: np.ndarray, bounds: np.ndarray) -> bool:
@@ -281,12 +274,34 @@ class TrainingSet:
     n_levels : int, optional
         Number of levels s; defaults to max(levels). An integral float
         such as 4.0 is accepted; a non-integral or non-finite one raises
-        ``ParamDomainError``.
+        ``ParamDomainError``. A model of this set has a family of exactly
+        s levels.
+
+    Besides ``X``, ``levels``, ``y``, ``bounds``, ``n``, ``q`` and
+    ``n_levels``, a training set holds what every likelihood evaluation
+    reads, built once here, each array read-only:
+
+    * ``X01``: the (n, q) coordinates mapped to the unit box;
+    * ``absdiff``: the (q, n(n-1)/2 + 1) array of |x_i - x_j| per
+      dimension (unit coordinates), one column per pair i < j in
+      row-major order, then a zero column for i = j; ``_pair_columns(n)``
+      maps each ordered pair to its column (see the module docstring);
+    * ``y_mean`` and ``y_std``: the mean and standard deviation of ``y``
+      (a std below ``_YSTD_FLOOR`` is taken as 1);
+    * ``rhs``: the (2, n) array [z, 1] that the likelihood solves, z the
+      standardized responses (y - y_mean) / y_std;
+    * ``level_indicator``: the (n, n_levels) 0/1 matrix with row i's 1
+      in column levels[i] - 1, so that E^T A E sums an n x n array A by
+      level pair;
+    * ``pair_index``: the (n, n) flat index of P[level_i, level_j] in an
+      n_levels x n_levels P, so that ``np.take(P, pair_index)`` gathers P
+      at every training pair with one index array, where ``np.ix_``
+      indexing would broadcast two.
     """
 
     def __init__(self, X, levels, y, bounds=None, n_levels=None):
-        # private read-only copies: the memoized quantities below, and
-        # what save_fit writes, must not change when the caller's arrays do
+        # private read-only copies: the arrays built below, and what
+        # save_fit writes, must not change when the caller's arrays do
         X = np.array(X, dtype=float, ndmin=2)
         levels = _as_levels(levels).ravel()
         y = np.array(y, dtype=float).ravel()
@@ -322,69 +337,18 @@ class TrainingSet:
         if self.n_levels < levels.max():
             raise ParamDomainError("n_levels smaller than an observed level")
         self.X01 = to_unit_coords(X, bounds)
-        self._absdiff = None
-        self._standardized = None
-        self._rhs = None
-        self._indicators = {}
-        self._pair_index = {}
-
-    def pair_absdiff(self) -> np.ndarray:
-        """Memoized (q, n(n-1)/2 + 1) array of |x_i - x_j| per dimension (normalized).
-
-        One column per pair i < j, in row-major order, then a zero column
-        for i = j; ``_pair_columns(n)`` maps each ordered pair to its
-        column (see the module docstring).
-        """
-        if self._absdiff is None:
-            i, j = _upper_pairs(self.n)
-            X = self.X01.T
-            absdiff = np.zeros((self.q, i.size + 1))
-            np.abs(X.take(i, axis=1) - X.take(j, axis=1), out=absdiff[:, :-1])
-            absdiff.setflags(write=False)
-            self._absdiff = absdiff
-        return self._absdiff
-
-    def standardized(self):
-        """Memoized (z, mean, std): the responses standardized for fitting."""
-        if self._standardized is None:
-            z, mean, std = _standardize(self.y)
-            rhs = np.array([z, np.ones(self.n)])
-            rhs.setflags(write=False)
-            self._rhs = rhs
-            self._standardized = (rhs[0], mean, std)
-        return self._standardized
-
-    def rhs(self) -> np.ndarray:
-        """Memoized (2, n) array [z, 1]: the right-hand sides the likelihood
-        solves, z from :meth:`standardized` (whose z is its first row)."""
-        self.standardized()
-        return self._rhs
-
-    def level_indicator(self, s: int) -> np.ndarray:
-        """Memoized (n, s) 0/1 matrix with row i's 1 in column levels[i] - 1.
-
-        E^T A E sums an n x n array A by level pair into an s x s array.
-        """
-        E = self._indicators.get(s)
-        if E is None:
-            E = (self.levels[:, None] == np.arange(1, s + 1)).astype(float)
-            E.setflags(write=False)
-            self._indicators[s] = E
-        return E
-
-    def pair_index(self, s: int) -> np.ndarray:
-        """Memoized (n, n) flat index of P[level_i, level_j] in an s x s P.
-
-        ``np.take(P, index)`` gathers P at every training pair with one
-        index array, where ``np.ix_`` indexing would broadcast two.
-        """
-        index = self._pair_index.get(s)
-        if index is None:
-            lv = self.levels - 1
-            index = lv[:, None] * s + lv
-            index.setflags(write=False)
-            self._pair_index[s] = index
-        return index
+        i, j = _upper_pairs(n)
+        X01 = self.X01.T
+        self.absdiff = np.zeros((q, i.size + 1))
+        np.abs(X01.take(i, axis=1) - X01.take(j, axis=1), out=self.absdiff[:, :-1])
+        mean, std = float(y.mean()), float(y.std())
+        self.y_mean, self.y_std = mean, 1.0 if std < _YSTD_FLOOR else std
+        self.rhs = np.array([(y - self.y_mean) / self.y_std, np.ones(n)])
+        s, lv = self.n_levels, levels - 1
+        self.level_indicator = (levels[:, None] == np.arange(1, s + 1)).astype(float)
+        self.pair_index = lv[:, None] * s + lv
+        for a in (self.X01, self.absdiff, self.rhs, self.level_indicator, self.pair_index):
+            a.setflags(write=False)
 
 
 def _check_config(train: TrainingSet, spec: FamilySpec | None, n_lengthscales: int) -> None:
@@ -392,7 +356,7 @@ def _check_config(train: TrainingSet, spec: FamilySpec | None, n_lengthscales: i
     if n_lengthscales != train.q:
         raise ParamArityError(f"need {train.q} lengthscales, one per continuous dimension, "
                               f"got {n_lengthscales}")
-    if spec is not None and spec.s < train.n_levels:
+    if spec is not None and spec.s != train.n_levels:
         raise ParamDomainError(
             f"{spec.label} has {spec.s} levels but the training set has {train.n_levels}"
         )
@@ -401,7 +365,7 @@ def _check_config(train: TrainingSet, spec: FamilySpec | None, n_lengthscales: i
 @functools.lru_cache(maxsize=None)
 def _upper_pairs(n: int):
     """The read-only ``np.triu_indices(n, 1)``, which costs more than the
-    memo of differences built from it."""
+    training set's differences built from it."""
     pairs = np.triu_indices(n, 1)
     for a in pairs:
         a.setflags(write=False)
@@ -411,7 +375,7 @@ def _upper_pairs(n: int):
 @functools.lru_cache(maxsize=None)
 def _pair_columns(n: int) -> np.ndarray:
     """The (n, n) index of each ordered pair's column in
-    :meth:`TrainingSet.pair_absdiff`: (i, j) and (j, i) both map to the
+    ``TrainingSet.absdiff``: (i, j) and (j, i) both map to the
     column of the pair i < j, and the diagonal to the last, zero, column.
     ``a.take(_pair_columns(n), axis=-1)`` expands a (..., n(n-1)/2 + 1)
     array of per-pair values to its (..., n, n) matrices in one gather.
@@ -492,22 +456,14 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     _check_config(train, config.family_spec, config.lengthscales.size)
     if P is None:
         P = config.corr_matrix()
-    R = _kernel(train.pair_absdiff(), config.lengthscales).take(_pair_columns(train.n))
+    R = _kernel(train.absdiff, config.lengthscales).take(_pair_columns(train.n))
     if P is not None:
-        R *= np.take(P, train.pair_index(P.shape[0]))
+        R *= np.take(P, train.pair_index)
     R.reshape(-1)[:: train.n + 1] += config.nugget
     L, info = dpotrf(R.T, lower=1)
     if info != 0:
         raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
     return R, L
-
-
-def _standardize(y: np.ndarray):
-    mean = float(y.mean())
-    std = float(y.std())
-    if std < _YSTD_FLOOR:
-        std = 1.0
-    return (y - mean) / std, mean, std
 
 
 def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
@@ -519,7 +475,7 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
     sigma2, L, r, g), each with a leading axis k: the objective n
     log(sigma2) + log det R, the mask of the points whose R factors,
     the GLS mean and profiled
-    variance of the standardized responses z (``train.standardized()``),
+    variance of the standardized responses z (``train.rhs[0]``),
     the Cholesky factors L of R (lower, each Fortran-ordered), the
     whitened residuals r = L^-1 (z - mu 1), and, with ``grad``, the
     (k, q + p) gradient g of the objective in (lengthscales, cat_params)
@@ -538,15 +494,15 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
         Ppairs = 1.0
     else:
         P = corr_values(spec, cat_params, corr_nugget, parts=parts)
-        Ppairs = P.reshape(k, -1).take(train.pair_index(spec.s), axis=1)
+        Ppairs = P.reshape(k, -1).take(train.pair_index, axis=1)
     # the Matern factors of each unordered pair, expanded to every
     # ordered pair by one gather
     if grad:
-        K, dlog = _kernel(train.pair_absdiff(), lengthscales, dlog=True)
+        K, dlog = _kernel(train.absdiff, lengthscales, dlog=True)
         K = K.take(columns, axis=1)
         R = K * Ppairs  # the gradient needs K itself
     else:
-        R = _kernel(train.pair_absdiff(), lengthscales).take(columns, axis=1)
+        R = _kernel(train.absdiff, lengthscales).take(columns, axis=1)
         R *= Ppairs
     # R's diagonal is exactly 1 (Matern(0) = 1 and P's diagonal is 1), so
     # setting it to 1 + nugget adds the nugget, without a read
@@ -556,7 +512,7 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
     # solved in place in ab[i]
     L = R.transpose(0, 2, 1)
     ab = np.empty((k, 2, n))
-    ab[...] = train.rhs()
+    ab[...] = train.rhs
     for i, Li in enumerate(L):
         if dpotrf(Li, lower=1, overwrite_a=1)[1]:
             ok[i] = False
@@ -601,7 +557,7 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
         g[:, :q] = np.vecdot(dlog.take(columns.ravel(), axis=2), WR.reshape(k, 1, n * n))
         g[:, :q] /= lengthscales
         if spec is not None:
-            E = train.level_indicator(spec.s)
+            E = train.level_indicator
             g[:, q:] = corr_grad(spec, cat_params, E.T @ WK @ E, parts, corr_nugget)
     if False in ok.tolist():
         nll[~ok] = _FAILED_OBJ
@@ -637,8 +593,8 @@ def concentrated_nll(
     internally; the reported value refers to the standardized scale.
     ``psi`` is the lengthscales followed by the family's parameters; a
     wrong length raises ``ParamArityError``, :class:`KernelConfig` and
-    the family check the values, and a family with fewer levels than the
-    training set raises ``ParamDomainError``.
+    the family check the values, and a family with a different number of
+    levels than the training set raises ``ParamDomainError``.
     """
     psi = np.asarray(psi, dtype=float).ravel()
     q = train.q
@@ -831,8 +787,8 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
 
     If fewer than two levels are observed the categorical parameters
     are unidentifiable; a warning is issued and a continuous-only model
-    is fitted instead. Raises ``ParamDomainError`` when ``spec`` has
-    fewer levels than the training set's ``n_levels``.
+    is fitted instead. Raises ``ParamDomainError`` when ``spec`` has a
+    different number of levels than the training set's ``n_levels``.
     """
     options = options or FitOptions()
     _check_config(train, spec, train.q)  # the search draws one lengthscale per dimension
@@ -946,9 +902,9 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
     The one place a GPFit is built; :func:`fit` and :func:`load_fit` end
     here. Raises ``ParamArityError`` unless ``config`` has one lengthscale
     per continuous dimension, and ``ParamDomainError`` when the family has
-    fewer levels than the training set's ``n_levels``.
+    a different number of levels than the training set's ``n_levels``.
     """
-    _, y_mean, y_std = train.standardized()
+    y_mean, y_std = train.y_mean, train.y_std
     nll, mu_z, sigma2_z, L, r = _profile_one(train, config)
     alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
     return GPFit(
@@ -1074,8 +1030,8 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     1-D array is one row); ``levels`` is a scalar, or one level per row.
     Raises ``ParamArityError`` for other shapes and ``ParamDomainError``
     for non-finite or out-of-bounds coordinates and for levels that are
-    not integers in 1..s (s the family's level count, or the training
-    set's ``n_levels`` for a continuous-only model).
+    not integers in 1..``n_levels``, the training set's level count (a
+    family's ``s``).
 
     A product grid takes one matrix product, any other query blocks of
     rows (see the module docstring). A call with the model's last ``X``
@@ -1102,9 +1058,8 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
     # item() reads a lone level in well under a microsecond; rows = 0 may name none
     low, high = ((levels.item(),) * 2 if levels.size == 1
                  else (levels.min(initial=1), levels.max(initial=1)))
-    s = len(query.level_table)
-    if low < 1 or high > s:
-        raise ParamDomainError(f"query level outside 1..{s}")
+    if low < 1 or high > train.n_levels:
+        raise ParamDomainError(f"query level outside 1..{train.n_levels}")
     at = levels.reshape(-1) - 1
     if query.tables is None:
         # a lone last row joins the block before it, so a block leaves one row spare
@@ -1212,7 +1167,7 @@ def load_fit(path) -> GPFit:
         read("lengthscales", _numbers),
         read("family", lambda family: FamilySpec(family, s, rank), null=True),
         read("cat_params", _numbers, null=True),
-        nugget=read("nugget", functools.partial(_nugget, "nugget")),
-        corr_nugget=read("corr_nugget", functools.partial(_nugget, "corr_nugget")),
+        nugget=read("nugget", functools.partial(check_nugget, "nugget", zero=True)),
+        corr_nugget=read("corr_nugget", functools.partial(check_nugget, "corr_nugget")),
     )
     return refit_config(train, config)

@@ -193,9 +193,9 @@ class SlicedFunction:
 
 
 def base_slice_values(fn: SlicedFunction, slice_idx: int, x_rest) -> np.ndarray:
-    """Original (never upended) values of one slice."""
-    if not 1 <= slice_idx <= fn.s:
-        raise IndexError(f"slice index {slice_idx} outside 1..{fn.s}")
+    """Original (never upended) values of one slice, ``slice_idx`` in 1..s."""
+    if not (whole(slice_idx) and 1 <= slice_idx <= fn.s):
+        raise ParamDomainError(f"slice index must be an integer in 1..{fn.s}, got {slice_idx!r}")
     pts = np.insert(np.atleast_2d(x_rest), 0, fn.positions[slice_idx - 1], axis=1)
     return fn.base.evaluate(pts)
 

@@ -457,6 +457,16 @@ def test_regularize_rejects_out_of_range_entries():
         regularize(np.array([[1.0, 2.0], [2.0, 1.0]]), nugget=1e-8)
 
 
+@pytest.mark.parametrize("nugget", [np.inf, np.nan, 0.0, -1e-9, "1e-8"])
+def test_regularize_and_lrc_build_take_a_finite_positive_nugget(nugget):
+    # the rule KernelConfig applies to corr_nugget
+    message = "nugget must be finite and positive"
+    with pytest.raises(ParamDomainError, match=message):
+        regularize(np.eye(3), nugget)
+    with pytest.raises(ParamDomainError, match=message):
+        build_correlation(FamilySpec("LRC", 3, 2), [1.0, 1.2], nugget)
+
+
 # ---------------------------------------------------------------------------
 # LRC inside UC
 

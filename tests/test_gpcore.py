@@ -193,7 +193,7 @@ def test_stacked_kernel_matches_the_per_dimension_loop(q, n, m, seed):
     train = TrainingSet(X, np.arange(1, n + 1), rng.standard_normal(n))
     fresh = [np.abs(train.X01[:, d, None] - train.X01[None, :, d]) for d in range(q)]
     h = rng.random((q, m)) * rng.choice([0.0, 1.0, 5.0], size=(q, m))
-    for absdiff, per_dim, index in ((train.pair_absdiff(), fresh, _pair_columns(n)),
+    for absdiff, per_dim, index in ((train.absdiff, fresh, _pair_columns(n)),
                                     (h, list(h), np.arange(m))):
         K, D = _kernel(absdiff, ls, dlog=True)
         assert K.shape == absdiff.shape[1:] and D.shape == absdiff.shape
@@ -257,22 +257,30 @@ def test_training_set_accepts_an_integral_float_level_count():
     assert ts.n_levels == 4 and type(ts.n_levels) is int
 
 
-def test_family_with_fewer_levels_than_the_training_set_rejected(tmp_path):
+def test_family_with_another_level_count_than_the_training_set_rejected(tmp_path):
+    # a model's level count is its training set's n_levels: a family of
+    # fewer levels, or of more, is rejected by every entry point
     rng = np.random.default_rng(2)
     X, levels, y = random_instance(rng, 10, s=4)
     ts = TrainingSet(X, levels, y)
-    message = "EC has 3 levels but the training set has 4"
-    with pytest.raises(ParamDomainError, match=message):
-        fit(ts, FamilySpec("EC", 3), QUICK_FIT)
-    with pytest.raises(ParamDomainError, match=message):
-        refit_config(ts, KernelConfig([0.3, 0.4], FamilySpec("EC", 3), [0.5]))
     path = tmp_path / "fit.json"
     save_fit(refit_config(ts, KernelConfig([0.3, 0.4], FamilySpec("EC", 4), [0.5])), path)
-    doc = json.loads(path.read_text())
-    doc["s"] = 3
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ParamDomainError, match=message):
-        load_fit(path)
+    saved = json.loads(path.read_text())
+    for s in (3, 5):
+        spec = FamilySpec("EC", s)
+        config = KernelConfig([0.3, 0.4], spec, [0.5])
+        message = f"EC has {s} levels but the training set has 4"
+        with pytest.raises(ParamDomainError, match=message):
+            fit(ts, spec, QUICK_FIT)
+        with pytest.raises(ParamDomainError, match=message):
+            refit_config(ts, config)
+        with pytest.raises(ParamDomainError, match=message):
+            concentrated_nll([0.3, 0.4, 0.5], ts, spec)
+        with pytest.raises(ParamDomainError, match=message):
+            build_R(ts, config)
+        path.write_text(json.dumps({**saved, "s": s}))
+        with pytest.raises(ParamDomainError, match=message):
+            load_fit(path)
 
 
 @pytest.mark.parametrize("lengthscales", [[0.3], [0.3, 0.4, 0.5]])
@@ -351,9 +359,13 @@ def test_training_set_rejects_misshaped_bounds(bounds):
 def test_training_set_pairwise_differences_are_contiguous_per_dimension():
     rng = np.random.default_rng(4)
     ts = TrainingSet(rng.random((7, 3)), np.ones(7, int), rng.standard_normal(7))
-    absdiff = ts.pair_absdiff()
+    absdiff = ts.absdiff
     assert absdiff.shape == (3, 22) and absdiff.flags.c_contiguous
-    assert not absdiff.flags.writeable and ts.pair_absdiff() is absdiff
+    assert ts.absdiff is absdiff
+    # every array the likelihood reads is built once and read-only
+    arrays = (ts.X01, ts.absdiff, ts.rhs, ts.level_indicator, ts.pair_index)
+    assert not any(a.flags.writeable for a in arrays)
+    assert [a.shape for a in arrays] == [(7, 3), (3, 22), (2, 7), (7, 1), (7, 7)]
     for d in range(3):
         assert np.array_equal(absdiff[d].take(_pair_columns(7)),
                               np.abs(ts.X01[:, d, None] - ts.X01[None, :, d]))
@@ -372,7 +384,7 @@ def test_packed_pair_differences_expand_to_every_ordered_pair(n, q, seed):
     rng = np.random.default_rng(seed)
     X = rng.random((n, q)) * rng.choice([1e-3, 1.0], size=(n, q))
     ts = TrainingSet(X, np.arange(1, n + 1), rng.standard_normal(n))
-    absdiff, columns = ts.pair_absdiff(), _pair_columns(n)
+    absdiff, columns = ts.absdiff, _pair_columns(n)
     assert absdiff.shape == (q, n * (n - 1) // 2 + 1) and not absdiff[:, -1].any()
     assert columns.shape == (n, n) and np.array_equal(columns, columns.T)
     assert (np.diag(columns) == n * (n - 1) // 2).all()
@@ -386,13 +398,13 @@ def test_training_set_keeps_its_own_copy_of_the_responses():
     rng = np.random.default_rng(41)
     X, levels, y = random_instance(rng, 10, s=2)
     ts = TrainingSet(X, levels, y)
-    z, mean, std = ts.standardized()
+    z, mean, std = ts.rhs[0], ts.y_mean, ts.y_std
     kept = (z.copy(), mean, std)
     spec = FamilySpec("EC", 2)
     before = fit(ts, spec, QUICK_FIT)
     y *= -3.0
     y[0] = 100.0
-    z_after, mean_after, std_after = ts.standardized()
+    z_after, mean_after, std_after = ts.rhs[0], ts.y_mean, ts.y_std
     assert np.array_equal(z_after, kept[0]) and (mean_after, std_after) == kept[1:]
     assert not (ts.y.flags.writeable or z_after.flags.writeable)
     again = fit(ts, spec, QUICK_FIT)
@@ -654,7 +666,7 @@ def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, k,
     bad = bad if bad < k else None
     if bad is not None:
         psi[bad, :q] = -0.05
-    z = ts.standardized()[0]
+    z = ts.rhs[0]
     nugget = 1e-6
     references = [reference_profile(ts, z, p[:q], spec, p[q:], nugget, 1e-8) for p in psi]
     assume(all(ref is not None for i, ref in enumerate(references) if i != bad))
@@ -896,8 +908,8 @@ def test_fit_recovers_ec_parameter():
         d, _ = cslhd(20, 2, 1, 5000 + rep)
         P = build_correlation(FamilySpec("EC", 2), [0.8]).values
         points = TrainingSet(d.X, d.levels, np.zeros(40), n_levels=2)
-        K = _kernel(points.pair_absdiff(), np.array([0.3])).take(_pair_columns(40))
-        R = K * np.take(P, points.pair_index(2))
+        K = _kernel(points.absdiff, np.array([0.3])).take(_pair_columns(40))
+        R = K * np.take(P, points.pair_index)
         R[np.diag_indices_from(R)] += 1e-10
         y = np.linalg.cholesky(R) @ rng.standard_normal(40)
         ts = TrainingSet(d.X, d.levels, y, n_levels=2)

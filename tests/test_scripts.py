@@ -84,3 +84,28 @@ def test_bitcheck_rejects_an_unknown_section():
     assert done.returncode == 2 and done.stdout == ""
     assert "scater" in done.stderr
     assert "config gate grid scatter desk profile fit" in done.stderr
+
+
+def test_loc_counts_every_line_of_src():
+    # the totals of scripts/loc.py: every line of every module under
+    # src/, and fewer code lines, a comment and a docstring left out
+    root = SCRIPT.parent.parent
+    done = subprocess.run([sys.executable, str(SCRIPT.parent / "loc.py"), str(root / "src")],
+                          capture_output=True, text=True, check=True)
+    *modules, total = [line.split() for line in done.stdout.splitlines()]
+    files = sorted((root / "src").rglob("*.py"))
+    assert [Path(line[2]) for line in modules] == files
+    assert all(int(line[0]) == len(path.read_text().splitlines())
+               for line, path in zip(modules, files))
+    assert total[2] == "total"
+    assert int(total[0]) == sum(len(path.read_text().splitlines()) for path in files)
+    assert int(total[1]) == sum(int(line[1]) for line in modules) < int(total[0])
+
+
+def test_loc_leaves_out_blank_comment_and_docstring_lines(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('"""Module\n\ndocstring."""\n\n# a comment\nimport os  # code\n\n\n'
+                      'def f(a,\n      b):\n    """Doc."""\n    return """not a\n docstring"""\n')
+    done = subprocess.run([sys.executable, str(SCRIPT.parent / "loc.py"), str(module)],
+                          capture_output=True, text=True, check=True)
+    assert [line.split()[:2] for line in done.stdout.splitlines()] == [["13", "5"]] * 2

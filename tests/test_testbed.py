@@ -173,11 +173,12 @@ def test_cannot_upend_optimum_slice():
 
 
 def test_unknown_slice_index():
+    # a MixedGPError, which a study cell catches, for every index that
+    # names no slice, integral floats and True included
     fn = make_sliced(get_function("ackley"), 4)
-    with pytest.raises(IndexError):
-        eval_sliced_batch(fn, 5, np.zeros((1, 2)))
-    with pytest.raises(IndexError):
-        eval_sliced_batch(fn, 0, np.zeros((1, 2)))
+    for index in (5, 0, 1.5, 2.0, True):
+        with pytest.raises(ParamDomainError, match="slice index must be an integer in 1..4"):
+            eval_sliced_batch(fn, index, np.zeros((1, 2)))
 
 
 def test_upended_slice_range_and_floor():
