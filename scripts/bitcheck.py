@@ -55,7 +55,10 @@ Seven sections, one digest per line:
   second has an R that does not factor (at nugget 0; 1e-8 elsewhere).
   Each line hashes the value, the mask of the points whose R factors,
   the GLS mean, the variance and the residuals (the factors too
-  without the gradient, and the gradient with it) of those points.
+  without the gradient, and the gradient with it) of those points;
+  not the family matrices P that ``_profile`` also returns, which a
+  model's level table is built from and the ``grid`` and ``scatter``
+  sections check through the predictions.
   ``desk`` and ``fit`` stop at N = 32, and the desk study's costliest
   cells are at N = 48.
 
@@ -170,7 +173,8 @@ def desk_lines(tmp):
 
 
 def profile_digest(train, ls, spec, cat, grad, nugget=1e-8):
-    nll, ok, mu, sigma2, L, r, g = gpcore._profile(train, ls, spec, cat, nugget, 1e-8, grad=grad)
+    nll, ok, mu, sigma2, L, r, g, _ = gpcore._profile(train, ls, spec, cat, nugget, 1e-8,
+                                                      grad=grad)
     return digest(nll, ok, mu[ok], sigma2[ok], r[ok], *(g,) if grad else (L[ok],))
 
 

@@ -32,7 +32,6 @@ checked, by its family's one rule (:func:`check_params`).
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,11 +160,22 @@ def check_params(spec: FamilySpec, values) -> np.ndarray:
     return values
 
 
+def nugget_rule(value, zero: bool = False) -> str | None:
+    """The rule of every nugget: what ``value`` must be and is not, or
+    None. A nugget is a real number, not a bool, finite and > 0 (>= 0
+    with ``zero``)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return "a real number"
+    if not ((0 <= value) if zero else (0 < value)) or not value < math.inf:
+        return ">= 0 and finite" if zero else "> 0 and finite"
+    return None
+
+
 def check_nugget(name: str, value, zero: bool = False):
-    """``value``, a finite real number > 0 (>= 0 with ``zero``), else
-    ``ParamDomainError`` naming ``name``: the rule of every nugget."""
-    words, above = ("nonnegative", operator.le) if zero else ("positive", operator.lt)
-    if not (isinstance(value, numbers.Real) and above(0, value) and value < math.inf):
+    """``value``, if it keeps :func:`nugget_rule`, else ``ParamDomainError``
+    naming ``name``."""
+    if nugget_rule(value, zero) is not None:
+        words = "nonnegative" if zero else "positive"
         raise ParamDomainError(f"{name} must be finite and {words}, got {value!r}")
     return value
 

@@ -31,7 +31,12 @@ same within every run of the column outside it, down to runs of one
 row. The rule reads each column's run of its first value and checks
 the pattern by one reshape; it sorts no row. Some column must repeat a
 value, and no table, nor the fold of the tables inside the outermost,
-may have more than ``_rows(_GRID_ELEMENTS, n)`` rows. On a grid,
+may have more than ``_rows(_GRID_ELEMENTS, n)`` rows. The rule reads the
+raw query, in problem units, from one (q, rows) copy with each column
+contiguous. Its exact comparison puts every row's value among its
+column's m_d pattern values, and no NaN passes it, so a grid checks
+(finite first, then within bounds) and maps to unit coordinates only
+those values; any other query checks and maps every row. On a grid,
 r0 @ alpha at (u_1[i_1], ..., u_q[i_q]) and level l is the contraction
 sum_j T_1[i_1, j] ... T_q[i_q, j] P[l, l_j] alpha_j, T_d the (m_d, n)
 Matern factors of column d's values u_d, in row order, against the
@@ -63,13 +68,16 @@ prediction is bit for bit that of the one-array expression.
 Only the level factor P[level, .] of a row's r0 depends on the level
 (Rasmussen & Williams 2006, eq. 2.25), and callers predict every level
 of one query in turn. So a model keeps the level-free part of its last
-query (``GPFit._query``): a private copy of the query as its key, the
-(s, n) level table of P at (level, training level), and the unit
-columns, or on a grid the tables; a model without a family has a table
-of ones, which changes no bit (x * 1.0 is x). A call whose X equals
-the key (``np.array_equal``, about 15 us at 10,000 x 2) skips the
-checks, the mapping and the tables. The kept part is published once
-complete, so a concurrent call reads a finished one or none.
+query (``GPFit._query``): a private row-major copy of the query as its
+key, and the unit columns, or on a grid the tables. A call whose X
+equals the key (``np.array_equal``, about 7 us at 10,000 x 2; 40 us
+against a column-major copy) skips the checks, the mapping and the
+tables. The kept part is published once complete, so a concurrent call
+reads a finished one or none. The (s, n) level table of P at (level,
+training level) is the model's own (``GPFit.level_table``), built once
+by :func:`refit_config` from the P of its likelihood evaluation; a
+model without a family has a table of ones, which changes no bit
+(x * 1.0 is x).
 
 One function, ``_profile``, evaluates that likelihood for the optimizer,
 for :func:`concentrated_nll` and for the finished model, at a stack of
@@ -141,6 +149,7 @@ from .corrparam import (
     check_params,
     corr_grad,
     corr_values,
+    nugget_rule,
     param_count,
 )
 from .design import check_bounds, to_unit_coords
@@ -232,14 +241,14 @@ class KernelConfig:
         return corr_values(self.family_spec, self.cat_params, self.corr_nugget)
 
 
-def _outside(X: np.ndarray, bounds: np.ndarray) -> bool:
-    """Whether a coordinate of X lies more than 1e-9 outside its dimension's bounds.
+def _outside(columns, bounds: np.ndarray) -> bool:
+    """Whether a value of ``columns[d]`` lies more than 1e-9 outside ``bounds[d]``.
 
     Column by column: numpy compares a (rows, q) array with a length-q
     row of bounds in a length-q inner loop per row, several times slower.
     """
-    return len(X) > 0 and any(x.min() < lo - 1e-9 or x.max() > hi + 1e-9
-                              for x, (lo, hi) in zip(X.T, bounds.tolist()))
+    return any(x.size > 0 and (x.min() < lo - 1e-9 or x.max() > hi + 1e-9)
+               for x, (lo, hi) in zip(columns, bounds.tolist()))
 
 
 def _as_levels(levels, what: str = "levels") -> np.ndarray:
@@ -249,9 +258,11 @@ def _as_levels(levels, what: str = "levels") -> np.ndarray:
     is True. ``what`` names the argument in the error.
     """
     raw = np.asarray(levels)
+    if raw.dtype.kind in "iu":
+        return raw.astype(int)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
         ints = raw.astype(int)
-    if raw.dtype.kind == "b" or (raw.dtype.kind not in "iu" and not np.array_equal(ints, raw)):
+    if raw.dtype.kind == "b" or not np.array_equal(ints, raw):
         raise ParamDomainError(f"{what} must be integers")
     return ints
 
@@ -317,7 +328,7 @@ class TrainingSet:
         if np.any(levels < 1):
             raise ParamDomainError("levels are 1-based positive integers")
         bounds = check_bounds(np.tile((0.0, 1.0), (q, 1)) if bounds is None else bounds, q)
-        if _outside(X, bounds):
+        if _outside(X.T, bounds):
             raise ParamDomainError("training coordinates outside declared bounds")
         key = {(tuple(row), lv) for row, lv in zip(X.tolist(), levels.tolist())}
         if len(key) != n:
@@ -479,7 +490,8 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
     the Cholesky factors L of R (lower, each Fortran-ordered), the
     whitened residuals r = L^-1 (z - mu 1), and, with ``grad``, the
     (k, q + p) gradient g of the objective in (lengthscales, cat_params)
-    (else None). With ``grad`` the factors' memory receives R^-1's
+    (else None), and the (k, s, s) family matrices P (None without a
+    family). With ``grad`` the factors' memory receives R^-1's
     triangular factors, and L is None. With a = L^-1 z and b = L^-1 1
     from one solve, mu = b.a / b.b and r = a - mu b. A point whose R
     cannot be factored has nll ``_FAILED_OBJ``, a zero gradient and a
@@ -491,7 +503,7 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
     parts = [] if grad else None
     ok = np.ones(k, bool)
     if spec is None:
-        Ppairs = 1.0
+        P, Ppairs = None, 1.0
     else:
         P = corr_values(spec, cat_params, corr_nugget, parts=parts)
         Ppairs = P.reshape(k, -1).take(train.pair_index, axis=1)
@@ -563,22 +575,22 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
         nll[~ok] = _FAILED_OBJ
         if grad:
             g[~ok] = 0.0
-    return nll, ok, mu, sigma2, L, r, g
+    return nll, ok, mu, sigma2, L, r, g, P
 
 
 def _profile_one(train: TrainingSet, config: KernelConfig):
-    """:func:`_profile` at one model, unstacked: (nll, mu, sigma2, L, r).
+    """:func:`_profile` at one model, unstacked: (nll, mu, sigma2, L, r, P).
 
     Raises as :func:`_check_config` does; ``IllConditionedError`` if R does not factor.
     """
     _check_config(train, config.family_spec, config.lengthscales.size)
     spec, cat = config.family_spec, config.cat_params
-    nll, ok, mu, sigma2, L, r, _ = _profile(
+    nll, ok, mu, sigma2, L, r, _, P = _profile(
         train, config.lengthscales[None], spec, None if cat is None else cat[None],
         config.nugget, config.corr_nugget)
     if not ok[0]:
         raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
-    return float(nll[0]), float(mu[0]), float(sigma2[0]), L[0], r[0]
+    return float(nll[0]), float(mu[0]), float(sigma2[0]), L[0], r[0], None if P is None else P[0]
 
 
 def concentrated_nll(
@@ -617,9 +629,10 @@ class FitOptions:
     the start's included; None means 150 per parameter. It is not a hard
     cap: as in scipy, the count is checked only after each iteration, so
     a search can overrun it by one line search, up to 20 evaluations.
-    Building one checks every field by the rules in ``__post_init__``, for
-    the API and config files alike, and raises one ``ConfigError`` listing
-    every rule broken.
+    Building one checks every field by the rules in ``__post_init__`` (the
+    nuggets by :func:`corrparam.nugget_rule`, the rule of every nugget),
+    for the API and config files alike, and raises one ``ConfigError``
+    listing every rule broken.
     """
 
     n_starts: int = 10
@@ -632,7 +645,8 @@ class FitOptions:
     def __post_init__(self):
         n, seed, budget = self.n_starts, self.seed, self.max_evals_per_start
         nugget, corr_nugget, bounds = self.nugget, self.corr_nugget, self.lengthscale_bounds
-        real = lambda value: isinstance(value, numbers.Real)
+        real = lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool)
+        nugget_broken, corr_broken = nugget_rule(nugget, zero=True), nugget_rule(corr_nugget)
         try:
             low, high = bounds
         except (TypeError, ValueError):
@@ -642,15 +656,12 @@ class FitOptions:
             ("n_starts", n, "an integer", whole(n)),
             ("seed", seed, "an integer", whole(seed)),
             ("max_evals_per_start", budget, "an integer or None", budget is None or whole(budget)),
-            ("nugget", nugget, "a real number", real(nugget)),
-            ("corr_nugget", corr_nugget, "a real number", real(corr_nugget)),
+            ("nugget", nugget, nugget_broken, nugget_broken is None),
+            ("corr_nugget", corr_nugget, corr_broken, corr_broken is None),
             ("lengthscale_bounds", bounds, "a pair of real numbers", pair),
             # ranges of values of the right type only
             ("n_starts", n, ">= 1", not whole(n) or n >= 1),
             ("seed", seed, ">= 0", not whole(seed) or seed >= 0),
-            ("nugget", nugget, ">= 0 and finite", not real(nugget) or 0 <= nugget < math.inf),
-            ("corr_nugget", corr_nugget, "> 0 and finite",
-             not real(corr_nugget) or 0 < corr_nugget < math.inf),
             ("lengthscale_bounds", bounds, "> 0", not pair or (low > 0 and high > 0)),
             ("max_evals_per_start", budget, ">= 1 or None", not whole(budget) or budget >= 1),
         ), [] if not pair or low < high else
@@ -746,7 +757,9 @@ class GPFit:
     ``neg_log_lik`` is the concentrated objective on the standardized
     scale, reproducible through :func:`concentrated_nll`. ``alpha`` is
     R^-1 (z - mu_z) on the standardized scale, so prediction is a dot
-    product per query point.
+    product per query point. ``level_table`` is the read-only (s, n)
+    array of P at (level, training level), from the P that the fit's
+    likelihood evaluation built (ones without a family).
     """
 
     config: KernelConfig
@@ -758,6 +771,7 @@ class GPFit:
     train: TrainingSet
     y_mean: float
     y_std: float
+    level_table: np.ndarray = field(repr=False, compare=False)
     start_objectives: tuple = field(default=(), compare=False)
     # the level-free part of the last predict_batch query (_Query)
     _query: object = field(default=None, init=False, repr=False, compare=False)
@@ -824,8 +838,8 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
         for at in range(0, len(U), chunk):
             V = U[at:at + chunk]
             ls = np.exp(V[:, :q])
-            nll, *_, g = _profile(train, ls, spec, None if spec is None else V[:, q:],
-                                  options.nugget, options.corr_nugget, grad=True)
+            nll, *_, g, _ = _profile(train, ls, spec, None if spec is None else V[:, q:],
+                                     options.nugget, options.corr_nugget, grad=True)
             g[:, :q] *= ls  # df/dlog(l) = l df/dl
             out.append((nll, g))
         return out[0] if len(out) == 1 else tuple(map(np.concatenate, zip(*out)))
@@ -905,8 +919,11 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
     a different number of levels than the training set's ``n_levels``.
     """
     y_mean, y_std = train.y_mean, train.y_std
-    nll, mu_z, sigma2_z, L, r = _profile_one(train, config)
+    nll, mu_z, sigma2_z, L, r, P = _profile_one(train, config)
     alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
+    level_table = (np.ones((train.n_levels, train.n)) if P is None
+                   else P.take(train.levels - 1, axis=1))
+    level_table.setflags(write=False)
     return GPFit(
         config=config,
         mu_hat=y_mean + y_std * mu_z,
@@ -917,6 +934,7 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
         train=train,
         y_mean=y_mean,
         y_std=y_std,
+        level_table=level_table,
     )
 
 
@@ -924,10 +942,9 @@ class _Query(NamedTuple):
     """The level-free part of a :func:`predict_batch` query, kept on the
     model: ``tables`` on a product grid, else ``columns``; the other is None."""
 
-    X: np.ndarray            # a private copy of the query
-    level_table: np.ndarray  # (s, n): P at (level, training level), ones without a family
-    columns: list | None     # (unit column, training column, scale) per dimension
-    tables: list | None      # (m_d, n) factors of each column's values, outermost first
+    X: np.ndarray         # a private copy of the query, row-major
+    columns: list | None  # (unit column, training column, scale) per dimension
+    tables: list | None   # (m_d, n) factors of each column's values, outermost first
 
 
 def _rows(elements: int, n: int) -> int:
@@ -935,17 +952,20 @@ def _rows(elements: int, n: int) -> int:
     return max(8, elements // n // 8 * 8)
 
 
-def _product_grid(U: np.ndarray, cap: int):
+def _product_grid(columns: np.ndarray, cap: int):
     """(column, its values in row order) per column, outermost first, if
-    the rows of ``U`` list a product grid in nested order whose tables,
-    and the fold of the tables inside the outermost, have at most ``cap``
-    rows (see the module docstring), else None."""
-    rows = len(U)
+    the rows of the (q, rows) array ``columns``, one query column per row,
+    list a product grid in nested order whose tables, and the fold of the
+    tables inside the outermost, have at most ``cap`` rows (see the module
+    docstring), else None. The values are views of ``columns``; every
+    value of a column equals one of them, and none is NaN."""
+    rows = columns.shape[1]
     # each column's run of its first value (the rows for a constant one,
     # none under two rows); the others nest by their runs, each taking
     # m >= 2 values within a run of the column outside it, down to a run
     # of one row
-    runs = [1 if x[1] != x[0] else int(np.argmax(x != x[0])) or rows for x in U.T if rows > 1]
+    runs = [1 if x[1] != x[0] else int(np.argmax(x != x[0])) or rows
+            for x in columns if rows > 1]
     nested = sorted((d for d, run in enumerate(runs) if run < rows), key=lambda d: -runs[d])
     periods = [rows] + [runs[d] for d in nested]
     sizes = [p // r for p, r in zip(periods, periods[1:])]
@@ -955,36 +975,41 @@ def _product_grid(U: np.ndarray, cap: int):
         return None
     grid = []
     for d, run, m in zip(nested, periods[1:], sizes):
-        x = U[:, d]
+        x = columns[d]
         values = x[:m * run:run]
-        if np.unique(values).size < m or (x.reshape(-1, m, run) != values[:, None]).any():
+        ordered = np.sort(values)  # a repeated value has an equal neighbour
+        if (ordered[1:] == ordered[:-1]).any() or (x.reshape(-1, m, run) != values[:, None]).any():
             return None
         grid.append((d, values))
-    return grid + [(d, U[:1, d]) for d, run in enumerate(runs) if run == rows]
+    return grid + [(d, columns[d, :1]) for d, run in enumerate(runs) if run == rows]
 
 
 def _level_free(fit: GPFit, X: np.ndarray, cap: int) -> _Query:
     """The checks and level-free parts of a query ``X`` of the right shape.
 
-    Raises ``ParamDomainError`` for non-finite or out-of-bounds
-    coordinates.
+    Raises ``ParamDomainError`` for non-finite coordinates, and then for
+    out-of-bounds ones. On a product grid only each column's pattern
+    values are checked and mapped to unit coordinates: every value of the
+    column is one of them.
     """
     train = fit.train
-    if not np.isfinite(X).all():
+    key = X.copy()  # row-major, which np.array_equal reads fastest
+    key.setflags(write=False)  # the caller may change its array, not this
+    columns = X.T.copy()  # each column contiguous, for the rule and the checks
+    grid = _product_grid(columns, cap)
+    checked = columns if grid is None else [values for _, values in sorted(grid)]
+    if not all(np.isfinite(x).all() for x in checked):
         raise ParamDomainError("query coordinates must be finite")
-    if _outside(X, train.bounds):
+    if _outside(checked, train.bounds):
         raise ParamDomainError("query point outside the model's declared bounds")
-    X = X.copy()  # the key: the caller may change its array
-    X.setflags(write=False)
-    U = to_unit_coords(X, train.bounds)
+    for x, (lo, hi) in zip(checked, train.bounds.tolist()):
+        x -= lo  # to unit coordinates in place, as design.to_unit_coords maps
+        x /= hi - lo
     scales = SQRT5 / fit.config.lengthscales
-    P = fit.config.corr_matrix()
-    level_table = np.ones((train.n_levels, train.n)) if P is None else P[:, train.levels - 1]
-    grid = _product_grid(U, cap)
     if grid is None:
-        return _Query(X, level_table, list(zip(U.T, train.X01.T, scales)), None)
-    tables = [_matern_factor(values, train.X01[:, d], scales[d]) for d, values in grid]
-    return _Query(X, level_table, None, tables)
+        return _Query(key, list(zip(columns, train.X01.T, scales)), None)
+    return _Query(key, None, [_matern_factor(values, train.X01[:, d], scales[d])
+                              for d, values in grid])
 
 
 def _grid_product(fit: GPFit, query: _Query, at: np.ndarray) -> np.ndarray:
@@ -992,11 +1017,11 @@ def _grid_product(fit: GPFit, query: _Query, at: np.ndarray) -> np.ndarray:
     ``at``, one or one per row (see the module docstring)."""
     if at.size > 1:  # each row from its level's one-level product
         out = np.empty(at.size)
-        for level in range(len(query.level_table)):
+        for level in range(len(fit.level_table)):
             rows = np.flatnonzero(at == level)
             out[rows] = _grid_product(fit, query, np.array([level])).take(rows)
         return out
-    folded = query.level_table[at] * fit.alpha
+    folded = fit.level_table[at] * fit.alpha
     for table in reversed(query.tables[1:]):
         folded = (table[:, None] * folded).reshape(-1, folded.shape[1])
     return (query.tables[0] @ folded.T).reshape(-1)
@@ -1017,7 +1042,7 @@ def _block_product(fit: GPFit, query: _Query, at: np.ndarray, block: int) -> np.
         # freed before the next block's are made (see the module docstring)
         factors = [*(_matern_factor(x[start:stop], x_train, scale)
                      for x, x_train, scale in query.columns),
-                   query.level_table.take(at[start:stop], axis=0)]
+                   fit.level_table.take(at[start:stop], axis=0)]
         np.matmul(functools.reduce(operator.imul, factors), fit.alpha, out=out[start:stop])
         del factors
     return out

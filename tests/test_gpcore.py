@@ -588,9 +588,9 @@ def test_profile_gradient_matches_central_differences(family, s, n, log_nugget, 
 
 def profile_one(train, lengthscales, spec, cat_params, nugget, corr_nugget, grad=False):
     """_profile at one point, through a stack of one: (value, gradient or None)."""
-    nll, *_, g = _profile(train, np.asarray(lengthscales, dtype=float)[None], spec,
-                          None if spec is None else np.asarray(cat_params, dtype=float)[None],
-                          nugget, corr_nugget, grad=grad)
+    nll, *_, g, _ = _profile(train, np.asarray(lengthscales, dtype=float)[None], spec,
+                             None if spec is None else np.asarray(cat_params, dtype=float)[None],
+                             nugget, corr_nugget, grad=grad)
     return nll[0], None if g is None else g[0]
 
 
@@ -670,8 +670,8 @@ def test_profile_matches_the_per_dimension_reference_bitwise(family, s, q, n, k,
     nugget = 1e-6
     references = [reference_profile(ts, z, p[:q], spec, p[q:], nugget, 1e-8) for p in psi]
     assume(all(ref is not None for i, ref in enumerate(references) if i != bad))
-    nll, ok, *_, g = _profile(ts, psi[:, :q], spec, None if spec is None else psi[:, q:],
-                              nugget, 1e-8, grad=True)
+    nll, ok, *_, g, _ = _profile(ts, psi[:, :q], spec, None if spec is None else psi[:, q:],
+                                 nugget, 1e-8, grad=True)
     assert nll.shape == ok.shape == (k,) and g.shape == psi.shape
     for i, ref in enumerate(references):
         if i == bad:
@@ -955,8 +955,8 @@ def fit_objective(train, spec, options):
 
     def objective(u):
         ls = np.exp(u[None, :q])
-        nll, *_, g = _profile(train, ls, spec, None if spec is None else u[None, q:],
-                              options.nugget, options.corr_nugget, grad=True)
+        nll, *_, g, _ = _profile(train, ls, spec, None if spec is None else u[None, q:],
+                                 options.nugget, options.corr_nugget, grad=True)
         g[:, :q] *= ls
         return nll[0], g[0]
 
@@ -1662,7 +1662,7 @@ def test_product_grid_rule_reads_the_nested_order():
     for X, order in [(mesh([g, h]), [0, 1]), (mesh([g, h], "xy"), [1, 0]),
                      (mesh([h, g, h]), [0, 1, 2]), (mesh([h, g, h], "xy"), [1, 0, 2]),
                      (mesh([g, [0.4], h]), [0, 2, 1]), (mesh([g, h])[::-1], [0, 1])]:
-        grid = gpcore._product_grid(X, 25)
+        grid = gpcore._product_grid(X.T, 25)
         assert [d for d, _ in grid] == order
         for d, values in grid:
             assert np.array_equal(values, X[np.sort(np.unique(X[:, d], return_index=True)[1]), d])
@@ -1676,7 +1676,7 @@ def test_product_grid_rule_reads_the_nested_order():
     for other in (X[[1, 0, *range(2, 15)]], rotated, np.insert(X, 4, X[2], axis=0),
                   mesh([g, np.tile(h, 2)]), X[:1].repeat(6, 0), mesh([h]),
                   rng.random((100, 2)), rng.random((100, 3))):
-        assert gpcore._product_grid(other, 15) is None
+        assert gpcore._product_grid(other.T, 15) is None
         assert not on_product_grid(other, 15)
 
 
@@ -1684,20 +1684,20 @@ def test_product_grid_rule_caps_tables():
     # every table, and the fold of the tables inside the outermost, has
     # at most the cap's rows; the rows list every grid point once
     line = np.column_stack([np.linspace(0.0, 1.0, 10), np.full(10, 0.5)])
-    assert gpcore._product_grid(line, 10) is not None
-    assert gpcore._product_grid(line, 9) is None
+    assert gpcore._product_grid(line.T, 10) is not None
+    assert gpcore._product_grid(line.T, 9) is None
     g = np.linspace(0.0, 1.0, 3)
     cube = mesh([g, g, g])
-    assert gpcore._product_grid(cube, 9) is not None
-    assert gpcore._product_grid(cube, 8) is None  # a fold of 3 x 3 rows
-    assert gpcore._product_grid(cube[1:], 9) is None  # 27 points on 26 rows
-    assert gpcore._product_grid(cube[:18], 9) is not None  # a grid of 2 x 3 x 3
+    assert gpcore._product_grid(cube.T, 9) is not None
+    assert gpcore._product_grid(cube.T, 8) is None  # a fold of 3 x 3 rows
+    assert gpcore._product_grid(cube[1:].T, 9) is None  # 27 points on 26 rows
+    assert gpcore._product_grid(cube[:18].T, 9) is not None  # a grid of 2 x 3 x 3
     # the outermost table may be the largest or the smallest
     wide, tall = mesh([np.arange(8.0), g]), mesh([g, np.arange(8.0)])
-    assert gpcore._product_grid(wide, 8) is not None and gpcore._product_grid(wide, 7) is None
-    assert gpcore._product_grid(tall, 8) is not None and gpcore._product_grid(tall, 7) is None
+    assert gpcore._product_grid(wide.T, 8) is not None and gpcore._product_grid(wide.T, 7) is None
+    assert gpcore._product_grid(tall.T, 8) is not None and gpcore._product_grid(tall.T, 7) is None
     for rows in (0, 1):
-        assert gpcore._product_grid(np.zeros((rows, 2)), 8) is None
+        assert gpcore._product_grid(np.zeros((rows, 2)).T, 8) is None
 
 
 FRESH_PAGES = """
@@ -1805,6 +1805,113 @@ def test_kept_query_holds_no_array_of_rows_by_training_points(kind):
     # the copy and the unit columns (X.nbytes each); a grid keeps no
     # array of rows but its copy
     assert sum(a.nbytes for a in kept) < (1 if kind == "grid" else 2) * X.nbytes + 1e6
+
+
+def grid_model(n=16):
+    """A UC model on bounds other than the unit box, and a 100 x 100
+    query grid over them (np.meshgrid's axes)."""
+    rng = np.random.default_rng(18)
+    bounds = np.array([[-2.0, 3.0], [10.0, 20.0]])
+    X, levels, y = random_instance(rng, n, s=3)
+    train = TrainingSet(bounds[:, 0] + X * (bounds[:, 1] - bounds[:, 0]), levels, y,
+                        bounds=bounds)
+    gp = refit_config(train, KernelConfig([0.3, 0.6], FamilySpec("UC", 3), [1.0, 2.0, 1.5]))
+    return gp, [np.linspace(lo, hi, 100) for lo, hi in bounds]
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda a, b: a.__setitem__(37, 3.5), "outside the model's declared bounds",
+                 id="above-bounds"),
+    pytest.param(lambda a, b: b.__setitem__(0, 10.0 - 1e-6),
+                 "outside the model's declared bounds", id="below-bounds"),
+    pytest.param(lambda a, b: b.__setitem__(5, np.inf), "must be finite", id="inf"),
+    pytest.param(lambda a, b: a.__setitem__(99, -np.inf), "must be finite", id="minus-inf"),
+    # non-finite is reported before out of bounds, whichever column holds it
+    pytest.param(lambda a, b: (a.__setitem__(3, 99.0), b.__setitem__(7, np.inf)),
+                 "must be finite", id="out-of-bounds-then-inf"),
+    pytest.param(lambda a, b: (a.__setitem__(3, -np.inf), b.__setitem__(7, 99.0)),
+                 "must be finite", id="minus-inf-then-out-of-bounds"),
+    pytest.param(lambda a, b: a.__setitem__(10, np.nan), "must be finite", id="nan"),
+])
+def test_grid_queries_are_checked_like_any_other(edit, message):
+    # a grid checks only its pattern values; every row's value is one of
+    # them, so it raises what the same rows permuted (the block path) do
+    gp, axes = grid_model()
+    edit(*axes)
+    X = mesh(axes)
+    cap = block_and_cap(gp.train.n)[1]
+    # a NaN breaks the rule's exact comparison; inf and out-of-bounds values do not
+    assert (gpcore._product_grid(X.T.copy(), cap) is None) == np.isnan(X).any()
+    permuted = np.random.default_rng(19).permutation(X)
+    assert gpcore._product_grid(permuted.T.copy(), cap) is None
+    errors = []
+    for Xq in (X, permuted):
+        with pytest.raises(ParamDomainError, match=message) as err:
+            predict_batch(gp, Xq, 1)
+        errors.append(str(err.value))
+        assert gp._query is None
+    assert errors[0] == errors[1]
+    # values within the bounds' 1e-9 slack pass, on a grid as off it
+    X = mesh([np.linspace(lo - 5e-10, hi + 5e-10, 100) for lo, hi in gp.train.bounds])
+    assert np.isfinite(predict_batch(gp, X, 2)).all() and gp._query.tables is not None
+
+
+def test_a_model_builds_its_family_matrix_once(monkeypatch, tmp_path):
+    # refit_config builds the level table from the P of its own likelihood
+    # evaluation: loading a model and predicting a grid and a scattered
+    # query at every level and per-row levels call corr_values once
+    gp, axes = grid_model()
+    path = tmp_path / "model.json"
+    save_fit(gp, path)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].label)
+        return real(*args, **kwargs)
+
+    real = gpcore.corr_values
+    monkeypatch.setattr(gpcore, "corr_values", counted)
+    model = load_fit(path)
+    grid = mesh(axes)
+    rng = np.random.default_rng(20)
+    lo, hi = model.train.bounds.T
+    scattered = lo + rng.random((500, 2)) * (hi - lo)
+    for X in (grid, scattered):
+        for lv in (1, 2, 3, rng.integers(1, 4, size=len(X))):
+            predict_batch(model, X, lv)
+        assert (model._query.tables is not None) == (X is grid)
+    assert calls == ["UC"]
+    monkeypatch.setattr(gpcore, "corr_values", real)
+    # the (s, n) table is P at (level, training level), read-only, and the
+    # same as a second build's to the last bit
+    table = model.level_table
+    assert not table.flags.writeable and table.shape == (3, model.train.n)
+    assert np.array_equal(table, model.config.corr_matrix()[:, model.train.levels - 1])
+    # a model without a family: ones
+    plain = refit_config(model.train, KernelConfig([0.3, 0.6]))
+    assert np.array_equal(plain.level_table, np.ones((3, model.train.n)))
+    assert not plain.level_table.flags.writeable
+    # fit ends in a dataclasses.replace, which keeps the table
+    fitted = fit(model.train, FamilySpec("EC", 3), FitOptions(n_starts=2))
+    assert not fitted.level_table.flags.writeable
+    assert np.array_equal(fitted.level_table,
+                          refit_config(model.train, fitted.config).level_table)
+
+
+def test_kept_grid_query_holds_no_unit_mapped_rows():
+    # a grid keeps its row-major copy of the raw query and its tables;
+    # its checks and unit mapping read only the pattern values
+    gp, axes = grid_model()
+    X = mesh(axes)
+    predict_batch(gp, X, 2)
+    query = gp._query
+    assert query.columns is None and query.X.flags.c_contiguous and not query.X.flags.writeable
+    assert np.array_equal(query.X, X) and query.X is not X
+    kept = [a for a in arrays_in(query) if a is not query.X]
+    assert [a.shape for a in kept] == [(100, gp.train.n)] * 2
+    # off a grid, the unit columns are kept
+    predict_batch(gp, np.random.default_rng(21).permutation(X), 2)
+    assert gp._query.tables is None and len(gp._query.columns) == 2
 
 
 def test_predict_batch_evaluates_each_distinct_grid_coordinate_once(monkeypatch):
@@ -2010,6 +2117,44 @@ def test_load_fit_rejects_incomplete_document(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParamDomainError, match=message):
         load_fit(path)
+
+
+def test_nuggets_and_lengthscale_bounds_reject_booleans(tmp_path):
+    # True == 1, but no nugget or lengthscale bound is written as a
+    # boolean; numpy's bool_ is no real number either
+    for value in (True, False, np.True_):
+        for zero in (False, True):
+            assert corrparam.nugget_rule(value, zero) == "a real number"
+            with pytest.raises(ParamDomainError, match=f"got {value!r}"):
+                corrparam.check_nugget("nugget", value, zero=zero)
+    for kwargs, issues in [
+        (dict(nugget=True), ["nugget: must be a real number, got True"]),
+        (dict(corr_nugget=True), ["corr_nugget: must be a real number, got True"]),
+        # one ConfigError lists every broken rule
+        (dict(nugget=True, corr_nugget=True, lengthscale_bounds=(True, 10.0)),
+         ["nugget: must be a real number, got True",
+          "corr_nugget: must be a real number, got True",
+          "lengthscale_bounds: must be a pair of real numbers, got (True, 10.0)"]),
+        (dict(lengthscale_bounds=(0.1, np.True_)),
+         [f"lengthscale_bounds: must be a pair of real numbers, got {(0.1, np.True_)!r}"]),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            FitOptions(**kwargs)
+        assert err.value.issues == issues
+    for kwargs, message in [(dict(nugget=True), "nugget must be finite and nonnegative"),
+                            (dict(corr_nugget=True), "corr_nugget must be finite and positive")]:
+        with pytest.raises(ParamDomainError, match=f"{message}, got True"):
+            KernelConfig([0.5, 0.5], **kwargs)
+    # a file that holds one names the file and the field
+    for key, message in [("nugget", "nugget must be finite and nonnegative"),
+                         ("corr_nugget", "corr_nugget must be finite and positive")]:
+        path, doc = _saved_fit(tmp_path)
+        doc[key] = True
+        path.write_text(json.dumps(doc))
+        assert f'"{key}": true' in path.read_text()
+        with pytest.raises(ParamDomainError,
+                           match=re.escape(f"model.json: field {key}: {message}, got True")):
+            load_fit(path)
 
 
 @pytest.mark.parametrize("bounds", MISSHAPED_BOUNDS)

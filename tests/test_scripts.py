@@ -46,7 +46,7 @@ def test_bitcheck_grid_section_digests_every_model(monkeypatch, tmp_path):
     assert all(line[0] == "grid" and line[1].endswith(".json")
                and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
     # a product-grid rule that rules the grids out fails the section
-    monkeypatch.setattr(bitcheck.gpcore, "_product_grid", lambda U, block: None)
+    monkeypatch.setattr(bitcheck.gpcore, "_product_grid", lambda columns, cap: None)
     with pytest.raises(AssertionError, match=r"\.json"):
         next(bitcheck.grid_lines(str(tmp_path / "blocks")))
 
