@@ -10,9 +10,9 @@ checkouts to see whether a change keeps every bit:
 Name sections to print only those, in the order below whatever the
 order named (an unknown name exits with status 2):
 
-    python3 scripts/bitcheck.py [config|gate|grid|scatter|desk|profile|fit ...]
+    python3 scripts/bitcheck.py [config|gate|load|grid|scatter|desk|profile|fit ...]
 
-Seven sections, one digest per line:
+Eight sections, one digest per line:
 
 * ``config``: ``repr`` of ``load_config`` of each study config in
   ``scripts/configs/`` (``desk_study.ini``, ``full_study.ini`` and
@@ -20,15 +20,20 @@ Seven sections, one digest per line:
   by the same diff as the fitted bits;
 * ``gate``: ``scripts/configs/refactor_gate.ini``'s ``records.csv``
   below its ``# generated`` header line;
-* ``grid``: predictions of the 168 ``predict_grid`` models of
-  ``perfbench/workloads.py`` on their 100 x 100 grid, reloaded with
-  ``load_fit``: every level in ascending order and then per-row levels
-  on one model, per-row levels and then every level in descending
-  order on a second. Each grid lists its rows in ``"ij"`` order, a
-  product grid in nested order, which ``predict_batch`` predicts by
-  one matrix product per call, with no gather at one level; the
-  section fails if a model's kept query after its first call is no
-  grid;
+* ``load``: each of the 168 ``predict_grid`` models of
+  ``perfbench/workloads.py`` reloaded with ``load_fit``: its
+  ``neg_log_lik``, ``mu_hat``, ``sigma2_hat``, ``chol_R``, ``alpha`` and
+  ``level_table``, and its training set's ``X01``, ``absdiff``, ``rhs``,
+  ``y_mean``, ``y_std``, ``level_indicator`` and ``pair_index``, so the
+  bits of a reload are checked directly, not only through predictions;
+* ``grid``: predictions of the same 168 models on their 100 x 100
+  grid, reloaded with ``load_fit``: every level in ascending order and
+  then per-row levels on one model, per-row levels and then every
+  level in descending order on a second. Each grid lists its rows in
+  ``"ij"`` order, a product grid in nested order, which
+  ``predict_batch`` predicts by one matrix product per call, with no
+  gather at one level; the section fails if a model's kept query after
+  its first call is no grid;
 * ``scatter``: predictions of the same 168 models on one 10,000-row
   query drawn uniformly from the unit square and mapped to each model's
   bounds, reloaded with ``load_fit``: every level in ascending order,
@@ -108,6 +113,18 @@ def gate_lines(tmp):
     with open(os.path.join(out, "records.csv"), encoding="utf-8") as fh:
         body = fh.read().split("\n", 1)[1]
     yield f"gate records.csv {hashlib.sha256(body.encode()).hexdigest()}"
+
+
+def load_lines(tmp):
+    grid = workloads.make("predict_grid", tmp, SEED)
+    grid.setup()
+    for path, _, _ in sorted(grid.models):
+        model = gpcore.load_fit(path)
+        train = model.train
+        yield (f"load {os.path.basename(path)} "
+               + digest([model.neg_log_lik, model.mu_hat, model.sigma2_hat], model.chol_R,
+                        model.alpha, model.level_table, train.X01, train.absdiff, train.rhs,
+                        [train.y_mean, train.y_std], train.level_indicator, train.pair_index))
 
 
 def grid_lines(tmp):
@@ -212,8 +229,8 @@ def profile_lines(tmp):
 
 # in print order; fit_lines last: the study workload wraps bench.fit for good
 SECTIONS = {section.__name__.removesuffix("_lines"): section
-            for section in (config_lines, gate_lines, grid_lines, scatter_lines, desk_lines,
-                            profile_lines, fit_lines)}
+            for section in (config_lines, gate_lines, load_lines, grid_lines, scatter_lines,
+                            desk_lines, profile_lines, fit_lines)}
 
 
 def main(names) -> int:

@@ -164,7 +164,9 @@ def nugget_rule(value, zero: bool = False) -> str | None:
     """The rule of every nugget: what ``value`` must be and is not, or
     None. A nugget is a real number, not a bool, finite and > 0 (>= 0
     with ``zero``)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    # a float first: the ABC check costs about ten times as much
+    if type(value) is not float and (not isinstance(value, numbers.Real)
+                                     or isinstance(value, bool)):
         return "a real number"
     if not ((0 <= value) if zero else (0 < value)) or not value < math.inf:
         return ">= 0 and finite" if zero else "> 0 and finite"

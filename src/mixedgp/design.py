@@ -143,7 +143,7 @@ def check_bounds(bounds, q: int) -> np.ndarray:
         raise ParamArityError(f"bounds must be {q} (lower, upper) pairs, got {bounds!r}")
     if not np.isfinite(checked).all():
         raise ParamDomainError("bounds must be finite")
-    if np.any(checked[:, 0] >= checked[:, 1]):
+    if any(lo >= hi for lo, hi in checked.tolist()):
         raise ParamDomainError("bounds must satisfy lower < upper per dimension")
     checked.setflags(write=False)
     return checked

@@ -129,6 +129,7 @@ are standardized for fitting and de-standardized for prediction.
 """
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -152,7 +153,7 @@ from .corrparam import (
     nugget_rule,
     param_count,
 )
-from .design import check_bounds, to_unit_coords
+from .design import check_bounds
 from .errors import (
     ConfigError,
     FitFailureError,
@@ -220,7 +221,7 @@ class KernelConfig:
         ls = np.array(self.lengthscales, dtype=float).ravel()
         ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
-        if not ((ls > 0) & (ls < math.inf)).all():  # NaN fails both
+        if not all(0 < v < math.inf for v in ls.tolist()):  # NaN fails both
             raise ParamDomainError("lengthscales must be positive and finite")
         check_nugget("nugget", self.nugget, zero=True)
         check_nugget("corr_nugget", self.corr_nugget)
@@ -228,7 +229,7 @@ class KernelConfig:
             cat = np.array(self.cat_params, dtype=float).ravel()
             cat.setflags(write=False)
             object.__setattr__(self, "cat_params", cat)
-            if not np.isfinite(cat).all():
+            if not all(map(math.isfinite, cat.tolist())):
                 raise ParamDomainError("cat_params must be finite")
         if (self.family_spec is None) != (self.cat_params is None):
             raise ParamDomainError("family_spec and cat_params must be given together")
@@ -325,13 +326,17 @@ class TrainingSet:
             raise ParamDomainError(f"need at least 2 training points, got {n}")
         if levels.shape != (n,) or y.shape != (n,):
             raise ParamArityError("X, levels and y must have matching first dimension")
-        if np.any(levels < 1):
+        labels = levels.tolist()
+        low, high = min(labels), max(labels)
+        if low < 1:
             raise ParamDomainError("levels are 1-based positive integers")
         bounds = check_bounds(np.tile((0.0, 1.0), (q, 1)) if bounds is None else bounds, q)
-        if _outside(X.T, bounds):
+        # each coordinate column contiguous: checked in problem units, then
+        # mapped to the unit box in place, as design.to_unit_coords maps
+        columns = X.T.copy()
+        if _outside(columns, bounds):
             raise ParamDomainError("training coordinates outside declared bounds")
-        key = {(tuple(row), lv) for row, lv in zip(X.tolist(), levels.tolist())}
-        if len(key) != n:
+        if len(set(zip(*columns.tolist(), labels))) != n:
             raise ParamDomainError(
                 "duplicate (x, level) points make the correlation matrix singular"
             )
@@ -341,23 +346,31 @@ class TrainingSet:
         self.bounds = bounds
         self.n = n
         self.q = q
-        if n_levels is None:
-            self.n_levels = int(levels.max())
-        else:
-            self.n_levels = _as_levels(n_levels, "n_levels").item()
-        if self.n_levels < levels.max():
+        self.n_levels = high if n_levels is None else _as_levels(n_levels, "n_levels").item()
+        if self.n_levels < high:
             raise ParamDomainError("n_levels smaller than an observed level")
-        self.X01 = to_unit_coords(X, bounds)
+        for x, (lo, hi) in zip(columns, bounds.tolist()):
+            x -= lo
+            x /= hi - lo
+        self.X01 = columns.T
         i, j = _upper_pairs(n)
-        X01 = self.X01.T
         self.absdiff = np.zeros((q, i.size + 1))
-        np.abs(X01.take(i, axis=1) - X01.take(j, axis=1), out=self.absdiff[:, :-1])
-        mean, std = float(y.mean()), float(y.std())
-        self.y_mean, self.y_std = mean, 1.0 if std < _YSTD_FLOOR else std
-        self.rhs = np.array([(y - self.y_mean) / self.y_std, np.ones(n)])
+        pairs = self.absdiff[:, :-1]
+        np.subtract(columns.take(i, axis=1), columns.take(j, axis=1), out=pairs)
+        np.abs(pairs, out=pairs)
+        # y.mean() and y.std() by the ufunc calls numpy makes for them, in
+        # its order; the deviations y - mean become z in place
+        self.rhs = np.empty((2, n))
+        z = self.rhs[0]
+        self.y_mean = float(np.add.reduce(y) / n)
+        np.subtract(y, self.y_mean, out=z)
+        std = math.sqrt(np.add.reduce(z * z) / n)
+        self.y_std = 1.0 if std < _YSTD_FLOOR else std
+        z /= self.y_std
+        self.rhs[1] = 1.0
         s, lv = self.n_levels, levels - 1
-        self.level_indicator = (levels[:, None] == np.arange(1, s + 1)).astype(float)
-        self.pair_index = lv[:, None] * s + lv
+        self.level_indicator = np.eye(s).take(lv, axis=0)
+        self.pair_index = np.add.outer(lv * s, lv)
         for a in (self.X01, self.absdiff, self.rhs, self.level_indicator, self.pair_index):
             a.setflags(write=False)
 
@@ -1137,11 +1150,30 @@ _FIT_KEYS = ("bounds", "n_levels", "family", "s", "rank", "cat_params", "lengths
              "nugget", "corr_nugget", "train_X", "train_levels", "train_y")
 
 
-def _numbers(value) -> np.ndarray:
-    """A float array of a JSON list of numbers, or of nested lists for a matrix."""
+# the Python types of JSON numbers
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _numbers(value, dtype=float) -> np.ndarray:
+    """An array of ``dtype`` (None: as numpy infers it) of a JSON list of
+    numbers, or of a list of such lists for a matrix. A string or a
+    boolean in it is no number, though numpy reads "1.5" and true as ones."""
     if not isinstance(value, list):
         raise TypeError(f"must be a list, got {value!r}")
-    return np.array(value, dtype=float)
+    rows = bool(value) and type(value[0]) is list
+    if rows:
+        # a matrix is read as one flat list, which numpy converts faster
+        if len(set(map(len, value))) != 1:
+            raise ValueError("must be a list of rows of equal length")
+        items = list(itertools.chain.from_iterable(value))
+    else:
+        items = value
+    others = set(map(type, items)) - _JSON_NUMBERS
+    if others:
+        names = ", ".join(sorted(kind.__name__ for kind in others))
+        raise TypeError(f"must hold numbers only, not {names}")
+    array = np.array(items, dtype=dtype)
+    return array.reshape(len(value), len(value[0])) if rows else array
 
 
 def _integer(value):
@@ -1154,15 +1186,23 @@ def _integer(value):
 def load_fit(path) -> GPFit:
     """Reconstruct a fitted model saved by :func:`save_fit`.
 
-    Raises ``ParamDomainError`` for a file that is not valid JSON, not a
-    version-1 mixedgp fit, lacks a field the model is rebuilt from, has a
-    field of the wrong type, or a family or nugget that is not valid (the
-    error names the file and the field); the model's own checks apply to
-    the other values.
+    A fit file is UTF-8 JSON, and its numeric fields hold JSON numbers
+    (not strings such as "1.5", nor true or false). Loading rebuilds the
+    training set and recomputes the factorization, the GLS mean, the
+    variance and the likelihood from the stored parameters and data; the
+    stored ``mu_hat``, ``sigma2_hat`` and ``neg_log_lik`` are not read.
+
+    Raises ``ParamDomainError`` for a file that is not UTF-8, not valid
+    JSON, not a version-1 mixedgp fit, lacks a field the model is rebuilt
+    from, has a field of the wrong type, or a family or nugget that is not
+    valid (the error names the file, and the field if there is one); the
+    model's own checks apply to the other values.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParamDomainError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ParamDomainError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or (doc.get("format"), doc.get("version")) != ("mixedgp-fit", 1):
@@ -1177,12 +1217,13 @@ def load_fit(path) -> GPFit:
             return None
         try:
             return convert(doc[key])
-        except (TypeError, ValueError) as exc:  # ParamDomainError included
+        except (TypeError, ValueError, OverflowError) as exc:  # ParamDomainError included
             raise ParamDomainError(f"{path}: field {key}: {exc}") from None
 
     train = TrainingSet(
         read("train_X", _numbers),
-        read("train_levels", _as_levels),  # rejects 1.5, which int() would truncate
+        # _as_levels rejects 1.5, which int() would truncate
+        read("train_levels", lambda levels: _as_levels(_numbers(levels, None))),
         read("train_y", _numbers),
         bounds=read("bounds", _numbers),
         n_levels=read("n_levels", _integer),

@@ -30,7 +30,7 @@ import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
 from mixedgp.bench import ExperimentConfig
 from mixedgp.corrparam import FamilySpec, build_correlation, corr_values
-from mixedgp.design import lhd
+from mixedgp.design import lhd, to_unit_coords
 from mixedgp.errors import (
     ConfigError,
     IllConditionedError,
@@ -412,6 +412,35 @@ def test_training_set_keeps_its_own_copy_of_the_responses():
     assert np.array_equal(again.config.lengthscales, before.config.lengthscales)
     assert np.array_equal(again.config.cat_params, before.config.cat_params)
     assert again.y_mean == before.y_mean and again.y_std == before.y_std
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=64),
+    exponent=st.integers(min_value=-100, max_value=100),
+    offset=st.sampled_from([0.0, 1.0, -3.0e5, 1.0e8, -7.0e12]),
+    constant=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_training_set_standardizes_as_numpy_does(n, exponent, offset, constant, seed):
+    # y_mean, y_std and z are y.mean(), y.std() and (y - mean) / std to
+    # the last bit, on responses of magnitudes 1e-100 to 1e100, with
+    # large common offsets (deviations far below the mean) and constant
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    if constant:
+        # an integer times a power of two: the mean is exact, the std 0
+        y = np.full(n, float(rng.integers(-999, 1000)) * 2.0 ** round(exponent * math.log2(10)))
+    else:
+        y = (offset + rng.standard_normal(n)) * scale
+    ts = TrainingSet(np.arange(n)[:, None] / n, np.ones(n, int), y)
+    mean, std = float(y.mean()), float(y.std())
+    std = 1.0 if std < gpcore._YSTD_FLOOR else std
+    assert (ts.y_mean.hex(), ts.y_std.hex()) == (mean.hex(), std.hex())
+    assert ts.rhs[0].tobytes() == ((y - mean) / std).tobytes()
+    assert (ts.rhs[1] == 1.0).all()
+    if constant:
+        assert ts.y_std == 1.0 and not ts.rhs[0].any()
 
 
 def test_training_set_normalizes_with_bounds():
@@ -1409,7 +1438,7 @@ def continuous_factors(fit, X):
     """The Matern factors of the query rows against the training points,
     one (rows, n) array per dimension: the doubles predict_batch uses."""
     train = fit.train
-    X01 = gpcore.to_unit_coords(X, train.bounds)
+    X01 = to_unit_coords(X, train.bounds)
     absdiff = (np.abs(X01[:, d, None] - train.X01[None, :, d]) for d in range(train.q))
     return [gpcore._matern(t)
             for t in map(operator.mul, gpcore.SQRT5 / fit.config.lengthscales, absdiff)]
@@ -2100,6 +2129,8 @@ def _saved_fit(tmp_path):
          "model.json: field train_levels"),
         (lambda doc: doc.update(lengthscales="abc"), "model.json: field lengthscales"),
         (lambda doc: doc["train_X"][0].append(0.5), "model.json: field train_X"),
+        (lambda doc: doc["train_X"].__setitem__(1, 0.5),
+         "model.json: field train_X: object of type 'float' has no len"),
         (lambda doc: doc.update(bounds=None), "model.json: field bounds"),
         (lambda doc: doc.update(s="4"), "model.json: field s"),
         (lambda doc: doc.update(nugget="a"),
@@ -2109,6 +2140,22 @@ def _saved_fit(tmp_path):
         (lambda doc: doc.update(n_levels=2.5), "model.json: field n_levels"),
         (lambda doc: doc.update(n_levels=None), "model.json: field n_levels"),  # save_fit writes one
         (lambda doc: doc.update(family="ZZ"), "model.json: field family: unknown family 'ZZ'"),
+        # strings and booleans are no numbers, though numpy reads them as numbers
+        (lambda doc: doc.update(train_y=[str(v) for v in doc["train_y"]]),
+         "model.json: field train_y: must hold numbers only, not str"),
+        (lambda doc: doc.update(train_X=[[str(v) for v in row] for row in doc["train_X"]]),
+         "model.json: field train_X: must hold numbers only, not str"),
+        (lambda doc: doc.update(lengthscales=[True, True]),
+         "model.json: field lengthscales: must hold numbers only, not bool"),
+        (lambda doc: doc.update(cat_params=["0.5"]),
+         "model.json: field cat_params: must hold numbers only, not str"),
+        (lambda doc: doc.update(bounds=[[False, True], [False, True]]),
+         "model.json: field bounds: must hold numbers only, not bool"),
+        (lambda doc: doc["train_levels"].__setitem__(0, True),
+         "model.json: field train_levels: must hold numbers only, not bool"),
+        # an integer too large for a float
+        (lambda doc: doc["train_X"][0].__setitem__(0, 10**400),
+         "model.json: field train_X: int too large to convert to float"),
     ],
 )
 def test_load_fit_rejects_incomplete_document(tmp_path, edit, message):
@@ -2171,4 +2218,17 @@ def test_load_fit_rejects_truncated_file(tmp_path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(ParamDomainError, match="not valid JSON"):
+        load_fit(path)
+
+
+@pytest.mark.parametrize("encode", [
+    # a Latin-1 byte in a string, a leading continuation byte, and UTF-16 with its BOM
+    lambda text: text.replace('"EC"', '"\xc9C"').encode("latin-1"),
+    lambda text: b"\x80" + text.encode("utf-8"),
+    lambda text: text.encode("utf-16"),
+])
+def test_load_fit_rejects_a_file_that_is_not_utf8(tmp_path, encode):
+    path, _ = _saved_fit(tmp_path)
+    path.write_bytes(encode(path.read_text(encoding="utf-8")))
+    with pytest.raises(ParamDomainError, match=r"model\.json: not UTF-8"):
         load_fit(path)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import re
 import subprocess
 import sys
@@ -37,6 +38,20 @@ def test_bitcheck_config_and_profile_sections_run(monkeypatch, tmp_path):
     assert all(len(line[-1]) == 64 for line in lines)
 
 
+def test_bitcheck_load_section_digests_every_model(monkeypatch, tmp_path):
+    # one sha256 digest per predict_grid model, of the reloaded model's
+    # numbers and its training set's arrays
+    bitcheck = load_bitcheck(monkeypatch)
+    lines = [line.split() for line in bitcheck.load_lines(str(tmp_path))]
+    assert len(lines) == 168 and len({line[1] for line in lines}) == 168
+    assert all(line[0] == "load" and line[1].endswith(".json")
+               and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
+    # a reload whose training set standardizes otherwise changes its digest
+    first = lines[0][2]
+    monkeypatch.setattr(bitcheck.gpcore, "_YSTD_FLOOR", math.inf)
+    assert next(bitcheck.load_lines(str(tmp_path / "floored"))).split()[2] != first
+
+
 def test_bitcheck_grid_section_digests_every_model(monkeypatch, tmp_path):
     # one sha256 digest per predict_grid model: the section reads the
     # workload's models and grids, and predict_batch's kept query
@@ -64,8 +79,8 @@ def test_bitcheck_scatter_section_digests_models(monkeypatch, tmp_path):
 
 def test_bitcheck_prints_the_named_sections_in_order(monkeypatch, capsys):
     bitcheck = load_bitcheck(monkeypatch)
-    assert list(bitcheck.SECTIONS) == ["config", "gate", "grid", "scatter", "desk", "profile",
-                                       "fit"]
+    assert list(bitcheck.SECTIONS) == ["config", "gate", "load", "grid", "scatter", "desk",
+                                       "profile", "fit"]
     for name in bitcheck.SECTIONS:
         monkeypatch.setitem(bitcheck.SECTIONS, name, lambda tmp, name=name: [f"{name} line"])
     assert bitcheck.main(["fit", "grid", "scatter"]) == 0
@@ -83,7 +98,7 @@ def test_bitcheck_rejects_an_unknown_section():
     done = subprocess.run(run + ["grid", "scater"], capture_output=True, text=True)
     assert done.returncode == 2 and done.stdout == ""
     assert "scater" in done.stderr
-    assert "config gate grid scatter desk profile fit" in done.stderr
+    assert "config gate load grid scatter desk profile fit" in done.stderr
 
 
 def test_loc_counts_every_line_of_src():
