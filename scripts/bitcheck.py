@@ -10,9 +10,9 @@ checkouts to see whether a change keeps every bit:
 Name sections to print only those, in the order below whatever the
 order named (an unknown name exits with status 2):
 
-    python3 scripts/bitcheck.py [config|gate|load|grid|scatter|desk|profile|fit ...]
+    python3 scripts/bitcheck.py [config|gate|load|grid|scatter|desk|profile|fit|searches ...]
 
-Eight sections, one digest per line:
+Nine sections, one digest per line:
 
 * ``config``: ``repr`` of ``load_config`` of each study config in
   ``scripts/configs/`` (``desk_study.ini``, ``full_study.ini`` and
@@ -42,6 +42,13 @@ Eight sections, one digest per line:
   values, so it is no product grid;
 * ``fit``: the 8 fits of the ``study_upended`` workload (NLL,
   lengthscales, family parameters and ``start_objectives``);
+* ``searches``: each of the 80 L-BFGS-B searches of those fits, in the
+  order they are created: its start, its value f, final point,
+  evaluation count, iterations and task code, so that a search a fit
+  does not choose is checked too. A spy wraps
+  ``gpcore._lbfgsb_search`` and passes on every argument after the
+  start, so the section runs on any signature of the search whose
+  first argument is the start;
 * ``desk``: ``records.csv`` below its header line for each of the six
   studies of acceptance criterion 8 (base seeds 1000, 2000 and 3000;
   ackley_s4_up13 at n = 8 with EC, MC, LRC3 and UC, and ackley_s4 at
@@ -64,8 +71,8 @@ Eight sections, one digest per line:
   not the family matrices P that ``_profile`` also returns, which a
   model's level table is built from and the ``grid`` and ``scatter``
   sections check through the predictions.
-  ``desk`` and ``fit`` stop at N = 32, and the desk study's costliest
-  cells are at N = 48.
+  ``desk``, ``fit`` and ``searches`` stop at N = 32, and the desk
+  study's costliest cells are at N = 48.
 
 The workloads are imported from ``perfbench/`` and only read. BLAS runs
 on one thread. A full run takes 20-25 s on a 2-vCPU x86-64 VM.
@@ -174,6 +181,31 @@ def fit_lines(tmp):
                + digest([f.neg_log_lik], f.config.lengthscales, cat, f.start_objectives))
 
 
+def searches_lines(tmp):
+    real = gpcore._lbfgsb_search
+    searches = []  # [start, result] of each search, in creation order
+
+    def spy(u0, *args):
+        entry = [u0.copy(), None]
+        searches.append(entry)
+
+        def run():
+            entry[1] = yield from real(u0, *args)
+            return entry[1]
+
+        return run()
+
+    gpcore._lbfgsb_search = spy
+    try:
+        study = workloads.make("study_upended", tmp, SEED)
+        study.setup()
+        study.run_pass(workloads.Result())
+    finally:
+        gpcore._lbfgsb_search = real
+    for k, (u0, (f, u, nfev, nit, task)) in enumerate(searches):
+        yield f"searches {k} {digest(u0, [f], u, [nfev, nit], task)}"
+
+
 def desk_lines(tmp):
     for base_seed in (1000, 2000, 3000):
         for name, fid, n, families in (("up", "ackley_s4_up13", 8, ("EC", "MC", "LRC3", "UC")),
@@ -227,10 +259,10 @@ def profile_lines(tmp):
                + profile_digest(train, ls, spec, cat, grad, nugget=0.0))
 
 
-# in print order; fit_lines last: the study workload wraps bench.fit for good
+# in print order; the study sections last: the study workload wraps bench.fit for good
 SECTIONS = {section.__name__.removesuffix("_lines"): section
             for section in (config_lines, gate_lines, load_lines, grid_lines, scatter_lines,
-                            desk_lines, profile_lines, fit_lines)}
+                            desk_lines, profile_lines, fit_lines, searches_lines)}
 
 
 def main(names) -> int:

@@ -119,6 +119,16 @@ def extract_tau_hat(gp_fit: GPFit) -> CorrMatrix:
     return build_correlation(spec, gp_fit.config.cat_params, gp_fit.config.corr_nugget)
 
 
+def _values(value) -> tuple | None:
+    """``value`` as a tuple; None for a bare string or a non-iterable."""
+    if isinstance(value, str):
+        return None
+    try:
+        return tuple(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one simulation study.
@@ -130,7 +140,8 @@ class ExperimentConfig:
 
     Building one checks every field by the rules in ``__post_init__`` (a
     family label must parse for some s; no function, n or family, as parsed,
-    may repeat), for the API and config files alike; one ``ConfigError`` lists every rule broken.
+    may repeat; a bare string or a single value is no list of values), for
+    the API and config files alike; one ``ConfigError`` lists every rule broken.
     """
 
     functions: tuple[str, ...]
@@ -145,14 +156,19 @@ class ExperimentConfig:
     timing: str = "wall"  # one of TIMINGS
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "families", tuple(self.families))
-        n_values = tuple(self.n_values)
+        # a bare string or a non-iterable is no list of values: one issue,
+        # not one per character, and () to the other rules
+        lists = [(name, value, _values(value)) for name, value in (
+            ("functions", self.functions), ("families", self.families), ("n_values", self.n_values))]
+        for name, _, values in lists:
+            object.__setattr__(self, name, () if values is None else values)
+        n_values = self.n_values
         text = lambda values: all(isinstance(v, str) for v in values)
         counts = (("replications", self.replications, 1), ("base_seed", self.base_seed, 0),
                   ("resolution", self.resolution, 2), ("test_size", self.test_size, 2),
                   ("test_seed", self.test_seed, 0))
         ConfigError.check((
+            *((name, value, "a list of values", values is not None) for name, value, values in lists),
             ("functions", self.functions, "text", text(self.functions)),
             ("families", self.families, "text", text(self.families)),
             ("n_values", n_values, "integers", all(map(whole, n_values))),

@@ -116,12 +116,14 @@ No parameter is checked here: every point :func:`fit` evaluates lies in
 
 Each search is scipy's L-BFGS-B driven directly (``_lbfgsb_search``), on
 the path of ``scipy.optimize.minimize`` evaluation for evaluation and
-bit for bit: a generator that yields each point it needs and is sent
-that point's value and gradient. :func:`fit` thus runs its starts in
-lockstep, each round's points in one stacked call of at most
-``_STACK_ELEMENTS`` entries per (points, q, n, n) array. At N = 24-32
-an evaluation's time is mostly numpy's and LAPACK's per-call overhead,
-which a stack pays once.
+bit for bit: a generator that yields each point it needs, its start
+first, and is sent that point's value and gradient. :func:`fit` thus
+runs its starts in lockstep, each round's points in stacked calls of at
+most ``_STACK_ELEMENTS`` entries per (points, q, n, n) array, the
+starts in the first round. At N = 24-32 an evaluation's time is mostly
+numpy's and LAPACK's per-call overhead, which a stack pays once. A call
+that raises is made again row by row, so an exception at any point, the
+start included, ends only its own search.
 
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
@@ -256,15 +258,20 @@ def _as_levels(levels, what: str = "levels") -> np.ndarray:
     """A new int array of ``levels``; ``ParamDomainError`` unless integral.
 
     Integral floats such as 2.0 are accepted; 1.9 is no level, and nor
-    is True. ``what`` names the argument in the error.
+    is True, nor an integer beyond int64 (numpy reads 2**63 as a uint64,
+    which ``astype(int)`` wraps to -2**63). ``what`` names the argument
+    in the error.
     """
     raw = np.asarray(levels)
-    if raw.dtype.kind in "iu":
+    if raw.dtype.kind == "i":
         return raw.astype(int)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
-        ints = raw.astype(int)
-    if raw.dtype.kind == "b" or not np.array_equal(ints, raw):
-        raise ParamDomainError(f"{what} must be integers")
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
+            ints = raw.astype(int)
+    except OverflowError:  # a Python int beyond int64, in an object array
+        ints = None
+    if raw.dtype.kind == "b" or ints is None or not np.array_equal(ints, raw):
+        raise ParamDomainError(f"{what} must be integers within int64")
     return ints
 
 
@@ -705,19 +712,20 @@ def maximin_starts(lo, hi, k: int, rng) -> np.ndarray:
     return lo + cand[chosen] * (hi - lo)
 
 
-def _lbfgsb_search(u0, first, box, maxfun: int):
-    """L-BFGS-B on a finite box, step for step as scipy's ``minimize``.
+def _lbfgsb_search(u0, lo, hi, maxfun: int):
+    """L-BFGS-B on the finite box [lo, hi], step for step as scipy's ``minimize``.
 
     A generator: it yields each point it needs the objective at, and is
-    sent back that point's (f, g). ``first`` is the (f, g) at ``u0``. This
-    is the reverse-communication loop of ``scipy.optimize.minimize(
-    objective, u0, jac=True, method="L-BFGS-B", bounds=box,
-    options={"maxfun": maxfun})`` on the same compiled ``setulb`` (Byrd,
-    Lu, Nocedal & Zhu 1995), with its defaults and its ``nfev > maxfun``
-    check after each iteration. As there, a point equal to the last one
-    evaluated is not asked for again, so the path, the evaluation count
-    and the result are minimize's to the last bit. Unlike there, the
-    start is evaluated once, by the caller.
+    sent back that point's (f, g), or has an exception thrown in, which
+    ends it. This is the reverse-communication loop of
+    ``scipy.optimize.minimize(objective, u0, jac=True, method="L-BFGS-B",
+    bounds=np.column_stack([lo, hi]), options={"maxfun": maxfun})`` on
+    the same compiled ``setulb`` (Byrd, Lu, Nocedal & Zhu 1995), with its
+    defaults and its ``nfev > maxfun`` check after each iteration. As
+    there, the first point is the start clipped into the box, and a point
+    equal to the last one evaluated is not asked for again, so the path,
+    the evaluation count and the result are minimize's to the last bit.
+    ``lo`` and ``hi`` are contiguous float64 arrays, as ``setulb`` takes them.
 
     Returns (f, u, nfev, nit, task): the last value handed to ``setulb``
     (after an ``ABNORMAL`` line-search exit, that of the last trial
@@ -726,14 +734,12 @@ def _lbfgsb_search(u0, first, box, maxfun: int):
     ``setulb``'s final (task, reason) code pair.
     """
     n = u0.size
-    lo, hi = np.ascontiguousarray(box.T, dtype=float)
     x = np.clip(u0, lo, hi)
-    if not np.array_equal(x, u0):  # minimize starts from the clipped point
-        first = yield x.copy()
     # the last point evaluated, as a list: list equality is 5 times
     # faster than np.array_equal here, with the same answers (the floats
     # are fresh objects, so NaN never equals itself; -0.0 equals 0.0)
-    last, (f_last, g_last) = x.tolist(), first
+    last = x.tolist()
+    f_last, g_last = yield x.copy()
     f, g = 0.0, np.zeros(n)
     nbd = np.full(n, 2, np.int32)  # both bounds finite
     wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
@@ -803,14 +809,21 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     resolved toward the lowest start index) and returns the finished
     model. Deterministic for a fixed seed. Each search is scipy's
     L-BFGS-B routine with ``minimize``'s defaults, driven directly (see
-    the module docstring); each start is evaluated once, and its value
-    is both the start's entry of ``start_objectives`` and the search's
-    first evaluation.
+    the module docstring). A search's first point is its start, evaluated
+    once: its value is the start's entry of ``start_objectives`` (``inf``
+    if that evaluation raised), and the start is kept if it beats where
+    the search ends.
 
     The searches advance in lockstep, each round's points evaluated in
-    one stacked likelihood call; each search takes the path it takes
-    alone, bit for bit. A failed evaluation costs only its own search,
-    as does an exception raised for one search's point.
+    stacked likelihood calls, the starts in the first; each search takes
+    the path it takes alone, bit for bit. A failed evaluation costs only
+    its own search, as does an exception raised at any of its points,
+    the start included; a search that raises after its start still
+    offers the start.
+
+    The search runs on log lengthscales, so a lengthscale on the upper
+    face of ``lengthscale_bounds`` is reported as exp(log(hi)): at the
+    default hi = 10 that is 10.000000000000002, one ulp above the bound.
 
     If fewer than two levels are observed the categorical parameters
     are unidentifiable; a warning is issued and a continuous-only model
@@ -837,34 +850,40 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     # starts and box. In psi, L-BFGS-B's first, unit-length step can
     # carry a lengthscale from mid-box to the lower face, onto the
     # plateau R ~ I where the gradient vanishes and the search stops.
-    box = np.column_stack([lo, hi])
-    box[:q] = np.log(box[:q])
+    lo[:q], hi[:q] = np.log(lo[:q]), np.log(hi[:q])
     starts[:, :q] = np.log(starts[:, :q])
     # points per stacked likelihood call: its largest array, the
     # (points, q, n, n) stack of Matern derivatives, stays within
     # _STACK_ELEMENTS entries
     chunk = max(1, _STACK_ELEMENTS // (max(q, 1) * train.n ** 2))
 
-    def evaluate(U):
-        """The (f, g) rows of the objective at the rows of U; g in u."""
+    def replies(U):
+        """Each row's (f, g), g in u, from stacked calls of at most
+        ``chunk`` rows. A call that raises is made again row by row, so
+        that a row that raises gets its exception and ends only its own
+        search."""
         out = []
         for at in range(0, len(U), chunk):
             V = U[at:at + chunk]
-            ls = np.exp(V[:, :q])
-            nll, *_, g, _ = _profile(train, ls, spec, None if spec is None else V[:, q:],
-                                     options.nugget, options.corr_nugget, grad=True)
-            g[:, :q] *= ls  # df/dlog(l) = l df/dl
-            out.append((nll, g))
-        return out[0] if len(out) == 1 else tuple(map(np.concatenate, zip(*out)))
+            try:
+                ls = np.exp(V[:, :q])
+                nll, *_, g, _ = _profile(train, ls, spec, None if spec is None else V[:, q:],
+                                         options.nugget, options.corr_nugget, grad=True)
+                g[:, :q] *= ls  # df/dlog(l) = l df/dl
+                out += zip(nll, g)
+            except Exception as exc:
+                out += [exc] if len(V) == 1 else [reply for v in V for reply in replies(v[None])]
+        return out
 
-    # The searches run in lockstep: each round evaluates, in one stacked
-    # call, the next point of every search that is still running. Each
-    # search receives the (f, g) it would alone, bit for bit.
-    F, G = evaluate(starts)
-    start_objectives = F.tolist()
-    searches = [_lbfgsb_search(u0, first, box, maxfun) for u0, *first in zip(starts, F, G)]
+    # The searches run in lockstep: each round evaluates, in stacked
+    # calls, the next point of every search that is still running, the
+    # starts in the first. Each search receives the (f, g) it would
+    # alone, bit for bit.
+    searches = [_lbfgsb_search(u0, lo, hi, maxfun) for u0 in starts]
     ends = [None] * len(searches)  # the result, or the exception that ended each
-    waiting = {}  # search index -> the point it waits on
+    firsts = [None] * len(searches)  # each start, as evaluated, and the value there
+    # search index -> the point it waits on, first its start
+    waiting = {idx: next(search) for idx, search in enumerate(searches)}
 
     def step(idx, reply):
         """Hand search ``idx`` its (f, g), or an exception to raise, and
@@ -878,31 +897,23 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
         except Exception as exc:  # keep going; other starts may succeed
             ends[idx] = exc
 
-    def replies(U):
-        """Each row's (f, g); if the stacked call raises, each row's own
-        (f, g) or exception, so that a point that raises ends only its
-        own search."""
-        try:
-            return list(zip(*evaluate(U)))
-        except Exception as exc:
-            return [exc] if len(U) == 1 else [reply for u in U for reply in replies(u[None])]
-
-    for idx in range(len(searches)):
-        step(idx, None)
     while waiting:
         idxs = list(waiting)
-        for idx, reply in zip(idxs, replies(np.array([waiting.pop(idx) for idx in idxs]))):
+        U = np.array([waiting.pop(idx) for idx in idxs])
+        for idx, u, reply in zip(idxs, U, replies(U)):
+            if firsts[idx] is None:  # the first round evaluates the starts
+                firsts[idx] = u, math.inf if isinstance(reply, Exception) else float(reply[0])
             step(idx, reply)
 
     best_val = np.inf
     best_u = None
     diagnostics = []
-    for idx, (start, f0, end) in enumerate(zip(starts, start_objectives, ends)):
+    start_objectives = [f0 for _, f0 in firsts]
+    for idx, ((start, f0), end) in enumerate(zip(firsts, ends)):
         if isinstance(end, Exception):
             diagnostics.append((idx, f"exception: {end}"))
-            val, u = np.inf, None
-        else:
-            val, u = end[:2]
+            end = np.inf, None
+        val, u = end[:2]
         if f0 < val and f0 < _FAILED_OBJ:
             val, u = f0, start
         if val >= _FAILED_OBJ or u is None:
@@ -1226,7 +1237,7 @@ def load_fit(path) -> GPFit:
         read("train_levels", lambda levels: _as_levels(_numbers(levels, None))),
         read("train_y", _numbers),
         bounds=read("bounds", _numbers),
-        n_levels=read("n_levels", _integer),
+        n_levels=read("n_levels", lambda count: _as_levels(_integer(count), "n_levels").item()),
     )
     s, rank = read("s", _integer, null=True), read("rank", _integer, null=True)
     config = KernelConfig(

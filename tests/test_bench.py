@@ -611,6 +611,10 @@ def test_fit_options_check_ranges_on_integers_only():
     (dict(resolution=None), "resolution: must be an integer"),
     (dict(functions=(1,)), r"functions: must be text, got \(1,\)"),
     (dict(families=("EC", 2)), r"families: must be text, got \('EC', 2\)"),
+    # one issue for a bare string or a non-iterable, not one per character
+    (dict(n_values=4), "^n_values: must be a list of values, got 4$"),
+    (dict(functions="ackley_s4"), "^functions: must be a list of values, got 'ackley_s4'$"),
+    (dict(families="EC"), "^families: must be a list of values, got 'EC'$"),
 ])
 def test_experiment_config_rejects_values_out_of_range(kwargs, needle):
     with pytest.raises(MixedGPError, match=needle):

@@ -246,7 +246,8 @@ def test_training_set_rejects_non_finite_data(where, bad):
         TrainingSet(X, [1, 1, 2], y)
 
 
-@pytest.mark.parametrize("n_levels", [2.9, np.nan, np.inf, -np.inf])
+# 2**63 is a uint64 to numpy, which astype(int) wraps; 10**30 no int64 at all
+@pytest.mark.parametrize("n_levels", [2.9, np.nan, np.inf, -np.inf, 2**63, 10**30])
 def test_training_set_rejects_a_non_integral_level_count(n_levels):
     with pytest.raises(ParamDomainError, match="n_levels must be integers"):
         TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], n_levels=n_levels)
@@ -967,9 +968,9 @@ def spy_on_searches(monkeypatch):
     searches = []
     real = gpcore._lbfgsb_search
 
-    def spy(u0, first, box, maxfun):
-        out = yield from real(u0, first, box, maxfun)
-        searches.append((u0.copy(), box.copy(), maxfun, out))
+    def spy(u0, lo, hi, maxfun):
+        out = yield from real(u0, lo, hi, maxfun)
+        searches.append((u0.copy(), np.column_stack([lo, hi]), maxfun, out))
         return out
 
     monkeypatch.setattr(gpcore, "_lbfgsb_search", spy)
@@ -1035,9 +1036,9 @@ def test_fit_objective_gradient_matches_its_values(monkeypatch):
 _TASK_NAMES = {4: "CONVERGENCE", 5: "STOP", 8: "ABNORMAL"}
 
 
-def _lbfgsb(objective, u0, first, box, maxfun):
+def _lbfgsb(objective, u0, box, maxfun):
     """gpcore._lbfgsb_search run alone: ``objective(u)`` returns (f, g)."""
-    search = gpcore._lbfgsb_search(u0, first, box, maxfun)
+    search = gpcore._lbfgsb_search(u0, *np.ascontiguousarray(box.T), maxfun)
     try:
         u = next(search)
         while True:
@@ -1053,7 +1054,7 @@ def assert_same_search_as_minimize(objective, u0, box, maxfun):
     """
     ref = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=box,
                    options={"maxfun": maxfun})
-    out = f, u, nfev, nit, task = _lbfgsb(objective, u0, objective(u0), box, maxfun)
+    out = f, u, nfev, nit, task = _lbfgsb(objective, u0, box, maxfun)
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= 15000 else 2
     assert (f, nfev, nit, status) == (ref.fun, ref.nfev, ref.nit, ref.status)
     assert np.array_equal(u, ref.x)
@@ -1162,20 +1163,26 @@ def test_fit_evaluates_each_start_once(monkeypatch):
     assert len(calls) == sum(search[3][2] for search in searches)
 
 
-def test_an_exception_at_one_point_ends_only_its_search(monkeypatch):
+@pytest.mark.parametrize("n, n_starts, evaluation", [
+    pytest.param(10, 4, 0, id="start"),
+    pytest.param(10, 4, 3, id="fourth-evaluation"),
+    # at N = 30 and q = 2 a stacked call holds 9 rows: the 12 starts take two
+    pytest.param(30, 12, 0, id="start-in-a-split-round"),
+])
+def test_an_exception_at_one_point_ends_only_its_search(monkeypatch, n, n_starts, evaluation):
     # the searches share stacked likelihood calls; a point whose
-    # evaluation raises must end its own search, as it would alone, and
-    # leave every other search's path as it was
+    # evaluation raises, a start included, must end its own search, as
+    # it would alone, and leave every other search's path as it was
     rng = np.random.default_rng(8)
-    train, spec = TrainingSet(*random_instance(rng, 10, s=3)), FamilySpec("MC", 3)
-    options = FitOptions(n_starts=4)
+    train, spec = TrainingSet(*random_instance(rng, n, s=3)), FamilySpec("MC", 3)
+    options = FitOptions(n_starts=n_starts)
     asked = {}
     real_search = gpcore._lbfgsb_search
 
-    def recording(u0, first, box, maxfun):
+    def recording(u0, lo, hi, maxfun):
         asked[u0.tobytes()] = points = []
         answer = None
-        search = real_search(u0, first, box, maxfun)
+        search = real_search(u0, lo, hi, maxfun)
         try:
             while True:
                 points.append(search.send(answer).copy())
@@ -1186,27 +1193,42 @@ def test_an_exception_at_one_point_ends_only_its_search(monkeypatch):
     monkeypatch.setattr(gpcore, "_lbfgsb_search", recording)
     fit(train, spec, options)
     starts = list(asked)
-    poisoned = np.exp(asked[starts[1]][2][:train.q])  # search 1's fourth evaluation
+    poisoned = np.exp(asked[starts[1]][evaluation][:train.q])  # search 1's point
     monkeypatch.setattr(gpcore, "_lbfgsb_search", real_search)
     clean = spy_on_searches(monkeypatch)
-    fit(train, spec, options)
+    clean_fit = fit(train, spec, options)
     ends = {u0.tobytes(): out for u0, *_, out in clean}
     monkeypatch.setattr(gpcore, "_lbfgsb_search", real_search)
     real_profile = gpcore._profile
+    rows = []  # the number of points of each likelihood call
 
     def raising(train, lengthscales, *args, **kwargs):
+        rows.append(len(lengthscales))
         if (lengthscales == poisoned).all(axis=1).any():
             raise RuntimeError("boom")
         return real_profile(train, lengthscales, *args, **kwargs)
 
     monkeypatch.setattr(gpcore, "_profile", raising)
     hit = spy_on_searches(monkeypatch)
-    fit(train, spec, options)
+    model = fit(train, spec, options)
     # a search that raises records no end; the others end as before
-    assert len(ends) == 4 and len(hit) == 3 and starts[1] not in {u0.tobytes() for u0, *_ in hit}
+    assert isinstance(model, gpcore.GPFit)
+    assert len(ends) == n_starts and len(hit) == n_starts - 1
+    assert starts[1] not in {u0.tobytes() for u0, *_ in hit}
     for u0, *_, (f, u, *rest) in hit:
         g, v, *others = ends[u0.tobytes()]
         assert f == g and np.array_equal(u, v) and rest == others
+    # search 1 offers its start unless the start raised
+    expected = list(clean_fit.start_objectives)
+    if evaluation == 0:
+        expected[1] = math.inf
+        # the starts' round: only the call holding search 1's start, the
+        # first, is made again, one row at a time
+        chunk = gpcore._STACK_ELEMENTS // (train.q * n * n)
+        sizes = [min(chunk, n_starts - at) for at in range(0, n_starts, chunk)]
+        assert rows[:1 + sizes[0] + len(sizes) - 1] == sizes[:1] + [1] * sizes[0] + sizes[1:]
+    assert model.start_objectives == tuple(expected)
+    assert all(type(v) is float for v in model.start_objectives)
 
 
 def test_fit_failure_carries_diagnostics():
@@ -1369,7 +1391,9 @@ def test_predict_outside_bounds_rejected():
 def test_non_integral_levels_rejected():
     rng = np.random.default_rng(6)
     X_train, train_levels, y = random_instance(rng, 8, s=2)
-    for bad in (train_levels + 0.5, np.where(train_levels == 2, np.nan, 1.0)):
+    beyond_int64 = [[*train_levels[:-1].tolist(), big] for big in (2**63, 10**30)]
+    for bad in (train_levels + 0.5, np.where(train_levels == 2, np.nan, 1.0), *beyond_int64,
+                np.array(beyond_int64[0], np.uint64)):
         with pytest.raises(ParamDomainError, match="integers"):
             TrainingSet(X_train, bad, y)
     ts = TrainingSet(X_train, train_levels.astype(float), y)  # 2.0 is level 2
@@ -1380,7 +1404,7 @@ def test_non_integral_levels_rejected():
     X = rng.random((2, 2))
     assert np.array_equal(predict_batch(gp, X, 2.0), predict_batch(gp, X, 2))
     assert np.array_equal(predict_batch(gp, X, [1.0, 2.0]), predict_batch(gp, X, [1, 2]))
-    for bad in (1.9, [1, 1.5], np.nan, np.inf):
+    for bad in (1.9, [1, 1.5], np.nan, np.inf, 2**63, 10**30, [1, 10**30]):
         with pytest.raises(ParamDomainError, match="integers"):
             predict_batch(gp, X, bad)
 
@@ -2139,6 +2163,10 @@ def _saved_fit(tmp_path):
         (lambda doc: doc.update(n_levels="4"), "model.json: field n_levels"),
         (lambda doc: doc.update(n_levels=2.5), "model.json: field n_levels"),
         (lambda doc: doc.update(n_levels=None), "model.json: field n_levels"),  # save_fit writes one
+        (lambda doc: doc.update(n_levels=10**30),
+         "model.json: field n_levels: n_levels must be integers within int64"),
+        (lambda doc: doc["train_levels"].__setitem__(0, 10**30),
+         "model.json: field train_levels: levels must be integers within int64"),
         (lambda doc: doc.update(family="ZZ"), "model.json: field family: unknown family 'ZZ'"),
         # strings and booleans are no numbers, though numpy reads them as numbers
         (lambda doc: doc.update(train_y=[str(v) for v in doc["train_y"]]),

@@ -77,10 +77,23 @@ def test_bitcheck_scatter_section_digests_models(monkeypatch, tmp_path):
                and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
 
 
+def test_bitcheck_searches_section_digests_every_search(monkeypatch, tmp_path):
+    # one sha256 digest per search of the study_upended fits, 8 fits of
+    # 10 starts, in creation order; the search is unwrapped afterwards
+    bitcheck = load_bitcheck(monkeypatch)
+    monkeypatch.setattr(bitcheck.bench, "fit", bitcheck.bench.fit)  # the workload wraps it
+    search = bitcheck.gpcore._lbfgsb_search
+    lines = [line.split() for line in bitcheck.searches_lines(str(tmp_path))]
+    assert [line[:2] for line in lines] == [["searches", str(k)] for k in range(80)]
+    assert all(re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
+    assert len({line[2] for line in lines}) == 80
+    assert bitcheck.gpcore._lbfgsb_search is search
+
+
 def test_bitcheck_prints_the_named_sections_in_order(monkeypatch, capsys):
     bitcheck = load_bitcheck(monkeypatch)
     assert list(bitcheck.SECTIONS) == ["config", "gate", "load", "grid", "scatter", "desk",
-                                       "profile", "fit"]
+                                       "profile", "fit", "searches"]
     for name in bitcheck.SECTIONS:
         monkeypatch.setitem(bitcheck.SECTIONS, name, lambda tmp, name=name: [f"{name} line"])
     assert bitcheck.main(["fit", "grid", "scatter"]) == 0
@@ -98,7 +111,7 @@ def test_bitcheck_rejects_an_unknown_section():
     done = subprocess.run(run + ["grid", "scater"], capture_output=True, text=True)
     assert done.returncode == 2 and done.stdout == ""
     assert "scater" in done.stderr
-    assert "config gate load grid scatter desk profile fit" in done.stderr
+    assert "config gate load grid scatter desk profile fit searches" in done.stderr
 
 
 def test_loc_counts_every_line_of_src():
