@@ -26,6 +26,9 @@ Nine sections, one digest per line:
   ``level_table``, and its training set's ``X01``, ``absdiff``, ``rhs``,
   ``y_mean``, ``y_std``, ``level_indicator`` and ``pair_index``, so the
   bits of a reload are checked directly, not only through predictions;
+  and on a second line, ``build_R``'s (R, L) of the model's config, so
+  the R assembly that ``build_R`` shares with the likelihood is checked
+  on every family;
 * ``grid``: predictions of the same 168 models on their 100 x 100
   grid, reloaded with ``load_fit``: every level in ascending order and
   then per-row levels on one model, per-row levels and then every
@@ -132,6 +135,8 @@ def load_lines(tmp):
                + digest([model.neg_log_lik, model.mu_hat, model.sigma2_hat], model.chol_R,
                         model.alpha, model.level_table, train.X01, train.absdiff, train.rhs,
                         [train.y_mean, train.y_std], train.level_indicator, train.pair_index))
+        R, L = gpcore.build_R(train, model.config)
+        yield f"load {os.path.basename(path)} build_R {digest(R, L)}"
 
 
 def grid_lines(tmp):

@@ -112,19 +112,27 @@ def to_problem_coords(X01: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bounds[:, 0] + np.asarray(X01) * (bounds[:, 1] - bounds[:, 0])
 
 
+def map_to_unit(columns, bounds) -> None:
+    """Map each coordinate column ``columns[d]`` to [0, 1] by ``bounds[d]``, in place.
+
+    ``columns`` holds one float array per dimension, each ``x -= lo_d;
+    x /= hi_d - lo_d`` with scalar operands: numpy would subtract a
+    length-q row of bounds from a (rows, q) array in a length-q inner
+    loop per row, several times slower.
+    """
+    for x, (lo, hi) in zip(columns, np.asarray(bounds, dtype=float).tolist()):
+        x -= lo
+        x /= hi - lo
+
+
 def to_unit_coords(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The (rows, q) coordinates ``X`` mapped to [0, 1] per dimension by ``bounds``.
 
     Returns a (rows, q) view of a C-contiguous (q, rows) array, so each
-    column is contiguous. Each column is ``(X[:, d] - lo_d) / (hi_d -
-    lo_d)`` with scalar operands: numpy would subtract a length-q row of
-    bounds in a length-q inner loop per row, several times slower.
+    column is contiguous, mapped by :func:`map_to_unit`.
     """
-    X = np.asarray(X, dtype=float)
-    X01 = np.empty(X.shape[::-1])
-    for x, col, (lo, hi) in zip(X01, X.T, np.asarray(bounds, dtype=float).tolist()):
-        np.subtract(col, lo, out=x)
-        x /= hi - lo
+    X01 = np.asarray(X, dtype=float).T.copy()
+    map_to_unit(X01, bounds)
     return X01.T
 
 

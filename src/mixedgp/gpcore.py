@@ -79,11 +79,14 @@ by :func:`refit_config` from the P of its likelihood evaluation; a
 model without a family has a table of ones, which changes no bit
 (x * 1.0 is x).
 
-One function, ``_profile``, evaluates that likelihood for the optimizer,
-for :func:`concentrated_nll` and for the finished model, at a stack of
-k parameter points at once (k = 1 for the latter two): LAPACK
-``dpotrf`` factors each R, and one BLAS ``dtrsm`` solve on [z, 1] per
-point yields the GLS mean and profiled variance. (LAPACK ``dtrtrs``
+One function, ``_profile``, evaluates that likelihood at a stack of k
+parameter points at once: for the optimizer, and at k = 1 for the
+finished model, in :func:`refit_config`, whose ``neg_log_lik`` is
+:func:`concentrated_nll`'s value. One helper, ``_assemble_R``, builds R
+for it and for :func:`build_R`: the Matern product gathered to every
+pair, times P at the level pairs, with the diagonal set to 1 + nugget.
+LAPACK ``dpotrf`` factors each R, and one BLAS ``dtrsm`` solve on
+[z, 1] per point yields the GLS mean and profiled variance. (LAPACK ``dtrtrs``
 would do the same solve, but OpenBLAS runs it on a second thread even
 at a few dozen rows, doubling its CPU time for no gain in wall time.) For the optimizer it
 also returns the gradient sum(W * dR/dpsi), W = R^-1 - alpha alpha^T /
@@ -123,7 +126,8 @@ most ``_STACK_ELEMENTS`` entries per (points, q, n, n) array, the
 starts in the first round. At N = 24-32 an evaluation's time is mostly
 numpy's and LAPACK's per-call overhead, which a stack pays once. A call
 that raises is made again row by row, so an exception at any point, the
-start included, ends only its own search.
+start included, ends only its own search, which is asked for no more
+points.
 
 Continuous inputs are affinely mapped to [0, 1] per dimension using the
 training set's declared bounds before any kernel evaluation; responses
@@ -155,7 +159,7 @@ from .corrparam import (
     nugget_rule,
     param_count,
 )
-from .design import check_bounds
+from .design import check_bounds, map_to_unit
 from .errors import (
     ConfigError,
     FitFailureError,
@@ -258,19 +262,21 @@ def _as_levels(levels, what: str = "levels") -> np.ndarray:
     """A new int array of ``levels``; ``ParamDomainError`` unless integral.
 
     Integral floats such as 2.0 are accepted; 1.9 is no level, and nor
-    is True, nor an integer beyond int64 (numpy reads 2**63 as a uint64,
-    which ``astype(int)`` wraps to -2**63). ``what`` names the argument
-    in the error.
+    is True, text, None, a complex number, nor an integer beyond int64
+    (numpy reads 2**63 as a uint64, which ``astype(int)`` wraps to
+    -2**63). ``what`` names the argument in the error.
     """
     raw = np.asarray(levels)
     if raw.dtype.kind == "i":
         return raw.astype(int)
-    try:
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
-            ints = raw.astype(int)
-    except OverflowError:  # a Python int beyond int64, in an object array
-        ints = None
-    if raw.dtype.kind == "b" or ints is None or not np.array_equal(ints, raw):
+    ints = None
+    if raw.dtype.kind in "ufO":  # not booleans, text or complex numbers
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
+                ints = raw.astype(int)
+        except (OverflowError, TypeError, ValueError):
+            pass  # an object array's int beyond int64, None, or text int() does not read
+    if ints is None or not np.array_equal(ints, raw):
         raise ParamDomainError(f"{what} must be integers within int64")
     return ints
 
@@ -339,7 +345,7 @@ class TrainingSet:
             raise ParamDomainError("levels are 1-based positive integers")
         bounds = check_bounds(np.tile((0.0, 1.0), (q, 1)) if bounds is None else bounds, q)
         # each coordinate column contiguous: checked in problem units, then
-        # mapped to the unit box in place, as design.to_unit_coords maps
+        # mapped to the unit box in place (design.map_to_unit)
         columns = X.T.copy()
         if _outside(columns, bounds):
             raise ParamDomainError("training coordinates outside declared bounds")
@@ -356,9 +362,7 @@ class TrainingSet:
         self.n_levels = high if n_levels is None else _as_levels(n_levels, "n_levels").item()
         if self.n_levels < high:
             raise ParamDomainError("n_levels smaller than an observed level")
-        for x, (lo, hi) in zip(columns, bounds.tolist()):
-            x -= lo
-            x /= hi - lo
+        map_to_unit(columns, bounds)
         self.X01 = columns.T
         i, j = _upper_pairs(n)
         self.absdiff = np.zeros((q, i.size + 1))
@@ -476,10 +480,31 @@ _NOT_POSITIVE_DEFINITE = ("training correlation matrix is not positive definite;
                           "increase the model nugget")
 
 
+def _assemble_R(train: TrainingSet, lengthscales, Ppairs, nugget: float, dlog: bool = False):
+    """The (k, n, n) training correlation matrices R at a (k, q) stack of lengthscales.
+
+    R is the Matern product K gathered to every ordered pair, times
+    ``Ppairs``, the family matrices P gathered at the level pairs (1.0
+    without a family), with the diagonal set to 1 + nugget: R's diagonal
+    is exactly 1 (Matern(0) = 1 and P's diagonal is 1), so this adds
+    the nugget without a read. Returns (R, K, D), D the lengthscale
+    derivatives at each unordered pair with ``dlog`` (:func:`_kernel`),
+    else None; the gradient needs K itself.
+    """
+    k, n = len(lengthscales), train.n
+    K, D = (_kernel(train.absdiff, lengthscales, dlog=True) if dlog
+            else (_kernel(train.absdiff, lengthscales), None))
+    K = K.take(_pair_columns(n), axis=1)
+    R = K * Ppairs
+    R.reshape(k, -1)[:, :: n + 1] = 1.0 + nugget
+    return R, K, D
+
+
 def build_R(train: TrainingSet, config: KernelConfig, P=None):
     """Training correlation matrix with nugget, plus its Cholesky factor.
 
-    Returns (R, L) with R = correlations + nugget * I and L lower
+    Returns (R, L) with R = correlations + nugget * I, assembled as the
+    likelihood assembles it (:func:`_assemble_R`), and L lower
     triangular. ``P`` is the s x s array of ``config.corr_matrix()``,
     built here when not given. Raises as :func:`refit_config` does, and
     ``IllConditionedError`` when factorization fails.
@@ -487,10 +512,8 @@ def build_R(train: TrainingSet, config: KernelConfig, P=None):
     _check_config(train, config.family_spec, config.lengthscales.size)
     if P is None:
         P = config.corr_matrix()
-    R = _kernel(train.absdiff, config.lengthscales).take(_pair_columns(train.n))
-    if P is not None:
-        R *= np.take(P, train.pair_index)
-    R.reshape(-1)[:: train.n + 1] += config.nugget
+    Ppairs = 1.0 if P is None else np.take(P, train.pair_index)
+    R = _assemble_R(train, config.lengthscales[None], Ppairs, config.nugget)[0][0]
     L, info = dpotrf(R.T, lower=1)
     if info != 0:
         raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
@@ -519,7 +542,6 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
     other points are unaffected.
     """
     k, n = len(lengthscales), train.n
-    columns = _pair_columns(n)
     parts = [] if grad else None
     ok = np.ones(k, bool)
     if spec is None:
@@ -527,18 +549,7 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
     else:
         P = corr_values(spec, cat_params, corr_nugget, parts=parts)
         Ppairs = P.reshape(k, -1).take(train.pair_index, axis=1)
-    # the Matern factors of each unordered pair, expanded to every
-    # ordered pair by one gather
-    if grad:
-        K, dlog = _kernel(train.absdiff, lengthscales, dlog=True)
-        K = K.take(columns, axis=1)
-        R = K * Ppairs  # the gradient needs K itself
-    else:
-        R = _kernel(train.absdiff, lengthscales).take(columns, axis=1)
-        R *= Ppairs
-    # R's diagonal is exactly 1 (Matern(0) = 1 and P's diagonal is 1), so
-    # setting it to 1 + nugget adds the nugget, without a read
-    R.reshape(k, -1)[:, :: n + 1] = 1.0 + nugget
+    R, K, dlog = _assemble_R(train, lengthscales, Ppairs, nugget, dlog=grad)
     # each R[i] is factored in place, through its transpose, a Fortran-
     # ordered view: R[i] then holds L_i^T and L[i] is L_i; and [z, 1] is
     # solved in place in ab[i]
@@ -586,7 +597,7 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
         # the lengthscale terms by one dot product per (point, dimension),
         # on contiguous rows (the gather's fresh array), so summed as
         # np.vdot does
-        g[:, :q] = np.vecdot(dlog.take(columns.ravel(), axis=2), WR.reshape(k, 1, n * n))
+        g[:, :q] = np.vecdot(dlog.take(_pair_columns(n).ravel(), axis=2), WR.reshape(k, 1, n * n))
         g[:, :q] /= lengthscales
         if spec is not None:
             E = train.level_indicator
@@ -596,21 +607,6 @@ def _profile(train: TrainingSet, lengthscales, spec, cat_params, nugget: float,
         if grad:
             g[~ok] = 0.0
     return nll, ok, mu, sigma2, L, r, g, P
-
-
-def _profile_one(train: TrainingSet, config: KernelConfig):
-    """:func:`_profile` at one model, unstacked: (nll, mu, sigma2, L, r, P).
-
-    Raises as :func:`_check_config` does; ``IllConditionedError`` if R does not factor.
-    """
-    _check_config(train, config.family_spec, config.lengthscales.size)
-    spec, cat = config.family_spec, config.cat_params
-    nll, ok, mu, sigma2, L, r, _, P = _profile(
-        train, config.lengthscales[None], spec, None if cat is None else cat[None],
-        config.nugget, config.corr_nugget)
-    if not ok[0]:
-        raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
-    return float(nll[0]), float(mu[0]), float(sigma2[0]), L[0], r[0], None if P is None else P[0]
 
 
 def concentrated_nll(
@@ -634,7 +630,7 @@ def concentrated_nll(
     if psi.size != k:
         raise ParamArityError(f"psi must have length {k}, got {psi.size}")
     config = KernelConfig(psi[:q], spec, None if spec is None else psi[q:], nugget, corr_nugget)
-    return _profile_one(train, config)[0]
+    return refit_config(train, config).neg_log_lik
 
 
 @dataclass(frozen=True)
@@ -716,8 +712,9 @@ def _lbfgsb_search(u0, lo, hi, maxfun: int):
     """L-BFGS-B on the finite box [lo, hi], step for step as scipy's ``minimize``.
 
     A generator: it yields each point it needs the objective at, and is
-    sent back that point's (f, g), or has an exception thrown in, which
-    ends it. This is the reverse-communication loop of
+    sent back that point's (f, g); a caller whose evaluation raised asks
+    it for no more points and leaves it suspended. This is the
+    reverse-communication loop of
     ``scipy.optimize.minimize(objective, u0, jac=True, method="L-BFGS-B",
     bounds=np.column_stack([lo, hi]), options={"maxfun": maxfun})`` on
     the same compiled ``setulb`` (Byrd, Lu, Nocedal & Zhu 1995), with its
@@ -818,8 +815,11 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     stacked likelihood calls, the starts in the first; each search takes
     the path it takes alone, bit for bit. A failed evaluation costs only
     its own search, as does an exception raised at any of its points,
-    the start included; a search that raises after its start still
-    offers the start.
+    the start included: that search is asked for no more points. Each
+    search has one outcome, its kept (value, point) or one diagnostic:
+    a search that raises after its start still offers the start, and a
+    ``FitFailureError`` lists one diagnostic per search, ``"exception:
+    ..."`` for one that raised.
 
     The search runs on log lengthscales, so a lengthscale on the upper
     face of ``lengthscale_bounds`` is reported as exp(log(hi)): at the
@@ -878,48 +878,41 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
     # The searches run in lockstep: each round evaluates, in stacked
     # calls, the next point of every search that is still running, the
     # starts in the first. Each search receives the (f, g) it would
-    # alone, bit for bit.
+    # alone, bit for bit; one whose point raised is asked for no more.
     searches = [_lbfgsb_search(u0, lo, hi, maxfun) for u0 in starts]
     ends = [None] * len(searches)  # the result, or the exception that ended each
     firsts = [None] * len(searches)  # each start, as evaluated, and the value there
     # search index -> the point it waits on, first its start
     waiting = {idx: next(search) for idx, search in enumerate(searches)}
-
-    def step(idx, reply):
-        """Hand search ``idx`` its (f, g), or an exception to raise, and
-        keep the point it asks for next."""
-        search = searches[idx]
-        try:
-            waiting[idx] = (search.throw(reply) if isinstance(reply, Exception)
-                            else search.send(reply))
-        except StopIteration as stop:
-            ends[idx] = stop.value
-        except Exception as exc:  # keep going; other starts may succeed
-            ends[idx] = exc
-
     while waiting:
         idxs = list(waiting)
         U = np.array([waiting.pop(idx) for idx in idxs])
         for idx, u, reply in zip(idxs, U, replies(U)):
+            failed = isinstance(reply, Exception)
             if firsts[idx] is None:  # the first round evaluates the starts
-                firsts[idx] = u, math.inf if isinstance(reply, Exception) else float(reply[0])
-            step(idx, reply)
+                firsts[idx] = u, math.inf if failed else float(reply[0])
+            if failed:
+                ends[idx] = reply
+                continue
+            try:
+                waiting[idx] = searches[idx].send(reply)
+            except StopIteration as stop:
+                ends[idx] = stop.value
 
+    # one outcome per search: its kept (value, point), the start where it
+    # beats the end, or one diagnostic
     best_val = np.inf
     best_u = None
     diagnostics = []
-    start_objectives = [f0 for _, f0 in firsts]
     for idx, ((start, f0), end) in enumerate(zip(firsts, ends)):
-        if isinstance(end, Exception):
-            diagnostics.append((idx, f"exception: {end}"))
-            end = np.inf, None
-        val, u = end[:2]
-        if f0 < val and f0 < _FAILED_OBJ:
+        failed = isinstance(end, Exception)
+        val, u = (math.inf, None) if failed else end[:2]
+        if f0 < val:
             val, u = f0, start
-        if val >= _FAILED_OBJ or u is None:
-            diagnostics.append((idx, f"no finite objective (start value {f0:.4g})"))
-            continue
-        if val < best_val - 1e-10:
+        if not val < _FAILED_OBJ:  # NaN included
+            diagnostics.append((idx, f"exception: {end}" if failed
+                                else f"no finite objective (start value {f0:.4g})"))
+        elif val < best_val - 1e-10:
             best_val, best_u = val, u
 
     if best_u is None:
@@ -931,7 +924,7 @@ def fit(train: TrainingSet, spec: FamilySpec | None, options: FitOptions | None 
         np.exp(best_u[:q]), spec, best_u[q:] if spec is not None else None,
         nugget=options.nugget, corr_nugget=options.corr_nugget,
     )
-    return replace(refit_config(train, config), start_objectives=tuple(start_objectives))
+    return replace(refit_config(train, config), start_objectives=tuple(f0 for _, f0 in firsts))
 
 
 def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
@@ -939,21 +932,28 @@ def refit_config(train: TrainingSet, config: KernelConfig) -> GPFit:
 
     The one place a GPFit is built; :func:`fit` and :func:`load_fit` end
     here. Raises ``ParamArityError`` unless ``config`` has one lengthscale
-    per continuous dimension, and ``ParamDomainError`` when the family has
-    a different number of levels than the training set's ``n_levels``.
+    per continuous dimension, ``ParamDomainError`` when the family has a
+    different number of levels than the training set's ``n_levels``, and
+    ``IllConditionedError`` when R does not factor.
     """
+    _check_config(train, config.family_spec, config.lengthscales.size)
+    cat = config.cat_params
+    nll, ok, mu, sigma2, L, r, _, P = _profile(
+        train, config.lengthscales[None], config.family_spec, None if cat is None else cat[None],
+        config.nugget, config.corr_nugget)
+    if not ok[0]:
+        raise IllConditionedError(_NOT_POSITIVE_DEFINITE)
     y_mean, y_std = train.y_mean, train.y_std
-    nll, mu_z, sigma2_z, L, r, P = _profile_one(train, config)
-    alpha = dtrsm(1.0, L, r, lower=1, trans_a=1)
+    alpha = dtrsm(1.0, L[0], r[0], lower=1, trans_a=1)
     level_table = (np.ones((train.n_levels, train.n)) if P is None
-                   else P.take(train.levels - 1, axis=1))
+                   else P[0].take(train.levels - 1, axis=1))
     level_table.setflags(write=False)
     return GPFit(
         config=config,
-        mu_hat=y_mean + y_std * mu_z,
-        sigma2_hat=y_std * y_std * sigma2_z,
-        neg_log_lik=nll,
-        chol_R=L,
+        mu_hat=y_mean + y_std * float(mu[0]),
+        sigma2_hat=y_std * y_std * float(sigma2[0]),
+        neg_log_lik=float(nll[0]),
+        chol_R=L[0],
         alpha=alpha,
         train=train,
         y_mean=y_mean,
@@ -1026,9 +1026,7 @@ def _level_free(fit: GPFit, X: np.ndarray, cap: int) -> _Query:
         raise ParamDomainError("query coordinates must be finite")
     if _outside(checked, train.bounds):
         raise ParamDomainError("query point outside the model's declared bounds")
-    for x, (lo, hi) in zip(checked, train.bounds.tolist()):
-        x -= lo  # to unit coordinates in place, as design.to_unit_coords maps
-        x /= hi - lo
+    map_to_unit(checked, train.bounds)
     scales = SQRT5 / fit.config.lengthscales
     if grid is None:
         return _Query(key, list(zip(columns, train.X01.T, scales)), None)

@@ -247,7 +247,9 @@ def test_training_set_rejects_non_finite_data(where, bad):
 
 
 # 2**63 is a uint64 to numpy, which astype(int) wraps; 10**30 no int64 at all
-@pytest.mark.parametrize("n_levels", [2.9, np.nan, np.inf, -np.inf, 2**63, 10**30])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_levels", [2.9, np.nan, np.inf, -np.inf, 2**63, 10**30, "4x", "4",
+                                      4 + 0j])
 def test_training_set_rejects_a_non_integral_level_count(n_levels):
     with pytest.raises(ParamDomainError, match="n_levels must be integers"):
         TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], n_levels=n_levels)
@@ -734,6 +736,28 @@ def test_categorical_only_model():
     gp = fit(ts, spec, FitOptions(n_starts=2))
     assert gp.neg_log_lik == concentrated_nll(gp.config.cat_params, ts, spec)
     assert np.array_equal(build_R(ts, gp.config)[1], gp.chol_R)
+
+
+@pytest.mark.parametrize("label", ["none", "EC", "MC", "LRC2", "LRC3", "UC"])
+def test_build_R_and_concentrated_nll_follow_the_fitted_model(label):
+    # every auto family at s = 4: build_R assembles the model's R, and
+    # concentrated_nll is the model's k = 1 likelihood, bit for bit
+    rng = np.random.default_rng(21)
+    X, levels, y = random_instance(rng, 16, s=4)
+    ts = TrainingSet(X, levels, y)
+    spec = None if label == "none" else FamilySpec.parse(label, 4)
+    gp = fit(ts, spec, FitOptions(n_starts=2, max_evals_per_start=60))
+    config = gp.config
+    R, L = build_R(ts, config)
+    assert np.array_equal(L, gp.chol_R)
+    assert np.array_equal(np.diag(R), np.full(ts.n, 1.0 + config.nugget))
+    cat = config.cat_params
+    psi = np.r_[config.lengthscales, () if cat is None else cat]
+    value = concentrated_nll(psi, ts, spec, config.nugget, config.corr_nugget)
+    assert value == refit_config(ts, config).neg_log_lik
+    assert value == profile_one(ts, config.lengthscales, spec, cat, config.nugget,
+                                config.corr_nugget)[0]
+    assert value == gp.neg_log_lik
 
 
 @pytest.mark.parametrize("label", ["EC", "MC", "LRC2", "LRC3", "UC"])
@@ -1231,7 +1255,7 @@ def test_an_exception_at_one_point_ends_only_its_search(monkeypatch, n, n_starts
     assert all(type(v) is float for v in model.start_objectives)
 
 
-def test_fit_failure_carries_diagnostics():
+def test_fit_failure_carries_diagnostics(monkeypatch):
     from mixedgp.errors import FitFailureError
 
     # distinct floats whose kernel correlation rounds to exactly 1 for
@@ -1242,6 +1266,21 @@ def test_fit_failure_carries_diagnostics():
     with pytest.raises(FitFailureError) as err:
         fit(ts, None, FitOptions(n_starts=3, nugget=0.0))
     assert len(err.value.diagnostics) == 3
+    # a likelihood that raises at every gradient call, so at every start:
+    # one diagnostic per search, its exception
+    real_profile = gpcore._profile
+
+    def raising(*args, grad=False, **kwargs):
+        if grad:
+            raise RuntimeError("boom")
+        return real_profile(*args, grad=grad, **kwargs)
+
+    monkeypatch.setattr(gpcore, "_profile", raising)
+    rng = np.random.default_rng(6)
+    ts = TrainingSet(*random_instance(rng, 8, s=2))
+    with pytest.raises(FitFailureError) as err:
+        fit(ts, FamilySpec("EC", 2), FitOptions(n_starts=3))
+    assert err.value.diagnostics == [(idx, "exception: boom") for idx in range(3)]
 
 
 def test_predict_rejects_unknown_level():
@@ -1388,12 +1427,16 @@ def test_predict_outside_bounds_rejected():
         predict_batch(gp, np.array([[1.5]]), 1)
 
 
+@pytest.mark.filterwarnings("error")  # a complex level cast to int warns
 def test_non_integral_levels_rejected():
     rng = np.random.default_rng(6)
     X_train, train_levels, y = random_instance(rng, 8, s=2)
     beyond_int64 = [[*train_levels[:-1].tolist(), big] for big in (2**63, 10**30)]
+    # text, None and complex numbers, through each dtype numpy gives them
+    others = [[*train_levels[:-1].tolist(), value] for value in ("a", None, 1 + 0j)]
     for bad in (train_levels + 0.5, np.where(train_levels == 2, np.nan, 1.0), *beyond_int64,
-                np.array(beyond_int64[0], np.uint64)):
+                np.array(beyond_int64[0], np.uint64), train_levels.astype(str),
+                train_levels.astype(complex), *others):
         with pytest.raises(ParamDomainError, match="integers"):
             TrainingSet(X_train, bad, y)
     ts = TrainingSet(X_train, train_levels.astype(float), y)  # 2.0 is level 2
@@ -1404,7 +1447,8 @@ def test_non_integral_levels_rejected():
     X = rng.random((2, 2))
     assert np.array_equal(predict_batch(gp, X, 2.0), predict_batch(gp, X, 2))
     assert np.array_equal(predict_batch(gp, X, [1.0, 2.0]), predict_batch(gp, X, [1, 2]))
-    for bad in (1.9, [1, 1.5], np.nan, np.inf, 2**63, 10**30, [1, 10**30]):
+    for bad in (1.9, [1, 1.5], np.nan, np.inf, 2**63, 10**30, [1, 10**30], "2", ["a", "b"],
+                None, [None, 1], 1 + 0j, [1 + 0j, 2]):
         with pytest.raises(ParamDomainError, match="integers"):
             predict_batch(gp, X, bad)
 

@@ -39,13 +39,16 @@ def test_bitcheck_config_and_profile_sections_run(monkeypatch, tmp_path):
 
 
 def test_bitcheck_load_section_digests_every_model(monkeypatch, tmp_path):
-    # one sha256 digest per predict_grid model, of the reloaded model's
-    # numbers and its training set's arrays
+    # two sha256 digests per predict_grid model: of the reloaded model's
+    # numbers and its training set's arrays, then of build_R's (R, L)
     bitcheck = load_bitcheck(monkeypatch)
     lines = [line.split() for line in bitcheck.load_lines(str(tmp_path))]
-    assert len(lines) == 168 and len({line[1] for line in lines}) == 168
+    models, builds = lines[::2], lines[1::2]
+    assert len(models) == len(builds) == 168 and len({line[1] for line in models}) == 168
     assert all(line[0] == "load" and line[1].endswith(".json")
-               and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines)
+               and re.fullmatch("[0-9a-f]{64}", line[2]) for line in models)
+    assert all(build[:3] == ["load", model[1], "build_R"]
+               and re.fullmatch("[0-9a-f]{64}", build[3]) for model, build in zip(models, builds))
     # a reload whose training set standardizes otherwise changes its digest
     first = lines[0][2]
     monkeypatch.setattr(bitcheck.gpcore, "_YSTD_FLOOR", math.inf)
