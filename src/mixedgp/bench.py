@@ -33,6 +33,7 @@ from .errors import (
     ParamArityError,
     ParamDomainError,
     RankRangeError,
+    as_numbers,
     whole,
 )
 from .gpcore import FitOptions, GPFit, TrainingSet, fit, predict_batch
@@ -47,8 +48,9 @@ def rmse_corr(tau_hat, tau_tilde) -> float:
     No division by the number of pairs, so values are only comparable
     at equal s. Pairs with missing (NaN) empirical entries are skipped.
     """
-    A = tau_hat.values if isinstance(tau_hat, CorrMatrix) else np.asarray(tau_hat, float)
-    B = tau_tilde.matrix if isinstance(tau_tilde, CrossCorrEstimate) else np.asarray(tau_tilde, float)
+    A = tau_hat.values if isinstance(tau_hat, CorrMatrix) else as_numbers(tau_hat, "tau_hat")
+    B = (tau_tilde.matrix if isinstance(tau_tilde, CrossCorrEstimate)
+         else as_numbers(tau_tilde, "tau_tilde"))
     if A.shape != B.shape:
         raise ParamArityError(f"matrix shapes differ: {A.shape} vs {B.shape}")
     pairs = np.tri(*A.shape, k=-1, dtype=bool) & ~np.isnan(B)
@@ -61,8 +63,8 @@ def q_squared(y_true, y_pred) -> float:
     1 is perfect; 0 matches predicting the mean everywhere; negative is
     worse than the mean. Undefined for constant y_true.
     """
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    y_pred = np.asarray(y_pred, dtype=float).ravel()
+    y_true = as_numbers(y_true, "y_true").ravel()
+    y_pred = as_numbers(y_pred, "y_pred").ravel()
     if y_true.size != y_pred.size:
         raise ParamArityError("y_true and y_pred must have equal length")
     if y_true.size < 2:

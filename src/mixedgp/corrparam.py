@@ -41,6 +41,7 @@ from .errors import (
     ParamArityError,
     ParamDomainError,
     RankRangeError,
+    as_numbers,
     whole,
 )
 
@@ -143,8 +144,10 @@ def check_params(spec: FamilySpec, values) -> np.ndarray:
     """``values`` as one float vector of the family's parameters, after the
     family's one rule: ``ParamArityError`` unless there are :func:`param_count`
     of them, ``ParamDomainError`` unless each lies in its open domain (NaN does not).
+    ``values`` converts by :func:`errors.as_numbers`, without a copy of a
+    float array, so a bool, text or a complex number raises ``ParamDomainError``.
     """
-    values = np.asarray(values, dtype=float)
+    values = as_numbers(values, f"{spec.label} parameters")
     s, family, k = spec.s, spec.family, param_count(spec)
     if values.shape != (k,):
         raise ParamArityError({

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignValidationError, ParamArityError, ParamDomainError, whole
+from .errors import DesignValidationError, ParamArityError, ParamDomainError, as_numbers, whole
 
 @dataclass(frozen=True)
 class Design:
@@ -139,13 +139,14 @@ def to_unit_coords(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def check_bounds(bounds, q: int) -> np.ndarray:
     """``bounds`` as a read-only (q, 2) float array of (lower, upper) per dimension.
 
-    Raises ``ParamArityError`` unless ``bounds`` is q pairs of numbers
-    (a flat list of 2q numbers, or a ragged list, is not), and
+    Raises ``ParamArityError`` unless ``bounds`` is q pairs of real
+    numbers by :func:`errors.as_numbers` (a flat list of 2q numbers, a
+    ragged list, and booleans, text or complex numbers are not), and
     ``ParamDomainError`` unless every bound is finite with lower < upper.
     """
     try:
-        checked = np.array(bounds, dtype=float)
-    except (TypeError, ValueError):  # a ragged list, or not numbers
+        checked = as_numbers(bounds, "bounds", copy=True)
+    except (ParamArityError, ParamDomainError):  # a ragged list, or not real numbers
         checked = None
     if checked is None or checked.shape != (q, 2):
         raise ParamArityError(f"bounds must be {q} (lower, upper) pairs, got {bounds!r}")

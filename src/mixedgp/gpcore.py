@@ -135,10 +135,8 @@ are standardized for fitting and de-standardized for prediction.
 """
 
 import functools
-import itertools
 import json
 import math
-import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field, replace
@@ -166,6 +164,7 @@ from .errors import (
     IllConditionedError,
     ParamArityError,
     ParamDomainError,
+    as_numbers,
     whole,
 )
 
@@ -211,7 +210,9 @@ class KernelConfig:
 
     ``family_spec``/``cat_params`` are None for a continuous-only model.
     The nugget is added to the diagonal of the training correlation
-    matrix (jitter); it is not rescaled away. ``cat_params`` must be
+    matrix (jitter); it is not rescaled away. ``lengthscales`` and
+    ``cat_params`` convert by :func:`errors.as_numbers` (a bool, text or
+    a complex number raises ``ParamDomainError``); ``cat_params`` must be
     finite and pass the family's rule (:func:`corrparam.check_params`).
     """
 
@@ -224,7 +225,7 @@ class KernelConfig:
     def __post_init__(self):
         # private read-only copies, as in TrainingSet: a model keeps
         # products of its last query built from them (predict_batch)
-        ls = np.array(self.lengthscales, dtype=float).ravel()
+        ls = as_numbers(self.lengthscales, "lengthscales", copy=True).ravel()
         ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
         if not all(0 < v < math.inf for v in ls.tolist()):  # NaN fails both
@@ -232,7 +233,7 @@ class KernelConfig:
         check_nugget("nugget", self.nugget, zero=True)
         check_nugget("corr_nugget", self.corr_nugget)
         if self.cat_params is not None:
-            cat = np.array(self.cat_params, dtype=float).ravel()
+            cat = as_numbers(self.cat_params, "cat_params", copy=True).ravel()
             cat.setflags(write=False)
             object.__setattr__(self, "cat_params", cat)
             if not all(map(math.isfinite, cat.tolist())):
@@ -258,29 +259,6 @@ def _outside(columns, bounds: np.ndarray) -> bool:
                for x, (lo, hi) in zip(columns, bounds.tolist()))
 
 
-def _as_levels(levels, what: str = "levels") -> np.ndarray:
-    """A new int array of ``levels``; ``ParamDomainError`` unless integral.
-
-    Integral floats such as 2.0 are accepted; 1.9 is no level, and nor
-    is True, text, None, a complex number, nor an integer beyond int64
-    (numpy reads 2**63 as a uint64, which ``astype(int)`` wraps to
-    -2**63). ``what`` names the argument in the error.
-    """
-    raw = np.asarray(levels)
-    if raw.dtype.kind == "i":
-        return raw.astype(int)
-    ints = None
-    if raw.dtype.kind in "ufO":  # not booleans, text or complex numbers
-        try:
-            with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
-                ints = raw.astype(int)
-        except (OverflowError, TypeError, ValueError):
-            pass  # an object array's int beyond int64, None, or text int() does not read
-    if ints is None or not np.array_equal(ints, raw):
-        raise ParamDomainError(f"{what} must be integers within int64")
-    return ints
-
-
 class TrainingSet:
     """Observed mixed inputs and responses.
 
@@ -301,6 +279,11 @@ class TrainingSet:
         such as 4.0 is accepted; a non-integral or non-finite one raises
         ``ParamDomainError``. A model of this set has a family of exactly
         s levels.
+
+    ``X``, ``y``, ``levels`` and ``n_levels`` convert by
+    :func:`errors.as_numbers` (levels and ``n_levels`` as integers): a
+    bool, text, None or a complex number raises ``ParamDomainError``, a
+    ragged list ``ParamArityError``.
 
     Besides ``X``, ``levels``, ``y``, ``bounds``, ``n``, ``q`` and
     ``n_levels``, a training set holds what every likelihood evaluation
@@ -327,9 +310,9 @@ class TrainingSet:
     def __init__(self, X, levels, y, bounds=None, n_levels=None):
         # private read-only copies: the arrays built below, and what
         # save_fit writes, must not change when the caller's arrays do
-        X = np.array(X, dtype=float, ndmin=2)
-        levels = _as_levels(levels).ravel()
-        y = np.array(y, dtype=float).ravel()
+        X = np.atleast_2d(as_numbers(X, "X", copy=True))
+        levels = as_numbers(levels, "levels", integral=True).ravel()
+        y = as_numbers(y, "y", copy=True).ravel()
         for a in (X, levels, y):
             a.setflags(write=False)
         n, q = X.shape
@@ -359,7 +342,7 @@ class TrainingSet:
         self.bounds = bounds
         self.n = n
         self.q = q
-        self.n_levels = high if n_levels is None else _as_levels(n_levels, "n_levels").item()
+        self.n_levels = high if n_levels is None else as_numbers(n_levels, "n_levels", True).item()
         if self.n_levels < high:
             raise ParamDomainError("n_levels smaller than an observed level")
         map_to_unit(columns, bounds)
@@ -622,9 +605,11 @@ def concentrated_nll(
     ``psi`` is the lengthscales followed by the family's parameters; a
     wrong length raises ``ParamArityError``, :class:`KernelConfig` and
     the family check the values, and a family with a different number of
-    levels than the training set raises ``ParamDomainError``.
+    levels than the training set raises ``ParamDomainError``. ``psi``
+    converts by :func:`errors.as_numbers`, without a copy of a float
+    array.
     """
-    psi = np.asarray(psi, dtype=float).ravel()
+    psi = as_numbers(psi, "psi").ravel()
     q = train.q
     k = q + (param_count(spec) if spec is not None else 0)
     if psi.size != k:
@@ -661,13 +646,12 @@ class FitOptions:
     def __post_init__(self):
         n, seed, budget = self.n_starts, self.seed, self.max_evals_per_start
         nugget, corr_nugget, bounds = self.nugget, self.corr_nugget, self.lengthscale_bounds
-        real = lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool)
         nugget_broken, corr_broken = nugget_rule(nugget, zero=True), nugget_rule(corr_nugget)
         try:
-            low, high = bounds
-        except (TypeError, ValueError):
+            low, high = as_numbers(bounds, "lengthscale_bounds").tolist()
+        except (TypeError, ValueError):  # not two real numbers
             low = high = None
-        pair = real(low) and real(high)
+        pair = type(low) is float  # not so if a (2, k) array unpacked to two lists
         ConfigError.check((
             ("n_starts", n, "an integer", whole(n)),
             ("seed", seed, "an integer", whole(seed)),
@@ -1075,21 +1059,23 @@ def predict_batch(fit: GPFit, X, levels) -> np.ndarray:
 
     ``X`` is in problem units, one row of q coordinates per query (a
     1-D array is one row); ``levels`` is a scalar, or one level per row.
-    Raises ``ParamArityError`` for other shapes and ``ParamDomainError``
-    for non-finite or out-of-bounds coordinates and for levels that are
-    not integers in 1..``n_levels``, the training set's level count (a
-    family's ``s``).
+    Both convert by :func:`errors.as_numbers` (a float array ``X``
+    without a copy). Raises ``ParamArityError`` for other shapes and for
+    ragged lists, and ``ParamDomainError`` for what is no number (a
+    bool, text, None or a complex number), for non-finite or
+    out-of-bounds coordinates and for levels that are not integers in
+    1..``n_levels``, the training set's level count (a family's ``s``).
 
     A product grid takes one matrix product, any other query blocks of
     rows (see the module docstring). A call with the model's last ``X``
     reuses its level-free part, with a fresh model's bits.
     """
     train = fit.train
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(as_numbers(X, "X"))
     if X.ndim != 2 or X.shape[1] != train.q:
         raise ParamArityError(f"X must have shape (rows, {train.q}), got {X.shape}")
     rows, n = X.shape[0], train.n
-    levels = _as_levels(levels)
+    levels = as_numbers(levels, "levels", integral=True)
     if levels.ndim > 1 or levels.size not in (1, rows):
         raise ParamArityError(f"levels must be a scalar or have {rows} entries, "
                               f"got shape {levels.shape}")
@@ -1159,32 +1145,6 @@ _FIT_KEYS = ("bounds", "n_levels", "family", "s", "rank", "cat_params", "lengths
              "nugget", "corr_nugget", "train_X", "train_levels", "train_y")
 
 
-# the Python types of JSON numbers
-_JSON_NUMBERS = frozenset((int, float))
-
-
-def _numbers(value, dtype=float) -> np.ndarray:
-    """An array of ``dtype`` (None: as numpy infers it) of a JSON list of
-    numbers, or of a list of such lists for a matrix. A string or a
-    boolean in it is no number, though numpy reads "1.5" and true as ones."""
-    if not isinstance(value, list):
-        raise TypeError(f"must be a list, got {value!r}")
-    rows = bool(value) and type(value[0]) is list
-    if rows:
-        # a matrix is read as one flat list, which numpy converts faster
-        if len(set(map(len, value))) != 1:
-            raise ValueError("must be a list of rows of equal length")
-        items = list(itertools.chain.from_iterable(value))
-    else:
-        items = value
-    others = set(map(type, items)) - _JSON_NUMBERS
-    if others:
-        names = ", ".join(sorted(kind.__name__ for kind in others))
-        raise TypeError(f"must hold numbers only, not {names}")
-    array = np.array(items, dtype=dtype)
-    return array.reshape(len(value), len(value[0])) if rows else array
-
-
 def _integer(value):
     """``value``, an integer."""
     if not whole(value):
@@ -1195,8 +1155,12 @@ def _integer(value):
 def load_fit(path) -> GPFit:
     """Reconstruct a fitted model saved by :func:`save_fit`.
 
-    A fit file is UTF-8 JSON, and its numeric fields hold JSON numbers
-    (not strings such as "1.5", nor true or false). Loading rebuilds the
+    A fit file is UTF-8 JSON. Its arrays and ``n_levels`` convert by
+    :func:`errors.as_numbers`, the rule of the API, so they hold JSON
+    numbers (not strings such as "1.5", nor true or false; null only
+    for a continuous-only model's ``cat_params``), and its levels and
+    ``n_levels`` integers (2.0 is 2, as in the API); ``s`` and ``rank``
+    are JSON integers. Loading rebuilds the
     training set and recomputes the factorization, the GLS mean, the
     variance and the likelihood from the stored parameters and data; the
     stored ``mu_hat``, ``sigma2_hat`` and ``neg_log_lik`` are not read.
@@ -1220,28 +1184,27 @@ def load_fit(path) -> GPFit:
     if missing:
         raise ParamDomainError(f"{path}: missing fields {', '.join(missing)}")
 
-    def read(key, convert, null=False):
-        """``convert`` of field ``key``; None for null where ``null`` allows it."""
+    def read(key, convert, *args, null=False, **kwargs):
+        """``convert`` of field ``key`` and ``args``; None for null where ``null`` allows it."""
         if null and doc[key] is None:
             return None
         try:
-            return convert(doc[key])
+            return convert(doc[key], *args, **kwargs)
         except (TypeError, ValueError, OverflowError) as exc:  # ParamDomainError included
             raise ParamDomainError(f"{path}: field {key}: {exc}") from None
 
     train = TrainingSet(
-        read("train_X", _numbers),
-        # _as_levels rejects 1.5, which int() would truncate
-        read("train_levels", lambda levels: _as_levels(_numbers(levels, None))),
-        read("train_y", _numbers),
-        bounds=read("bounds", _numbers),
-        n_levels=read("n_levels", lambda count: _as_levels(_integer(count), "n_levels").item()),
+        read("train_X", as_numbers, "X"),
+        read("train_levels", as_numbers, "levels", integral=True),
+        read("train_y", as_numbers, "y"),
+        bounds=read("bounds", as_numbers, "bounds"),
+        n_levels=read("n_levels", as_numbers, "n_levels", integral=True),
     )
     s, rank = read("s", _integer, null=True), read("rank", _integer, null=True)
     config = KernelConfig(
-        read("lengthscales", _numbers),
+        read("lengthscales", as_numbers, "lengthscales"),
         read("family", lambda family: FamilySpec(family, s, rank), null=True),
-        read("cat_params", _numbers, null=True),
+        read("cat_params", as_numbers, "cat_params", null=True),
         nugget=read("nugget", functools.partial(check_nugget, "nugget", zero=True)),
         corr_nugget=read("corr_nugget", functools.partial(check_nugget, "corr_nugget")),
     )

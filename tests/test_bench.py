@@ -106,6 +106,18 @@ def test_rmse_shape_mismatch():
         rmse_corr(np.eye(3), np.eye(4))
 
 
+@pytest.mark.filterwarnings("error")  # numpy warns where it drops an imaginary part
+@pytest.mark.parametrize("call, message", [
+    (lambda: q_squared(["a", "b"], [1, 2]), "not str; y_true must be real numbers"),
+    (lambda: q_squared([1.0, 2.0], np.array([1.0, 2.0]) + 1j), "not complex128; y_pred must be"),
+    (lambda: rmse_corr([["a"]], [[1.0]]), "not str; tau_hat must be real numbers"),
+    (lambda: rmse_corr(np.eye(2), np.eye(2) > 0), "not bool; tau_tilde must be real numbers"),
+])
+def test_scorers_reject_what_is_no_number(call, message):
+    with pytest.raises(ParamDomainError, match=message):
+        call()
+
+
 def test_q2_perfect_prediction():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     assert q_squared(y, y) == 1.0

@@ -37,6 +37,7 @@ from mixedgp.errors import (
     MixedGPError,
     ParamArityError,
     ParamDomainError,
+    as_numbers,
     whole,
 )
 from mixedgp.gpcore import (
@@ -246,6 +247,67 @@ def test_training_set_rejects_non_finite_data(where, bad):
         TrainingSet(X, [1, 1, 2], y)
 
 
+_X3, _Y3 = [[0.1], [0.5], [0.9]], [0.0, 1.0, 2.0]
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns where it drops an imaginary part
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: TrainingSet([["a"], [0.5], [0.9]], [1, 1, 2], _Y3), ParamDomainError,
+                 "not str; X must be real numbers", id="X-text"),
+    pytest.param(lambda: TrainingSet([[0.1, 0.2], [0.5], [0.9]], [1, 1, 2], _Y3), ParamArityError,
+                 "X must be numbers or rows", id="X-ragged"),
+    pytest.param(lambda: TrainingSet(np.array(_X3) + 1j, [1, 1, 2], _Y3), ParamDomainError,
+                 "not complex128; X must be real numbers", id="X-complex"),
+    pytest.param(lambda: TrainingSet(np.array([[True], [False]]), [1, 1], [0.0, 1.0]),
+                 ParamDomainError, "not bool; X must be real numbers", id="X-boolean"),
+    pytest.param(lambda: TrainingSet(_X3, [1, 1, 2], ["0", "1", "2"]), ParamDomainError,
+                 "not str; y must be real numbers", id="y-text"),
+    pytest.param(lambda: TrainingSet(_X3, [1, 1, 2], [[0.0, 1.0], [2.0]]), ParamArityError,
+                 "y must be numbers or rows", id="y-ragged"),
+    pytest.param(lambda: TrainingSet(_X3, [1, 1, 2], np.array(_Y3) + 1j), ParamDomainError,
+                 "not complex128; y must be real numbers", id="y-complex"),
+    pytest.param(lambda: TrainingSet(_X3, [1, 1, 2], [True, False, True]), ParamDomainError,
+                 "not bool; y must be real numbers", id="y-boolean"),
+    pytest.param(lambda: KernelConfig([0.5 + 0.1j]), ParamDomainError,
+                 "not complex; lengthscales must be real numbers", id="lengthscales-complex"),
+    pytest.param(lambda: KernelConfig([0.5], FamilySpec("EC", 2), np.array([0.5 + 0j])),
+                 ParamDomainError, "not complex128; cat_params must be real numbers",
+                 id="cat_params-complex"),
+    pytest.param(lambda: concentrated_nll([0.5, 0.5 + 0.1j], TrainingSet(_X3, [1, 1, 2], _Y3),
+                                          FamilySpec("EC", 2)),
+                 ParamDomainError, "not complex; psi must be real numbers", id="psi-complex"),
+    pytest.param(lambda: corrparam.check_params(FamilySpec("MC", 2), np.array([0.5, 1 + 1j])),
+                 ParamDomainError, "not complex128; MC parameters must be real numbers",
+                 id="check_params-complex"),
+    pytest.param(lambda: TrainingSet(_X3, [1, 1, 2], _Y3, bounds=np.array([[0.0, 1.0 + 0j]])),
+                 ParamArityError, r"bounds must be 1 \(lower, upper\) pairs", id="bounds-complex"),
+])
+def test_what_is_no_number_is_rejected_naming_the_argument(call, error, message):
+    # numpy reads "1" and True as numbers and a complex number as its real part
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("values", [
+    [1, 3, 2**53 + 1],
+    [Fraction(1, 3), Fraction(2, 7), Fraction(5, 2)],
+    np.array([0.1, 0.7, 0.3], np.float32),
+    np.array([1, 4, 9]),
+], ids=["ints", "fractions", "float32", "int-array"])
+def test_numbers_convert_to_the_bits_numpy_gives_them(values):
+    expected = np.array(values, dtype=float)
+    assert as_numbers(values, "v").tobytes() == expected.tobytes()
+    ts = TrainingSet([[v] for v in values], [1, 2, 1], values, bounds=[(0, 2**54)])
+    assert ts.X.tobytes() == expected.tobytes() and ts.y.tobytes() == expected.tobytes()
+    ts = TrainingSet(np.asarray(values)[:, None], np.array([1, 2, 1], np.int32), values,
+                     bounds=[(0, 2**54)])
+    assert ts.X.tobytes() == expected.tobytes() and ts.levels.tolist() == [1, 2, 1]
+    assert KernelConfig(values).lengthscales.tobytes() == expected.tobytes()
+    gp = refit_config(ts, KernelConfig([2**52]))
+    query = np.asarray(values)[:, None]
+    assert predict_batch(gp, query, 1).tobytes() == predict_batch(gp, expected[:, None], 1).tobytes()
+
+
 # 2**63 is a uint64 to numpy, which astype(int) wraps; 10**30 no int64 at all
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n_levels", [2.9, np.nan, np.inf, -np.inf, 2**63, 10**30, "4x", "4",
@@ -349,8 +411,9 @@ def test_training_set_rejects_non_finite_bounds(bounds):
         TrainingSet(np.array([[0.1], [0.5]]), [1, 2], [0.0, 1.0], bounds=bounds)
 
 
-# bounds that are not q = 2 (lower, upper) pairs: transposed, flat, ragged
-MISSHAPED_BOUNDS = [[[0, 1, 0], [1, 0, 1]], [0, 1, 0, 1], [[0, 1], [0]]]
+# bounds that are not q = 2 (lower, upper) pairs: transposed, flat, ragged, booleans
+MISSHAPED_BOUNDS = [[[0, 1, 0], [1, 0, 1]], [0, 1, 0, 1], [[0, 1], [0]],
+                    [[False, True], [False, True]]]
 
 
 @pytest.mark.parametrize("bounds", MISSHAPED_BOUNDS)
@@ -1393,8 +1456,13 @@ def test_prediction_equivariance_under_response_affine_maps():
         ([[np.inf, 0.2]], 2, ParamDomainError),
         ([[0.2, 0.3], [0.4, 0.5], [0.6, 0.7]], [1, 2], ParamArityError),
         ([[0.2, 0.3], [0.4, 0.5]], [[1, 2]], ParamArityError),
+        ([["0.2", "0.3"]], 1, ParamDomainError),  # text
+        ([[0.2, 0.3], [0.4]], 1, ParamArityError),  # ragged
+        (np.full((2, 2), 0.5 + 3j), 1, ParamDomainError),
+        (np.full((2, 2), True), 1, ParamDomainError),
     ],
 )
+@pytest.mark.filterwarnings("error")  # numpy warns where it drops an imaginary part
 def test_predict_rejects_malformed_queries(X, levels, error):
     rng = np.random.default_rng(6)
     X_train, train_levels, y = random_instance(rng, 8, s=2)
@@ -1451,6 +1519,11 @@ def test_non_integral_levels_rejected():
                 None, [None, 1], 1 + 0j, [1 + 0j, 2]):
         with pytest.raises(ParamDomainError, match="integers"):
             predict_batch(gp, X, bad)
+    for ragged in ([[1, 2], [1]], [1, [2]]):
+        with pytest.raises(ParamArityError, match="levels must be numbers or rows"):
+            TrainingSet(X_train, ragged, y)
+        with pytest.raises(ParamArityError, match="levels must be numbers or rows"):
+            predict_batch(gp, X, ragged)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -1472,6 +1545,10 @@ def test_non_integral_levels_rejected():
                  "lhd needs integers", id="lhd"),
     pytest.param(lambda X, levels, y, gp: lhd(np.True_, 2, 0), ParamDomainError,
                  "lhd needs integers", id="lhd-numpy-bool"),
+    pytest.param(lambda X, levels, y, gp: KernelConfig([True, True]), ParamDomainError,
+                 "not bool; lengthscales must be real numbers", id="KernelConfig-lengthscales"),
+    pytest.param(lambda X, levels, y, gp: TrainingSet(X > 0.5, levels, y), ParamDomainError,
+                 "not bool; X must be real numbers", id="TrainingSet-X"),
 ])
 def test_booleans_are_not_integers_at_the_api_boundary(call, error, message):
     # True == 1, but no count, seed or level is written as a boolean
