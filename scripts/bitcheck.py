@@ -10,14 +10,23 @@ checkouts to see whether a change keeps every bit:
 Name sections to print only those, in the order below whatever the
 order named (an unknown name exits with status 2):
 
-    python3 scripts/bitcheck.py [config|gate|load|grid|scatter|desk|profile|fit|searches ...]
+    python3 scripts/bitcheck.py [config|design|gate|load|grid|scatter|desk|profile|fit|searches ...]
 
-Nine sections, one digest per line:
+Ten sections, one digest per line:
 
 * ``config``: ``repr`` of ``load_config`` of each study config in
   ``scripts/configs/`` (``desk_study.ini``, ``full_study.ini`` and
   ``refactor_gate.ini``), so a change to the config reader is checked
   by the same diff as the fitted bits;
+* ``design``: ``lhd`` and ``cslhd`` (X, levels and cluster map) for
+  n in {1, 2, 4, 7}, s in {1, 2, 3, 5} (s = 1 is ``lhd``), q in
+  {1, 2, 3}, seeds 0-2 and ``centered`` both ways, which the study
+  never draws; and on a second line ``validate_design``'s outcome,
+  the cluster map or the violated property and message, on the design
+  and on one corruption of each kind: a level outside 1..s, unequal
+  slice sizes, a coordinate of 1, a fine bin taken twice in the last
+  dimension, and the last dimension swapped between two slices, or
+  the first dimension within the last slice;
 * ``gate``: ``scripts/configs/refactor_gate.ini``'s ``records.csv``
   below its ``# generated`` header line;
 * ``load``: each of the 168 ``predict_grid`` models of
@@ -82,6 +91,7 @@ on one thread. A full run takes 20-25 s on a 2-vCPU x86-64 VM.
 """
 
 import hashlib
+import itertools
 import os
 import sys
 import tempfile
@@ -95,6 +105,7 @@ import numpy as np  # noqa: E402
 
 import mixedgp.bench as bench  # noqa: E402
 import mixedgp.corrparam as corrparam  # noqa: E402
+import mixedgp.design as design  # noqa: E402
 import mixedgp.gpcore as gpcore  # noqa: E402
 import mixedgp.testbed as testbed  # noqa: E402
 import workloads  # noqa: E402
@@ -115,6 +126,46 @@ def config_lines(tmp):
     for name in ("desk_study.ini", "full_study.ini", "refactor_gate.ini"):
         cfg = bench.load_config(os.path.join(CONFIGS, name))
         yield f"config {name} {hashlib.sha256(repr(cfg).encode()).hexdigest()}"
+
+
+def design_outcome(X, levels) -> str:
+    try:
+        return "clusters " + digest(design.validate_design(X, levels).assignment)
+    except design.DesignValidationError as exc:
+        return f"{exc.violated}: {exc}"
+
+
+def design_corruptions(X, levels, n):
+    """The design, then one corruption of each kind ``validate_design`` checks."""
+    yield X, levels
+    for last in (0, levels[0]):  # a level outside 1..s; the last slice one point short
+        yield X, np.append(levels[:-1], last)
+    rows = len(X)
+    outside, taken = X.copy(), X.copy()
+    outside[0, 0] = 1.0
+    taken[1 % rows, -1] = X[0, -1]  # row 0's fine bin in the last dimension
+    yield outside, levels
+    yield taken, levels
+    # the last dimension between two slices, the first within the last slice
+    for i, j, d in ((0, min(n + 1, rows - 1), -1), (rows - 1, rows - 2, 0)):
+        swapped = X.copy()
+        swapped[[i, j], d] = X[[j, i], d]
+        yield swapped, levels
+
+
+def design_lines(tmp):
+    for n, s, q, seed, centered in itertools.product((1, 2, 4, 7), (1, 2, 3, 5), (1, 2, 3),
+                                                      range(3), (False, True)):
+        if s == 1:
+            d, clusters = design.lhd(n, q, seed, centered), ()
+        else:
+            d, cm = design.cslhd(n, s, q, seed, centered)
+            clusters = cm.assignment
+        name = f"design n{n} s{s} q{q} seed{seed} centered{int(centered)}"
+        yield f"{name} {digest(d.X, d.levels, clusters)}"
+        outcomes = "\n".join(design_outcome(X, levels)
+                             for X, levels in design_corruptions(d.X, d.levels, n))
+        yield f"{name} validate {hashlib.sha256(outcomes.encode()).hexdigest()}"
 
 
 def gate_lines(tmp):
@@ -266,8 +317,8 @@ def profile_lines(tmp):
 
 # in print order; the study sections last: the study workload wraps bench.fit for good
 SECTIONS = {section.__name__.removesuffix("_lines"): section
-            for section in (config_lines, gate_lines, load_lines, grid_lines, scatter_lines,
-                            desk_lines, profile_lines, fit_lines, searches_lines)}
+            for section in (config_lines, design_lines, gate_lines, load_lines, grid_lines,
+                            scatter_lines, desk_lines, profile_lines, fit_lines, searches_lines)}
 
 
 def main(names) -> int:

@@ -1,7 +1,8 @@
 """Space-filling designs for mixed inputs.
 
-``lhd`` draws a plain Latin hypercube; ``cslhd`` draws a clustered
-sliced Latin hypercube with n points per slice over s slices:
+One construction draws both designs: ``cslhd`` a clustered sliced
+Latin hypercube with n points per slice over s slices, and ``lhd`` a
+plain Latin hypercube, its s = 1 case:
 
 * the full N = n*s points form an LHD on N fine bins per dimension,
 * each slice collapses to an LHD on n coarse bins per dimension,
@@ -10,9 +11,11 @@ sliced Latin hypercube with n points per slice over s slices:
 
 Construction: per dimension, a random permutation assigns coarse bins
 to clusters; within each cluster's coarse bin a random bijection
-assigns the s fine sub-bins to the slices; positions are jittered
-uniformly within fine bins (or centered with ``centered=True``).
-"""
+assigns the s fine sub-bins to the slices, all n bijections drawn by
+one ``rng.permuted`` call, which takes them from the stream as n calls
+of ``rng.permutation(s)`` do (and ``permutation(1)`` draws nothing);
+positions are jittered uniformly within fine bins (or centered with
+``centered=True``)."""
 
 import csv
 from dataclasses import dataclass
@@ -39,8 +42,9 @@ class Design:
     bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        levels = np.asarray(self.levels, dtype=int)
+        # private read-only copies, read by the one number rule
+        X = as_numbers(self.X, "X", copy=True)
+        levels = as_numbers(self.levels, "levels", integral=True)
         X.setflags(write=False)
         levels.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -63,23 +67,30 @@ class ClusterMap:
     assignment: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
+        a = as_numbers(self.assignment, "assignment", integral=True)
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
+
+
+def _sliced_lhd(n: int, s: int, q: int, seed: int, centered: bool) -> Design:
+    """The design of the module docstring, rows slice-major: row t*n + k is
+    cluster k + 1 of slice t + 1."""
+    rng = np.random.default_rng(seed)
+    N = n * s
+    fine = np.empty((N, q), dtype=int)
+    for d in range(q):
+        coarse = rng.permutation(n)
+        sub = rng.permuted(np.tile(np.arange(s), (n, 1)), axis=1)  # row k: cluster k's bijection
+        fine[:, d] = (coarse[:, None] * s + sub).T.ravel()
+    jitter = np.full((N, q), 0.5) if centered else rng.random((N, q))
+    return Design((fine + jitter) / N, np.repeat(np.arange(1, s + 1), n), n, s, q, seed)
 
 
 def lhd(n: int, q: int, seed: int, centered: bool = False) -> Design:
     """Latin hypercube: one point per bin [k/n, (k+1)/n) per dimension."""
     if not (whole(n) and whole(q)) or n < 1 or q < 1:
         raise ParamDomainError(f"lhd needs integers n >= 1 and q >= 1, got n={n!r}, q={q!r}")
-    rng = np.random.default_rng(seed)
-    X = np.empty((n, q))
-    for d in range(q):
-        bins = rng.permutation(n)
-        X[:, d] = bins
-    jitter = np.full((n, q), 0.5) if centered else rng.random((n, q))
-    X = (X + jitter) / n
-    return Design(X, np.ones(n, dtype=int), n, 1, q, seed)
+    return _sliced_lhd(n, 1, q, seed, centered)
 
 
 def cslhd(n: int, s: int, q: int, seed: int, centered: bool = False):
@@ -91,20 +102,7 @@ def cslhd(n: int, s: int, q: int, seed: int, centered: bool = False):
     for name, value, least in (("n", n, 1), ("s", s, 2), ("q", q, 1)):
         if not whole(value) or value < least:
             raise ParamDomainError(f"cslhd needs an integer {name} >= {least}, got {value!r}")
-    rng = np.random.default_rng(seed)
-    N = n * s
-    fine = np.empty((N, q), dtype=int)
-    for d in range(q):
-        coarse_of_cluster = rng.permutation(n)
-        for k in range(n):
-            sub = rng.permutation(s)
-            for t in range(s):
-                fine[t * n + k, d] = coarse_of_cluster[k] * s + sub[t]
-    jitter = np.full((N, q), 0.5) if centered else rng.random((N, q))
-    X = (fine + jitter) / N
-    levels = np.repeat(np.arange(1, s + 1), n)
-    clusters = np.tile(np.arange(1, n + 1), s)
-    return Design(X, levels, n, s, q, seed), ClusterMap(clusters)
+    return _sliced_lhd(n, s, q, seed, centered), ClusterMap(np.tile(np.arange(1, n + 1), s))
 
 
 def to_problem_coords(X01: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -170,72 +168,57 @@ def scale_to_bounds(design: Design, bounds) -> Design:
     )
 
 
+def _violation(prop: str, detail: str) -> DesignValidationError:
+    return DesignValidationError(f"{prop} violated{detail}", violated=prop)
+
+
 def validate_design(X: np.ndarray, levels: np.ndarray) -> ClusterMap:
     """Check all structural properties; raise on the first violation.
 
     Checks, in order: level counts, coordinate range, full-design LHD
-    on N fine bins, per-slice LHD on n coarse bins after collapsing,
-    and the cluster structure (coarse-bin signatures contain one point
-    per slice). Returns the recovered cluster map.
+    on N fine bins (naming the first failing dimension), per-slice LHD
+    on n coarse bins after collapsing (the first failing slice, and
+    its first failing dimension), and the cluster structure: exactly n
+    distinct coarse-bin signatures. That suffices: each slice, an LHD
+    on the n coarse bins, has n distinct signatures, so if the design
+    has only n, each holds exactly one point of every slice. Returns
+    the cluster map that numbers the signatures in lexicographic order.
+    ``X`` and ``levels`` are read by :func:`errors.as_numbers`, levels
+    as integers.
     """
-    X = np.asarray(X, dtype=float)
-    levels = np.asarray(levels, dtype=int)
+    X = as_numbers(X, "X")
+    levels = as_numbers(levels, "levels", integral=True)
+    if X.ndim != 2 or levels.shape != X.shape[:1]:
+        raise ParamArityError(f"X must have shape (N, q) and levels (N,), got {X.shape} "
+                              f"and {levels.shape}")
     N, q = X.shape
     uniq = np.unique(levels)
     s = uniq.size
     if not np.array_equal(uniq, np.arange(1, s + 1)):
-        raise DesignValidationError(
-            f"level counts violated: levels must be 1..s, found {uniq.tolist()}",
-            violated="level counts",
-        )
+        raise _violation("level counts", f": levels must be 1..s, found {uniq.tolist()}")
     counts = np.bincount(levels, minlength=s + 1)[1:]
     if not np.all(counts == counts[0]):
-        raise DesignValidationError(
-            f"level counts violated: unequal slice sizes {counts.tolist()}",
-            violated="level counts",
-        )
+        raise _violation("level counts", f": unequal slice sizes {counts.tolist()}")
     n = int(counts[0])
     if np.any(X < 0.0) or np.any(X >= 1.0):
-        raise DesignValidationError(
-            "coordinate range violated: coordinates must lie in [0, 1)",
-            violated="coordinate range",
-        )
+        raise _violation("coordinate range", ": coordinates must lie in [0, 1)")
     fine = np.floor(X * N).astype(int)
-    for d in range(q):
-        if not np.array_equal(np.sort(fine[:, d]), np.arange(N)):
-            raise DesignValidationError(
-                f"full-design Latin hypercube violated in dimension {d + 1}",
-                violated="full-design Latin hypercube",
-            )
+    bad = np.any(np.sort(fine, axis=0) != np.arange(N)[:, None], axis=0)
+    if bad.any():
+        raise _violation("full-design Latin hypercube", f" in dimension {bad.argmax() + 1}")
     coarse = fine // s
-    for lv in range(1, s + 1):
-        m = levels == lv
-        for d in range(q):
-            if not np.array_equal(np.sort(coarse[m, d]), np.arange(n)):
-                raise DesignValidationError(
-                    f"per-slice Latin hypercube violated for slice {lv}, dimension {d + 1}",
-                    violated="per-slice Latin hypercube",
-                )
-    signatures = {}
-    assignment = np.zeros(N, dtype=int)
-    for i in range(N):
-        sig = tuple(coarse[i])
-        signatures.setdefault(sig, []).append(i)
+    # (slice, coarse bin, dimension), each slice's bins sorted
+    per_slice = np.sort(coarse[np.argsort(levels)].reshape(s, n, q), axis=1)
+    bad = np.any(per_slice != np.arange(n)[:, None], axis=1)
+    if bad.any():
+        slice_, d = np.argwhere(bad)[0]  # the first in slice-major order
+        raise _violation("per-slice Latin hypercube",
+                         f" for slice {slice_ + 1}, dimension {d + 1}")
+    signatures, cluster = np.unique(coarse, axis=0, return_inverse=True)
     if len(signatures) != n:
-        raise DesignValidationError(
-            f"cluster structure violated: expected {n} clusters, found {len(signatures)}",
-            violated="cluster structure",
-        )
-    for k, (sig, members) in enumerate(sorted(signatures.items()), start=1):
-        got = sorted(int(levels[i]) for i in members)
-        if got != list(range(1, s + 1)):
-            raise DesignValidationError(
-                f"cluster structure violated: coarse bin {sig} holds slices {got}",
-                violated="cluster structure",
-            )
-        for i in members:
-            assignment[i] = k
-    return ClusterMap(assignment)
+        raise _violation("cluster structure",
+                         f": expected {n} clusters, found {len(signatures)}")
+    return ClusterMap(cluster + 1)
 
 
 def to_csv(design: Design, path) -> None:
@@ -266,25 +249,18 @@ def from_csv(path):
         reader = csv.reader(fh)
         rows = [r for r in reader if r]
     if not rows or rows[0][0] != "slice":
-        raise DesignValidationError(
-            "column structure violated: missing 'slice' header column",
-            violated="column structure",
-        )
+        raise _violation("column structure", ": missing 'slice' header column")
     header = rows[0]
     q = sum(1 for name in header if name.startswith("x"))
     if q == 0 or header[1 : 1 + q] != [f"x{d + 1}" for d in range(q)]:
-        raise DesignValidationError(
-            "column structure violated: expected columns x1..xq after 'slice'",
-            violated="column structure",
-        )
+        raise _violation("column structure", ": expected columns x1..xq after 'slice'")
+    if len(rows) == 1:
+        raise _violation("column structure", ": no rows below the header")
     try:
         levels = np.array([int(r[0]) for r in rows[1:]], dtype=int)
         X = np.array([[float(v) for v in r[1 : 1 + q]] for r in rows[1:]], dtype=float)
     except ValueError as exc:
-        raise DesignValidationError(
-            f"column structure violated: non-numeric cell ({exc})",
-            violated="column structure",
-        ) from None
+        raise _violation("column structure", f": non-numeric cell ({exc})") from None
     clusters = validate_design(X, levels)
     s = int(levels.max())
     design = Design(X, levels, X.shape[0] // s, s, q)

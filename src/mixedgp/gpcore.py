@@ -315,6 +315,8 @@ class TrainingSet:
         y = as_numbers(y, "y", copy=True).ravel()
         for a in (X, levels, y):
             a.setflags(write=False)
+        if X.ndim != 2:
+            raise ParamArityError(f"X must have shape (n, q), got {X.shape}")
         n, q = X.shape
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ParamDomainError("training coordinates and responses must be finite")

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedgp.design import (
+    ClusterMap,
+    Design,
     cslhd,
     from_csv,
     lhd,
@@ -148,6 +150,57 @@ def test_cslhd_determinism_byte_for_byte(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def loop_lhd(n, q, seed, centered):
+    # one permutation of the n bins per dimension
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, q))
+    for d in range(q):
+        X[:, d] = rng.permutation(n)
+    jitter = np.full((n, q), 0.5) if centered else rng.random((n, q))
+    return (X + jitter) / n
+
+
+def loop_cslhd(n, s, q, seed, centered):
+    # per dimension, one permutation of the coarse bins, then one
+    # permutation of the s sub-bins per cluster, drawn one by one
+    rng = np.random.default_rng(seed)
+    N = n * s
+    fine = np.empty((N, q), dtype=int)
+    for d in range(q):
+        coarse_of_cluster = rng.permutation(n)
+        for k in range(n):
+            sub = rng.permutation(s)
+            for t in range(s):
+                fine[t * n + k, d] = coarse_of_cluster[k] * s + sub[t]
+    jitter = np.full((N, q), 0.5) if centered else rng.random((N, q))
+    return (fine + jitter) / N
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=13),
+    s=st.integers(min_value=1, max_value=6),
+    q=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    centered=st.booleans(),
+)
+@example(n=1, s=1, q=1, seed=0, centered=False)
+@example(n=13, s=6, q=3, seed=5, centered=True)
+def test_construction_draws_the_bits_of_sequential_permutations(n, s, q, seed, centered):
+    # the sub-bin bijections come from one rng.permuted call, which must
+    # take them from the stream as one rng.permutation call per cluster
+    if s == 1:
+        d = lhd(n, q, seed, centered)
+        assert d.X.tobytes() == loop_lhd(n, q, seed, centered).tobytes()
+        assert d.levels.tolist() == [1] * n
+        return
+    d, cm = cslhd(n, s, q, seed, centered)
+    assert d.X.tobytes() == loop_cslhd(n, s, q, seed, centered).tobytes()
+    assert d.levels.tolist() == np.repeat(np.arange(1, s + 1), n).tolist()
+    assert cm.assignment.tolist() == np.tile(np.arange(1, n + 1), s).tolist()
+    assert (d.n_per_slice, d.s, d.q, d.seed) == (n, s, q, seed)
+
+
 def test_cslhd_rejects_bad_arguments():
     with pytest.raises(ParamDomainError):
         cslhd(0, 2, 1, 0)
@@ -284,11 +337,30 @@ def test_csv_import_names_first_violated_property(tmp_path):
         from_csv(path)
     assert err.value.violated == "per-slice Latin hypercube"
 
-    # header problems are reported as column structure
-    _write_rows(path, "x1,slice", [[0.1, 1]])
+    # q = 2: the fine bins fail in dimension 2 only
+    _write_rows(path, "slice,x1,x2",
+                [[1, 0.05, 0.05], [1, 0.55, 0.55], [2, 0.30, 0.30], [2, 0.80, 0.55]])
     with pytest.raises(DesignValidationError) as err:
         from_csv(path)
-    assert err.value.violated == "column structure"
+    assert str(err.value) == "full-design Latin hypercube violated in dimension 2"
+
+    # n = 2, s = 4, q = 2: slices 2 and 4 fail in dimension 2, slices 3
+    # and 4 in dimension 1; slice 2's is the first, slice by slice
+    fine = np.array([[0, 0], [4, 4], [1, 1], [5, 5], [2, 2], [6, 6], [3, 3], [7, 7]])
+    fine[[2, 7], 1] = fine[[7, 2], 1]
+    fine[[4, 7], 0] = fine[[7, 4], 0]
+    levels = np.repeat([1, 2, 3, 4], 2)
+    _write_rows(path, "slice,x1,x2", [[lv, *(f + 0.5) / 8] for lv, f in zip(levels, fine)])
+    with pytest.raises(DesignValidationError) as err:
+        from_csv(path)
+    assert str(err.value) == "per-slice Latin hypercube violated for slice 2, dimension 2"
+
+    # header problems, and a header with no rows, are reported as column structure
+    for header, rows in (("x1,slice", [[0.1, 1]]), ("slice,x1", [])):
+        _write_rows(path, header, rows)
+        with pytest.raises(DesignValidationError) as err:
+            from_csv(path)
+        assert err.value.violated == "column structure"
 
 
 def test_csv_import_checks_cluster_structure(tmp_path):
@@ -307,3 +379,46 @@ def test_csv_import_checks_cluster_structure(tmp_path):
     with pytest.raises(DesignValidationError) as err:
         from_csv(path)
     assert err.value.violated == "cluster structure"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("levels, message", [
+    ([1.5, 1.2, 2, 2], "levels must be integers"),
+    (["1", "1", "2", "2"], "not str; levels must be integers"),
+    (True, "not bool; levels must be integers"),
+    ([True, True, 2, 2], "not bool; levels must be integers"),
+])
+def test_design_levels_are_integers_by_the_one_rule(levels, message):
+    # numpy would read 1.5 and 1.2 as 1, and "1" and True as level 1
+    d, _ = cslhd(2, 2, 1, seed=0)
+    X = d.X.copy()
+    with pytest.raises(ParamDomainError, match=message):
+        validate_design(X, levels)
+    with pytest.raises(ParamDomainError, match=message):
+        Design(X, levels, 2, 2, 1)
+    with pytest.raises(ParamDomainError, match=message.replace("levels", "assignment")):
+        ClusterMap(levels)
+    with pytest.raises(ParamDomainError, match="not str_; X must be real numbers"):
+        validate_design(X.astype(str), d.levels)
+    assert validate_design(X, d.levels.astype(float)).assignment.tolist() == [1, 2, 1, 2]
+
+
+def test_design_and_cluster_map_keep_their_own_copies():
+    d, _ = cslhd(2, 2, 1, seed=0)
+    X, levels, assignment = d.X.copy(), d.levels.copy(), np.array([1, 2, 1, 2])
+    design, clusters = Design(X, levels, 2, 2, 1), ClusterMap(assignment)
+    assert X.flags.writeable and levels.flags.writeable and assignment.flags.writeable
+    X[0, 0], levels[0], assignment[0] = 0.9, 2, 2
+    assert design.X[0, 0] == d.X[0, 0] and design.levels[0] == 1 and clusters.assignment[0] == 1
+    assert not (design.X.flags.writeable or design.levels.flags.writeable
+                or clusters.assignment.flags.writeable)
+
+
+@pytest.mark.parametrize("X, levels", [
+    (np.full((4, 1, 1), 0.5), [1, 1, 2, 2]),
+    (np.full(4, 0.5), [1, 1, 2, 2]),
+    (np.full((4, 1), 0.5), [1, 1, 2]),
+])
+def test_validate_design_rejects_misshaped_arrays(X, levels):
+    with pytest.raises(ParamArityError, match=r"X must have shape \(N, q\) and levels \(N,\)"):
+        validate_design(X, levels)

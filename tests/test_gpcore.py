@@ -30,7 +30,7 @@ import mixedgp.corrparam as corrparam
 import mixedgp.gpcore as gpcore
 from mixedgp.bench import ExperimentConfig
 from mixedgp.corrparam import FamilySpec, build_correlation, corr_values
-from mixedgp.design import lhd, to_unit_coords
+from mixedgp.design import ClusterMap, Design, lhd, to_unit_coords, validate_design
 from mixedgp.errors import (
     ConfigError,
     IllConditionedError,
@@ -256,6 +256,8 @@ _X3, _Y3 = [[0.1], [0.5], [0.9]], [0.0, 1.0, 2.0]
                  "not str; X must be real numbers", id="X-text"),
     pytest.param(lambda: TrainingSet([[0.1, 0.2], [0.5], [0.9]], [1, 1, 2], _Y3), ParamArityError,
                  "X must be numbers or rows", id="X-ragged"),
+    pytest.param(lambda: TrainingSet(np.zeros((2, 2, 2)), [1, 2], [0.0, 1.0]), ParamArityError,
+                 r"X must have shape \(n, q\), got \(2, 2, 2\)", id="X-3d"),
     pytest.param(lambda: TrainingSet(np.array(_X3) + 1j, [1, 1, 2], _Y3), ParamDomainError,
                  "not complex128; X must be real numbers", id="X-complex"),
     pytest.param(lambda: TrainingSet(np.array([[True], [False]]), [1, 1], [0.0, 1.0]),
@@ -1549,6 +1551,14 @@ def test_non_integral_levels_rejected():
                  "not bool; lengthscales must be real numbers", id="KernelConfig-lengthscales"),
     pytest.param(lambda X, levels, y, gp: TrainingSet(X > 0.5, levels, y), ParamDomainError,
                  "not bool; X must be real numbers", id="TrainingSet-X"),
+    pytest.param(lambda X, levels, y, gp: validate_design(X, levels > 0), ParamDomainError,
+                 "not bool; levels must be integers", id="validate_design-levels"),
+    pytest.param(lambda X, levels, y, gp: Design(X, levels > 0, 4, 2, 2), ParamDomainError,
+                 "not bool; levels must be integers", id="Design-levels"),
+    pytest.param(lambda X, levels, y, gp: Design(X > 0.5, levels, 4, 2, 2), ParamDomainError,
+                 "not bool; X must be real numbers", id="Design-X"),
+    pytest.param(lambda X, levels, y, gp: ClusterMap(levels > 0), ParamDomainError,
+                 "not bool; assignment must be integers", id="ClusterMap"),
 ])
 def test_booleans_are_not_integers_at_the_api_boundary(call, error, message):
     # True == 1, but no count, seed or level is written as a boolean
@@ -1557,6 +1567,7 @@ def test_booleans_are_not_integers_at_the_api_boundary(call, error, message):
                       KernelConfig([0.5, 0.5], FamilySpec("EC", 2), [0.5]))
     with pytest.raises(error, match=message):
         call(X, levels, y, gp)
+    assert X.flags.writeable and levels.flags.writeable  # read, not frozen in place
 
 
 def test_whole_rejects_booleans_and_non_integral_numbers():

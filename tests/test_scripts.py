@@ -38,6 +38,24 @@ def test_bitcheck_config_and_profile_sections_run(monkeypatch, tmp_path):
     assert all(len(line[-1]) == 64 for line in lines)
 
 
+def test_bitcheck_design_section_digests_every_design(monkeypatch, tmp_path):
+    # two sha256 digests per design of the grid: of the construction,
+    # then of validate_design's outcomes on it and its corruptions
+    bitcheck = load_bitcheck(monkeypatch)
+    lines = [line.split() for line in bitcheck.design_lines(str(tmp_path))]
+    designs, checks = lines[::2], lines[1::2]
+    assert len(designs) == len(checks) == 288 and len({tuple(line[:6]) for line in designs}) == 288
+    assert all(line[0] == "design" and re.fullmatch("[0-9a-f]{64}", line[6]) for line in designs)
+    assert all(check[:7] == [*design[:6], "validate"] and re.fullmatch("[0-9a-f]{64}", check[7])
+               for design, check in zip(designs, checks))
+    # a check that numbers the clusters from 2 changes every outcome digest
+    validate = bitcheck.design.validate_design
+    monkeypatch.setattr(bitcheck.design, "validate_design", lambda X, levels: (
+        bitcheck.design.ClusterMap(validate(X, levels).assignment + 1)))
+    assert all(line.split() != check for line, check in
+               zip(itertools.islice(bitcheck.design_lines(str(tmp_path)), 1, None, 2), checks))
+
+
 def test_bitcheck_load_section_digests_every_model(monkeypatch, tmp_path):
     # two sha256 digests per predict_grid model: of the reloaded model's
     # numbers and its training set's arrays, then of build_R's (R, L)
@@ -95,8 +113,8 @@ def test_bitcheck_searches_section_digests_every_search(monkeypatch, tmp_path):
 
 def test_bitcheck_prints_the_named_sections_in_order(monkeypatch, capsys):
     bitcheck = load_bitcheck(monkeypatch)
-    assert list(bitcheck.SECTIONS) == ["config", "gate", "load", "grid", "scatter", "desk",
-                                       "profile", "fit", "searches"]
+    assert list(bitcheck.SECTIONS) == ["config", "design", "gate", "load", "grid", "scatter",
+                                       "desk", "profile", "fit", "searches"]
     for name in bitcheck.SECTIONS:
         monkeypatch.setitem(bitcheck.SECTIONS, name, lambda tmp, name=name: [f"{name} line"])
     assert bitcheck.main(["fit", "grid", "scatter"]) == 0
@@ -114,7 +132,7 @@ def test_bitcheck_rejects_an_unknown_section():
     done = subprocess.run(run + ["grid", "scater"], capture_output=True, text=True)
     assert done.returncode == 2 and done.stdout == ""
     assert "scater" in done.stderr
-    assert "config gate load grid scatter desk profile fit searches" in done.stderr
+    assert "config design gate load grid scatter desk profile fit searches" in done.stderr
 
 
 def test_loc_counts_every_line_of_src():
